@@ -240,7 +240,7 @@ def _parse_config(path: str) -> dict[str, str]:
 
 
 def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
-    from .domain import cylinder, torus_collar
+    from .domain import collar_over
     from .energy import PenaltySpec
     from .fileio import read_trace_map, write_grid_map
     from .minimize import (
@@ -269,14 +269,7 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     depth = args.depth
     h_base = trace.base.max_spacing
     n_depth = max(8, min(128, int(round(depth / h_base)) + 1))
-    if trace.base.kind == "circle":
-        domain = cylinder(trace.base.shape[0], n_depth, depth)
-    elif trace.base.kind == "torus":
-        domain = torus_collar(trace.base.shape[0], trace.base.shape[1], n_depth, depth)
-    else:
-        raise ParameterError(
-            f"estimate needs a circle or torus trace, got {trace.base.kind!r}"
-        )
+    domain = collar_over(trace.base, n_depth, depth)
 
     if args.penalized:
         if args.eps is None:

@@ -1,11 +1,12 @@
 """Sampled star-shaped capture of a closed set by a cone over directions.
 
 Everything here lives on a regular node grid over [-1,1]^m, m in {1,2}.
-``find_cone`` looks for the largest radius r on a fixed ladder such that a
-closed sampled set F is contained in the open ball of radius r united with
-a cone of directions whose rays stay inside an open sampled set G across
-the annulus between radius r and the unit sphere.  Containments are
-certified at grid scale only:
+``find_cone`` checks the single radius r = 1 - 1/K (K = ``ladder_steps``):
+a closed sampled set F must be contained in the open ball of radius r
+united with a cone of directions whose rays stay inside an open sampled
+set G across the annulus between radius r and the unit sphere.  No other
+radius k/K needs a check, because the test only gets easier as r grows.
+Containments are certified at grid scale only:
 
 * a ray direction is accepted if every sample point along it between r
   and 1 lies in a grid cell all of whose corners are in G;
@@ -27,13 +28,13 @@ only reads honest node values inside the closed ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError, ResolutionError
 
-#: ladder length: candidate radii are k/K for k = K-1 .. 1
+#: K: ``find_cone`` checks the radius 1 - 1/K and scans rays from 1/K
 DEFAULT_LADDER_STEPS = 64
 
 
@@ -243,25 +244,14 @@ def _bracket_indices(pts: np.ndarray, nd: int) -> tuple[np.ndarray, np.ndarray]:
     return j0, j1
 
 
-def _covered(f: SampledSet, accepted: np.ndarray, radius: float) -> np.ndarray:
-    """Coverage mask of F nodes by open ball of ``radius`` union the cone."""
+def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
+    """Coverage mask of F nodes by the certificate's open ball union its cone."""
     pts = node_points(f)
     radii = np.linalg.norm(pts, axis=-1)
-    f_flat = f.indicator.reshape(-1)
-    inside_ball = radii < radius
     # one cell of slack: F nodes may poke past the sphere by grid fuzz
     in_unit = radii <= 1.0 + f.spacing
-    if f.dimension == 1:
-        sign_idx = (pts[:, 0] > 0.0).astype(np.int64)
-        in_cone = accepted[sign_idx]
-        # the origin node has no direction; the ball must cover it
-        in_cone &= np.abs(pts[:, 0]) > 0.0
-    else:
-        j0, j1 = _bracket_indices(pts, accepted.size)
-        in_cone = accepted[j0] & accepted[j1]
-        in_cone &= radii > 0.0
-    mask = inside_ball | (in_unit & in_cone)
-    return np.where(f_flat, mask, True)
+    mask = (radii < certificate.radius) | (in_unit & accepts(certificate, pts))
+    return np.where(f.indicator.reshape(-1), mask, True)
 
 
 def find_cone(
@@ -270,11 +260,15 @@ def find_cone(
     ladder_steps: int = DEFAULT_LADDER_STEPS,
     direction_resolution: int | None = None,
 ) -> ConeCertificate:
-    """Search the radius ladder top-down for a certified cone capture.
+    """Certify a cone capture at the single radius r = 1 - 1/K.
 
-    Ties break toward the larger radius.  Raises PreconditionError when F
-    touches the rim outside G's interior and ResolutionError when no
-    ladder radius certifies containment at this grid resolution.
+    K is ``ladder_steps``; rays are scanned from 1/K outward.  Every
+    ingredient of the capture test (accepted directions, their one-cell
+    erosion, the open ball, cone membership) only grows with r, so no
+    smaller radius of the form k/K can succeed where r fails.  Raises
+    PreconditionError when F touches the rim outside G's interior and
+    ResolutionError when r does not certify containment at this grid
+    resolution.
     """
     _check_pair(f, g)
     if not f.closed:
@@ -291,30 +285,20 @@ def find_cone(
         raise PreconditionError(
             "F meets the unit sphere outside the sampled interior of G"
         )
-    clearance = ray_clearance(g, direction_resolution, ladder_steps)
-    for k in range(1, ladder_steps):
-        radius = (ladder_steps - k) / ladder_steps
-        pre = clearance < radius
-        if f.dimension == 1:
-            accepted = pre
-        else:
-            accepted = pre & np.roll(pre, 1) & np.roll(pre, -1)
-        if np.all(_covered(f, accepted, radius)):
-            candidate = ConeCertificate(
-                directions=accepted,
-                radius=radius,
-                verified=False,
-                pre_margin=pre,
-            )
-            return ConeCertificate(
-                directions=accepted,
-                radius=radius,
-                verified=verify_cone(f, g, candidate),
-                pre_margin=pre,
-            )
-    raise ResolutionError(
-        "no ladder radius certifies F inside ball-plus-cone at this resolution"
+    radius = (ladder_steps - 1) / ladder_steps
+    pre = ray_clearance(g, direction_resolution, ladder_steps) < radius
+    if f.dimension == 1:
+        accepted = pre
+    else:
+        accepted = pre & np.roll(pre, 1) & np.roll(pre, -1)
+    certificate = ConeCertificate(
+        directions=accepted, radius=radius, verified=False, pre_margin=pre
     )
+    if not np.all(_covered(f, certificate)):
+        raise ResolutionError(
+            "no ladder radius certifies F inside ball-plus-cone at this resolution"
+        )
+    return replace(certificate, verified=verify_cone(f, g, certificate))
 
 
 def accepts(certificate: ConeCertificate, pts: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import Axis, DomainSpec, TWO_PI, box, cylinder, square, torus_collar
+from .domain import Axis, DomainSpec, TWO_PI, box, collar_over, square
 from .energy import PenaltySpec, dirichlet_p_energy, penalized_energy
 from .errors import (
     DomainError,
@@ -95,7 +95,6 @@ class Chart:
     center: tuple[float, ...]
     core_extent: tuple[float, ...]
     margin_extent: tuple[float, ...]
-    distortion: float
 
     @property
     def dimension(self) -> int:
@@ -189,25 +188,6 @@ def single_chart_covering(base: DomainSpec) -> Covering:
     return Covering(base_kind=base.kind, base_lengths=base.lengths, charts=())
 
 
-def _sigma_distortion() -> float:
-    """Largest singular value of the square-to-disk map, sampled once."""
-    axis = np.linspace(-1.0, 1.0, 81)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
-    eps = 1e-6
-    worst = 0.0
-    cols = []
-    for a in range(2):
-        shift = np.zeros(2)
-        shift[a] = eps
-        d = (square_to_disk(np.clip(pts + shift, -1, 1)) - square_to_disk(np.clip(pts - shift, -1, 1))) / (2 * eps)
-        cols.append(d)
-    jac = np.stack(cols, axis=-1)  # (N, 2, 2)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    worst = float(np.max(svals))
-    return worst
-
-
 def _torus_factors(count: int) -> tuple[int, int]:
     best: Optional[tuple[int, int]] = None
     for k1 in range(2, int(math.isqrt(count)) + 1):
@@ -251,7 +231,6 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
                     center=(center,),
                     core_extent=(arc,),
                     margin_extent=(margin,),
-                    distortion=2.0 / arc,
                 )
             )
     else:
@@ -260,8 +239,6 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
         k1, k2 = _torus_factors(count)
         sides = (min(1.5 / k1, 0.95), min(1.5 / k2, 0.95))
         margins = tuple(min(_MARGIN_FACTOR * s, 0.98) for s in sides)
-        sigma = _sigma_distortion()
-        dist = sigma * max(2.0 / sides[0], 2.0 / sides[1])
         index = 0
         for a in range(k1):
             for b in range(k2):
@@ -273,7 +250,6 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
                         center=center,
                         core_extent=sides,
                         margin_extent=margins,
-                        distortion=dist,
                     )
                 )
                 index += 1
@@ -388,12 +364,6 @@ def _energy_value(m: GridMap, p: float, penalty: Optional[PenaltySpec]) -> float
 
 
 # ------------------------------------------------------------------- glue
-
-def _collar_domain(base: DomainSpec, n_depth: int, depth: float) -> DomainSpec:
-    if base.kind == "circle":
-        return cylinder(base.shape[0], n_depth, depth)
-    return torus_collar(base.shape[0], base.shape[1], n_depth, depth)
-
 
 def _patch_domain_for(chart: Chart, counts: tuple[int, ...], n_depth: int, depth: float) -> DomainSpec:
     if chart.dimension == 1:
@@ -548,7 +518,7 @@ def glue(
     for chart, patch in zip(covering.charts, patches):
         _check_patch(chart, patch, trace, n_depth, depth, tol)
 
-    collar = _collar_domain(trace.base, n_depth, depth)
+    collar = collar_over(trace.base, n_depth, depth)
     base_pts = node_mesh(trace.base)
     n_base = base_pts.shape[0]
     depth_coords = collar.axes[-1].coordinates()
@@ -577,18 +547,7 @@ def glue(
         later = covering.charts[i + 1 :]
         if i == 0:
             inside = chart.in_closed_core(base_pts)
-            offs = chart.patch_offsets(base_pts[inside])
-            probe = np.concatenate(
-                [
-                    np.repeat(offs, n_depth, axis=0),
-                    np.tile(depth_coords, offs.shape[0])[:, None],
-                ],
-                axis=-1,
-            )
-            got = evaluate_batch(patch, probe).reshape(-1, n_depth, trace.nu)
-            if trace.target.constrained:
-                got = project_to_target(trace.target, got)
-            values[inside] = got
+            values[inside] = _patch_columns(chart, patch, base_pts[inside], depth_coords, trace)
             h_collar = np.array(chart.in_core(base_pts))
             h_check = np.array(chart.in_core(check_pts))
             cert = None
@@ -708,6 +667,33 @@ def glue(
     return glued, report
 
 
+def _patch_columns(
+    chart: Chart,
+    patch: GridMap,
+    pts: np.ndarray,
+    depth_coords: np.ndarray,
+    trace: TraceMap,
+) -> np.ndarray:
+    """Patch values over base points of the closed core, one column per point.
+
+    Returns shape (len(pts), n_depth, nu), projected onto a constrained
+    target.
+    """
+    n_depth = depth_coords.shape[0]
+    offs = chart.patch_offsets(pts)
+    probe = np.concatenate(
+        [
+            np.repeat(offs, n_depth, axis=0),
+            np.tile(depth_coords, offs.shape[0])[:, None],
+        ],
+        axis=-1,
+    )
+    got = evaluate_batch(patch, probe).reshape(-1, n_depth, trace.nu)
+    if trace.target.constrained:
+        got = project_to_target(trace.target, got)
+    return got
+
+
 def _fold_chart_step(
     chart: Chart,
     patch: GridMap,
@@ -735,20 +721,9 @@ def _fold_chart_step(
     z = np.atleast_2d(chart.to_disk(base_pts[inside]))
     radii = np.linalg.norm(z, axis=-1)
 
-    ball = radii < radius
-    if np.any(ball):
-        offs = chart.patch_offsets(base_pts[inside_idx[ball]])
-        probe = np.concatenate(
-            [
-                np.repeat(offs, n_depth, axis=0),
-                np.tile(depth_coords, offs.shape[0])[:, None],
-            ],
-            axis=-1,
-        )
-        got = evaluate_batch(patch, probe).reshape(-1, n_depth, trace.nu)
-        if trace.target.constrained:
-            got = project_to_target(trace.target, got)
-        out[inside_idx[ball]] = got
+    ball = inside_idx[radii < radius]
+    if ball.size:
+        out[ball] = _patch_columns(chart, patch, base_pts[ball], depth_coords, trace)
 
     annulus = (radii >= radius) & cone_mod.accepts(cert, z)
     ann_idx = inside_idx[annulus]

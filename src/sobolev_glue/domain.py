@@ -167,6 +167,15 @@ def torus_collar(n1: int, n2: int, n_depth: int, depth: float = 1.0) -> DomainSp
     return _build("torus_collar", (n1, n2, n_depth), (1.0, 1.0, depth))
 
 
+def collar_over(base: DomainSpec, n_depth: int, depth: float) -> DomainSpec:
+    """The collar base x (0, depth): a cylinder over a circle, a torus collar over a torus."""
+    if base.kind == "circle":
+        return cylinder(base.shape[0], n_depth, depth)
+    if base.kind == "torus":
+        return torus_collar(base.shape[0], base.shape[1], n_depth, depth)
+    raise ParameterError(f"collar bases are circles or tori, got {base.kind!r}")
+
+
 def from_kind(kind: str, counts: tuple[int, ...], lengths=None) -> DomainSpec:
     if kind not in KIND_TABLE:
         raise ParameterError(f"unknown domain kind {kind!r}")

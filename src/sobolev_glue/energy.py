@@ -112,29 +112,48 @@ def node_volumes(domain: DomainSpec) -> np.ndarray:
     return out
 
 
-def cell_gradient_sq(m: GridMap | TraceMap) -> np.ndarray:
-    """Squared Frobenius norm of the forward-difference Jacobian per cell."""
-    dom = m.domain
-    cells = tuple(slice(0, ax.cell_count) for ax in dom.axes)
+def _cells(domain: DomainSpec) -> tuple[slice, ...]:
+    """Index of the cells, each anchored at its low-corner node."""
+    return tuple(slice(0, ax.cell_count) for ax in domain.axes)
+
+
+def _cell_volume(domain: DomainSpec) -> float:
+    return float(np.prod([ax.spacing for ax in domain.axes]))
+
+
+def _grad_sq(values: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    cells = _cells(domain)
     total = None
-    for a, axis in enumerate(dom.axes):
-        diff = (np.roll(m.values, -1, axis=a) - m.values) / axis.spacing
+    for a, axis in enumerate(domain.axes):
+        diff = (np.roll(values, -1, axis=a) - values) / axis.spacing
         contrib = np.sum(diff[cells + (slice(None),)] ** 2, axis=-1)
         total = contrib if total is None else total + contrib
     return total
 
 
+def _dirichlet_sum(values: np.ndarray, domain: DomainSpec, p: float) -> float:
+    return float(np.sum(_grad_sq(values, domain) ** (p / 2.0)) * _cell_volume(domain))
+
+
+def _penalty_sum(values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec) -> float:
+    """Node-quadrature sum of the penalty; ``vols`` is ``node_volumes``."""
+    if penalty.kind == "none":
+        return 0.0
+    return float(np.sum(penalty.evaluate(values) * vols))
+
+
+def cell_gradient_sq(m: GridMap | TraceMap) -> np.ndarray:
+    """Squared Frobenius norm of the forward-difference Jacobian per cell."""
+    return _grad_sq(m.values, m.domain)
+
+
 def dirichlet_p_energy(m: GridMap | TraceMap, p: float) -> EnergyReport:
     p = _check_p(p)
-    dom = m.domain
-    grad_sq = cell_gradient_sq(m)
-    cell_vol = float(np.prod([ax.spacing for ax in dom.axes]))
-    value = float(np.sum(grad_sq ** (p / 2.0)) * cell_vol)
     return EnergyReport(
-        value=value,
+        value=_dirichlet_sum(m.values, m.domain, p),
         p=p,
         s=None,
-        resolution=dom.shape,
+        resolution=m.domain.shape,
         quadrature="forward_difference_cells",
     )
 
@@ -214,10 +233,7 @@ def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
 
 
 def penalty_total(m: GridMap | TraceMap, penalty: PenaltySpec) -> float:
-    if penalty.kind == "none":
-        return 0.0
-    dens = penalty.evaluate(m.values)
-    return float(np.sum(dens * node_volumes(m.domain)))
+    return _penalty_sum(m.values, node_volumes(m.domain), penalty)
 
 
 def penalized_energy(m: GridMap | TraceMap, p: float, penalty: PenaltySpec) -> EnergyReport:

@@ -137,6 +137,8 @@ def _read_sgf(path: str) -> tuple[dom.DomainSpec, TargetSpec, np.ndarray, float]
                 raise FormatError(
                     f"expected {n_nodes} lines of {nu} values, got array {data.shape}"
                 )
+            if not np.all(np.isfinite(data)):
+                raise FormatError(f"non-finite values in {path}")
             tol = float(manifest.get("constraint_tol", -1.0))
             values = data.reshape(counts + (nu,))
             return domain, target, values, tol

@@ -143,15 +143,29 @@ def fold(
         values=out.reshape(dom.shape + (u0.nu,)),
         constraint_tol=max(u0.constraint_tol, u1.constraint_tol),
     )
-    report = _fold_report(folded, u0, u1, p)
+    values = folded.values
+    report = _fold_report(
+        folded,
+        u0,
+        u1,
+        p,
+        _sup_norm_gap(values[..., 0, :], u0.values[..., 0, :]),
+        _sup_norm_gap(values[..., 0, :, :], u0.values[..., 0, :, :]),
+        _sup_norm_gap(values[..., -1, :, :], u1.values[..., -1, :, :]),
+    )
     return folded, report
 
 
-def _fold_report(folded: GridMap, u0: GridMap, u1: GridMap, p: float) -> FoldReport:
-    values = folded.values
-    bottom_err = _sup_norm_gap(values[..., 0, :], u0.values[..., 0, :])
-    left_err = _sup_norm_gap(values[..., 0, :, :], u0.values[..., 0, :, :])
-    right_err = _sup_norm_gap(values[..., -1, :, :], u1.values[..., -1, :, :])
+def _fold_report(
+    folded: GridMap,
+    u0: GridMap,
+    u1: GridMap,
+    p: float,
+    bottom_err: float,
+    left_err: float,
+    right_err: float,
+) -> FoldReport:
+    """The given trace errors with the three energies and their ratio."""
     e0 = dirichlet_p_energy(u0, p).value
     e1 = dirichlet_p_energy(u1, p).value
     eout = dirichlet_p_energy(folded, p).value
@@ -183,21 +197,12 @@ def verify_fold_traces(
     bottom = extract_trace(folded, "bottom")
     left = extract_trace(folded, "left")
     right = extract_trace(folded, "right")
-    bottom_err = _sup_norm_gap(bottom.values, extract_trace(u0, "bottom").values)
-    left_err = _sup_norm_gap(left.values, extract_trace(u0, "left").values)
-    right_err = _sup_norm_gap(right.values, extract_trace(u1, "right").values)
-    e0 = dirichlet_p_energy(u0, p).value
-    e1 = dirichlet_p_energy(u1, p).value
-    eout = dirichlet_p_energy(folded, p).value
-    denom = e0 + e1
-    ratio = eout / denom if denom > 0.0 else float("nan")
-    return FoldReport(
-        trace_bottom_error=bottom_err,
-        trace_left_error=left_err,
-        trace_right_error=right_err,
-        energy_in_0=e0,
-        energy_in_1=e1,
-        energy_out=eout,
-        ratio=ratio,
-        p=p,
+    return _fold_report(
+        folded,
+        u0,
+        u1,
+        p,
+        _sup_norm_gap(bottom.values, extract_trace(u0, "bottom").values),
+        _sup_norm_gap(left.values, extract_trace(u0, "left").values),
+        _sup_norm_gap(right.values, extract_trace(u1, "right").values),
     )

@@ -16,21 +16,25 @@ bit-identical throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .domain import DomainSpec, cylinder, torus_collar
+from .domain import DomainSpec, collar_over
 from .energy import (
     PenaltySpec,
+    _cell_volume,
+    _cells,
+    _dirichlet_sum,
+    _grad_sq,
+    _penalty_sum,
     dirichlet_p_energy,
     no_penalty,
     node_volumes,
     penalized_energy,
-    penalty_total,
 )
 from .errors import (
     LiftingError,
@@ -115,29 +119,8 @@ class SweepResult:
 
 # ------------------------------------------------------------- objectives
 
-def _cells(domain: DomainSpec) -> tuple[slice, ...]:
-    return tuple(slice(0, ax.cell_count) for ax in domain.axes)
-
-
-def _grad_sq_cells(values: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    cells = _cells(domain)
-    total = None
-    for a, axis in enumerate(domain.axes):
-        diff = (np.roll(values, -1, axis=a) - values) / axis.spacing
-        contrib = np.sum(diff[cells + (slice(None),)] ** 2, axis=-1)
-        total = contrib if total is None else total + contrib
-    return total
-
-
-def _dirichlet_value(values: np.ndarray, domain: DomainSpec, p: float) -> float:
-    cell_vol = float(np.prod([ax.spacing for ax in domain.axes]))
-    return float(np.sum(_grad_sq_cells(values, domain) ** (p / 2.0)) * cell_vol)
-
-
 def _dirichlet_gradient(values: np.ndarray, domain: DomainSpec, p: float) -> np.ndarray:
-    cell_vol = float(np.prod([ax.spacing for ax in domain.axes]))
-    cells = _cells(domain)
-    s = _grad_sq_cells(values, domain)
+    s = _grad_sq(values, domain)
     exponent = (p - 2.0) / 2.0
     if exponent < 0.0:
         # p < 2: the cell term is non-differentiable at zero gradient;
@@ -147,21 +130,13 @@ def _dirichlet_gradient(values: np.ndarray, domain: DomainSpec, p: float) -> np.
     else:
         w_cells = s**exponent
     w_full = np.zeros(domain.shape)
-    w_full[cells] = w_cells
+    w_full[_cells(domain)] = w_cells
     grad = np.zeros_like(values)
     for a, axis in enumerate(domain.axes):
         diff = np.roll(values, -1, axis=a) - values
         t = w_full[..., None] * diff / axis.spacing**2
         grad += np.roll(t, 1, axis=a) - t
-    return grad * (p * cell_vol)
-
-
-def _penalty_value(
-    values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec
-) -> float:
-    if penalty.kind == "none":
-        return 0.0
-    return float(np.sum(penalty.evaluate(values) * vols))
+    return grad * (p * _cell_volume(domain))
 
 
 def _penalty_gradient(
@@ -220,7 +195,7 @@ def _descend(
     vols = node_volumes(domain)
 
     def objective(v: np.ndarray) -> float:
-        return _dirichlet_value(v, domain, p) + _penalty_value(v, vols, penalty)
+        return _dirichlet_sum(v, domain, p) + _penalty_sum(v, vols, penalty)
 
     def gradient(v: np.ndarray) -> np.ndarray:
         g = _dirichlet_gradient(v, domain, p) + _penalty_gradient(v, vols, penalty)
@@ -355,14 +330,6 @@ def minimize_penalized(
 
 # ------------------------------------------------------------------ sweep
 
-def _collar_over(base: DomainSpec, n_depth: int, depth: float) -> DomainSpec:
-    if base.kind == "circle":
-        return cylinder(base.shape[0], n_depth, depth)
-    if base.kind == "torus":
-        return torus_collar(base.shape[0], base.shape[1], n_depth, depth)
-    raise ParameterError(f"sweep bases are circles or tori, got {base.kind!r}")
-
-
 def isobe_sweep(
     u: TraceMap,
     p: float,
@@ -378,20 +345,12 @@ def isobe_sweep(
         raise ParameterError("sweep parameters must be positive")
     if not u.target.constrained:
         raise ParameterError("the sweep penalty needs a constrained reference target")
-    cfg = MinimizeConfig(
-        p=p,
-        max_iterations=cfg.max_iterations,
-        step_rule=cfg.step_rule,
-        step=cfg.step,
-        tol=cfg.tol,
-        projection=cfg.projection,
-        seed=cfg.seed,
-    )
+    cfg = replace(cfg, p=p)
     h_base = u.base.max_spacing
     triples: list[tuple[float, float, float]] = []
     for depth in depth_list:
         nd = n_depth or max(8, min(64, int(round(depth / h_base)) + 1))
-        domain = _collar_over(u.base, nd, float(depth))
+        domain = collar_over(u.base, nd, float(depth))
         for eps in eps_list:
             penalty = PenaltySpec(
                 kind="distance_power", eps=float(eps), power=p, reference=u.target

@@ -125,6 +125,20 @@ def test_malformed_input_exits_five(tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_values_exit_five(tmp_path, capsys, bad):
+    path = str(tmp_path / "m.sgf")
+    _write_identity_square(path, n=5)
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[7] = f"{bad} 0.5\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    code, _, err = run_cli(["energy", "--kind", "dirichlet", "--p", "2.0", "--in", path], capsys)
+    assert code == 5
+    assert "non-finite" in err
+
+
 def _matched_fold_pair(tmp_path, n=33):
     d = dom.square(n, n)
     mesh = gm.node_mesh(d).reshape(n, n, 2)
@@ -349,6 +363,21 @@ def test_estimate_penalized_needs_eps_and_constrained_trace(tmp_path, capsys):
         capsys,
     )
     assert code == 2  # no constrained reference to penalize against
+
+
+def test_estimate_on_an_interval_trace_is_a_usage_error(tmp_path, capsys):
+    trace_path = str(tmp_path / "t.sgf")
+    fileio.write_grid_map(
+        trace_path,
+        gm.TraceMap(base=dom.interval(9), target=tg.circle(), values=np.tile([1.0, 0.0], (9, 1))),
+    )
+    code, out, _ = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", _write_cfg(tmp_path),
+         "--out", str(tmp_path / "e.sgf")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
 
 
 def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys):

@@ -9,7 +9,7 @@ a notch blocking every useful ray).
 import numpy as np
 import pytest
 
-from sobolev_glue import cone
+from sobolev_glue import acceptance, cone
 from sobolev_glue.errors import ParameterError, PreconditionError, ResolutionError
 
 TOP = 63.0 / 64.0
@@ -217,3 +217,78 @@ def test_sampled_set_shape_validation():
             verified=False,
             pre_margin=np.ones(8, dtype=bool),
         )
+
+
+def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
+    """Top-down scan of every radius k/K, first success wins; None if none does.
+
+    Reference for the single check in ``find_cone``: membership tests are
+    written out here rather than taken from the cone module.
+    """
+    clearance = cone.ray_clearance(g, None, ladder_steps)
+    pts = cone.node_points(f)
+    radii = np.linalg.norm(pts, axis=-1)
+    f_flat = f.indicator.reshape(-1)
+    for k in range(1, ladder_steps):
+        radius = (ladder_steps - k) / ladder_steps
+        pre = clearance < radius
+        if f.dimension == 1:
+            accepted = pre
+            in_cone = accepted[(pts[:, 0] > 0.0).astype(int)] & (pts[:, 0] != 0.0)
+        else:
+            accepted = pre & np.roll(pre, 1) & np.roll(pre, -1)
+            nd = accepted.size
+            angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+            j0 = np.floor(angles / (2.0 * np.pi / nd)).astype(int) % nd
+            in_cone = accepted[j0] & accepted[(j0 + 1) % nd] & (radii > 0.0)
+        covered = (radii < radius) | ((radii <= 1.0 + f.spacing) & in_cone)
+        if np.all(covered[f_flat]):
+            return radius, accepted, pre
+    return None
+
+
+def _failing_instances():
+    res = 257
+    f = cone.from_predicate(
+        2, res, lambda p: np.linalg.norm(p - np.array([63.0 / 64.0, 0.0]), axis=-1) <= 0.004,
+        closed=True,
+    )
+    g = cone.from_predicate(2, res, lambda p: p[:, 1] > 0.2, closed=False)
+    yield f, g, cone.DEFAULT_LADDER_STEPS
+    yield f, g, 8
+    # a ring of F outside radius 3/4 that no ray reaches through G
+    ring = cone.from_predicate(
+        2, 129, lambda p: np.abs(np.linalg.norm(p, axis=-1) - 0.8) <= 0.01, closed=True
+    )
+    g_disk = cone.from_predicate(
+        2, 129, lambda p: np.linalg.norm(p, axis=-1) < 0.5, closed=False
+    )
+    yield ring, g_disk, 4
+
+
+def test_single_radius_check_matches_the_ladder_scan():
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(12):
+        f, g = acceptance._random_cone_instance(rng, 96 + 32 * (k % 2))
+        cases.extend((f, g, steps) for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5))
+    cases.extend(_failing_instances())
+    f1, g1 = (
+        cone.from_predicate(1, 129, lambda p: p[:, 0] >= 0.5, closed=True),
+        cone.from_predicate(1, 129, lambda p: p[:, 0] > 0.25, closed=False),
+    )
+    cases.append((f1, g1, cone.DEFAULT_LADDER_STEPS))
+    failures = 0
+    for f, g, steps in cases:
+        expected = _ladder_oracle(f, g, steps)
+        if expected is None:
+            failures += 1
+            with pytest.raises(ResolutionError):
+                cone.find_cone(f, g, ladder_steps=steps)
+            continue
+        cert = cone.find_cone(f, g, ladder_steps=steps)
+        radius, accepted, pre = expected
+        assert cert.radius == radius
+        assert np.array_equal(cert.directions, accepted)
+        assert np.array_equal(cert.pre_margin, pre)
+    assert failures >= 3

@@ -105,3 +105,13 @@ def test_face_domain_drops_the_collar_axis():
 def test_max_spacing_takes_the_coarsest_axis():
     d = dom.cylinder(4, 33)
     assert d.max_spacing == pytest.approx(2.0 * np.pi / 4.0)
+
+
+def test_collar_over_maps_each_base_to_its_collar():
+    cyl = dom.collar_over(dom.circle(12), 5, 0.5)
+    assert cyl == dom.cylinder(12, 5, 0.5)
+    tc = dom.collar_over(dom.torus(6, 8), 4, 2.0)
+    assert tc == dom.torus_collar(6, 8, 4, 2.0)
+    for base in (dom.interval(6), dom.square(4, 4), dom.cylinder(6, 4)):
+        with pytest.raises(ParameterError):
+            dom.collar_over(base, 4, 1.0)

@@ -182,6 +182,29 @@ def test_penalized_descent_relaxes_below_the_constrained_energy():
         mi.minimize_penalized(u, en.no_penalty(), collar, cfg)
 
 
+@pytest.mark.parametrize("p, eps", [(2.0, None), (3.0, None), (2.0, 0.25)])
+def test_last_descent_energy_is_the_reported_energy(p, eps):
+    # the descent objective and the reported energy share one
+    # implementation, so the last accepted value is bit-identical
+    u = _degree_trace(24, 1)
+    t = u.base.axes[0].coordinates()
+    wobble = t + 0.3 * np.sin(2.0 * t)
+    u = gm.TraceMap(
+        base=u.base,
+        target=tg.circle(),
+        values=np.stack([np.cos(wobble), np.sin(wobble)], axis=-1),
+    )
+    collar = dom.cylinder(24, 8)
+    cfg = mi.MinimizeConfig(p=p, max_iterations=40)
+    if eps is None:
+        res = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg)
+    else:
+        pen = en.distance_penalty(eps, p, tg.circle())
+        res = mi.minimize_penalized_detailed(u, pen, collar, cfg)
+    assert res.iterations >= 1
+    assert res.energies[-1] == res.energy
+
+
 def test_deeper_collars_carry_more_energy():
     n, n_depth = 48, 16
     u = _degree_trace(n, 1)
@@ -219,6 +242,11 @@ def test_sweep_validates_parameters():
     )
     with pytest.raises(ParameterError):
         mi.isobe_sweep(free, 2.0, (0.5,), (1.0,), cfg)
+    on_interval = gm.TraceMap(
+        base=dom.interval(16), target=tg.circle(), values=np.tile([1.0, 0.0], (16, 1))
+    )
+    with pytest.raises(ParameterError):
+        mi.isobe_sweep(on_interval, 2.0, (0.5,), (1.0,), cfg)
 
 
 def _wiggle_trace(rng, n):
