@@ -288,6 +288,8 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
     _print_kv("energy", result.energy)
     _print_kv("iterations", result.iterations)
+    _print_kv("converged", str(result.converged).lower())
+    _print_kv("gradient_sup", result.gradient_sup)
     return 0
 
 

@@ -15,6 +15,15 @@ Three functionals are provided.
 * ``penalized_energy``: the Dirichlet term plus a node-quadrature sum of
   a pointwise penalty F(U) = dist(U, N)^power / eps^power.
 
+The pair sum is evaluated in offset form.  On a product grid the kernel
+d^-(s p + d) depends only on the index offset between two nodes, taken
+circularly on periodic axes and over (-n, n) on interval axes, so it is
+tabulated once on an offset grid (``_offset_kernel``) and the sum runs
+exactly, offset by offset, each unordered offset pair {o, -o} once, for
+every p: O(N^2) time, with every temporary at O(N) entries times the
+number of components.  The result is deterministic: the same input gives
+the same bits on every run.
+
 Node quadrature weights are trapezoidal along interval axes (half weight
 at the two ends) and uniform along periodic axes, so constants integrate
 to the exact domain volume.
@@ -29,12 +38,8 @@ import numpy as np
 
 from .domain import DomainSpec
 from .errors import ParameterError
-from .gridmap import GridMap, TraceMap, node_mesh
+from .gridmap import GridMap, TraceMap
 from .target import TargetSpec, distance_to_target
-
-#: row block size for the pairwise double sum; fixed so reductions are
-#: bit-reproducible run to run
-_PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -158,17 +163,6 @@ def dirichlet_p_energy(m: GridMap | TraceMap, p: float) -> EnergyReport:
     )
 
 
-def _pair_distances(base: DomainSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Geodesic distances between two point sets on the base, (len(xs), len(ys))."""
-    out = np.zeros((xs.shape[0], ys.shape[0]))
-    for a, axis in enumerate(base.axes):
-        delta = np.abs(xs[:, None, a] - ys[None, :, a])
-        if axis.periodic:
-            delta = np.minimum(delta, axis.length - delta)
-        out += delta**2
-    return np.sqrt(out)
-
-
 def _diagonal_completion(u: TraceMap, s: float, p: float) -> np.ndarray:
     """Limit value of the pair integrand at x = y via one-sided quotients.
 
@@ -196,6 +190,71 @@ def _diagonal_completion(u: TraceMap, s: float, p: float) -> np.ndarray:
     return np.mean(per_axis, axis=0).reshape(-1)
 
 
+def _offset_kernel(base: DomainSpec, exponent: float) -> np.ndarray:
+    """Pair kernel d^-exponent on the offset grid, zero where no pair exists.
+
+    A periodic axis of n nodes has the n circular offsets; an interval
+    axis has 2n slots, slot j < n holding offset j and slot j > n offset
+    j - 2n.  On both, slot j lies h min(j, m - j) from the origin (m the
+    axis' slot count) and slot (-j) mod m holds the opposite offset.  The
+    origin and the unused interval slot n are put at infinite distance.
+    """
+    sq = np.zeros(())
+    for axis in base.axes:
+        m = axis.count if axis.periodic else 2 * axis.count
+        j = np.arange(m)
+        length = axis.spacing * np.minimum(j, m - j)
+        if not axis.periodic:
+            length[axis.count] = np.inf  # no two nodes are n apart
+        sq = np.add.outer(sq, length**2)
+    sq[(0,) * base.ndim] = np.inf  # same-node pairs: ``_diagonal_completion``
+    return sq ** (-0.5 * exponent)
+
+
+def _offset_pair_sum(
+    vals: np.ndarray, base: DomainSpec, kernel: np.ndarray, p: float
+) -> float:
+    """Off-diagonal pair sum, exactly, one offset at a time.
+
+    Offsets o and -o give equal sums, so each unordered pair {o, -o} is
+    summed once and doubled; offsets equal to their own opposite (n/2 on
+    an even periodic axis) count once.
+    """
+    grid = kernel.shape
+    slot = np.arange(kernel.size)
+    opposite = np.ravel_multi_index(
+        tuple((-j) % m for j, m in zip(np.unravel_index(slot, grid), grid)), grid
+    )
+    keep = (kernel.reshape(-1) > 0.0) & (slot <= opposite)
+    # periodic axes are wrapped once, so every partner block is a slice
+    wrap = [axis.count if axis.periodic else 0 for axis in base.axes]
+    comps = np.moveaxis(vals, -1, 0)
+    wrapped = np.pad(comps, [(0, 0)] + [(0, k) for k in wrap], mode="wrap")
+    weights = node_weights(base)
+    wrapped_weights = [np.pad(wa, (0, k), mode="wrap") for wa, k in zip(weights, wrap)]
+    total = 0.0
+    for flat in slot[keep]:
+        index = np.unravel_index(flat, grid)
+        here, there, pair_weights = [slice(None)], [slice(None)], []
+        for axis, j, wa, wb in zip(base.axes, index, weights, wrapped_weights):
+            n = axis.count
+            if axis.periodic:
+                lo, hi = slice(0, n), slice(j, j + n)
+            else:
+                o = j if j < n else j - 2 * n
+                lo, hi = slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o))
+            here.append(lo)
+            there.append(hi)
+            pair_weights.append(wa[lo] * wb[hi])
+        diff = comps[tuple(here)] - wrapped[tuple(there)]
+        term = np.einsum("c...,c...->...", diff, diff) ** (0.5 * p)
+        for wp in reversed(pair_weights):
+            term = term @ wp
+        factor = 1.0 if flat == opposite[flat] else 2.0
+        total += factor * float(kernel[index]) * float(term)
+    return total
+
+
 def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
     p = float(p)
     if not (p >= 1.0 and np.isfinite(p)):
@@ -207,22 +266,10 @@ def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
     d = base.ndim
     if d > 2:
         raise ParameterError(f"pair-sum energy supports base dimension 1 or 2, got {d}")
-    exponent = s * p + d
-    pts = node_mesh(base)
-    n = pts.shape[0]
-    vals = u.values.reshape(n, u.nu)
-    w = node_volumes(base).reshape(-1)
-    total = 0.0
-    for start in range(0, n, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, n)
-        diff = np.linalg.norm(vals[start:stop, None, :] - vals[None, :, :], axis=-1)
-        dist = _pair_distances(base, pts[start:stop], pts)
-        rows = np.arange(start, stop)
-        dist[rows - start, rows] = 1.0  # diagonal handled separately
-        kern = diff**p / dist**exponent
-        kern[rows - start, rows] = 0.0
-        total += float(np.sum(w[start:stop, None] * w[None, :] * kern))
-    total += float(np.sum(w**2 * _diagonal_completion(u, s, p)))
+    kernel = _offset_kernel(base, s * p + d)
+    w = node_volumes(base)
+    total = _offset_pair_sum(u.values, base, kernel, p)
+    total += float(np.sum(w.reshape(-1) ** 2 * _diagonal_completion(u, s, p)))
     return EnergyReport(
         value=total,
         p=p,

@@ -340,6 +340,40 @@ def test_estimate_prints_energy_and_writes_manifest(tmp_path, capsys):
     assert _value_of(stdout2, "energy") == _value_of(stdout, "energy")
 
 
+def test_estimate_reports_convergence_and_the_gradient_sup(tmp_path, capsys):
+    # A degree-zero bump needs many descent steps, so one step stops at
+    # the cap; a constant trace extends to a constant with zero gradient.
+    base = dom.circle(32)
+    t = base.axes[0].coordinates()
+    angle = 0.8 * np.sin(t)
+    bump = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    constant = np.tile([1.0, 0.0], (32, 1))
+    seen = {}
+    for name, vals in (("bump", bump), ("constant", constant)):
+        trace_path = str(tmp_path / f"{name}.sgf")
+        fileio.write_grid_map(
+            trace_path,
+            gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-9),
+        )
+        code, stdout, _ = run_cli(
+            ["estimate", "--trace", trace_path, "--p", "2.0",
+             "--cfg", _write_cfg(tmp_path, max_iterations=1),
+             "--out", str(tmp_path / f"{name}_ext.sgf")],
+            capsys,
+        )
+        assert code == 0
+        keys = [line.partition("=")[0] for line in stdout.splitlines()]
+        assert keys == ["energy", "iterations", "converged", "gradient_sup"]
+        seen[name] = (
+            _value_of(stdout, "converged"),
+            int(_value_of(stdout, "iterations")),
+            float(_value_of(stdout, "gradient_sup")),
+        )
+    assert seen["bump"][:2] == ("false", 1)
+    assert seen["bump"][2] > 0.0
+    assert seen["constant"] == ("true", 0, 0.0)
+
+
 def test_estimate_penalized_needs_eps_and_constrained_trace(tmp_path, capsys):
     trace_path = str(tmp_path / "t.sgf")
     _write_degree_one_trace(trace_path, 32)

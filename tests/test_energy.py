@@ -1,10 +1,14 @@
 """Energy quadratures against independent oracles.
 
-The fractional seminorm is cross-checked two ways: against a direct
-dense double loop coded here from scratch, and against values exact by
-construction (an affine map on the interval, where kernel and weights
-collapse to the square of the total node weight).
+The fractional seminorm is cross-checked three ways: against a direct
+dense double loop coded here from scratch, against the row-blocked pair
+sum the library used before its offset form (kept here as a reference
+for larger grids), and against values exact by construction (an affine
+map on the interval, where kernel and weights collapse to the square of
+the total node weight).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +96,106 @@ def _dense_gagliardo(u, s, p):
     return total
 
 
+def _blocked_gagliardo(u, s, p, block=256):
+    """Row-blocked pair sum: ``block`` rows against all nodes at a time.
+
+    Coordinates come from the node mesh, distances from coordinate
+    differences (minimum image on periodic axes), and every block holds
+    block x N x nu temporaries.  The same-node cells use the library's
+    ``_diagonal_completion``, which the offset form leaves unchanged.
+    """
+    base = u.base
+    pts = gm.node_mesh(base)
+    n = pts.shape[0]
+    vals = u.values.reshape(n, u.nu)
+    w = en.node_volumes(base).reshape(-1)
+    expo = s * p + base.ndim
+    total = 0.0
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        diff = np.linalg.norm(vals[start:stop, None, :] - vals[None, :, :], axis=-1)
+        dist = np.zeros((stop - start, n))
+        for a, axis in enumerate(base.axes):
+            delta = np.abs(pts[start:stop, None, a] - pts[None, :, a])
+            if axis.periodic:
+                delta = np.minimum(delta, axis.length - delta)
+            dist += delta**2
+        dist = np.sqrt(dist)
+        rows = np.arange(start, stop)
+        dist[rows - start, rows] = 1.0
+        kern = diff**p / dist**expo
+        kern[rows - start, rows] = 0.0
+        total += float(np.sum(w[start:stop, None] * w[None, :] * kern))
+    return total + float(np.sum(w**2 * en._diagonal_completion(u, s, p)))
+
+
+def _smooth_values(base, nu):
+    pts = gm.node_mesh(base)
+    freq = 2.0 * np.pi / np.asarray(base.lengths)
+    arg = pts @ (freq * np.arange(1, base.ndim + 1))
+    vals = np.stack([np.sin(arg + 0.7 * c) for c in range(nu)], axis=-1)
+    return vals.reshape(base.shape + (nu,))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        dom.interval(13), dom.interval(14), dom.circle(11), dom.circle(12),
+        dom.square(7, 9), dom.square(8, 6), dom.torus(7, 9), dom.torus(8, 6),
+    ],
+    ids=lambda b: f"{b.kind}-{'x'.join(map(str, b.shape))}",
+)
+def test_offset_sum_matches_the_dense_loop(base):
+    # Even counts put a periodic offset at n/2, its own opposite, which
+    # the offset form must count once; odd counts have no such offset.
+    rng = np.random.default_rng(sum(base.shape))
+    vals = rng.normal(size=base.shape + (2,))
+    u = gm.TraceMap(base=base, target=tg.euclidean(2), values=vals)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for s in (0.3, 0.5, 0.8):
+            got = en.gagliardo_energy(u, s, p).value
+            assert got == pytest.approx(_dense_gagliardo(u, s, p), rel=1e-10), (p, s)
+
+
+def test_offset_sum_matches_the_blocked_sum_on_large_grids():
+    rng = np.random.default_rng(11)
+    torus = dom.torus(64, 64)
+    square = dom.square(48, 40)
+    interval = dom.interval(512)
+    circle = dom.circle(2048)
+    cases = (
+        (gm.TraceMap(base=torus, target=tg.euclidean(3),
+                     values=rng.normal(size=(64, 64, 3))), 0.5),
+        (gm.TraceMap(base=square, target=tg.euclidean(2),
+                     values=_smooth_values(square, 2) + 0.1 * rng.normal(size=(48, 40, 2))), 0.8),
+        (gm.TraceMap(base=interval, target=tg.euclidean(2),
+                     values=_smooth_values(interval, 2)), 0.3),
+        (gm.TraceMap(base=circle, target=tg.euclidean(2),
+                     values=_smooth_values(circle, 2)), 0.8),
+    )
+    for u, s in cases:
+        for p in (2.0, 1.5):
+            got = en.gagliardo_energy(u, s, p).value
+            assert got == pytest.approx(_blocked_gagliardo(u, s, p), rel=1e-12), (u.base.kind, p)
+            assert en.gagliardo_energy(u, s, p).value == got  # same bits on a rerun
+
+
+@pytest.mark.parametrize("n, p, limit_mb", [(128, 2.0, 16.0), (64, 1.5, 16.0)])
+def test_pair_sum_memory_stays_linear_in_the_node_count(n, p, limit_mb):
+    # A 256-row block against a 128^2 torus with nu = 3 alone needs
+    # 256 * 16384 * 3 doubles, about 100 MB; the offset form needs O(N).
+    vals = np.random.default_rng(n).normal(size=(n, n, 3))
+    u = gm.TraceMap(base=dom.torus(n, n), target=tg.euclidean(3), values=vals)
+    tracemalloc.start()
+    try:
+        value = en.gagliardo_energy(u, 0.5, p).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak < limit_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
 def test_affine_interval_map_is_exact():
     # u(x) = x with s = 1/2, p = 2 in one dimension: every pair kernel is
     # exactly one, so the energy is the squared total weight, which the
@@ -102,7 +206,7 @@ def test_affine_interval_map_is_exact():
         assert got == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dense_loop_oracle_agrees_with_blocked_sum():
+def test_dense_loop_oracle_agrees_with_offset_sum():
     rng = np.random.default_rng(7)
     u1 = _interval_trace(13, lambda x: np.sin(2.0 * x) + 0.3 * x)
     u2 = _circle_trace(
