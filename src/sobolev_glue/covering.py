@@ -9,8 +9,11 @@ for the torus.
 ``glue`` runs the inductive construction over a collar base x (0, depth):
 the first chart's patch is adopted on its core; every later chart
 contributes its patch on a ball of certified radius r_i and is folded
-into the previous state across the cone-captured annulus, radially
-parametrized through ``radial_fold_map``.  Bookkeeping tracks the sampled
+into the previous state across the cone-captured annulus.  The fold is
+``folding.fold_sources``, the square fold's rule, applied in (radial
+parameter, depth / collar depth) coordinates with the previous state as
+the first map and the patch as the second; moved samples return to the
+ball through ``radial_fold_map``.  Bookkeeping tracks the sampled
 trusted region H_i and checks the covering invariant
 H_i union G_{i+1} ... G_K = base after every step.
 """
@@ -19,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import cone as cone_mod
 from .domain import Axis, DomainSpec, TWO_PI, box, collar_over, square
-from .energy import PenaltySpec, dirichlet_p_energy, penalized_energy
+from .energy import PenaltySpec, no_penalty, penalized_energy
 from .errors import (
     DomainError,
     GlueError,
@@ -33,6 +36,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
+from .folding import fold_sources
 from .gridmap import (
     GridMap,
     TraceMap,
@@ -46,10 +50,10 @@ from .target import project_to_target
 #: margin factor of the chart domain W around the core G
 _MARGIN_FACTOR = 1.2
 
-#: default chart-coordinate sampling for cone capture, by base dimension
+#: chart-coordinate sampling for cone capture, by base dimension
 _CONE_RESOLUTION = {1: 513, 2: 257}
 
-#: default base-grid sampling for the trusted-region bookkeeping
+#: base-grid sampling for the trusted-region bookkeeping, by base dimension
 _CHECK_RESOLUTION = {1: 2048, 2: 384}
 
 
@@ -357,10 +361,26 @@ class VerifyGlueReport:
     cone_checks_passed: Optional[bool]
 
 
-def _energy_value(m: GridMap, p: float, penalty: Optional[PenaltySpec]) -> float:
-    if penalty is not None and penalty.kind != "none":
-        return penalized_energy(m, p, penalty).value
-    return dirichlet_p_energy(m, p).value
+def _glue_report(
+    steps: Sequence[GlueStep],
+    patch_energies: tuple[float, ...],
+    glued_energy: float,
+    p: float,
+    penalty: PenaltySpec,
+) -> GlueReport:
+    total = float(sum(patch_energies))
+    degenerate = total <= 0.0
+    return GlueReport(
+        steps=tuple(steps),
+        patch_energies=patch_energies,
+        patch_energy_total=total,
+        glued_energy=glued_energy,
+        ratio=float("nan") if degenerate else glued_energy / total,
+        trace_sup_error=max(step.trace_sup_error for step in steps),
+        p=float(p),
+        penalized=penalty.kind != "none",
+        degenerate=degenerate,
+    )
 
 
 # ------------------------------------------------------------------- glue
@@ -463,6 +483,31 @@ def _conservative_membership(
     return ok
 
 
+def _chart_regions(
+    chart: Chart, pts: np.ndarray, radius: float, cert: cone_mod.ConeCertificate
+) -> tuple[np.ndarray, ...]:
+    """``(inside, z, radii, ball, annulus)`` of one step on a sampled base grid.
+
+    ``inside`` marks the points of the closed core, ``z`` and ``radii`` are
+    their ball coordinates, and ``ball`` / ``annulus`` mark, among them,
+    the certified ball and the accepted cone annulus.
+    """
+    inside = chart.in_closed_core(pts)
+    z = np.atleast_2d(chart.to_disk(pts[inside]))
+    radii = np.linalg.norm(z, axis=-1)
+    ball = radii < radius
+    annulus = (radii >= radius) & cone_mod.accepts(cert, z)
+    return inside, z, radii, ball, annulus
+
+
+def _trusted_after(trusted: np.ndarray, regions: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Trusted mask after a step: ball and annulus on the core, the old mask off it."""
+    inside, _, _, ball, annulus = regions
+    new = np.zeros_like(trusted)
+    new[inside] = ball | annulus
+    return new | (trusted & ~inside)
+
+
 def _chart_grid_points(resolution: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     axis = np.linspace(-1.0, 1.0, resolution)
     if dimension == 1:
@@ -479,8 +524,6 @@ def glue(
     trace: TraceMap,
     p: float = 2.0,
     tol: Optional[float] = None,
-    cone_resolution: Optional[int] = None,
-    check_resolution: Optional[int] = None,
     gap_policy: str = "abort",
     penalty: Optional[PenaltySpec] = None,
 ) -> tuple[GridMap, GlueReport]:
@@ -503,6 +546,8 @@ def glue(
         raise ParameterError(
             f"covering has {covering.chart_count} charts, got {len(patches)} patches"
         )
+    if penalty is None:
+        penalty = no_penalty()
 
     if covering.single_chart:
         return _glue_single(covering, patches[0], trace, p, tol, penalty)
@@ -528,18 +573,20 @@ def glue(
         trace.values.reshape(n_base, trace.nu)[:, None, :], n_depth, axis=1
     )
 
-    check_res = check_resolution or _CHECK_RESOLUTION[m]
+    check_res = _CHECK_RESOLUTION[m]
     check_axes = tuple(Axis(count=check_res, length=L, periodic=True) for L in covering.base_lengths)
     check_grids = np.meshgrid(*[ax.coordinates() for ax in check_axes], indexing="ij")
     check_pts = np.stack([g.reshape(-1) for g in check_grids], axis=-1)
     check_shape = tuple(ax.count for ax in check_axes)
+    check_cores = np.array([chart.in_core(check_pts) for chart in covering.charts])
+    # cores_to_come[i]: union of the cores of the charts after chart i
+    later_cores = np.concatenate([check_cores[1:], np.zeros_like(check_cores[:1])])
+    cores_to_come = np.logical_or.accumulate(later_cores[::-1], axis=0)[::-1]
 
-    cone_res = cone_resolution or _CONE_RESOLUTION[m]
+    cone_res = _CONE_RESOLUTION[m]
     chart_pts, chart_radii = _chart_grid_points(cone_res, m)
     in_ball_mask = chart_radii <= 1.0
 
-    h_collar = np.zeros(n_base, dtype=bool)  # trusted region on the collar base grid
-    h_check = np.zeros(check_pts.shape[0], dtype=bool)
     steps: list[GlueStep] = []
     trace_flat = trace.values.reshape(n_base, trace.nu)
 
@@ -548,8 +595,9 @@ def glue(
         if i == 0:
             inside = chart.in_closed_core(base_pts)
             values[inside] = _patch_columns(chart, patch, base_pts[inside], depth_coords, trace)
+            # trusted regions on the collar base grid and the check grid
             h_collar = np.array(chart.in_core(base_pts))
-            h_check = np.array(chart.in_core(check_pts))
+            h_check = check_cores[0]
             cert = None
             f_set = None
             e_set = None
@@ -584,38 +632,25 @@ def glue(
             radius = cert.radius
             accepted_fraction = float(np.mean(cert.directions))
 
+            collar_regions = _chart_regions(chart, base_pts, radius, cert)
             values = _fold_chart_step(
                 chart,
                 patch,
                 collar,
                 values,
                 base_pts,
+                collar_regions,
                 depth_coords,
                 depth,
                 radius,
-                cert,
                 trace,
             )
+            h_collar = _trusted_after(h_collar, collar_regions)
+            h_check = _trusted_after(
+                h_check, _chart_regions(chart, check_pts, radius, cert)
+            )
 
-            # trusted region: certified ball and cone annulus of this chart,
-            # plus whatever survives outside the closed core
-            for pts, target in ((base_pts, "collar"), (check_pts, "check")):
-                inside = chart.in_closed_core(pts)
-                z = np.atleast_2d(chart.to_disk(pts[inside]))
-                radii = np.linalg.norm(z, axis=-1)
-                ball = radii < radius
-                annulus = (radii >= radius) & cone_mod.accepts(cert, z)
-                new_h = np.zeros(pts.shape[0], dtype=bool)
-                new_h[inside] = ball | annulus
-                if target == "collar":
-                    h_collar = new_h | (h_collar & ~inside)
-                else:
-                    h_check = new_h | (h_check & ~inside)
-
-        remaining = np.zeros(check_pts.shape[0], dtype=bool)
-        for other in later:
-            remaining |= other.in_core(check_pts)
-        holes = ~(h_check | remaining)
+        holes = ~(h_check | cores_to_come[i])
         gap_fraction = float(np.mean(holes))
         if gap_fraction > 0.0 and gap_policy == "abort":
             raise GlueError(
@@ -648,21 +683,12 @@ def glue(
         values=values.reshape(collar.shape + (trace.nu,)),
         constraint_tol=max(trace.constraint_tol, 10.0 * collar.max_spacing),
     )
-    patch_energies = tuple(_energy_value(patch, p, penalty) for patch in patches)
-    total = float(sum(patch_energies))
-    glued_energy = _energy_value(glued, p, penalty)
-    degenerate = total <= 0.0
-    ratio = float("nan") if degenerate else glued_energy / total
-    report = GlueReport(
-        steps=tuple(steps),
-        patch_energies=patch_energies,
-        patch_energy_total=total,
-        glued_energy=glued_energy,
-        ratio=ratio,
-        trace_sup_error=max(step.trace_sup_error for step in steps),
-        p=float(p),
-        penalized=penalty is not None and penalty.kind != "none",
-        degenerate=degenerate,
+    report = _glue_report(
+        steps,
+        tuple(penalized_energy(patch, p, penalty).value for patch in patches),
+        penalized_energy(glued, p, penalty).value,
+        p,
+        penalty,
     )
     return glued, report
 
@@ -700,10 +726,10 @@ def _fold_chart_step(
     collar: DomainSpec,
     values: np.ndarray,
     base_pts: np.ndarray,
+    regions: tuple[np.ndarray, ...],
     depth_coords: np.ndarray,
     depth: float,
     radius: float,
-    cert: cone_mod.ConeCertificate,
     trace: TraceMap,
 ) -> np.ndarray:
     """One induction step: patch on the ball, fold across the cone annulus."""
@@ -716,16 +742,12 @@ def _fold_chart_step(
     n_depth = depth_coords.shape[0]
     out = values.copy()
 
-    inside = chart.in_closed_core(base_pts)
+    inside, z, radii, in_ball, annulus = regions
     inside_idx = np.where(inside)[0]
-    z = np.atleast_2d(chart.to_disk(base_pts[inside]))
-    radii = np.linalg.norm(z, axis=-1)
-
-    ball = inside_idx[radii < radius]
+    ball = inside_idx[in_ball]
     if ball.size:
         out[ball] = _patch_columns(chart, patch, base_pts[ball], depth_coords, trace)
 
-    annulus = (radii >= radius) & cone_mod.accepts(cert, z)
     ann_idx = inside_idx[annulus]
     if ann_idx.size == 0:
         return out
@@ -736,43 +758,27 @@ def _fold_chart_step(
     # radial fold parameter: 0 at the outer rim |z|=1, 1 at the inner rim
     x = np.clip((1.0 - r_ann) / (1.0 - radius), 0.0, 1.0)
     n_ann = ann_idx.size
-    tau = np.tile(depth_coords / depth, n_ann).reshape(n_ann, n_depth)
-    xx = np.repeat(x, n_depth).reshape(n_ann, n_depth)
+    # one sample per (annulus node, depth node); region codes index
+    # folding.FOLD_REGIONS: 0 reads the previous state, 1 and 2 the patch
+    region, s1, s2 = fold_sources(
+        np.repeat(x, n_depth), np.tile(depth_coords / depth, n_ann)
+    )
+    node = np.repeat(np.arange(n_ann), n_depth)
+    moved = region != 2
+    target_z = z_ann[node]
+    target_z[moved] = radial_fold_map(omega[node[moved]], s1[moved], 1.0 - radius)
+    pts_back, offs = chart.from_disk(target_z)
+    t_val = (s2 * depth)[:, None]
+    reads_prev = region == 0
 
-    from_prev = xx <= tau / 2.0
-    reflected = ~from_prev & (xx <= tau)
-    copied = ~from_prev & ~reflected
-
-    result = np.empty((n_ann, n_depth, trace.nu))
-
-    if np.any(from_prev):
-        sel = np.where(from_prev.reshape(-1))[0]
-        node = sel // n_depth
-        a = 2.0 * xx.reshape(-1)[sel]
-        t_val = (tau.reshape(-1)[sel] - a) * depth
-        target_z = radial_fold_map(omega[node], a, 1.0 - radius)
-        pts_back, _ = chart.from_disk(np.atleast_2d(target_z))
-        probe = np.concatenate([pts_back, t_val[:, None]], axis=-1)
-        result.reshape(-1, trace.nu)[sel] = evaluate_batch(prev, probe)
-
-    if np.any(reflected):
-        sel = np.where(reflected.reshape(-1))[0]
-        node = sel // n_depth
-        a = tau.reshape(-1)[sel]
-        t_val = (2.0 * xx.reshape(-1)[sel] - a) * depth
-        target_z = radial_fold_map(omega[node], a, 1.0 - radius)
-        _, offs = chart.from_disk(np.atleast_2d(target_z))
-        probe = np.concatenate([offs, t_val[:, None]], axis=-1)
-        result.reshape(-1, trace.nu)[sel] = evaluate_batch(patch, probe)
-
-    if np.any(copied):
-        sel = np.where(copied.reshape(-1))[0]
-        node = sel // n_depth
-        t_val = tau.reshape(-1)[sel] * depth
-        _, offs = chart.from_disk(np.atleast_2d(z_ann[node]))
-        probe = np.concatenate([offs, t_val[:, None]], axis=-1)
-        result.reshape(-1, trace.nu)[sel] = evaluate_batch(patch, probe)
-
+    result = np.empty((n_ann * n_depth, trace.nu))
+    result[reads_prev] = evaluate_batch(
+        prev, np.concatenate([pts_back[reads_prev], t_val[reads_prev]], axis=-1)
+    )
+    result[~reads_prev] = evaluate_batch(
+        patch, np.concatenate([offs[~reads_prev], t_val[~reads_prev]], axis=-1)
+    )
+    result = result.reshape(n_ann, n_depth, trace.nu)
     if trace.target.constrained:
         result = project_to_target(trace.target, result)
     out[ann_idx] = result
@@ -785,7 +791,7 @@ def _glue_single(
     trace: TraceMap,
     p: float,
     tol: Optional[float],
-    penalty: Optional[PenaltySpec],
+    penalty: PenaltySpec,
 ) -> tuple[GridMap, GlueReport]:
     want = "cylinder" if covering.base_kind == "circle" else "torus_collar"
     if patch.domain.kind != want:
@@ -805,8 +811,7 @@ def _glue_single(
             f"single-chart patch bottom trace strays {sup:.3g} from the boundary "
             f"data, tolerance {tol:.3g}"
         )
-    energy = _energy_value(patch, p, penalty)
-    degenerate = energy <= 0.0
+    energy = penalized_energy(patch, p, penalty).value
     step = GlueStep(
         chart_index=0,
         radius=1.0,
@@ -817,18 +822,7 @@ def _glue_single(
         f_set=None,
         e_set=None,
     )
-    report = GlueReport(
-        steps=(step,),
-        patch_energies=(energy,),
-        patch_energy_total=energy,
-        glued_energy=energy,
-        ratio=float("nan") if degenerate else 1.0,
-        trace_sup_error=sup,
-        p=float(p),
-        penalized=penalty is not None and penalty.kind != "none",
-        degenerate=degenerate,
-    )
-    return patch, report
+    return patch, _glue_report((step,), (energy,), energy, p, penalty)
 
 
 def verify_glue(
@@ -850,8 +844,10 @@ def verify_glue(
     if bottom.values.shape != trace.values.shape:
         raise ParameterError("glued map resolution does not match the trace")
     sup = float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))
-    patch_total = float(sum(_energy_value(patch, p, penalty) for patch in patches))
-    glued_energy = _energy_value(glued, p, penalty)
+    if penalty is None:
+        penalty = no_penalty()
+    patch_total = float(sum(penalized_energy(patch, p, penalty).value for patch in patches))
+    glued_energy = penalized_energy(glued, p, penalty).value
     degenerate = patch_total <= 0.0
     ratio = float("nan") if degenerate else glued_energy / patch_total
     cone_ok: Optional[bool] = None

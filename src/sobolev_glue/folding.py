@@ -8,11 +8,14 @@ splits into three regions:
 * ``REFLECTED``     x2/2 < x1 <= x2: value of the second map at (x2, 2 x1 - x2)
 * ``COPIED``        x2 < x1:         the second map's own value
 
-Ties sit with the earlier region.  The folded map keeps the second map's
-bottom trace at nodes, keeps the first map's x1 = 0 face and the second
-map's x1 = 1 face, and its p-energy is controlled by the largest singular
-values of the two affine substitutions, computed in closed form below and
-cross-checked against an SVD oracle in the test suite.
+Ties sit with the earlier region.  ``fold_sources`` is the one statement
+of this rule: ``fold`` and ``classify_region`` call it here, and
+``covering.glue`` calls it in (radial, depth) coordinates of each chart's
+annulus.  The folded map keeps the second map's bottom trace at nodes,
+keeps the first map's x1 = 0 face and the second map's x1 = 1 face, and
+its p-energy is controlled by the largest singular values of the two
+affine substitutions, computed in closed form below and cross-checked
+against an SVD oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -55,13 +58,33 @@ class FoldReport:
     p: float
 
 
+#: region codes returned by :func:`fold_sources` index this tuple
+FOLD_REGIONS = tuple(FoldRegion)
+
+
+def fold_sources(
+    x1: np.ndarray, x2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Region code and source coordinates of points of the folding square.
+
+    Returns ``(region, s1, s2)``: ``region`` indexes :data:`FOLD_REGIONS`
+    (ties go to the earlier region) and ``(s1, s2)`` is the point the
+    folded map reads, (2 x1, x2 - 2 x1) in ``FROM_FIRST``, (x2, 2 x1 - x2)
+    in ``REFLECTED`` and (x1, x2) itself in ``COPIED``.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    first = x1 <= x2 / 2.0
+    reflected = ~first & (x1 <= x2)
+    region = np.where(first, 0, np.where(reflected, 1, 2))
+    s1 = np.where(first, 2.0 * x1, np.where(reflected, x2, x1))
+    s2 = np.where(first, x2 - 2.0 * x1, np.where(reflected, 2.0 * x1 - x2, x2))
+    return region, s1, s2
+
+
 def classify_region(x1: float, x2: float) -> FoldRegion:
     """Region of a point of the folding square; ties go to the earlier region."""
-    if x1 <= x2 / 2.0:
-        return FoldRegion.FROM_FIRST
-    if x1 <= x2:
-        return FoldRegion.REFLECTED
-    return FoldRegion.COPIED
+    return FOLD_REGIONS[int(fold_sources(x1, x2)[0])]
 
 
 def fold_energy_bound(p: float) -> float:
@@ -109,27 +132,17 @@ def fold(
         )
 
     mesh = node_mesh(dom)
-    x1 = mesh[:, -2]
-    x2 = mesh[:, -1]
-    in_first = x1 <= x2 / 2.0
-    in_reflected = ~in_first & (x1 <= x2)
-    in_copied = ~in_first & ~in_reflected
+    region, s1, s2 = fold_sources(mesh[:, -2], mesh[:, -1])
+    sources = mesh.copy()
+    sources[:, -2] = s1
+    sources[:, -1] = s2
+    in_first = region == 0
+    in_reflected = region == 1
 
     n = mesh.shape[0]
-    out = np.empty((n, u0.nu))
-
-    if np.any(in_first):
-        pts = mesh[in_first].copy()
-        pts[:, -2] = 2.0 * x1[in_first]
-        pts[:, -1] = x2[in_first] - 2.0 * x1[in_first]
-        out[in_first] = evaluate_batch(u0, pts)
-    if np.any(in_reflected):
-        pts = mesh[in_reflected].copy()
-        pts[:, -2] = x2[in_reflected]
-        pts[:, -1] = 2.0 * x1[in_reflected] - x2[in_reflected]
-        out[in_reflected] = evaluate_batch(u1, pts)
-    if np.any(in_copied):
-        out[in_copied] = u1.values.reshape(n, u1.nu)[in_copied]
+    out = u1.values.reshape(n, u1.nu).copy()
+    out[in_first] = evaluate_batch(u0, sources[in_first])
+    out[in_reflected] = evaluate_batch(u1, sources[in_reflected])
 
     # interpolated values drift off a constrained target by O(h); project
     # them back, but keep the verbatim copies bit-identical to the input

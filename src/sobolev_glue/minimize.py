@@ -31,7 +31,6 @@ from .energy import (
     _dirichlet_sum,
     _grad_sq,
     _penalty_sum,
-    dirichlet_p_energy,
     no_penalty,
     node_volumes,
     penalized_energy,
@@ -54,8 +53,8 @@ _MAX_HALVINGS = 30
 class MinimizeConfig:
     """Optimizer knobs.
 
-    ``step`` is the initial trial step; with the backtracking rule it is
-    halved until sufficient decrease holds and regrows after acceptances.
+    ``step`` is the initial trial step; it is halved until sufficient
+    decrease holds and regrows after acceptances.
     ``tol`` stops the loop once the relative energy decrease of an
     accepted step falls below it.  ``seed`` is reserved for randomized
     restarts; the default initializer (depth-replicated boundary data) is
@@ -64,7 +63,6 @@ class MinimizeConfig:
 
     p: float = 2.0
     max_iterations: int = 500
-    step_rule: str = "backtracking"
     step: float = 1.0
     tol: float = 1e-8
     projection: str = "auto"
@@ -75,10 +73,6 @@ class MinimizeConfig:
             raise ParameterError(f"exponent p must satisfy p > 1, got {self.p}")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be positive")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ParameterError(
-                f"step rule must be fixed|backtracking, got {self.step_rule!r}"
-            )
         if not (self.step > 0.0 and np.isfinite(self.step)):
             raise ParameterError(f"step must be positive, got {self.step}")
         if not (self.tol > 0.0):
@@ -238,17 +232,9 @@ def _descend(
             ):
                 accepted = True
                 break
-            if cfg.step_rule == "fixed":
-                break
             t *= 0.5
 
         if not accepted:
-            if cfg.step_rule == "fixed":
-                raise OptimizationError(
-                    f"energy increased at iteration {it} under the fixed step "
-                    f"(energy {energy:.6g}, gradient sup {grad_sup:.3g}, "
-                    f"step {t:.3g})"
-                )
             # backtracking shrank the step to rounding scale without any
             # decrease along the negative gradient: stationary here
             converged = True
@@ -271,13 +257,9 @@ def _descend(
         values=values,
         constraint_tol=max(u.constraint_tol, 10.0 * domain.max_spacing),
     )
-    if penalty.kind == "none":
-        reported = dirichlet_p_energy(final, p).value
-    else:
-        reported = penalized_energy(final, p, penalty).value
     return MinimizeResult(
         map=final,
-        energy=reported,
+        energy=penalized_energy(final, p, penalty).value,
         iterations=iterations,
         energies=tuple(energies),
         converged=converged,

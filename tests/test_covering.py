@@ -24,6 +24,15 @@ def _degree_one_trace(n):
     return gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
 
 
+def _torus_x_trace(n):
+    base = dom.torus(n, n)
+    x = gm.node_mesh(base)[:, 0]
+    vals = np.stack([np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)], axis=-1)
+    return gm.TraceMap(
+        base=base, target=tg.circle(), values=vals.reshape(n, n, 2), constraint_tol=1e-12
+    )
+
+
 def _circle_setup(k, n, n_depth=16):
     trace = _degree_one_trace(n)
     covering = cov.build_covering(dom.circle(n), k)
@@ -182,15 +191,9 @@ def test_constant_trace_is_reported_degenerate():
 
 
 def test_torus_four_chart_glue():
-    n, n_depth = 48, 10
-    base = dom.torus(n, n)
-    xy = gm.node_mesh(base)
-    two_pi = 2.0 * np.pi
-    vals = np.stack(
-        [np.cos(two_pi * xy[:, 0]), np.sin(two_pi * xy[:, 0])], axis=-1
-    ).reshape(n, n, 2)
-    trace = gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
-    covering = cov.build_covering(base, 4)
+    n_depth = 10
+    trace = _torus_x_trace(48)
+    covering = cov.build_covering(trace.base, 4)
     patches = [
         cov.replicate_trace_patch(trace, chart, n_depth) for chart in covering.charts
     ]
@@ -205,6 +208,53 @@ def test_torus_four_chart_glue():
     # both must sit at rounding level for node-aligned patches
     assert check.trace_sup_error <= 1e-12
     assert report.ratio == pytest.approx(0.4446, abs=2e-3)
+
+
+def _depth_twisted(patches):
+    # rotate each replicated patch by +-0.8 t / depth (sign by chart
+    # parity); the bottom row t = 0 keeps the trace
+    out = []
+    for i, patch in enumerate(patches):
+        depth_axis = patch.domain.axes[-1]
+        angle = (0.8 if i % 2 == 0 else -0.8) * depth_axis.coordinates() / depth_axis.length
+        c, s = np.cos(angle), np.sin(angle)
+        x, y = patch.values[..., 0], patch.values[..., 1]
+        vals = np.stack([c * x - s * y, s * x + c * y], axis=-1)
+        out.append(
+            gm.GridMap(
+                domain=patch.domain,
+                target=patch.target,
+                values=vals,
+                constraint_tol=patch.constraint_tol,
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, pinned_ratio",
+    [("circle", 2.373523880645511), ("torus", 1.1224122656185567)],
+)
+def test_depth_varying_patches_pin_the_glued_ratio(case, pinned_ratio):
+    # depth-constant patches cannot tell which depth the fold reads; these
+    # can (reading the reflected region at depth x2 moves the ratios to
+    # about 2.4626 and 1.1293)
+    if case == "circle":
+        trace = _degree_one_trace(128)
+        k, n_depth = 3, 16
+    else:
+        trace = _torus_x_trace(48)
+        k, n_depth = 4, 10
+    covering = cov.build_covering(trace.base, k)
+    patches = _depth_twisted(
+        [cov.replicate_trace_patch(trace, chart, n_depth) for chart in covering.charts]
+    )
+    glued, report = cov.glue(covering, patches, trace)
+    assert report.ratio == pytest.approx(pinned_ratio, rel=1e-12)
+    assert report.trace_sup_error <= 1e-12
+    check = cov.verify_glue(glued, trace, covering, patches, report=report)
+    assert check.cone_checks_passed
+    assert check.trace_sup_error <= 1e-12
 
 
 def test_glue_validates_patch_lists():

@@ -39,6 +39,27 @@ def test_region_classification_with_tie_breaks():
     assert fo.classify_region(0.0, 0.0) is R.FROM_FIRST
 
 
+def test_shared_rule_matches_the_classifier_and_substitutes():
+    # tie points of both region borders, a point inside each region, and
+    # the bottom edge
+    x1 = np.array([0.1, 0.4, 0.5, 0.8, 0.9, 0.5, 0.0, 0.25, 0.5])
+    x2 = np.array([0.8, 0.8, 0.8, 0.8, 0.8, 0.0, 0.0, 0.5, 0.5])
+    region, s1, s2 = fo.fold_sources(x1, x2)
+    assert [fo.FOLD_REGIONS[r] for r in region] == [
+        fo.classify_region(a, b) for a, b in zip(x1, x2)
+    ]
+    first = region == 0
+    reflected = region == 1
+    copied = region == 2
+    assert first.any() and reflected.any() and copied.any()
+    np.testing.assert_array_equal(s1[first], 2.0 * x1[first])
+    np.testing.assert_array_equal(s2[first], x2[first] - 2.0 * x1[first])
+    np.testing.assert_array_equal(s1[reflected], x2[reflected])
+    np.testing.assert_array_equal(s2[reflected], 2.0 * x1[reflected] - x2[reflected])
+    np.testing.assert_array_equal(s1[copied], x1[copied])
+    np.testing.assert_array_equal(s2[copied], x2[copied])
+
+
 def test_region_measures_are_quarter_quarter_half():
     rng = np.random.default_rng(1)
     pts = rng.random((20000, 2))

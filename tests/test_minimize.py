@@ -12,7 +12,6 @@ from sobolev_glue import minimize as mi
 from sobolev_glue import target as tg
 from sobolev_glue.errors import (
     LiftingError,
-    OptimizationError,
     ParameterError,
 )
 
@@ -134,24 +133,11 @@ def test_gradient_requires_p_above_one():
         mi.dirichlet_gradient(m, 1.0)
 
 
-def test_fixed_step_rule_diverges_loudly_and_works_when_sane():
-    u = _degree_trace(32, 1)
-    collar = dom.cylinder(32, 10)
-    wild = mi.MinimizeConfig(step_rule="fixed", step=1e6, max_iterations=50)
-    with pytest.raises(OptimizationError):
-        mi.minimize_extension(u, collar, tg.circle(), wild)
-    sane = mi.MinimizeConfig(step_rule="fixed", step=1e-3, max_iterations=60)
-    res = mi.minimize_extension_detailed(u, collar, tg.circle(), sane)
-    assert res.energies[-1] < res.energies[0]
-
-
 def test_config_validation():
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(p=1.0)
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(max_iterations=0)
-    with pytest.raises(ParameterError):
-        mi.MinimizeConfig(step_rule="momentum")
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(step=0.0)
     with pytest.raises(ParameterError):
