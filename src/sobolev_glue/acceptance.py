@@ -21,14 +21,13 @@ from . import cone as cone_mod
 from .covering import build_covering, glue, replicate_trace_patch, verify_glue
 from .domain import circle, cylinder, interval, square
 from .energy import PenaltySpec, dirichlet_p_energy, gagliardo_energy
-from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold
+from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold, verify_fold_traces
 from .gridmap import GridMap, TraceMap
 from .minimize import (
     MinimizeConfig,
     circle_lifting_oracle,
     dirichlet_gradient,
     isobe_sweep,
-    minimize_extension,
     minimize_extension_detailed,
 )
 from .target import circle as circle_target, euclidean
@@ -113,7 +112,7 @@ def criterion_02_fold_trace_contract() -> CriterionResult:
         worst = 0.0
         for _ in range(50):
             u0, u1 = _matched_pair(rng, n)
-            _, report = fold(u0, u1)
+            report = verify_fold_traces(fold(u0, u1), u0, u1)
             worst = max(
                 worst,
                 report.trace_bottom_error,
@@ -146,7 +145,7 @@ def criterion_03_fold_energy_constant() -> CriterionResult:
         worst = dict.fromkeys(exponents, 0.0)
         for _ in range(50):
             u0, u1 = _matched_pair(rng, n)
-            folded, _ = fold(u0, u1)
+            folded = fold(u0, u1)
             for p in exponents:
                 e_out = dirichlet_p_energy(folded, p).value
                 e_in = (
@@ -293,7 +292,7 @@ def criterion_06_extension_closed_form() -> CriterionResult:
             target=circle_target(),
             values=np.stack([np.cos(theta), np.sin(theta)], axis=-1),
         )
-        _, e_ident = minimize_extension(ident, dom, circle_target(), cfg)
+        e_ident = minimize_extension_detailed(ident, dom, circle_target(), cfg).energy
         _, oracle_ident = circle_lifting_oracle(ident, dom)
         two_pi = 2.0 * math.pi
         if abs(e_ident - two_pi) > 0.05 * two_pi:
@@ -309,7 +308,7 @@ def criterion_06_extension_closed_form() -> CriterionResult:
             target=circle_target(),
             values=np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1),
         )
-        _, e_deg2 = minimize_extension(deg2, dom, circle_target(), cfg)
+        e_deg2 = minimize_extension_detailed(deg2, dom, circle_target(), cfg).energy
         eight_pi = 8.0 * math.pi
         if abs(e_deg2 - eight_pi) > 0.05 * eight_pi:
             return False, f"degree-2 energy {e_deg2:.6g} not within 5% of 8pi"
@@ -371,7 +370,7 @@ def criterion_08_isobe_boundedness() -> CriterionResult:
             values=np.stack([np.cos(theta), np.sin(theta)], axis=-1),
         )
         cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
-        sweep = isobe_sweep(u, 2.0, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
+        sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
         bound = 1.1 * 2.0 * math.pi
         worst = max(energy for _, _, energy in sweep.triples)
         if worst > bound:
@@ -410,7 +409,7 @@ def criterion_09_trace_inequality_echo() -> CriterionResult:
                 u = _degree_zero_trace(rng, n)
                 gag = gagliardo_energy(u, 0.5, 2.0).value
                 dom = cylinder(n, max(16, n // 4), 1.0)
-                _, ext = minimize_extension(u, dom, circle_target(), cfg)
+                ext = minimize_extension_detailed(u, dom, circle_target(), cfg).energy
                 if ext <= 0.0:
                     return False, f"n={n}: degenerate extension energy"
                 worst = max(worst, gag / ext)

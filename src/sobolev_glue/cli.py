@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     FormatError,
@@ -91,11 +91,11 @@ def _digest(path: str) -> str:
     return sha256_of(path)
 
 
-def _print_kv(key: str, value) -> None:
+def _kv_line(key: str, value) -> str:
+    """``key=value``; floats print with 17 significant digits (round-trip)."""
     if isinstance(value, float):
-        print(f"{key}={value:.17g}")
-    else:
-        print(f"{key}={value}")
+        return f"{key}={value:.17g}"
+    return f"{key}={value}"
 
 
 # ---------------------------------------------------------------- handlers
@@ -125,29 +125,24 @@ def _cmd_energy(args: argparse.Namespace, manifest: RunManifest) -> int:
         m = read_grid_map(args.infile)
         reference = circle_target() if m.nu == 2 else sphere(m.nu)
         report = penalized_energy(m, args.p, distance_penalty(args.eps, args.p, reference))
-    _print_kv("value", report.value)
+    print(_kv_line("value", report.value))
     return 0
 
 
 def _cmd_fold(args: argparse.Namespace, manifest: RunManifest) -> int:
     from .fileio import read_grid_map, write_grid_map
-    from .folding import fold
+    from .folding import fold, verify_fold_traces
 
     manifest.inputs[os.path.basename(args.u0)] = _digest(args.u0)
     manifest.inputs[os.path.basename(args.u1)] = _digest(args.u1)
     u0 = read_grid_map(args.u0)
     u1 = read_grid_map(args.u1)
-    folded, report = fold(u0, u1, trace_tol=args.trace_tol, p=args.p)
+    folded = fold(u0, u1, trace_tol=args.trace_tol)
+    report = verify_fold_traces(folded, u0, u1, args.p)
     write_grid_map(args.out, folded)
     manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    _print_kv("trace_bottom_error", report.trace_bottom_error)
-    _print_kv("trace_left_error", report.trace_left_error)
-    _print_kv("trace_right_error", report.trace_right_error)
-    _print_kv("energy_in_0", report.energy_in_0)
-    _print_kv("energy_in_1", report.energy_in_1)
-    _print_kv("energy_out", report.energy_out)
-    _print_kv("ratio", report.ratio)
-    _print_kv("p", report.p)
+    for key, value in asdict(report).items():
+        print(_kv_line(key, value))
     return 0
 
 
@@ -166,10 +161,10 @@ def _cmd_cone(args: argparse.Namespace, manifest: RunManifest) -> int:
     cert = find_cone(f, g)
     write_cone_certificate(args.out, cert.radius, cert.directions)
     manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    _print_kv("radius", cert.radius)
-    _print_kv("accepted_directions", int(np.sum(cert.directions)))
-    _print_kv("direction_count", int(cert.directions.size))
-    _print_kv("verified", str(bool(cert.verified)).lower())
+    print(_kv_line("radius", cert.radius))
+    print(_kv_line("accepted_directions", int(np.sum(cert.directions))))
+    print(_kv_line("direction_count", int(cert.directions.size)))
+    print(_kv_line("verified", str(bool(cert.verified)).lower()))
     return 0
 
 
@@ -211,15 +206,12 @@ def _cmd_glue(args: argparse.Namespace, manifest: RunManifest) -> int:
             ("degenerate", str(report.degenerate).lower()),
         ]
     )
+    text = [_kv_line(key, value) for key, value in lines]
     with open(args.report, "w", encoding="utf-8") as handle:
-        for key, value in lines:
-            if isinstance(value, float):
-                handle.write(f"{key}={value:.17g}\n")
-            else:
-                handle.write(f"{key}={value}\n")
+        handle.writelines(line + "\n" for line in text)
     manifest.outputs[os.path.basename(args.report)] = _digest(args.report)
-    for key, value in lines:
-        _print_kv(key, value)
+    for line in text:
+        print(line)
     return 0
 
 
@@ -286,10 +278,10 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
         result = minimize_extension_detailed(trace, domain, trace.target, cfg)
     write_grid_map(args.out, result.map)
     manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    _print_kv("energy", result.energy)
-    _print_kv("iterations", result.iterations)
-    _print_kv("converged", str(result.converged).lower())
-    _print_kv("gradient_sup", result.gradient_sup)
+    print(_kv_line("energy", result.energy))
+    print(_kv_line("iterations", result.iterations))
+    print(_kv_line("converged", str(result.converged).lower()))
+    print(_kv_line("gradient_sup", result.gradient_sup))
     return 0
 
 

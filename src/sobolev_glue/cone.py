@@ -8,6 +8,9 @@ set G across the annulus between radius r and the unit sphere.  No other
 radius k/K needs a check, because the test only gets easier as r grows.
 Containments are certified at grid scale only:
 
+* rays run along 2 directions on a 1-D grid and along 4 x resolution
+  equally spaced directions on a 2-D grid, so their angular spacing at
+  the rim stays below one grid cell;
 * a ray direction is accepted if every sample point along it between r
   and 1 lies in a grid cell all of whose corners are in G;
 * the accepted direction set is eroded by one direction cell, so every
@@ -199,30 +202,22 @@ def check_boundary_containment(f: SampledSet, g: SampledSet) -> bool:
     return bool(np.all(interior[candidates]))
 
 
-def _directions(dimension: int, direction_resolution: int) -> np.ndarray:
+def _directions(dimension: int, count: int) -> np.ndarray:
     if dimension == 1:
         return np.array([[-1.0], [1.0]])
-    angles = 2.0 * np.pi * np.arange(direction_resolution) / direction_resolution
+    angles = 2.0 * np.pi * np.arange(count) / count
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def default_direction_resolution(s: SampledSet) -> int:
-    if s.dimension == 1:
-        return 2
-    # angular spacing at the rim stays below one grid cell
-    return 4 * s.resolution
-
-
-def ray_clearance(g: SampledSet, direction_resolution: int | None = None,
-                  ladder_steps: int = DEFAULT_LADDER_STEPS) -> np.ndarray:
+def ray_clearance(g: SampledSet, ladder_steps: int = DEFAULT_LADDER_STEPS) -> np.ndarray:
     """Largest blocked parameter per direction.
 
     Entry j is the largest sample t in [1/K, 1] whose cell test fails
     along direction j (or -inf when the whole ray is clear).  Direction j
     belongs to the radius-r cone exactly when the entry is < r.
     """
-    nd = direction_resolution or default_direction_resolution(g)
-    dirs = _directions(g.dimension, nd)
+    # 2-D sets: 4 x resolution directions keep the rim's angular spacing below one cell
+    dirs = _directions(g.dimension, 4 * g.resolution)
     h = g.spacing
     t_lo = 1.0 / ladder_steps
     count = int(math.ceil((1.0 - t_lo) / (h / 2.0))) + 1
@@ -258,7 +253,6 @@ def find_cone(
     f: SampledSet,
     g: SampledSet,
     ladder_steps: int = DEFAULT_LADDER_STEPS,
-    direction_resolution: int | None = None,
 ) -> ConeCertificate:
     """Certify a cone capture at the single radius r = 1 - 1/K.
 
@@ -286,7 +280,7 @@ def find_cone(
             "F meets the unit sphere outside the sampled interior of G"
         )
     radius = (ladder_steps - 1) / ladder_steps
-    pre = ray_clearance(g, direction_resolution, ladder_steps) < radius
+    pre = ray_clearance(g, ladder_steps) < radius
     if f.dimension == 1:
         accepted = pre
     else:

@@ -1,10 +1,9 @@
 """Chart coverings of the circle and the flat torus, and the glue induction.
 
-A covering carries K overlapping chart cores G_i inside chart domains
-W_i, each with a map to the unit ball of chart coordinates: arcs mapped
-affinely onto [-1,1] for the circle, squares mapped affinely onto
-[-1,1]^2 and then through a fixed smooth square-to-disk diffeomorphism
-for the torus.
+A covering carries K overlapping chart cores G_i, each with a map to
+the unit ball of chart coordinates: arcs mapped affinely onto [-1,1]
+for the circle, squares mapped affinely onto [-1,1]^2 and then through
+a fixed smooth square-to-disk diffeomorphism for the torus.
 
 ``glue`` runs the inductive construction over a collar base x (0, depth):
 the first chart's patch is adopted on its core; every later chart
@@ -46,9 +45,6 @@ from .gridmap import (
     node_mesh,
 )
 from .target import project_to_target
-
-#: margin factor of the chart domain W around the core G
-_MARGIN_FACTOR = 1.2
 
 #: chart-coordinate sampling for cone capture, by base dimension
 _CONE_RESOLUTION = {1: 513, 2: 257}
@@ -92,13 +88,12 @@ def disk_to_square(uv: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Chart:
-    """One chart: core box G centered at ``center``, domain box W around it."""
+    """One chart: the core box G centered at ``center``."""
 
     index: int
     base_lengths: tuple[float, ...]
     center: tuple[float, ...]
     core_extent: tuple[float, ...]
-    margin_extent: tuple[float, ...]
 
     @property
     def dimension(self) -> int:
@@ -125,11 +120,6 @@ class Chart:
 
     def in_closed_core(self, pts: np.ndarray) -> np.ndarray:
         return np.all(np.abs(self.affine(pts)) <= 1.0 + 1e-12, axis=-1)
-
-    def in_domain(self, pts: np.ndarray) -> np.ndarray:
-        off = self._wrapped_offsets(pts)
-        half = np.array(self.margin_extent) / 2.0
-        return np.all(np.abs(off) < half, axis=-1)
 
     def to_disk(self, pts: np.ndarray) -> np.ndarray:
         """Chart-ball coordinates of base points (points of the closed core)."""
@@ -180,18 +170,6 @@ class Covering:
         return len(self.base_lengths)
 
 
-def single_chart_covering(base: DomainSpec) -> Covering:
-    """Degenerate one-patch covering: the whole base, no chart map.
-
-    Gluing with it is a passthrough; it exists so chart count 1 has a
-    well-defined meaning even though no single honest chart can cover a
-    closed manifold.
-    """
-    if base.kind not in ("circle", "torus"):
-        raise ParameterError(f"coverings need a circle or torus base, got {base.kind!r}")
-    return Covering(base_kind=base.kind, base_lengths=base.lengths, charts=())
-
-
 def _torus_factors(count: int) -> tuple[int, int]:
     best: Optional[tuple[int, int]] = None
     for k1 in range(2, int(math.isqrt(count)) + 1):
@@ -208,9 +186,11 @@ def _torus_factors(count: int) -> tuple[int, int]:
 def build_covering(base: DomainSpec, count: int) -> Covering:
     """Overlapping arcs (circle) or squares (torus) with affine chart maps.
 
-    Chart count 1 returns the degenerate passthrough covering.  The
-    sampled covering property and the chart-ball normalization are
-    checked before returning.
+    Chart count 1 returns the degenerate one-patch covering: the whole
+    base, no chart map.  Gluing with it is a passthrough; it exists so
+    chart count 1 has a well-defined meaning even though no single honest
+    chart can cover a closed manifold.  The sampled covering property and
+    the chart-ball normalization are checked before returning.
     """
     if base.kind not in ("circle", "torus"):
         raise ParameterError(f"coverings need a circle or torus base, got {base.kind!r}")
@@ -219,13 +199,12 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
     if count < 1:
         raise ParameterError(f"chart count must be positive, got {count}")
     if count == 1:
-        return single_chart_covering(base)
+        return Covering(base_kind=base.kind, base_lengths=base.lengths, charts=())
 
     charts: list[Chart] = []
     if base.kind == "circle":
         length = TWO_PI
         arc = min(1.5 * math.pi, 3.0 * math.pi / count)
-        margin = min(_MARGIN_FACTOR * arc, 0.98 * length)
         for i in range(count):
             center = length * i / count
             charts.append(
@@ -234,7 +213,6 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
                     base_lengths=(length,),
                     center=(center,),
                     core_extent=(arc,),
-                    margin_extent=(margin,),
                 )
             )
     else:
@@ -242,7 +220,6 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
             raise ParameterError(f"torus coverings need at least 4 charts, got {count}")
         k1, k2 = _torus_factors(count)
         sides = (min(1.5 / k1, 0.95), min(1.5 / k2, 0.95))
-        margins = tuple(min(_MARGIN_FACTOR * s, 0.98) for s in sides)
         index = 0
         for a in range(k1):
             for b in range(k2):
@@ -253,7 +230,6 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
                         base_lengths=(1.0, 1.0),
                         center=center,
                         core_extent=sides,
-                        margin_extent=margins,
                     )
                 )
                 index += 1
@@ -341,7 +317,6 @@ class GlueStep:
 @dataclass(frozen=True)
 class GlueReport:
     steps: tuple[GlueStep, ...]
-    patch_energies: tuple[float, ...]
     patch_energy_total: float
     glued_energy: float
     ratio: float
@@ -363,16 +338,15 @@ class VerifyGlueReport:
 
 def _glue_report(
     steps: Sequence[GlueStep],
-    patch_energies: tuple[float, ...],
+    per_patch: Sequence[float],
     glued_energy: float,
     p: float,
     penalty: PenaltySpec,
 ) -> GlueReport:
-    total = float(sum(patch_energies))
+    total = float(sum(per_patch))
     degenerate = total <= 0.0
     return GlueReport(
         steps=tuple(steps),
-        patch_energies=patch_energies,
         patch_energy_total=total,
         glued_energy=glued_energy,
         ratio=float("nan") if degenerate else glued_energy / total,

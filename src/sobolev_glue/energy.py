@@ -147,11 +147,6 @@ def _penalty_sum(values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec) -> 
     return float(np.sum(penalty.evaluate(values) * vols))
 
 
-def cell_gradient_sq(m: GridMap | TraceMap) -> np.ndarray:
-    """Squared Frobenius norm of the forward-difference Jacobian per cell."""
-    return _grad_sq(m.values, m.domain)
-
-
 def dirichlet_p_energy(m: GridMap | TraceMap, p: float) -> EnergyReport:
     p = _check_p(p)
     return EnergyReport(

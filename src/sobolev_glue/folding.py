@@ -11,11 +11,13 @@ splits into three regions:
 Ties sit with the earlier region.  ``fold_sources`` is the one statement
 of this rule: ``fold`` and ``classify_region`` call it here, and
 ``covering.glue`` calls it in (radial, depth) coordinates of each chart's
-annulus.  The folded map keeps the second map's bottom trace at nodes,
-keeps the first map's x1 = 0 face and the second map's x1 = 1 face, and
-its p-energy is controlled by the largest singular values of the two
-affine substitutions, computed in closed form below and cross-checked
-against an SVD oracle in the test suite.
+annulus.  ``fold`` returns only the folded map.  It keeps the second
+map's bottom trace at nodes, keeps the first map's x1 = 0 face and the
+second map's x1 = 1 face, and its p-energy is controlled by the largest
+singular values of the two affine substitutions, computed in closed form
+below and cross-checked against an SVD oracle in the test suite.
+``verify_fold_traces`` builds the ``FoldReport`` of a folded map: its
+three trace errors, the three p-energies and their ratio.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import dirichlet_p_energy
-from .errors import DomainError, ParameterError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .gridmap import GridMap, evaluate_batch, extract_trace, node_mesh
 from .target import project_to_target
 
@@ -108,16 +110,13 @@ def _check_fold_inputs(u0: GridMap, u1: GridMap) -> None:
         )
 
 
-def fold(
-    u0: GridMap,
-    u1: GridMap,
-    trace_tol: float | None = None,
-    p: float = 2.0,
-) -> tuple[GridMap, FoldReport]:
+def fold(u0: GridMap, u1: GridMap, trace_tol: float | None = None) -> GridMap:
     """Fold two extensions with (approximately) equal bottom traces.
 
-    Raises PreconditionError when the bottom traces differ by more than
-    ``trace_tol`` in the sup norm (default: the maps' constraint_tol).
+    Returns the folded map; :func:`verify_fold_traces` measures its trace
+    errors and energies.  Raises PreconditionError when the bottom traces
+    differ by more than ``trace_tol`` in the sup norm (default: ten times
+    the largest grid spacing).
     """
     _check_fold_inputs(u0, u1)
     dom = u0.domain
@@ -150,72 +149,44 @@ def fold(
         resampled = in_first | in_reflected
         out[resampled] = project_to_target(u0.target, out[resampled])
 
-    folded = GridMap(
+    return GridMap(
         domain=dom,
         target=u0.target,
         values=out.reshape(dom.shape + (u0.nu,)),
         constraint_tol=max(u0.constraint_tol, u1.constraint_tol),
-    )
-    values = folded.values
-    report = _fold_report(
-        folded,
-        u0,
-        u1,
-        p,
-        _sup_norm_gap(values[..., 0, :], u0.values[..., 0, :]),
-        _sup_norm_gap(values[..., 0, :, :], u0.values[..., 0, :, :]),
-        _sup_norm_gap(values[..., -1, :, :], u1.values[..., -1, :, :]),
-    )
-    return folded, report
-
-
-def _fold_report(
-    folded: GridMap,
-    u0: GridMap,
-    u1: GridMap,
-    p: float,
-    bottom_err: float,
-    left_err: float,
-    right_err: float,
-) -> FoldReport:
-    """The given trace errors with the three energies and their ratio."""
-    e0 = dirichlet_p_energy(u0, p).value
-    e1 = dirichlet_p_energy(u1, p).value
-    eout = dirichlet_p_energy(folded, p).value
-    denom = e0 + e1
-    ratio = eout / denom if denom > 0.0 else float("nan")
-    return FoldReport(
-        trace_bottom_error=bottom_err,
-        trace_left_error=left_err,
-        trace_right_error=right_err,
-        energy_in_0=e0,
-        energy_in_1=e1,
-        energy_out=eout,
-        ratio=ratio,
-        p=p,
     )
 
 
 def verify_fold_traces(
     folded: GridMap, u0: GridMap, u1: GridMap, p: float = 2.0
 ) -> FoldReport:
-    """Recompute the trace discrepancies through the public face extraction.
+    """Trace errors, p-energies and energy ratio of a folded map.
 
     Independent of the bookkeeping inside :func:`fold`: traces are pulled
-    via extract_trace and energies recomputed from scratch.
+    via extract_trace and energies recomputed from scratch.  The ratio is
+    energy_out / (energy_in_0 + energy_in_1), nan when both inputs have
+    zero energy.
     """
     _check_fold_inputs(u0, u1)
     if folded.domain != u0.domain or folded.target != u0.target:
         raise DomainError("folded map does not match the inputs")
-    bottom = extract_trace(folded, "bottom")
-    left = extract_trace(folded, "left")
-    right = extract_trace(folded, "right")
-    return _fold_report(
-        folded,
-        u0,
-        u1,
-        p,
-        _sup_norm_gap(bottom.values, extract_trace(u0, "bottom").values),
-        _sup_norm_gap(left.values, extract_trace(u0, "left").values),
-        _sup_norm_gap(right.values, extract_trace(u1, "right").values),
+
+    def face_gap(face: str, reference: GridMap) -> float:
+        return _sup_norm_gap(
+            extract_trace(folded, face).values, extract_trace(reference, face).values
+        )
+
+    e0 = dirichlet_p_energy(u0, p).value
+    e1 = dirichlet_p_energy(u1, p).value
+    eout = dirichlet_p_energy(folded, p).value
+    denom = e0 + e1
+    return FoldReport(
+        trace_bottom_error=face_gap("bottom", u0),
+        trace_left_error=face_gap("left", u0),
+        trace_right_error=face_gap("right", u1),
+        energy_in_0=e0,
+        energy_in_1=e1,
+        energy_out=eout,
+        ratio=eout / denom if denom > 0.0 else float("nan"),
+        p=p,
     )

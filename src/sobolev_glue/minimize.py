@@ -1,11 +1,13 @@
 """Gradient-descent estimators for collar extension energies.
 
-``minimize_extension`` runs projected gradient descent on the discrete
-p-Dirichlet cell sum with the bottom row pinned to the boundary data,
-``minimize_penalized`` drops the manifold projection and adds a pointwise
-distance penalty, ``isobe_sweep`` tabulates penalized minima over a grid
-of penalty widths and collar depths, and ``circle_lifting_oracle`` solves
-the lifted scalar problem exactly for p = 2 circle-valued data.
+``minimize_extension_detailed`` runs projected gradient descent on the
+discrete p-Dirichlet cell sum with the bottom row pinned to the boundary
+data, ``minimize_penalized_detailed`` drops the manifold projection and
+adds a pointwise distance penalty; both return a ``MinimizeResult`` with
+the map, its energy and the descent's convergence record.
+``isobe_sweep`` tabulates penalized minima over a grid of penalty widths
+and collar depths, and ``circle_lifting_oracle`` solves the lifted scalar
+problem exactly for p = 2 circle-valued data.
 
 The descent direction is the exact analytic gradient of the discrete
 objective; the bottom row's gradient is zeroed and its values are copied
@@ -16,7 +18,7 @@ bit-identical throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -270,6 +272,11 @@ def _descend(
 def minimize_extension_detailed(
     u: TraceMap, domain: DomainSpec, target: TargetSpec, cfg: MinimizeConfig
 ) -> MinimizeResult:
+    """Estimate the constrained extension energy over a collar domain.
+
+    The bottom row of the result carries ``u`` bit-identically; accepted
+    iterations never increase the objective.
+    """
     if u.target != target:
         raise ParameterError("trace target does not match the requested target")
     if target.constrained:
@@ -282,52 +289,34 @@ def minimize_extension_detailed(
     return _descend(u, domain, target, cfg, no_penalty(), project)
 
 
-def minimize_extension(
-    u: TraceMap, domain: DomainSpec, target: TargetSpec, cfg: MinimizeConfig
-) -> tuple[GridMap, float]:
-    """Estimate the constrained extension energy over a collar domain.
-
-    The bottom row of the result carries ``u`` bit-identically; accepted
-    iterations never increase the objective.
-    """
-    res = minimize_extension_detailed(u, domain, target, cfg)
-    return res.map, res.energy
-
-
 def minimize_penalized_detailed(
     u: TraceMap, penalty: PenaltySpec, domain: DomainSpec, cfg: MinimizeConfig
 ) -> MinimizeResult:
+    """Unconstrained descent on Dirichlet-plus-penalty with pinned bottom."""
     if penalty.kind == "none":
         raise ParameterError("penalized descent needs a non-trivial penalty")
     return _descend(u, domain, euclidean(u.nu), cfg, penalty, project=False)
-
-
-def minimize_penalized(
-    u: TraceMap, penalty: PenaltySpec, domain: DomainSpec, cfg: MinimizeConfig
-) -> tuple[GridMap, float]:
-    """Unconstrained descent on Dirichlet-plus-penalty with pinned bottom."""
-    res = minimize_penalized_detailed(u, penalty, domain, cfg)
-    return res.map, res.energy
 
 
 # ------------------------------------------------------------------ sweep
 
 def isobe_sweep(
     u: TraceMap,
-    p: float,
     eps_list: Sequence[float],
     depth_list: Sequence[float],
     cfg: MinimizeConfig,
     n_depth: Optional[int] = None,
 ) -> SweepResult:
-    """Tabulate penalized minima over penalty widths and collar depths."""
+    """Tabulate penalized minima over penalty widths and collar depths.
+
+    The descents and the penalty power use the exponent ``cfg.p``.
+    """
     if len(eps_list) == 0 or len(depth_list) == 0:
         raise ParameterError("sweep lists must be nonempty")
     if any(e <= 0 for e in eps_list) or any(L <= 0 for L in depth_list):
         raise ParameterError("sweep parameters must be positive")
     if not u.target.constrained:
         raise ParameterError("the sweep penalty needs a constrained reference target")
-    cfg = replace(cfg, p=p)
     h_base = u.base.max_spacing
     triples: list[tuple[float, float, float]] = []
     for depth in depth_list:
@@ -335,10 +324,10 @@ def isobe_sweep(
         domain = collar_over(u.base, nd, float(depth))
         for eps in eps_list:
             penalty = PenaltySpec(
-                kind="distance_power", eps=float(eps), power=p, reference=u.target
+                kind="distance_power", eps=float(eps), power=cfg.p, reference=u.target
             )
             try:
-                _, energy = minimize_penalized(u, penalty, domain, cfg)
+                energy = minimize_penalized_detailed(u, penalty, domain, cfg).energy
             except OptimizationError as exc:
                 raise OptimizationError(
                     f"sweep point eps={eps} depth={depth}: {exc}"

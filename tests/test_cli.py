@@ -2,6 +2,7 @@
 and byte-for-byte determinism of repeated runs.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from sobolev_glue import cli, fileio
 from sobolev_glue import covering as cov
 from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
+from sobolev_glue import folding as fo
 from sobolev_glue import gridmap as gm
 from sobolev_glue import target as tg
 
@@ -165,6 +167,25 @@ def test_fold_writes_output_and_manifest(tmp_path, capsys):
     assert any(key.startswith("output_") for key in run_record)
 
 
+@pytest.mark.parametrize("p_args, p", [([], 2.0), (["--p", "3"], 3.0)])
+def test_fold_prints_the_report_of_the_written_map(tmp_path, capsys, p_args, p):
+    p0, p1 = _matched_fold_pair(tmp_path)
+    out = str(tmp_path / "folded.sgf")
+    code, stdout, _ = run_cli(
+        ["fold", "--u0", p0, "--u1", p1, "--out", out] + p_args, capsys
+    )
+    assert code == 0
+    report = fo.verify_fold_traces(
+        fileio.read_grid_map(out), fileio.read_grid_map(p0), fileio.read_grid_map(p1), p
+    )
+    expected = [
+        "%s=%.17g" % (field.name, getattr(report, field.name))
+        for field in dataclasses.fields(report)
+    ]
+    assert stdout.splitlines() == expected
+    assert report.energy_out > 0.0
+
+
 def test_fold_with_mismatched_traces_exits_three(tmp_path, capsys):
     p0, p1 = _matched_fold_pair(tmp_path)
     bumped = fileio.read_grid_map(p1)
@@ -269,6 +290,7 @@ def test_glue_end_to_end_on_the_circle(tmp_path, capsys):
     assert "r_2=0.984375" in report_text
     assert "ratio=" in report_text
     assert "trace_sup_error" in report_text
+    assert report_text.splitlines() == stdout.splitlines()
 
 
 def test_glue_is_deterministic(tmp_path, capsys):

@@ -71,6 +71,8 @@ def test_full_ball_in_full_ambient_takes_the_top_radius():
     assert cert.radius == pytest.approx(TOP)
     assert np.all(cert.directions)
     assert cert.verified
+    # a 2-D set is scanned along 4 x resolution directions
+    assert cert.directions.shape == (4 * 65,)
 
 
 def test_one_dimensional_interval_and_half_line():
@@ -78,6 +80,8 @@ def test_one_dimensional_interval_and_half_line():
     g = cone.from_predicate(1, 129, lambda p: np.ones(len(p), dtype=bool), closed=False)
     cert = cone.find_cone(f, g)
     assert cert.radius == pytest.approx(TOP)
+    # a 1-D set is scanned along its 2 directions, whatever the resolution
+    assert cert.directions.shape == (2,)
     assert np.array_equal(cert.directions, [True, True])
 
     f2 = cone.from_predicate(1, 129, lambda p: p[:, 0] >= 0.5, closed=True)
@@ -225,7 +229,7 @@ def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
     Reference for the single check in ``find_cone``: membership tests are
     written out here rather than taken from the cone module.
     """
-    clearance = cone.ray_clearance(g, None, ladder_steps)
+    clearance = cone.ray_clearance(g, ladder_steps)
     pts = cone.node_points(f)
     radii = np.linalg.norm(pts, axis=-1)
     f_flat = f.indicator.reshape(-1)

@@ -106,7 +106,7 @@ def test_chart_disk_coordinates_invert():
     assert np.max(np.abs(again - z)) <= 1e-9
 
 
-def test_single_chart_covering_is_a_passthrough():
+def test_one_chart_covering_is_a_passthrough():
     n, n_depth = 64, 12
     trace = _degree_one_trace(n)
     covering = cov.build_covering(dom.circle(n), 1)

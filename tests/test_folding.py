@@ -98,7 +98,7 @@ def test_affine_pair_energy_matches_hand_integration():
     h = 1.0 / (n - 1)
     for v, w in (((1.0, 0.0), (0.0, 1.0)), ((0.5, 0.2), (-0.3, 0.7))):
         u0, u1 = _affine_pair(n, v, w)
-        folded, report = fo.fold(u0, u1)
+        report = fo.verify_fold_traces(fo.fold(u0, u1), u0, u1)
         exact = _affine_fold_exact_energy(v, w)
         scale = float(np.dot(v, v) + np.dot(w, w))
         # first order quadrature error along the fold seams
@@ -108,7 +108,7 @@ def test_affine_pair_energy_matches_hand_integration():
 
 def test_affine_pair_frozen_values():
     u0, u1 = _affine_pair(129, (1.0, 0.0), (0.0, 1.0))
-    folded, report = fo.fold(u0, u1)
+    report = fo.verify_fold_traces(fo.fold(u0, u1), u0, u1)
     assert _affine_fold_exact_energy((1.0, 0.0), (0.0, 1.0)) == 3.0
     assert report.energy_out == pytest.approx(2.9765625, abs=1e-10)
     assert report.energy_in_0 == pytest.approx(1.0, rel=1e-12)
@@ -138,7 +138,7 @@ def _smooth_pair(rng, n):
 
 def test_bottom_trace_is_copied_bit_exactly():
     u0, u1 = _smooth_pair(np.random.default_rng(3), 65)
-    folded, _ = fo.fold(u0, u1)
+    folded = fo.fold(u0, u1)
     bottom = gm.extract_trace(folded, "bottom")
     assert np.array_equal(bottom.values, gm.extract_trace(u1, "bottom").values)
 
@@ -149,12 +149,10 @@ def test_side_traces_are_node_exact():
     # nodes of the respective input and come out exact.
     for n in (33, 65):
         u0, u1 = _smooth_pair(np.random.default_rng(4), n)
-        folded, report = fo.fold(u0, u1)
-        check = fo.verify_fold_traces(folded, u0, u1)
+        check = fo.verify_fold_traces(fo.fold(u0, u1), u0, u1)
         assert check.trace_bottom_error == 0.0
         assert check.trace_left_error == 0.0
         assert check.trace_right_error == 0.0
-        assert report.trace_left_error == check.trace_left_error
 
 
 def test_energy_bound_holds_for_several_exponents():
@@ -163,7 +161,7 @@ def test_energy_bound_holds_for_several_exponents():
         bound = fo.fold_energy_bound(p)
         for _ in range(3):
             u0, u1 = _smooth_pair(rng, 65)
-            _, report = fo.fold(u0, u1, p=p)
+            report = fo.verify_fold_traces(fo.fold(u0, u1), u0, u1, p)
             assert report.p == p
             assert report.ratio <= bound
             assert report.energy_out == pytest.approx(
@@ -179,7 +177,7 @@ def test_mismatched_bottom_traces_are_rejected():
     with pytest.raises(PreconditionError):
         fo.fold(u0, shifted)
     # An explicit generous tolerance admits the same pair.
-    folded, _ = fo.fold(u0, shifted, trace_tol=2.0)
+    folded = fo.fold(u0, shifted, trace_tol=2.0)
     assert folded.domain == u0.domain
 
 
@@ -191,7 +189,7 @@ def test_single_corrupted_trace_node_is_detected():
     bumped = gm.GridMap(domain=u1.domain, target=u1.target, values=vals)
     with pytest.raises(PreconditionError):
         fo.fold(u0, bumped, trace_tol=delta / 2.0)
-    folded, _ = fo.fold(u0, bumped, trace_tol=2.0 * delta)
+    folded = fo.fold(u0, bumped, trace_tol=2.0 * delta)
     check = fo.verify_fold_traces(folded, u0, bumped)
     # the sup norm sees exactly the planted defect against the first map
     assert check.trace_bottom_error == pytest.approx(delta, rel=1e-9)
@@ -220,6 +218,6 @@ def test_fold_on_a_cube_collar():
     base = rng.normal(size=(8, 6, 1, 2)) * np.ones((1, 1, 9, 1))
     u0 = gm.GridMap(domain=d, target=tg.euclidean(2), values=base)
     u1 = gm.GridMap(domain=d, target=tg.euclidean(2), values=np.array(base))
-    folded, report = fo.fold(u0, u1)
+    report = fo.verify_fold_traces(fo.fold(u0, u1), u0, u1)
     assert report.trace_bottom_error == 0.0
     assert report.ratio <= fo.fold_energy_bound(2.0)

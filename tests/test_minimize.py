@@ -149,9 +149,13 @@ def test_config_validation():
 def test_trace_and_target_must_agree():
     u = _degree_trace(16, 1)
     with pytest.raises(ParameterError):
-        mi.minimize_extension(u, dom.cylinder(16, 6), tg.euclidean(2), mi.MinimizeConfig())
+        mi.minimize_extension_detailed(
+            u, dom.cylinder(16, 6), tg.euclidean(2), mi.MinimizeConfig()
+        )
     with pytest.raises(ParameterError):
-        mi.minimize_extension(u, dom.cylinder(24, 6), tg.circle(), mi.MinimizeConfig())
+        mi.minimize_extension_detailed(
+            u, dom.cylinder(24, 6), tg.circle(), mi.MinimizeConfig()
+        )
 
 
 def test_penalized_descent_relaxes_below_the_constrained_energy():
@@ -160,12 +164,13 @@ def test_penalized_descent_relaxes_below_the_constrained_energy():
     collar = dom.cylinder(n, n_depth)
     cfg = mi.MinimizeConfig(max_iterations=500)
     pen = en.distance_penalty(0.25, 2.0, tg.circle())
-    relaxed, e_pen = mi.minimize_penalized(u, pen, collar, cfg)
+    res = mi.minimize_penalized_detailed(u, pen, collar, cfg)
+    relaxed, e_pen = res.map, res.energy
     assert 0.0 < e_pen <= 2.0 * np.pi + 1e-6
     assert relaxed.target == tg.euclidean(2)
     assert np.array_equal(relaxed.values[:, 0, :], u.values)
     with pytest.raises(ParameterError):
-        mi.minimize_penalized(u, en.no_penalty(), collar, cfg)
+        mi.minimize_penalized_detailed(u, en.no_penalty(), collar, cfg)
 
 
 @pytest.mark.parametrize("p, eps", [(2.0, None), (3.0, None), (2.0, 0.25)])
@@ -195,19 +200,19 @@ def test_deeper_collars_carry_more_energy():
     n, n_depth = 48, 16
     u = _degree_trace(n, 1)
     cfg = mi.MinimizeConfig(max_iterations=500)
-    _, shallow = mi.minimize_extension(
+    shallow = mi.minimize_extension_detailed(
         u, dom.cylinder(n, n_depth, depth=0.5), tg.circle(), cfg
-    )
-    _, deep = mi.minimize_extension(
+    ).energy
+    deep = mi.minimize_extension_detailed(
         u, dom.cylinder(n, n_depth, depth=1.0), tg.circle(), cfg
-    )
+    ).energy
     assert shallow <= deep * 1.01
 
 
 def test_sweep_flags_on_winding_data():
     u = _degree_trace(32, 1)
     cfg = mi.MinimizeConfig(max_iterations=300)
-    sweep = mi.isobe_sweep(u, 2.0, (0.5, 0.25), (1.0, 0.5), cfg, n_depth=10)
+    sweep = mi.isobe_sweep(u, (0.5, 0.25), (1.0, 0.5), cfg, n_depth=10)
     assert len(sweep.triples) == 4
     for eps, depth, energy in sweep.triples:
         assert np.isfinite(energy)
@@ -220,19 +225,19 @@ def test_sweep_validates_parameters():
     u = _degree_trace(16, 1)
     cfg = mi.MinimizeConfig()
     with pytest.raises(ParameterError):
-        mi.isobe_sweep(u, 2.0, (), (1.0,), cfg)
+        mi.isobe_sweep(u, (), (1.0,), cfg)
     with pytest.raises(ParameterError):
-        mi.isobe_sweep(u, 2.0, (0.5,), (-1.0,), cfg)
+        mi.isobe_sweep(u, (0.5,), (-1.0,), cfg)
     free = gm.TraceMap(
         base=dom.circle(16), target=tg.euclidean(2), values=np.ones((16, 2))
     )
     with pytest.raises(ParameterError):
-        mi.isobe_sweep(free, 2.0, (0.5,), (1.0,), cfg)
+        mi.isobe_sweep(free, (0.5,), (1.0,), cfg)
     on_interval = gm.TraceMap(
         base=dom.interval(16), target=tg.circle(), values=np.tile([1.0, 0.0], (16, 1))
     )
     with pytest.raises(ParameterError):
-        mi.isobe_sweep(on_interval, 2.0, (0.5,), (1.0,), cfg)
+        mi.isobe_sweep(on_interval, (0.5,), (1.0,), cfg)
 
 
 def _wiggle_trace(rng, n):
@@ -260,7 +265,7 @@ def test_extension_to_seminorm_ratio_is_stable_at_p_three_halves():
         for _ in range(4):
             u = _wiggle_trace(rng, n)
             collar = dom.cylinder(n, max(8, n // 6))
-            _, ext = mi.minimize_extension(u, collar, tg.circle(), cfg)
+            ext = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg).energy
             gag = en.gagliardo_energy(u, s, p).value
             worst = max(worst, ext / gag)
         ratios[n] = worst
