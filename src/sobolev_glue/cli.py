@@ -282,6 +282,7 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     print(_kv_line("iterations", result.iterations))
     print(_kv_line("converged", str(result.converged).lower()))
     print(_kv_line("gradient_sup", result.gradient_sup))
+    print(_kv_line("backtracks", result.backtracks))
     return 0
 
 

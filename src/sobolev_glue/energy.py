@@ -24,6 +24,14 @@ every p: O(N^2) time, with every temporary at O(N) entries times the
 number of components.  The result is deterministic: the same input gives
 the same bits on every run.
 
+The Dirichlet sum is built in two steps that the descent in
+``minimize`` shares: ``_forward_differences`` takes the undivided
+differences roll(U, -1, a) - U along every axis, and ``_grad_sq`` sums
+their squares over the 2 or 3 components with ``target.sum_of_squares``.
+That loop adds the components in the order ``np.add.reduce`` uses for
+short axes, so it gives the same bits as ``np.sum(..., axis=-1)`` at a
+fraction of the cost of numpy's reduction over a short last axis.
+
 Node quadrature weights are trapezoidal along interval axes (half weight
 at the two ends) and uniform along periodic axes, so constants integrate
 to the exact domain volume.
@@ -32,14 +40,14 @@ to the exact domain volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .domain import DomainSpec
 from .errors import ParameterError
 from .gridmap import GridMap, TraceMap
-from .target import TargetSpec, distance_to_target
+from .target import TargetSpec, distance_to_target, sum_of_squares
 
 
 @dataclass(frozen=True)
@@ -126,18 +134,30 @@ def _cell_volume(domain: DomainSpec) -> float:
     return float(np.prod([ax.spacing for ax in domain.axes]))
 
 
-def _grad_sq(values: np.ndarray, domain: DomainSpec) -> np.ndarray:
+def _forward_differences(values: np.ndarray, domain: DomainSpec) -> Iterator[np.ndarray]:
+    """Undivided forward differences ``roll(v, -1, a) - v``, one per axis.
+
+    Made on demand, so an energy that consumes them holds one at a time;
+    the descent keeps them in a list for its gradient.  Full-size arrays:
+    on interval axes the last layer wraps around and is never read,
+    because no cell is anchored there.
+    """
+    return (np.roll(values, -1, axis=a) - values for a in range(domain.ndim))
+
+
+def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
+    """|DU|^2 per cell from the forward differences of its low corner."""
     cells = _cells(domain)
     total = None
-    for a, axis in enumerate(domain.axes):
-        diff = (np.roll(values, -1, axis=a) - values) / axis.spacing
-        contrib = np.sum(diff[cells + (slice(None),)] ** 2, axis=-1)
+    for diff, axis in zip(diffs, domain.axes):
+        contrib = sum_of_squares(diff[cells] / axis.spacing)
         total = contrib if total is None else total + contrib
     return total
 
 
-def _dirichlet_sum(values: np.ndarray, domain: DomainSpec, p: float) -> float:
-    return float(np.sum(_grad_sq(values, domain) ** (p / 2.0)) * _cell_volume(domain))
+def _dirichlet_sum(s: np.ndarray, domain: DomainSpec, p: float) -> float:
+    """Cell sum of |DU|^p from ``s`` = ``_grad_sq``."""
+    return float(np.sum(s ** (p / 2.0)) * _cell_volume(domain))
 
 
 def _penalty_sum(values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec) -> float:
@@ -150,7 +170,9 @@ def _penalty_sum(values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec) -> 
 def dirichlet_p_energy(m: GridMap | TraceMap, p: float) -> EnergyReport:
     p = _check_p(p)
     return EnergyReport(
-        value=_dirichlet_sum(m.values, m.domain, p),
+        value=_dirichlet_sum(
+            _grad_sq(_forward_differences(m.values, m.domain), m.domain), m.domain, p
+        ),
         p=p,
         s=None,
         resolution=m.domain.shape,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import dirichlet_p_energy
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, ParameterError, PreconditionError
 from .gridmap import GridMap, evaluate_batch, extract_trace, node_mesh
 from .target import project_to_target
 
@@ -116,12 +116,18 @@ def fold(u0: GridMap, u1: GridMap, trace_tol: float | None = None) -> GridMap:
     Returns the folded map; :func:`verify_fold_traces` measures its trace
     errors and energies.  Raises PreconditionError when the bottom traces
     differ by more than ``trace_tol`` in the sup norm (default: ten times
-    the largest grid spacing).
+    the largest grid spacing); a tolerance that is negative or not finite
+    is a ParameterError.
     """
     _check_fold_inputs(u0, u1)
     dom = u0.domain
     if trace_tol is None:
         trace_tol = 10.0 * dom.max_spacing
+    elif not (np.isfinite(trace_tol) and trace_tol >= 0.0):
+        # a nan tolerance would accept any traces: gap > nan is false
+        raise ParameterError(
+            f"trace tolerance must be finite and non-negative, got {trace_tol}"
+        )
     bottom0 = u0.values[..., 0, :]
     bottom1 = u1.values[..., 0, :]
     gap = _sup_norm_gap(bottom0, bottom1)

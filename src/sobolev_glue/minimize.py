@@ -10,9 +10,17 @@ and collar depths, and ``circle_lifting_oracle`` solves the lifted scalar
 problem exactly for p = 2 circle-valued data.
 
 The descent direction is the exact analytic gradient of the discrete
-objective; the bottom row's gradient is zeroed and its values are copied
-from the boundary data after every accepted step, so they stay
-bit-identical throughout.
+objective; the bottom row's gradient is zeroed and every trial point
+gets the boundary data copied into its bottom row, so it stays
+bit-identical throughout.  ``MinimizeResult.backtracks`` counts the
+rejected trial steps, those whose projection hit the origin included.
+
+Each point is evaluated once.  A trial point's objective computes the
+undivided forward differences along every axis and the cell |DU|^2
+built from them; when the point is accepted, the next gradient reuses
+both instead of recomputing them.  The gradient, the energy and the
+iterates are the bits the two-pass formulas gave, because every array
+is computed from the same operands in the same order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from .energy import (
     PenaltySpec,
     _cell_volume,
     _cells,
+    _check_p,
     _dirichlet_sum,
+    _forward_differences,
     _grad_sq,
     _penalty_sum,
     no_penalty,
@@ -45,7 +55,13 @@ from .errors import (
     SingularityError,
 )
 from .gridmap import GridMap, TraceMap
-from .target import TargetSpec, distance_to_target, euclidean, project_to_target
+from .target import (
+    TargetSpec,
+    distance_to_target,
+    euclidean,
+    project_to_target,
+    sum_of_squares,
+)
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -71,8 +87,7 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.p > 1.0 and np.isfinite(self.p)):
-            raise ParameterError(f"exponent p must satisfy p > 1, got {self.p}")
+        _check_p(self.p)
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be positive")
         if not (self.step > 0.0 and np.isfinite(self.step)):
@@ -93,6 +108,7 @@ class MinimizeResult:
     energies: tuple[float, ...]
     converged: bool
     gradient_sup: float
+    backtracks: int
 
 
 @dataclass(frozen=True)
@@ -115,8 +131,10 @@ class SweepResult:
 
 # ------------------------------------------------------------- objectives
 
-def _dirichlet_gradient(values: np.ndarray, domain: DomainSpec, p: float) -> np.ndarray:
-    s = _grad_sq(values, domain)
+def _dirichlet_gradient(
+    diffs: list[np.ndarray], s: np.ndarray, domain: DomainSpec, p: float
+) -> np.ndarray:
+    """Gradient from a point's forward differences and its ``_grad_sq``."""
     exponent = (p - 2.0) / 2.0
     if exponent < 0.0:
         # p < 2: the cell term is non-differentiable at zero gradient;
@@ -127,9 +145,8 @@ def _dirichlet_gradient(values: np.ndarray, domain: DomainSpec, p: float) -> np.
         w_cells = s**exponent
     w_full = np.zeros(domain.shape)
     w_full[_cells(domain)] = w_cells
-    grad = np.zeros_like(values)
-    for a, axis in enumerate(domain.axes):
-        diff = np.roll(values, -1, axis=a) - values
+    grad = np.zeros_like(diffs[0])
+    for a, (diff, axis) in enumerate(zip(diffs, domain.axes)):
         t = w_full[..., None] * diff / axis.spacing**2
         grad += np.roll(t, 1, axis=a) - t
     return grad * (p * _cell_volume(domain))
@@ -140,7 +157,7 @@ def _penalty_gradient(
 ) -> np.ndarray:
     if penalty.kind == "none":
         return np.zeros_like(values)
-    norms = np.linalg.norm(values, axis=-1)
+    norms = np.sqrt(sum_of_squares(values))
     dist = np.abs(norms - 1.0)
     q = penalty.power
     mag = q * np.where(dist > 0.0, dist, 1.0) ** (q - 1.0)
@@ -153,9 +170,9 @@ def _penalty_gradient(
 
 def dirichlet_gradient(m: GridMap, p: float) -> np.ndarray:
     """Exact gradient of the discrete p-Dirichlet energy in the node values."""
-    if not (p > 1.0 and np.isfinite(p)):
-        raise ParameterError(f"exponent p must satisfy p > 1, got {p}")
-    return _dirichlet_gradient(np.asarray(m.values), m.domain, float(p))
+    p = _check_p(p)
+    diffs = list(_forward_differences(np.asarray(m.values), m.domain))
+    return _dirichlet_gradient(diffs, _grad_sq(diffs, m.domain), m.domain, p)
 
 
 # ---------------------------------------------------------------- descent
@@ -190,15 +207,19 @@ def _descend(
     values = np.repeat(bottom[..., None, :], n_depth, axis=-2)
     vols = node_volumes(domain)
 
-    def objective(v: np.ndarray) -> float:
-        return _dirichlet_sum(v, domain, p) + _penalty_sum(v, vols, penalty)
+    def evaluate(v: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
+        # the objective, with the differences and cell |DU|^2 that the
+        # gradient at v reuses
+        diffs = list(_forward_differences(v, domain))
+        s = _grad_sq(diffs, domain)
+        return _dirichlet_sum(s, domain, p) + _penalty_sum(v, vols, penalty), diffs, s
 
-    def gradient(v: np.ndarray) -> np.ndarray:
-        g = _dirichlet_gradient(v, domain, p) + _penalty_gradient(v, vols, penalty)
+    def gradient(v: np.ndarray, diffs: list[np.ndarray], s: np.ndarray) -> np.ndarray:
+        g = _dirichlet_gradient(diffs, s, domain, p) + _penalty_gradient(v, vols, penalty)
         g[..., 0, :] = 0.0  # bottom row pinned
         return g
 
-    energy = objective(values)
+    energy, diffs, s = evaluate(values)
     if not np.isfinite(energy):
         raise OptimizationError("initial energy is not finite")
     energies = [energy]
@@ -206,9 +227,10 @@ def _descend(
     converged = False
     grad_sup = float("inf")
     iterations = 0
+    backtracks = 0
 
     for it in range(cfg.max_iterations):
-        grad = gradient(values)
+        grad = gradient(values, diffs, s)
         if not np.all(np.isfinite(grad)):
             raise OptimizationError(f"gradient not finite at iteration {it}")
         grad_sup = float(np.max(np.abs(grad)))
@@ -225,9 +247,10 @@ def _descend(
                     candidate = project_to_target(target, candidate)
                 except SingularityError:
                     t *= 0.5
+                    backtracks += 1
                     continue
-                candidate[..., 0, :] = bottom
-            cand_energy = objective(candidate)
+            candidate[..., 0, :] = bottom
+            cand_energy, cand_diffs, cand_s = evaluate(candidate)
             moved_sq = float(np.sum((candidate - values) ** 2))
             if np.isfinite(cand_energy) and (
                 cand_energy <= energy - _ARMIJO * moved_sq / t
@@ -235,6 +258,7 @@ def _descend(
                 accepted = True
                 break
             t *= 0.5
+            backtracks += 1
 
         if not accepted:
             # backtracking shrank the step to rounding scale without any
@@ -243,9 +267,7 @@ def _descend(
             break
 
         drop = energy - cand_energy
-        values = candidate
-        values[..., 0, :] = bottom
-        energy = cand_energy
+        values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
         energies.append(energy)
         iterations = it + 1
         trial = min(t * 2.0, cfg.step * 1024.0)
@@ -266,6 +288,7 @@ def _descend(
         energies=tuple(energies),
         converged=converged,
         gradient_sup=grad_sup,
+        backtracks=backtracks,
     )
 
 

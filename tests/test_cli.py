@@ -199,6 +199,18 @@ def test_fold_with_mismatched_traces_exits_three(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_fold_with_a_nan_or_negative_trace_tol_exits_two(tmp_path, capsys, tol):
+    p0, p1 = _matched_fold_pair(tmp_path)
+    out = str(tmp_path / "f.sgf")
+    code, _, err = run_cli(
+        ["fold", "--u0", p0, "--u1", p1, "--out", out, "--trace-tol", tol], capsys
+    )
+    assert code == 2
+    assert "trace tolerance" in err
+    assert not os.path.exists(out)
+
+
 def test_fold_is_deterministic(tmp_path, capsys):
     p0, p1 = _matched_fold_pair(tmp_path)
     out1, out2 = str(tmp_path / "a.sgf"), str(tmp_path / "b.sgf")
@@ -385,15 +397,16 @@ def test_estimate_reports_convergence_and_the_gradient_sup(tmp_path, capsys):
         )
         assert code == 0
         keys = [line.partition("=")[0] for line in stdout.splitlines()]
-        assert keys == ["energy", "iterations", "converged", "gradient_sup"]
+        assert keys == ["energy", "iterations", "converged", "gradient_sup", "backtracks"]
         seen[name] = (
             _value_of(stdout, "converged"),
             int(_value_of(stdout, "iterations")),
             float(_value_of(stdout, "gradient_sup")),
+            int(_value_of(stdout, "backtracks")),
         )
     assert seen["bump"][:2] == ("false", 1)
     assert seen["bump"][2] > 0.0
-    assert seen["constant"] == ("true", 0, 0.0)
+    assert seen["constant"] == ("true", 0, 0.0, 0)
 
 
 def test_estimate_penalized_needs_eps_and_constrained_trace(tmp_path, capsys):

@@ -13,7 +13,7 @@ from sobolev_glue import energy as en
 from sobolev_glue import folding as fo
 from sobolev_glue import gridmap as gm
 from sobolev_glue import target as tg
-from sobolev_glue.errors import DomainError, PreconditionError
+from sobolev_glue.errors import DomainError, ParameterError, PreconditionError
 
 
 def test_stretch_constants_match_svd_of_the_substitutions():
@@ -193,6 +193,23 @@ def test_single_corrupted_trace_node_is_detected():
     check = fo.verify_fold_traces(folded, u0, bumped)
     # the sup norm sees exactly the planted defect against the first map
     assert check.trace_bottom_error == pytest.approx(delta, rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_tolerance_that_is_nan_negative_or_infinite_is_a_parameter_error(tol):
+    # bottom traces (1, 0) and (0, 1) differ by sqrt(2) at every node; a
+    # nan tolerance used to fold them silently, because gap > nan is false
+    d = dom.square(9, 9)
+    a = gm.GridMap(domain=d, target=tg.euclidean(2), values=np.tile([1.0, 0.0], (9, 9, 1)))
+    b = gm.GridMap(domain=d, target=tg.euclidean(2), values=np.tile([0.0, 1.0], (9, 9, 1)))
+    with pytest.raises(ParameterError):
+        fo.fold(a, b, trace_tol=tol)
+    with pytest.raises(ParameterError):
+        fo.fold(a, a, trace_tol=tol)
+    # zero is a valid tolerance: identical traces fold, distinct ones do not
+    assert fo.fold(a, a, trace_tol=0.0).domain == d
+    with pytest.raises(PreconditionError):
+        fo.fold(a, b, trace_tol=0.0)
 
 
 def test_fold_rejects_mismatched_inputs():

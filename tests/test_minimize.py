@@ -271,3 +271,258 @@ def test_extension_to_seminorm_ratio_is_stable_at_p_three_halves():
         ratios[n] = worst
     drift = abs(ratios[96] - ratios[48]) / ratios[48]
     assert drift <= 0.3, f"ratio drift {drift:.3f} across refinement"
+
+
+# ----------------------------------------------- kernels against references
+#
+# The descent evaluates each point once and reuses its forward differences
+# for the gradient, and it sums over the 2-3 components with a loop.  The
+# roll-and-reduce formulas below are the ones these replaced; the kernels
+# must reproduce them bit for bit, so descents keep every iterate.
+
+
+def _reference_grad_sq(values, domain):
+    cells = en._cells(domain)
+    total = None
+    for a, axis in enumerate(domain.axes):
+        diff = (np.roll(values, -1, axis=a) - values) / axis.spacing
+        contrib = np.sum(diff[cells + (slice(None),)] ** 2, axis=-1)
+        total = contrib if total is None else total + contrib
+    return total
+
+
+def _reference_objective(values, domain, p, vols, penalty):
+    dirichlet = float(
+        np.sum(_reference_grad_sq(values, domain) ** (p / 2.0)) * en._cell_volume(domain)
+    )
+    if penalty.kind == "none":
+        return dirichlet
+    dist = np.abs(np.linalg.norm(values, axis=-1) - 1.0)
+    q = penalty.power
+    return dirichlet + float(np.sum(dist**q / penalty.eps**q * vols))
+
+
+def _reference_dirichlet_gradient(values, domain, p):
+    s = _reference_grad_sq(values, domain)
+    exponent = (p - 2.0) / 2.0
+    if exponent < 0.0:
+        w_cells = np.where(s > 0.0, s, 1.0) ** exponent
+        w_cells = np.where(s > 0.0, w_cells, 0.0)
+    else:
+        w_cells = s**exponent
+    w_full = np.zeros(domain.shape)
+    w_full[en._cells(domain)] = w_cells
+    grad = np.zeros_like(values)
+    for a, axis in enumerate(domain.axes):
+        diff = np.roll(values, -1, axis=a) - values
+        t = w_full[..., None] * diff / axis.spacing**2
+        grad += np.roll(t, 1, axis=a) - t
+    return grad * (p * en._cell_volume(domain))
+
+
+def _reference_penalty_gradient(values, vols, penalty):
+    if penalty.kind == "none":
+        return np.zeros_like(values)
+    norms = np.linalg.norm(values, axis=-1)
+    dist = np.abs(norms - 1.0)
+    q = penalty.power
+    mag = q * np.where(dist > 0.0, dist, 1.0) ** (q - 1.0)
+    mag = np.where(dist > 0.0, mag, 0.0) / penalty.eps**q
+    safe = np.where(norms > 0.0, norms, 1.0)
+    direction = values * (np.sign(norms - 1.0) / safe)[..., None]
+    direction[norms == 0.0] = 0.0
+    return (vols * mag)[..., None] * direction
+
+
+def _kernel_domains():
+    return {
+        "cylinder": dom.cylinder(12, 7),
+        "torus_collar": dom.torus_collar(6, 5, 4),
+        "box": dom.box(5, 6, 4),
+    }
+
+
+def _kernel_values(rng, domain, nu):
+    vals = rng.normal(size=domain.shape + (nu,))
+    # a constant block: cells with zero gradient (the p < 2 subgradient
+    # branch), plus one value on the unit sphere and one at the origin
+    vals[(slice(1, 4),) * domain.ndim] = vals[(1,) * domain.ndim]
+    vals[0, 0] = 0.0
+    vals[-1, -1] = np.eye(nu)[0]
+    return vals
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "torus_collar", "box"])
+@pytest.mark.parametrize("nu", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("penalized", [False, True])
+def test_objective_and_gradient_match_the_roll_and_reduce_reference(kind, nu, p, penalized):
+    domain = _kernel_domains()[kind]
+    vals = _kernel_values(np.random.default_rng(nu + int(10 * p)), domain, nu)
+    vols = en.node_volumes(domain)
+    reference = tg.circle() if nu == 2 else tg.sphere(nu)
+    penalty = en.distance_penalty(0.3, p, reference) if penalized else en.no_penalty()
+
+    diffs = list(en._forward_differences(vals, domain))
+    s = en._grad_sq(diffs, domain)
+    assert p >= 2.0 or np.any(s == 0.0)
+    assert _same_bits(s, _reference_grad_sq(vals, domain))
+    objective = en._dirichlet_sum(s, domain, p) + en._penalty_sum(vals, vols, penalty)
+    assert _same_bits(objective, _reference_objective(vals, domain, p, vols, penalty))
+    gradient = mi._dirichlet_gradient(diffs, s, domain, p) + mi._penalty_gradient(
+        vals, vols, penalty
+    )
+    want = _reference_dirichlet_gradient(vals, domain, p) + _reference_penalty_gradient(
+        vals, vols, penalty
+    )
+    assert _same_bits(gradient, want)
+    assert _same_bits(
+        mi._penalty_gradient(vals, vols, penalty),
+        _reference_penalty_gradient(vals, vols, penalty),
+    )
+
+    m = gm.GridMap(domain=domain, target=tg.euclidean(nu), values=vals)
+    assert _same_bits(mi.dirichlet_gradient(m, p), _reference_dirichlet_gradient(vals, domain, p))
+    assert _same_bits(
+        en.dirichlet_p_energy(m, p).value,
+        np.sum(_reference_grad_sq(vals, domain) ** (p / 2.0)) * en._cell_volume(domain),
+    )
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_projection_and_distance_match_the_norm_reference(nu):
+    vals = np.random.default_rng(nu).normal(size=(9, 8, nu))
+    vals[2, 3] = np.eye(nu)[1]
+    target = tg.circle() if nu == 2 else tg.sphere(nu)
+    norms = np.linalg.norm(vals, axis=-1)
+    assert _same_bits(tg.project_to_target(target, vals), vals / norms[..., None])
+    assert _same_bits(tg.distance_to_target(target, vals), np.abs(norms - 1.0))
+    assert _same_bits(tg.sum_of_squares(vals), np.sum(vals**2, axis=-1))
+    one = vals[0, 0]
+    assert _same_bits(tg.project_to_target(target, one), one / np.linalg.norm(one))
+
+
+def _reference_descent(u, domain, cfg, penalty, project):
+    # the descent as it stood before the single evaluation per point: the
+    # gradient recomputes every difference from the accepted values
+    p = cfg.p
+    bottom = np.array(u.values)
+    values = np.repeat(bottom[..., None, :], domain.shape[-1], axis=-2)
+    vols = en.node_volumes(domain)
+    energy = _reference_objective(values, domain, p, vols, penalty)
+    energies, trial, converged, grad_sup, iterations = [energy], cfg.step, False, np.inf, 0
+    for it in range(cfg.max_iterations):
+        grad = _reference_dirichlet_gradient(values, domain, p)
+        grad = grad + _reference_penalty_gradient(values, vols, penalty)
+        grad[..., 0, :] = 0.0
+        grad_sup = float(np.max(np.abs(grad)))
+        if grad_sup == 0.0:
+            converged = True
+            break
+        t = trial
+        for _ in range(mi._MAX_HALVINGS):
+            candidate = values - t * grad
+            if project:
+                candidate = candidate / np.linalg.norm(candidate, axis=-1)[..., None]
+                candidate[..., 0, :] = bottom
+            cand_energy = _reference_objective(candidate, domain, p, vols, penalty)
+            moved_sq = float(np.sum((candidate - values) ** 2))
+            if cand_energy <= energy - mi._ARMIJO * moved_sq / t:
+                break
+            t *= 0.5
+        else:
+            converged = True
+            break
+        drop = energy - cand_energy
+        values, energy = candidate, cand_energy
+        energies.append(energy)
+        iterations = it + 1
+        trial = min(t * 2.0, cfg.step * 1024.0)
+        if drop <= cfg.tol * max(1.0, abs(energy)):
+            converged = True
+            break
+    return values, tuple(energies), iterations, converged, grad_sup
+
+
+def _torus_sphere_trace(n):
+    base = dom.torus(n, n)
+    x, y = np.meshgrid(*(ax.coordinates() for ax in base.axes), indexing="ij")
+    v = np.stack([np.cos(x) + 0.3 * np.sin(y), np.sin(x) * np.cos(y), 0.5 + np.sin(y)], -1)
+    v /= np.linalg.norm(v, axis=-1)[..., None]
+    return gm.TraceMap(base=base, target=tg.sphere(3), values=v, constraint_tol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["circle_p1.5", "circle_big_step", "torus_s2", "box_p3", "penalized_p3"])
+def test_descent_keeps_every_iterate_of_the_reference_descent(case):
+    rng = np.random.default_rng(4)
+    penalty = en.no_penalty()
+    if case == "torus_s2":
+        u = _torus_sphere_trace(6)
+        domain, p, step = dom.torus_collar(6, 6, 5), 2.0, 1.0
+    elif case == "box_p3":
+        u = gm.TraceMap(base=dom.square(6, 5), target=tg.euclidean(3),
+                        values=rng.normal(size=(6, 5, 3)))
+        domain, p, step = dom.box(6, 5, 4), 3.0, 1.0
+    else:
+        u = _wobbled_trace(20)
+        domain, step = dom.cylinder(20, 6), 1.0
+        p = 2.0 if case == "circle_big_step" else 1.5
+        if case == "circle_big_step":
+            step = 1e4
+        if case == "penalized_p3":
+            p = 3.0
+            penalty = en.distance_penalty(0.3, p, tg.circle())
+    cfg = mi.MinimizeConfig(p=p, step=step, max_iterations=40)
+    if penalty.kind == "none":
+        res = mi.minimize_extension_detailed(u, domain, u.target, cfg)
+    else:
+        res = mi.minimize_penalized_detailed(u, penalty, domain, cfg)
+    project = penalty.kind == "none" and u.target.constrained
+    values, energies, iterations, converged, grad_sup = _reference_descent(
+        u, domain, cfg, penalty, project
+    )
+    assert res.iterations >= 10
+    assert _same_bits(res.map.values, values)
+    assert _same_bits(res.energies, energies)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert _same_bits(res.gradient_sup, grad_sup)
+
+
+# --------------------------------------------------------------- backtracks
+
+def _wobbled_trace(n):
+    base = dom.circle(n)
+    t = base.axes[0].coordinates()
+    wobble = t + 0.3 * np.sin(2.0 * t)
+    vals = np.stack([np.cos(wobble), np.sin(wobble)], axis=-1)
+    return gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
+
+
+def test_backtracks_count_the_rejected_trial_steps(monkeypatch):
+    # a projected descent projects every trial once: the rejected ones
+    # are the projections that did not become iterations
+    calls = []
+
+    def counting(target, values):
+        calls.append(1)
+        return tg.project_to_target(target, values)
+
+    monkeypatch.setattr(mi, "project_to_target", counting)
+    u = _wobbled_trace(24)
+    collar = dom.cylinder(24, 8)
+    huge = mi.minimize_extension_detailed(
+        u, collar, tg.circle(), mi.MinimizeConfig(step=1e6, max_iterations=20)
+    )
+    assert huge.backtracks > 0
+    assert huge.backtracks == len(calls) - huge.iterations
+
+    constant = gm.TraceMap(
+        base=u.base, target=tg.circle(), values=np.tile([0.6, 0.8], (24, 1)),
+        constraint_tol=1e-12,
+    )
+    flat = mi.minimize_extension_detailed(constant, collar, tg.circle(), mi.MinimizeConfig())
+    assert (flat.backtracks, flat.iterations, flat.converged) == (0, 0, True)
