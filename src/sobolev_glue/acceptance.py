@@ -21,7 +21,7 @@ from . import cone as cone_mod
 from .covering import build_covering, glue, replicate_trace_patch, verify_glue
 from .domain import circle, cylinder, interval, square
 from .energy import PenaltySpec, dirichlet_p_energy, gagliardo_energy
-from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold, verify_fold_traces
+from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold, fold_trace_errors
 from .gridmap import GridMap, TraceMap
 from .minimize import (
     MinimizeConfig,
@@ -112,13 +112,7 @@ def criterion_02_fold_trace_contract() -> CriterionResult:
         worst = 0.0
         for _ in range(50):
             u0, u1 = _matched_pair(rng, n)
-            report = verify_fold_traces(fold(u0, u1), u0, u1)
-            worst = max(
-                worst,
-                report.trace_bottom_error,
-                report.trace_left_error,
-                report.trace_right_error,
-            )
+            worst = max(worst, *fold_trace_errors(fold(u0, u1), u0, u1))
         return worst <= 10.0 * h, f"worst_trace_error={worst:.3g} tol={10.0 * h:.3g}"
 
     return _timed("02_fold_trace_contract", check)
@@ -166,32 +160,36 @@ def criterion_03_fold_energy_constant() -> CriterionResult:
 
 # ----------------------------------------------------------- criterion 04
 
+def _polar_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node radii and angles of the resolution² grid over [-1,1]², ij order."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    return np.hypot(xs, ys), np.arctan2(ys, xs)
+
+
 def _random_cone_instance(
-    rng: np.random.Generator, resolution: int
+    rng: np.random.Generator, radii: np.ndarray, angles: np.ndarray
 ) -> tuple[cone_mod.SampledSet, cone_mod.SampledSet]:
-    """Random wedge-union F with a fattened open G satisfying the hypothesis."""
+    """Random wedge-union F with a fattened open G satisfying the hypothesis.
+
+    ``radii`` and ``angles`` come from :func:`_polar_grid`, built once per
+    grid and shared by every instance on it.
+    """
     wedges = rng.integers(1, 4)
     centers = rng.uniform(0.0, 2.0 * math.pi, size=wedges)
     widths = rng.uniform(0.15, 0.5, size=wedges)
     rho = rng.uniform(0.1, 0.5)
     delta = 0.06
 
-    axis = np.linspace(-1.0, 1.0, resolution)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    radii = np.hypot(xs, ys)
-    angles = np.arctan2(ys, xs)
-
-    def ang_dist(center: float) -> np.ndarray:
-        d = np.abs(np.mod(angles - center + math.pi, 2.0 * math.pi) - math.pi)
-        return d
-
     in_wedge = np.zeros_like(radii, dtype=bool)
     in_fat = np.zeros_like(radii, dtype=bool)
     for c, w in zip(centers, widths):
-        in_wedge |= ang_dist(float(c)) <= w
-        in_fat |= ang_dist(float(c)) <= w + delta
+        d = np.abs(np.mod(angles - float(c) + math.pi, 2.0 * math.pi) - math.pi)
+        in_wedge |= d <= w
+        in_fat |= d <= w + delta
     f_ind = (radii <= rho) | ((radii <= 1.0) & in_wedge)
     g_ind = (radii < rho + 0.05) | in_fat
+    resolution = radii.shape[0]
     f = cone_mod.SampledSet(2, resolution, True, f_ind)
     g = cone_mod.SampledSet(2, resolution, False, g_ind)
     return f, g
@@ -203,9 +201,10 @@ def criterion_04_cone_capture() -> CriterionResult:
     def check() -> tuple[bool, str]:
         rng = np.random.default_rng(0)
         resolution = 256
+        grid_radii, grid_angles = _polar_grid(resolution)
         radii = []
         for k in range(100):
-            f, g = _random_cone_instance(rng, resolution)
+            f, g = _random_cone_instance(rng, grid_radii, grid_angles)
             cert = cone_mod.find_cone(f, g)
             if not cert.verified:
                 return False, f"instance {k}: certificate failed verification"
@@ -217,7 +216,7 @@ def criterion_04_cone_capture() -> CriterionResult:
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
         h = 2.0 / (resolution - 1)
         # rounding slack: the grid has no y = 0 row at even resolution
-        seg = (np.abs(ys) <= h / 2.0 + 1e-9) & (xs >= 0.0) & (np.hypot(xs, ys) <= 1.0)
+        seg = (np.abs(ys) <= h / 2.0 + 1e-9) & (xs >= 0.0) & (grid_radii <= 1.0)
         half = xs > 0.5
         f = cone_mod.SampledSet(2, resolution, True, seg)
         g = cone_mod.SampledSet(2, resolution, False, half)

@@ -19,8 +19,24 @@ Containments are certified at grid scale only:
 * an F node is covered if it lies strictly inside the ball or both
   direction nodes bracketing its angle survive the erosion.
 
-``verify_cone`` re-checks both inclusions by brute force over grid nodes,
-sharing no code path with the search.
+``verify_cone`` re-checks both inclusions by brute force over grid nodes.
+It shares no capture logic with the search, only the per-grid node
+tables below; the tests check those against independent formulas.
+
+Geometry that depends on the grid alone, not on the sets, is tabulated
+once per key in bounded LRU tables of at most 4 entries each, and every
+set on that grid only gathers from them:
+
+* per (dimension, resolution, ladder_steps): the ray sample parameters
+  and the flat index of the grid cell holding each ray sample (about
+  1 MB at resolution 256);
+* per (dimension, resolution): the node radii and the rim pull-back of
+  the radial extension below;
+* per (resolution, direction count): the lower direction bracket of each
+  node's angle.
+
+Indices are int32 and every cached array is read-only.  Node coordinates
+are not kept; they are rebuilt where a table is built.
 
 For lookups just outside the unit sphere (cell corners of rim samples)
 the indicator of an open set is extended radially from about one cell
@@ -30,6 +46,7 @@ only reads honest node values inside the closed ball.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -96,22 +113,51 @@ class ConeCertificate:
 
 def from_predicate(dimension: int, resolution: int, predicate, closed: bool) -> SampledSet:
     """Sample an analytic predicate (vectorized over (N, dimension) points)."""
-    axis = np.linspace(-1.0, 1.0, resolution)
-    if dimension == 1:
-        pts = axis[:, None]
-    else:
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
+    pts = _grid_points(dimension, resolution)
     values = np.asarray(predicate(pts), dtype=bool).reshape((resolution,) * dimension)
     return SampledSet(dimension=dimension, resolution=resolution, closed=closed, indicator=values)
 
 
-def node_points(s: SampledSet) -> np.ndarray:
-    axis = s.coordinates()
-    if s.dimension == 1:
+def _grid_points(dimension: int, resolution: int) -> np.ndarray:
+    """Grid nodes over [-1,1]^dimension as (N, dimension) rows, C order."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    if dimension == 1:
         return axis[:, None]
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
+
+
+def node_points(s: SampledSet) -> np.ndarray:
+    return _grid_points(s.dimension, s.resolution)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=4)
+def _node_tables(dimension: int, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node radii and the rim pull-back ``(dst, src)`` of one grid.
+
+    ``dst`` lists the flat nodes outside the closed unit ball and
+    ``src[k]`` the node nearest to the radial pull-back of ``dst[k]`` to
+    radius 1 - h.  Both are empty on 1-D grids, whose nodes all lie in
+    the closed ball.
+    """
+    pts = _grid_points(dimension, resolution)
+    radii = np.linalg.norm(pts, axis=-1)
+    outside = radii > 1.0
+    h = 2.0 / (resolution - 1)
+    pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]
+    idx = np.clip(np.rint((pulled + 1.0) / h).astype(np.int64), 0, resolution - 1)
+    src = np.ravel_multi_index(tuple(idx.T), (resolution,) * dimension)
+    dst = np.flatnonzero(outside)
+    return (
+        _read_only(radii),
+        _read_only(dst.astype(np.int32)),
+        _read_only(src.astype(np.int32)),
+    )
 
 
 def _check_pair(f: SampledSet, g: SampledSet) -> None:
@@ -129,41 +175,20 @@ def _extended_indicator(s: SampledSet) -> np.ndarray:
     An outside node reads the value of the node nearest to its radial
     pull-back just inside the rim.  Only used by conservative cell tests.
     """
-    if s.dimension == 1:
+    _, dst, src = _node_tables(s.dimension, s.resolution)
+    if dst.size == 0:
         return s.indicator
-    res = s.resolution
-    h = s.spacing
-    pts = node_points(s)
-    radii = np.linalg.norm(pts, axis=-1)
-    outside = radii > 1.0
-    if not np.any(outside):
-        return s.indicator
-    ind = np.array(s.indicator)
-    pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]
-    idx = np.rint((pulled + 1.0) / h).astype(np.int64)
-    idx = np.clip(idx, 0, res - 1)
-    flat = ind.reshape(-1)
-    src = idx[:, 0] * res + idx[:, 1]
-    flat_out = np.where(outside.reshape(-1))[0]
-    flat[flat_out] = flat[src]
-    return flat.reshape(res, res)
+    flat = s.indicator.reshape(-1).copy()
+    flat[dst] = flat[src]
+    return flat.reshape(s.indicator.shape)
 
 
-def _cells_all_true(indicator: np.ndarray, pts: np.ndarray, resolution: int) -> np.ndarray:
-    """True where every corner of the containing grid cell is in the set."""
-    h = 2.0 / (resolution - 1)
-    idx = np.floor((pts + 1.0) / h).astype(np.int64)
-    idx = np.clip(idx, 0, resolution - 2)
-    if pts.shape[1] == 1:
-        i = idx[:, 0]
-        return indicator[i] & indicator[i + 1]
-    i, j = idx[:, 0], idx[:, 1]
-    return (
-        indicator[i, j]
-        & indicator[i + 1, j]
-        & indicator[i, j + 1]
-        & indicator[i + 1, j + 1]
-    )
+def _cells_all_true(indicator: np.ndarray) -> np.ndarray:
+    """Per grid cell, (res - 1)^m of them: every corner is in the set."""
+    ok = indicator[:-1] & indicator[1:]
+    if ok.ndim == 2:
+        ok = ok[:, :-1] & ok[:, 1:]
+    return ok
 
 
 def _interior_nodes(indicator: np.ndarray, extended: np.ndarray) -> np.ndarray:
@@ -190,8 +215,7 @@ def _interior_nodes(indicator: np.ndarray, extended: np.ndarray) -> np.ndarray:
 def check_boundary_containment(f: SampledSet, g: SampledSet) -> bool:
     """Every F node within one cell of the unit sphere sits in G's interior."""
     _check_pair(f, g)
-    pts = node_points(f)
-    radii = np.linalg.norm(pts, axis=-1)
+    radii, _, _ = _node_tables(f.dimension, f.resolution)
     delta = f.spacing * math.sqrt(f.dimension)
     near_rim = np.abs(radii - 1.0) <= delta
     f_flat = f.indicator.reshape(-1)
@@ -209,6 +233,28 @@ def _directions(dimension: int, count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
+@functools.lru_cache(maxsize=4)
+def _ray_cells(
+    dimension: int, resolution: int, ladder_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ray sample parameters ``ts`` and the cell holding every ray sample.
+
+    Entry (j, k) of the second array is the flat index, on the
+    (res - 1)^m cell grid, of the cell that contains ts[k] * direction j.
+    """
+    # 2-D sets: 4 x resolution directions keep the rim's angular spacing below one cell
+    dirs = _directions(dimension, 4 * resolution)
+    h = 2.0 / (resolution - 1)
+    t_lo = 1.0 / ladder_steps
+    count = int(math.ceil((1.0 - t_lo) / (h / 2.0))) + 1
+    ts = np.linspace(t_lo, 1.0, count)
+    cells = np.zeros((len(dirs), count), dtype=np.int64)
+    for a in range(dimension):
+        i = np.floor((ts[None, :] * dirs[:, a, None] + 1.0) / h).astype(np.int64)
+        cells = cells * (resolution - 1) + np.clip(i, 0, resolution - 2)
+    return _read_only(ts), _read_only(cells.astype(np.int32))
+
+
 def ray_clearance(g: SampledSet, ladder_steps: int = DEFAULT_LADDER_STEPS) -> np.ndarray:
     """Largest blocked parameter per direction.
 
@@ -216,36 +262,42 @@ def ray_clearance(g: SampledSet, ladder_steps: int = DEFAULT_LADDER_STEPS) -> np
     along direction j (or -inf when the whole ray is clear).  Direction j
     belongs to the radius-r cone exactly when the entry is < r.
     """
-    # 2-D sets: 4 x resolution directions keep the rim's angular spacing below one cell
-    dirs = _directions(g.dimension, 4 * g.resolution)
-    h = g.spacing
-    t_lo = 1.0 / ladder_steps
-    count = int(math.ceil((1.0 - t_lo) / (h / 2.0))) + 1
-    ts = np.linspace(t_lo, 1.0, count)
-    ext = _extended_indicator(g)
-    pts = ts[None, :, None] * dirs[:, None, :]
-    ok = _cells_all_true(ext, pts.reshape(-1, g.dimension), g.resolution)
-    ok = ok.reshape(len(dirs), count)
-    blocked = np.where(ok, -np.inf, ts[None, :])
+    ts, cells = _ray_cells(g.dimension, g.resolution, ladder_steps)
+    ok = _cells_all_true(_extended_indicator(g)).reshape(-1)[cells]
+    blocked = np.where(ok, -np.inf, ts)
     return np.max(blocked, axis=1)
 
 
-def _bracket_indices(pts: np.ndarray, nd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction-grid nodes bracketing each point's angle (2D sets)."""
+def _lower_bracket(pts: np.ndarray, nd: int) -> np.ndarray:
+    """Direction-grid node j0 at or below each point's angle (2D sets).
+
+    The upper bracket is j1 = (j0 + 1) % nd.
+    """
     angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
     step = 2.0 * np.pi / nd
-    j0 = np.floor(angles / step).astype(np.int64) % nd
-    j1 = (j0 + 1) % nd
-    return j0, j1
+    return np.floor(angles / step).astype(np.int64) % nd
+
+
+@functools.lru_cache(maxsize=4)
+def _node_brackets(resolution: int, nd: int) -> np.ndarray:
+    """Lower direction bracket of every node of a 2-D grid."""
+    return _read_only(_lower_bracket(_grid_points(2, resolution), nd).astype(np.int32))
 
 
 def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
     """Coverage mask of F nodes by the certificate's open ball union its cone."""
-    pts = node_points(f)
-    radii = np.linalg.norm(pts, axis=-1)
+    radii, _, _ = _node_tables(f.dimension, f.resolution)
+    accepted = certificate.directions
+    if f.dimension == 1:
+        in_cone = accepted[(f.coordinates() > 0.0).astype(np.int64)]
+    else:
+        # both brackets accepted: j0 and j0 + 1 read through one rolled copy
+        both = accepted & np.roll(accepted, -1)
+        in_cone = both[_node_brackets(f.resolution, accepted.size)]
+    in_cone &= radii > 0.0
     # one cell of slack: F nodes may poke past the sphere by grid fuzz
     in_unit = radii <= 1.0 + f.spacing
-    mask = (radii < certificate.radius) | (in_unit & accepts(certificate, pts))
+    mask = (radii < certificate.radius) | (in_unit & in_cone)
     return np.where(f.indicator.reshape(-1), mask, True)
 
 
@@ -271,8 +323,8 @@ def find_cone(
         raise ParameterError("the ambient set G must be sampled open")
     if ladder_steps < 2:
         raise ParameterError(f"ladder needs at least 2 steps, got {ladder_steps}")
-    pts = node_points(f)
-    stray = f.indicator.reshape(-1) & (np.linalg.norm(pts, axis=-1) > 1.0 + f.spacing)
+    radii, _, _ = _node_tables(f.dimension, f.resolution)
+    stray = f.indicator.reshape(-1) & (radii > 1.0 + f.spacing)
     if np.any(stray):
         raise ParameterError("F has nodes outside the closed unit ball")
     if not check_boundary_containment(f, g):
@@ -307,8 +359,8 @@ def accepts(certificate: ConeCertificate, pts: np.ndarray) -> np.ndarray:
         sign_idx = (pts[:, 0] > 0.0).astype(np.int64)
         return accepted[sign_idx] & (np.abs(pts[:, 0]) > 0.0)
     radii = np.linalg.norm(pts, axis=-1)
-    j0, j1 = _bracket_indices(pts, accepted.size)
-    return accepted[j0] & accepted[j1] & (radii > 0.0)
+    j0 = _lower_bracket(pts, accepted.size)
+    return accepted[j0] & accepted[(j0 + 1) % accepted.size] & (radii > 0.0)
 
 
 def verify_cone(f: SampledSet, g: SampledSet, certificate: ConeCertificate) -> bool:
@@ -325,15 +377,15 @@ def verify_cone(f: SampledSet, g: SampledSet, certificate: ConeCertificate) -> b
     if f.dimension == 2 and accepted.size < 4:
         raise ParameterError("two-dimensional sets need at least 4 direction bits")
     radius = certificate.radius
-    pts = node_points(f)
-    radii = np.linalg.norm(pts, axis=-1)
+    radii, _, _ = _node_tables(f.dimension, f.resolution)
 
     if f.dimension == 1:
-        sign_idx = (pts[:, 0] > 0.0).astype(np.int64)
-        in_cone = accepted[sign_idx] & (np.abs(pts[:, 0]) > 0.0)
+        x = f.coordinates()
+        in_cone = accepted[(x > 0.0).astype(np.int64)] & (np.abs(x) > 0.0)
     else:
-        j0, j1 = _bracket_indices(pts, accepted.size)
-        in_cone = accepted[j0] & accepted[j1] & (radii > 0.0)
+        nd = accepted.size
+        j0 = _node_brackets(f.resolution, nd)
+        in_cone = accepted[j0] & accepted[(j0 + 1) % nd] & (radii > 0.0)
 
     f_flat = f.indicator.reshape(-1)
     outside_ball = f_flat & (radii >= radius)

@@ -35,6 +35,8 @@ from .gridmap import GridMap, TraceMap
 from .target import TargetSpec
 
 _FMT = "%.17g"
+#: rows of an SGF body formatted per write
+_WRITE_ROWS = 4096
 
 
 def format_real(x: float) -> str:
@@ -78,10 +80,13 @@ def write_grid_map(path: str, m: GridMap | TraceMap, provenance: str = "sobolev-
         ["SGF1", d.kind, str(m.nu)] + [str(n) for n in d.shape] + [m.target.kind]
     )
     flat = m.values.reshape(-1, m.nu)
+    row_fmt = " ".join([_FMT] * m.nu) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for row in flat:
-            fh.write(" ".join(_FMT % v for v in row) + "\n")
+        # one % per block of rows; blocks keep the float tuple small
+        for start in range(0, flat.shape[0], _WRITE_ROWS):
+            block = flat[start : start + _WRITE_ROWS]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
     entries = {
         "constraint_tol": format_real(m.constraint_tol),
         "created_by": provenance,

@@ -16,8 +16,9 @@ map's bottom trace at nodes, keeps the first map's x1 = 0 face and the
 second map's x1 = 1 face, and its p-energy is controlled by the largest
 singular values of the two affine substitutions, computed in closed form
 below and cross-checked against an SVD oracle in the test suite.
-``verify_fold_traces`` builds the ``FoldReport`` of a folded map: its
-three trace errors, the three p-energies and their ratio.
+``fold_trace_errors`` measures a folded map's three trace errors, and
+``verify_fold_traces`` builds its ``FoldReport``: those errors, the three
+p-energies and their ratio.
 """
 
 from __future__ import annotations
@@ -163,15 +164,14 @@ def fold(u0: GridMap, u1: GridMap, trace_tol: float | None = None) -> GridMap:
     )
 
 
-def verify_fold_traces(
-    folded: GridMap, u0: GridMap, u1: GridMap, p: float = 2.0
-) -> FoldReport:
-    """Trace errors, p-energies and energy ratio of a folded map.
+def fold_trace_errors(
+    folded: GridMap, u0: GridMap, u1: GridMap
+) -> tuple[float, float, float]:
+    """Sup-norm trace errors ``(bottom, left, right)`` of a folded map.
 
-    Independent of the bookkeeping inside :func:`fold`: traces are pulled
-    via extract_trace and energies recomputed from scratch.  The ratio is
-    energy_out / (energy_in_0 + energy_in_1), nan when both inputs have
-    zero energy.
+    Independent of the bookkeeping inside :func:`fold`: each face is pulled
+    via extract_trace and compared with the input that must own it, the
+    first map on the bottom and the x1 = 0 face, the second on x1 = 1.
     """
     _check_fold_inputs(u0, u1)
     if folded.domain != u0.domain or folded.target != u0.target:
@@ -182,14 +182,28 @@ def verify_fold_traces(
             extract_trace(folded, face).values, extract_trace(reference, face).values
         )
 
+    return face_gap("bottom", u0), face_gap("left", u0), face_gap("right", u1)
+
+
+def verify_fold_traces(
+    folded: GridMap, u0: GridMap, u1: GridMap, p: float = 2.0
+) -> FoldReport:
+    """Trace errors, p-energies and energy ratio of a folded map.
+
+    The trace errors come from :func:`fold_trace_errors`; energies are
+    recomputed from scratch.  The ratio is
+    energy_out / (energy_in_0 + energy_in_1), nan when both inputs have
+    zero energy.
+    """
+    bottom, left, right = fold_trace_errors(folded, u0, u1)
     e0 = dirichlet_p_energy(u0, p).value
     e1 = dirichlet_p_energy(u1, p).value
     eout = dirichlet_p_energy(folded, p).value
     denom = e0 + e1
     return FoldReport(
-        trace_bottom_error=face_gap("bottom", u0),
-        trace_left_error=face_gap("left", u0),
-        trace_right_error=face_gap("right", u1),
+        trace_bottom_error=bottom,
+        trace_left_error=left,
+        trace_right_error=right,
         energy_in_0=e0,
         energy_in_1=e1,
         energy_out=eout,

@@ -201,6 +201,28 @@ def test_accepts_is_conservative_and_rejects_the_origin():
     assert not got2[1] and not got2[2]
 
 
+def test_verifier_needs_both_bracketing_directions():
+    # one F node off every ray, outside the ball: it is captured only when
+    # both directions around its angle are accepted
+    res = 33
+    node = np.array([0.5, 0.75])
+    f = cone.from_predicate(
+        2, res, lambda p: np.linalg.norm(p - node, axis=-1) < 1e-9, closed=True
+    )
+    g = cone.from_predicate(2, res, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    assert np.count_nonzero(f.indicator) == 1
+    nd = 4 * res
+    j0 = int(np.arctan2(node[1], node[0]) // (2.0 * np.pi / nd))
+    for keep in ([j0, j0 + 1], [j0], [j0 + 1]):
+        directions = np.zeros(nd, dtype=bool)
+        directions[keep] = True
+        cert = cone.ConeCertificate(
+            directions=directions, radius=0.5, verified=False, pre_margin=directions
+        )
+        assert cone.verify_cone(f, g, cert) == (len(keep) == 2)
+        assert cone.accepts(cert, node[None, :])[0] == (len(keep) == 2)
+
+
 def test_empty_capture_set_is_vacuously_captured():
     f = cone.from_predicate(2, 65, lambda p: np.zeros(len(p), dtype=bool), closed=True)
     g = cone.from_predicate(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
@@ -274,7 +296,7 @@ def test_single_radius_check_matches_the_ladder_scan():
     rng = np.random.default_rng(11)
     cases = []
     for k in range(12):
-        f, g = acceptance._random_cone_instance(rng, 96 + 32 * (k % 2))
+        f, g = acceptance._random_cone_instance(rng, *acceptance._polar_grid(96 + 32 * (k % 2)))
         cases.extend((f, g, steps) for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5))
     cases.extend(_failing_instances())
     f1, g1 = (
@@ -296,3 +318,117 @@ def test_single_radius_check_matches_the_ladder_scan():
         assert np.array_equal(cert.directions, accepted)
         assert np.array_equal(cert.pre_margin, pre)
     assert failures >= 3
+
+
+# ------------------------------------------------ per-grid geometry tables
+
+_TABLES = (cone._ray_cells, cone._node_tables, cone._node_brackets)
+
+
+def _reference_ray_clearance(g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
+    """Point-by-point clearance scan: every ray sample locates its cell and
+    reads that cell's corners from the radially extended indicator."""
+    h = g.spacing
+    res = g.resolution
+    ext = g.indicator
+    if g.dimension == 2:
+        pts = cone.node_points(g)
+        radii = np.linalg.norm(pts, axis=-1)
+        outside = radii > 1.0
+        pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]
+        idx = np.clip(np.rint((pulled + 1.0) / h).astype(np.int64), 0, res - 1)
+        flat = np.array(g.indicator).reshape(-1)
+        flat[np.flatnonzero(outside)] = flat[idx[:, 0] * res + idx[:, 1]]
+        ext = flat.reshape(res, res)
+        angles = 2.0 * np.pi * np.arange(4 * res) / (4 * res)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    else:
+        dirs = np.array([[-1.0], [1.0]])
+    t_lo = 1.0 / ladder_steps
+    count = int(np.ceil((1.0 - t_lo) / (h / 2.0))) + 1
+    ts = np.linspace(t_lo, 1.0, count)
+    pts = (ts[None, :, None] * dirs[:, None, :]).reshape(-1, g.dimension)
+    cell = np.clip(np.floor((pts + 1.0) / h).astype(np.int64), 0, res - 2)
+    if g.dimension == 1:
+        ok = ext[cell[:, 0]] & ext[cell[:, 0] + 1]
+    else:
+        i, j = cell[:, 0], cell[:, 1]
+        ok = ext[i, j] & ext[i + 1, j] & ext[i, j + 1] & ext[i + 1, j + 1]
+    blocked = np.where(ok.reshape(len(dirs), count), -np.inf, ts[None, :])
+    return np.max(blocked, axis=1)
+
+
+def _table_cases():
+    rng = np.random.default_rng(3)
+    for res in (256, 257, 33, 34, 9, 8):
+        grid = acceptance._polar_grid(res)
+        for _ in range(2):
+            f, g = acceptance._random_cone_instance(rng, *grid)
+            for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5):
+                yield f, g, steps
+    f1 = cone.from_predicate(1, 65, lambda p: p[:, 0] >= 0.5, closed=True)
+    g1 = cone.from_predicate(1, 65, lambda p: p[:, 0] > 0.25, closed=False)
+    for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5):
+        yield f1, g1, steps
+
+
+def _certificate_or_error(f, g, steps):
+    try:
+        cert = cone.find_cone(f, g, ladder_steps=steps)
+    except (PreconditionError, ResolutionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return cert.directions.tobytes(), cert.pre_margin.tobytes(), cert.radius, cert.verified
+
+
+def test_tabulated_ray_clearance_matches_the_point_by_point_scan():
+    for _, g, steps in _table_cases():
+        got = cone.ray_clearance(g, steps)
+        assert got.tobytes() == _reference_ray_clearance(g, steps).tobytes()
+
+
+def test_certificates_do_not_depend_on_table_warmth():
+    cases = list(_table_cases())
+    for table in _TABLES:
+        table.cache_clear()
+    cold = [_certificate_or_error(f, g, steps) for f, g, steps in cases]
+    assert any(isinstance(c, tuple) and c[3] for c in cold)
+    # warm, in reverse order: entries get evicted and rebuilt along the way
+    warm = [_certificate_or_error(f, g, steps) for f, g, steps in reversed(cases)]
+    assert warm[::-1] == cold
+    for table in _TABLES:
+        assert table.cache_info().maxsize <= 4
+
+
+def test_cached_tables_are_read_only_int32():
+    arrays = [
+        *cone._ray_cells(2, 33, 16),
+        *cone._ray_cells(1, 33, 16),
+        *cone._node_tables(2, 33),
+        cone._node_brackets(33, 132),
+    ]
+    for a in arrays:
+        if a.dtype.kind == "i":
+            assert a.dtype == np.int32
+        with pytest.raises(ValueError):
+            a.reshape(-1)[0] = 0
+
+
+def test_bracket_table_matches_a_cross_product_oracle():
+    # node p lies in the closed sector from ray j0 up to (not onto) ray j1:
+    # d_j0 x p >= 0 > d_j1 x p, with slack for nodes on a ray
+    for res, nd in ((256, 1024), (257, 1028), (257, 516), (33, 132), (9, 4), (8, 5)):
+        j0 = cone._node_brackets(res, nd).astype(np.int64)
+        axis = np.linspace(-1.0, 1.0, res)
+        xs, ys = np.meshgrid(axis, axis, indexing="ij")
+        px, py = xs.reshape(-1), ys.reshape(-1)
+        nonzero = (px != 0.0) | (py != 0.0)
+        assert np.all((j0 >= 0) & (j0 < nd))
+
+        def cross(j):
+            angle = 2.0 * np.pi * j / nd
+            return np.cos(angle) * py - np.sin(angle) * px
+
+        assert np.all(cross(j0)[nonzero] >= -1e-12)
+        assert np.all(cross((j0 + 1) % nd)[nonzero] < 1e-12)
+        radii = cone._node_tables(2, res)[0]
+        assert np.allclose(radii, np.hypot(px, py), rtol=4e-16, atol=0.0)

@@ -27,6 +27,33 @@ def test_grid_map_round_trip_is_bit_exact(tmp_path):
         assert back.constraint_tol == m.constraint_tol
 
 
+def _per_value_body(values, nu):
+    """SGF body as the original writer formatted it, one value at a time."""
+    return "".join(
+        " ".join("%.17g" % v for v in row) + "\n" for row in values.reshape(-1, nu)
+    )
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_block_writer_matches_the_per_value_formatter(tmp_path, nu):
+    # 70 x 70 = 4900 rows cross a 4096-row block boundary
+    rng = np.random.default_rng(nu)
+    vals = rng.normal(size=(70, 70, nu)) * 10.0 ** rng.integers(-300, 300, size=(70, 70, nu))
+    special = np.array(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308, 1.7976931348623157e308]
+    )
+    vals.reshape(-1)[: special.size] = special
+    vals.reshape(-1)[-special.size :] = special[::-1]
+    m = gm.GridMap(domain=dom.square(70, 70), target=tg.euclidean(nu), values=vals)
+    path = tmp_path / "m.sgf"
+    fileio.write_grid_map(str(path), m)
+    header, body = path.read_text(encoding="ascii").split("\n", 1)
+    assert header == f"SGF1 square {nu} 70 70 euclidean"
+    assert body == _per_value_body(m.values, nu)
+    assert "-0 " in body or "-0\n" in body
+    assert np.array_equal(fileio.read_grid_map(str(path)).values, m.values)
+
+
 def test_trace_map_round_trip(tmp_path):
     theta = dom.circle(16).axes[0].coordinates()
     tr = gm.TraceMap(

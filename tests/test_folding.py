@@ -193,6 +193,12 @@ def test_single_corrupted_trace_node_is_detected():
     check = fo.verify_fold_traces(folded, u0, bumped)
     # the sup norm sees exactly the planted defect against the first map
     assert check.trace_bottom_error == pytest.approx(delta, rel=1e-9)
+    # the report's errors are the ones the bare trace check measures
+    assert fo.fold_trace_errors(folded, u0, bumped) == (
+        check.trace_bottom_error,
+        check.trace_left_error,
+        check.trace_right_error,
+    )
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
@@ -222,6 +228,8 @@ def test_fold_rejects_mismatched_inputs():
     c = gm.GridMap(domain=d, target=tg.euclidean(2), values=np.zeros((17, 17, 2)))
     with pytest.raises(DomainError):
         fo.fold(a, c)
+    with pytest.raises(DomainError):
+        fo.fold_trace_errors(c, a, a)  # folded map on another target
     circ = dom.cylinder(8, 8)
     e = gm.GridMap(domain=circ, target=tg.euclidean(1), values=np.zeros((8, 8, 1)))
     with pytest.raises(DomainError):
