@@ -75,7 +75,13 @@ def criterion_01_pair_sum_exactness() -> CriterionResult:
 # ------------------------------------------------- criteria 02, 03 (folds)
 
 def _smooth_field(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random low-frequency field on the unit square grid, two components."""
+    """Random low-frequency field on the unit square grid, two components.
+
+    Sums amp * cos(2 pi (kx x + ky y) + phase) over 0 <= kx, ky < 3.  A
+    mode with kx = 0 or ky = 0 is constant along one axis (0 * x adds an
+    exact zero), so its cosine is taken on one grid line and broadcast,
+    with the same bits as on the whole grid.
+    """
     xs = np.linspace(0.0, 1.0, n)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     out = np.zeros((n, n, 2))
@@ -85,7 +91,13 @@ def _smooth_field(rng: np.random.Generator, n: int) -> np.ndarray:
             for ky in range(3):
                 amp = rng.normal() / (1.0 + kx * kx + ky * ky)
                 phase = rng.uniform(0.0, 2.0 * math.pi)
-                field += amp * np.cos(2.0 * math.pi * (kx * gx + ky * gy) + phase)
+                if kx == 0:
+                    wave = np.cos(2.0 * math.pi * (ky * xs) + phase)[None, :]
+                elif ky == 0:
+                    wave = np.cos(2.0 * math.pi * (kx * xs) + phase)[:, None]
+                else:
+                    wave = np.cos(2.0 * math.pi * (kx * gx + ky * gy) + phase)
+                field += amp * wave
         out[..., comp] = field
     return out
 

@@ -121,6 +121,11 @@ class Chart:
     def in_closed_core(self, pts: np.ndarray) -> np.ndarray:
         return np.all(np.abs(self.affine(pts)) <= 1.0 + 1e-12, axis=-1)
 
+    def core_masks(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(in_core(pts), in_closed_core(pts))`` from one ``affine`` pass."""
+        a = np.abs(self.affine(pts))
+        return np.all(a < 1.0, axis=-1), np.all(a <= 1.0 + 1e-12, axis=-1)
+
     def to_disk(self, pts: np.ndarray) -> np.ndarray:
         """Chart-ball coordinates of base points (points of the closed core)."""
         a = self.affine(pts)
@@ -458,15 +463,19 @@ def _conservative_membership(
 
 
 def _chart_regions(
-    chart: Chart, pts: np.ndarray, radius: float, cert: cone_mod.ConeCertificate
+    chart: Chart,
+    pts: np.ndarray,
+    inside: np.ndarray,
+    radius: float,
+    cert: cone_mod.ConeCertificate,
 ) -> tuple[np.ndarray, ...]:
     """``(inside, z, radii, ball, annulus)`` of one step on a sampled base grid.
 
-    ``inside`` marks the points of the closed core, ``z`` and ``radii`` are
-    their ball coordinates, and ``ball`` / ``annulus`` mark, among them,
-    the certified ball and the accepted cone annulus.
+    ``inside`` marks the points of the closed core (``chart.in_closed_core``),
+    ``z`` and ``radii`` are their ball coordinates, and ``ball`` /
+    ``annulus`` mark, among them, the certified ball and the accepted cone
+    annulus.
     """
-    inside = chart.in_closed_core(pts)
     z = np.atleast_2d(chart.to_disk(pts[inside]))
     radii = np.linalg.norm(z, axis=-1)
     ball = radii < radius
@@ -480,16 +489,6 @@ def _trusted_after(trusted: np.ndarray, regions: tuple[np.ndarray, ...]) -> np.n
     new = np.zeros_like(trusted)
     new[inside] = ball | annulus
     return new | (trusted & ~inside)
-
-
-def _chart_grid_points(resolution: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.linspace(-1.0, 1.0, resolution)
-    if dimension == 1:
-        pts = axis[:, None]
-    else:
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
-    return pts, np.linalg.norm(pts, axis=-1)
 
 
 def glue(
@@ -552,13 +551,18 @@ def glue(
     check_grids = np.meshgrid(*[ax.coordinates() for ax in check_axes], indexing="ij")
     check_pts = np.stack([g.reshape(-1) for g in check_grids], axis=-1)
     check_shape = tuple(ax.count for ax in check_axes)
-    check_cores = np.array([chart.in_core(check_pts) for chart in covering.charts])
+    # open and closed cores of every chart on the check grid, one pass each
+    check_cores = np.empty((covering.chart_count, check_pts.shape[0]), dtype=bool)
+    check_closed = np.empty_like(check_cores)
+    for i, chart in enumerate(covering.charts):
+        check_cores[i], check_closed[i] = chart.core_masks(check_pts)
     # cores_to_come[i]: union of the cores of the charts after chart i
     later_cores = np.concatenate([check_cores[1:], np.zeros_like(check_cores[:1])])
     cores_to_come = np.logical_or.accumulate(later_cores[::-1], axis=0)[::-1]
 
     cone_res = _CONE_RESOLUTION[m]
-    chart_pts, chart_radii = _chart_grid_points(cone_res, m)
+    chart_pts = cone_mod._grid_points(m, cone_res)
+    chart_radii, _, _ = cone_mod._node_tables(m, cone_res)
     in_ball_mask = chart_radii <= 1.0
 
     steps: list[GlueStep] = []
@@ -567,10 +571,10 @@ def glue(
     for i, (chart, patch) in enumerate(zip(covering.charts, patches)):
         later = covering.charts[i + 1 :]
         if i == 0:
-            inside = chart.in_closed_core(base_pts)
+            # trusted regions: the open core on the collar base grid and
+            # on the check grid
+            h_collar, inside = chart.core_masks(base_pts)
             values[inside] = _patch_columns(chart, patch, base_pts[inside], depth_coords, trace)
-            # trusted regions on the collar base grid and the check grid
-            h_collar = np.array(chart.in_core(base_pts))
             h_check = check_cores[0]
             cert = None
             f_set = None
@@ -606,7 +610,9 @@ def glue(
             radius = cert.radius
             accepted_fraction = float(np.mean(cert.directions))
 
-            collar_regions = _chart_regions(chart, base_pts, radius, cert)
+            collar_regions = _chart_regions(
+                chart, base_pts, chart.in_closed_core(base_pts), radius, cert
+            )
             values = _fold_chart_step(
                 chart,
                 patch,
@@ -621,7 +627,7 @@ def glue(
             )
             h_collar = _trusted_after(h_collar, collar_regions)
             h_check = _trusted_after(
-                h_check, _chart_regions(chart, check_pts, radius, cert)
+                h_check, _chart_regions(chart, check_pts, check_closed[i], radius, cert)
             )
 
         holes = ~(h_check | cores_to_come[i])

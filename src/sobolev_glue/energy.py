@@ -27,10 +27,13 @@ the same bits on every run.
 The Dirichlet sum is built in two steps that the descent in
 ``minimize`` shares: ``_forward_differences`` takes the undivided
 differences roll(U, -1, a) - U along every axis, and ``_grad_sq`` sums
-their squares over the 2 or 3 components with ``target.sum_of_squares``.
-That loop adds the components in the order ``np.add.reduce`` uses for
-short axes, so it gives the same bits as ``np.sum(..., axis=-1)`` at a
-fraction of the cost of numpy's reduction over a short last axis.
+their squares over the 2 or 3 components.  Both write through slices
+instead of calling ``np.roll``: each difference is two slice
+subtractions into one new array, and the scaled differences are
+squared in place.  The components are added one at a time in the order
+``np.add.reduce`` uses for short axes (``target.sum_of_squares``), so
+every result has the bits of the roll-and-reduce formulas at a fraction
+of their cost.
 
 Node quadrature weights are trapezoidal along interval axes (half weight
 at the two ends) and uniform along periodic axes, so constants integrate
@@ -39,6 +42,7 @@ to the exact domain volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -47,7 +51,7 @@ import numpy as np
 from .domain import DomainSpec
 from .errors import ParameterError
 from .gridmap import GridMap, TraceMap
-from .target import TargetSpec, distance_to_target, sum_of_squares
+from .target import TargetSpec, distance_to_target
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,16 @@ def _cells(domain: DomainSpec) -> tuple[slice, ...]:
 
 
 def _cell_volume(domain: DomainSpec) -> float:
-    return float(np.prod([ax.spacing for ax in domain.axes]))
+    # left to right, the order in which np.prod multiplies so few factors
+    return math.prod(ax.spacing for ax in domain.axes)
+
+
+_FIRST, _LAST = slice(None, 1), slice(-1, None)
+
+
+def _layer(axis: int, layer: slice) -> tuple[slice, ...]:
+    """Index of the ``_FIRST`` or ``_LAST`` layer along ``axis``, kept as an axis."""
+    return (slice(None),) * axis + (layer,)
 
 
 def _forward_differences(values: np.ndarray, domain: DomainSpec) -> Iterator[np.ndarray]:
@@ -141,17 +154,55 @@ def _forward_differences(values: np.ndarray, domain: DomainSpec) -> Iterator[np.
     the descent keeps them in a list for its gradient.  Full-size arrays:
     on interval axes the last layer wraps around and is never read,
     because no cell is anchored there.
+
+    Each is written by two slice subtractions into one new C-ordered
+    array.  One step along axis a is k entries apart in C order, so
+    v[i + k] - v[i] over the flattened array is the forward difference at
+    every node off the last layer along a; the second subtraction then
+    writes that layer's wrapped difference v[0] - v[n - 1] over the pairs
+    that ran into the next row.  Every entry subtracts the operands
+    ``np.roll`` would pair, so the bits are the same.
     """
-    return (np.roll(values, -1, axis=a) - values for a in range(domain.ndim))
+    flat = values.reshape(-1)
+    for a in range(domain.ndim):
+        diff = np.empty_like(values, order="C")
+        k = math.prod(values.shape[a + 1 :])
+        np.subtract(flat[k:], flat[:-k], out=diff.reshape(-1)[:-k])
+        last = _layer(a, _LAST)
+        np.subtract(values[_layer(a, _FIRST)], values[last], out=diff[last])
+        yield diff
+
+
+def _squares_summed(q: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis; squares ``q`` in place.
+
+    Adds the 2 or 3 components in ``target.sum_of_squares``' order, so
+    the result has the bits of ``np.sum(q**2, axis=-1)``.
+    """
+    np.multiply(q, q, out=q)
+    nu = q.shape[-1]
+    total = q[..., 0] + q[..., 1] if nu > 1 else q[..., 0]
+    for c in range(2, nu):
+        total += q[..., c]
+    return total
 
 
 def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
-    """|DU|^2 per cell from the forward differences of its low corner."""
+    """|DU|^2 per cell from the forward differences of its low corner.
+
+    Sums ``_squares_summed(diff[cells] / h)`` over the axes in order.  The
+    scaled copy of one axis' differences is freed before the next
+    difference is made, so with ``_forward_differences`` as its input the
+    energy's peak is one difference, its scaled copy and the cell sums.
+    """
     cells = _cells(domain)
     total = None
     for diff, axis in zip(diffs, domain.axes):
-        contrib = sum_of_squares(diff[cells] / axis.spacing)
-        total = contrib if total is None else total + contrib
+        contrib = _squares_summed(diff[cells] / axis.spacing)
+        if total is None:
+            total = contrib
+        else:
+            total += contrib
     return total
 
 

@@ -18,8 +18,12 @@ rejected trial steps, those whose projection hit the origin included.
 Each point is evaluated once.  A trial point's objective computes the
 undivided forward differences along every axis and the cell |DU|^2
 built from them; when the point is accepted, the next gradient reuses
-both instead of recomputing them.  The gradient, the energy and the
-iterates are the bits the two-pass formulas gave, because every array
+both instead of recomputing them.  The gradient multiplies the cell
+weight into each component separately, divides in place and writes
+roll(t, 1, a) - t as two slice subtractions into a reused buffer; the
+descent builds every trial point and its squared move in two buffers
+it allocates once.  The gradient, the energy and the iterates are the
+bits the two-pass roll-and-broadcast formulas gave, because every entry
 is computed from the same operands in the same order.
 """
 
@@ -36,6 +40,9 @@ from scipy.sparse.linalg import spsolve
 from .domain import DomainSpec, collar_over
 from .energy import (
     PenaltySpec,
+    _FIRST,
+    _LAST,
+    _layer,
     _cell_volume,
     _cells,
     _check_p,
@@ -146,10 +153,22 @@ def _dirichlet_gradient(
     w_full = np.zeros(domain.shape)
     w_full[_cells(domain)] = w_cells
     grad = np.zeros_like(diffs[0])
+    t = np.empty_like(grad, order="C")
+    back = np.empty_like(grad, order="C")  # roll(t, 1, a) - t
+    t_flat, back_flat = t.reshape(-1), back.reshape(-1)
     for a, (diff, axis) in enumerate(zip(diffs, domain.axes)):
-        t = w_full[..., None] * diff / axis.spacing**2
-        grad += np.roll(t, 1, axis=a) - t
-    return grad * (p * _cell_volume(domain))
+        for c in range(t.shape[-1]):
+            np.multiply(w_full, diff[..., c], out=t[..., c])
+        t /= axis.spacing**2
+        # t[i - k] - t[i] off the first layer along a (k entries per step,
+        # as in ``_forward_differences``), then that layer's wrapped term
+        k = math.prod(t.shape[a + 1 :])
+        np.subtract(t_flat[:-k], t_flat[k:], out=back_flat[k:])
+        first = _layer(a, _FIRST)
+        np.subtract(t[_layer(a, _LAST)], t[first], out=back[first])
+        grad += back
+    grad *= p * _cell_volume(domain)
+    return grad
 
 
 def _penalty_gradient(
@@ -215,7 +234,8 @@ def _descend(
         return _dirichlet_sum(s, domain, p) + _penalty_sum(v, vols, penalty), diffs, s
 
     def gradient(v: np.ndarray, diffs: list[np.ndarray], s: np.ndarray) -> np.ndarray:
-        g = _dirichlet_gradient(diffs, s, domain, p) + _penalty_gradient(v, vols, penalty)
+        g = _dirichlet_gradient(diffs, s, domain, p)
+        g += _penalty_gradient(v, vols, penalty)
         g[..., 0, :] = 0.0  # bottom row pinned
         return g
 
@@ -229,11 +249,17 @@ def _descend(
     iterations = 0
     backtracks = 0
 
+    # reused buffers: ``step`` holds values - t * grad (an unprojected
+    # descent's candidate itself), ``moved`` the squared move
+    step = np.empty_like(values)
+    moved = np.empty_like(values)
+
     for it in range(cfg.max_iterations):
         grad = gradient(values, diffs, s)
-        if not np.all(np.isfinite(grad)):
+        # the max of |grad| is NaN or infinite exactly when some entry is
+        grad_sup = float(np.max(np.abs(grad, out=moved)))
+        if not math.isfinite(grad_sup):
             raise OptimizationError(f"gradient not finite at iteration {it}")
-        grad_sup = float(np.max(np.abs(grad)))
         if grad_sup == 0.0:
             converged = True
             break
@@ -241,7 +267,8 @@ def _descend(
         accepted = False
         t = trial
         for _ in range(_MAX_HALVINGS):
-            candidate = values - t * grad
+            np.multiply(grad, t, out=step)
+            candidate = np.subtract(values, step, out=step)
             if project:
                 try:
                     candidate = project_to_target(target, candidate)
@@ -251,8 +278,9 @@ def _descend(
                     continue
             candidate[..., 0, :] = bottom
             cand_energy, cand_diffs, cand_s = evaluate(candidate)
-            moved_sq = float(np.sum((candidate - values) ** 2))
-            if np.isfinite(cand_energy) and (
+            np.subtract(candidate, values, out=moved)
+            moved_sq = float(np.sum(np.multiply(moved, moved, out=moved)))
+            if math.isfinite(cand_energy) and (
                 cand_energy <= energy - _ARMIJO * moved_sq / t
             ):
                 accepted = True
@@ -267,6 +295,8 @@ def _descend(
             break
 
         drop = energy - cand_energy
+        if candidate is step:
+            step = values  # the old iterate becomes the next buffer
         values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
         energies.append(energy)
         iterations = it + 1

@@ -42,6 +42,22 @@ def _circle_setup(k, n, n_depth=16):
     return covering, patches, trace
 
 
+def test_core_masks_match_the_open_and_closed_core_tests():
+    for base, k in ((dom.circle(64), 3), (dom.torus(16, 16), 9)):
+        covering = cov.build_covering(base, k)
+        lengths = np.array(base.lengths)
+        pts = np.random.default_rng(k).uniform(-0.5, 1.5, size=(2000, base.ndim)) * lengths
+        for chart in covering.charts:
+            # the core's corners and edge midpoints: closed core, not open
+            offsets = np.array(np.meshgrid(*[[-0.5, 0.0, 0.5]] * base.ndim)).reshape(base.ndim, -1).T
+            edge = np.mod(np.array(chart.center) + offsets * np.array(chart.core_extent), lengths)
+            probe = np.concatenate([pts, edge])
+            open_core, closed_core = chart.core_masks(probe)
+            assert np.array_equal(open_core, chart.in_core(probe))
+            assert np.array_equal(closed_core, chart.in_closed_core(probe))
+            assert np.any(closed_core & ~open_core)
+
+
 def test_square_disk_round_trip():
     rng = np.random.default_rng(0)
     xy = rng.uniform(-1.0, 1.0, size=(400, 2))

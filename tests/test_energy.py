@@ -196,6 +196,23 @@ def test_pair_sum_memory_stays_linear_in_the_node_count(n, p, limit_mb):
     assert peak < limit_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_dirichlet_energy_holds_one_difference_at_a_time(p):
+    # a 48^2 x 12 collar with three components: one forward difference is
+    # as large as the values; holding all three at once peaks near 4.8x
+    domain = dom.torus_collar(48, 48, 12)
+    vals = np.random.default_rng(3).normal(size=domain.shape + (3,))
+    m = gm.GridMap(domain=domain, target=tg.euclidean(3), values=vals)
+    tracemalloc.start()
+    try:
+        value = en.dirichlet_p_energy(m, p).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak < 3.25 * vals.nbytes, f"traced peak {peak / vals.nbytes:.2f}x the values"
+
+
 def test_affine_interval_map_is_exact():
     # u(x) = x with s = 1/2, p = 2 in one dimension: every pair kernel is
     # exactly one, so the energy is the squared total weight, which the

@@ -448,21 +448,41 @@ def _reference_descent(u, domain, cfg, penalty, project):
     return values, tuple(energies), iterations, converged, grad_sup
 
 
-def _torus_sphere_trace(n):
+def _torus_sphere_trace(n, constant_block=False):
     base = dom.torus(n, n)
     x, y = np.meshgrid(*(ax.coordinates() for ax in base.axes), indexing="ij")
     v = np.stack([np.cos(x) + 0.3 * np.sin(y), np.sin(x) * np.cos(y), 0.5 + np.sin(y)], -1)
     v /= np.linalg.norm(v, axis=-1)[..., None]
+    if constant_block:
+        v[1:4, 1:4] = v[1, 1]
     return gm.TraceMap(base=base, target=tg.sphere(3), values=v, constraint_tol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["circle_p1.5", "circle_big_step", "torus_s2", "box_p3", "penalized_p3"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "circle_p1.5",
+        "circle_big_step",
+        "torus_s2",
+        "torus_s2_p1.5",
+        "box_p3",
+        "penalized_p2",
+        "penalized_p3",
+    ],
+)
 def test_descent_keeps_every_iterate_of_the_reference_descent(case):
     rng = np.random.default_rng(4)
     penalty = en.no_penalty()
     if case == "torus_s2":
         u = _torus_sphere_trace(6)
         domain, p, step = dom.torus_collar(6, 6, 5), 2.0, 1.0
+    elif case == "torus_s2_p1.5":
+        # a constant block of the trace starts with cells of zero gradient,
+        # where the p < 2 descent takes the zero subgradient
+        u = _torus_sphere_trace(6, constant_block=True)
+        domain, p, step = dom.torus_collar(6, 6, 5), 1.5, 1.0
+        start = np.repeat(u.values[..., None, :], 5, axis=-2)
+        assert np.any(en._grad_sq(list(en._forward_differences(start, domain)), domain) == 0.0)
     elif case == "box_p3":
         u = gm.TraceMap(base=dom.square(6, 5), target=tg.euclidean(3),
                         values=rng.normal(size=(6, 5, 3)))
@@ -473,8 +493,8 @@ def test_descent_keeps_every_iterate_of_the_reference_descent(case):
         p = 2.0 if case == "circle_big_step" else 1.5
         if case == "circle_big_step":
             step = 1e4
-        if case == "penalized_p3":
-            p = 3.0
+        if case.startswith("penalized"):
+            p = float(case[-1])
             penalty = en.distance_penalty(0.3, p, tg.circle())
     cfg = mi.MinimizeConfig(p=p, step=step, max_iterations=40)
     if penalty.kind == "none":
