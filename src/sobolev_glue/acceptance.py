@@ -20,7 +20,7 @@ import numpy as np
 from . import cone as cone_mod
 from .covering import build_covering, glue, replicate_trace_patch, verify_glue
 from .domain import circle, cylinder, interval, square
-from .energy import PenaltySpec, dirichlet_p_energy, gagliardo_energy
+from .energy import dirichlet_p_energy, distance_penalty, gagliardo_energy
 from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold, fold_trace_errors
 from .gridmap import GridMap, TraceMap
 from .minimize import (
@@ -293,16 +293,11 @@ def criterion_06_extension_closed_form() -> CriterionResult:
 
     def check() -> tuple[bool, str]:
         n, n_depth = 128, 64
-        base = circle(n)
-        theta = base.axes[0].coordinates()
+        ident = _degree_one_trace(n)
+        theta = ident.base.axes[0].coordinates()
         dom = cylinder(n, n_depth, 1.0)
         cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-10)
 
-        ident = TraceMap(
-            base=base,
-            target=circle_target(),
-            values=np.stack([np.cos(theta), np.sin(theta)], axis=-1),
-        )
         e_ident = minimize_extension_detailed(ident, dom, circle_target(), cfg).energy
         _, oracle_ident = circle_lifting_oracle(ident, dom)
         two_pi = 2.0 * math.pi
@@ -315,7 +310,7 @@ def criterion_06_extension_closed_form() -> CriterionResult:
             )
 
         deg2 = TraceMap(
-            base=base,
+            base=ident.base,
             target=circle_target(),
             values=np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1),
         )
@@ -337,9 +332,7 @@ def criterion_07_penalized_glue_constant() -> CriterionResult:
     """Penalized glue constant at eps 0.25 stays stable under refinement."""
 
     def check() -> tuple[bool, str]:
-        penalty = PenaltySpec(
-            kind="distance_power", eps=0.25, power=2.0, reference=circle_target()
-        )
+        penalty = distance_penalty(0.25, 2.0, circle_target())
         ratios = []
         for n in (128, 256):
             base = circle(n)
@@ -372,14 +365,7 @@ def criterion_08_isobe_boundedness() -> CriterionResult:
     """Identity-trace sweep stays below 1.1 x 2 pi for all eps."""
 
     def check() -> tuple[bool, str]:
-        n = 64
-        base = circle(n)
-        theta = base.axes[0].coordinates()
-        u = TraceMap(
-            base=base,
-            target=circle_target(),
-            values=np.stack([np.cos(theta), np.sin(theta)], axis=-1),
-        )
+        u = _degree_one_trace(64)
         cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
         sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
         bound = 1.1 * 2.0 * math.pi

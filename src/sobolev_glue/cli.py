@@ -233,7 +233,7 @@ def _parse_config(path: str) -> dict[str, str]:
 
 def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     from .domain import collar_over
-    from .energy import PenaltySpec
+    from .energy import distance_penalty
     from .fileio import read_trace_map, write_grid_map
     from .minimize import (
         MinimizeConfig,
@@ -245,7 +245,7 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     manifest.inputs[os.path.basename(args.cfg)] = _digest(args.cfg)
     trace = read_trace_map(args.trace)
 
-    known = {"max_iterations": int, "step": float, "tol": float, "seed": int}
+    known = {"max_iterations": int, "step": float, "tol": float}
     overrides = {}
     for key, value in _parse_config(args.cfg).items():
         if key not in known:
@@ -270,9 +270,7 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
             raise ParameterError(
                 "--penalized needs a constrained trace target as penalty reference"
             )
-        penalty = PenaltySpec(
-            kind="distance_power", eps=args.eps, power=args.p, reference=trace.target
-        )
+        penalty = distance_penalty(args.eps, args.p, trace.target)
         result = minimize_penalized_detailed(trace, penalty, domain, cfg)
     else:
         result = minimize_extension_detailed(trace, domain, trace.target, cfg)

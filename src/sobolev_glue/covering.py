@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cone as cone_mod
 from .domain import Axis, DomainSpec, TWO_PI, box, collar_over, square
-from .energy import PenaltySpec, no_penalty, penalized_energy
+from .energy import PenaltySpec, penalized_energy
 from .errors import (
     DomainError,
     GlueError,
@@ -39,6 +39,7 @@ from .folding import fold_sources
 from .gridmap import (
     GridMap,
     TraceMap,
+    default_constraint_tol,
     evaluate_batch,
     extract_trace,
     grid_coordinates,
@@ -309,7 +310,6 @@ def radial_fold_map(z_prime: np.ndarray, z_m, r: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GlueStep:
-    chart_index: int
     radius: float
     accepted_fraction: float
     trace_sup_error: float
@@ -327,7 +327,6 @@ class GlueReport:
     ratio: float
     trace_sup_error: float
     p: float
-    penalized: bool
     degenerate: bool
 
 
@@ -346,7 +345,6 @@ def _glue_report(
     per_patch: Sequence[float],
     glued_energy: float,
     p: float,
-    penalty: PenaltySpec,
 ) -> GlueReport:
     total = float(sum(per_patch))
     degenerate = total <= 0.0
@@ -357,7 +355,6 @@ def _glue_report(
         ratio=float("nan") if degenerate else glued_energy / total,
         trace_sup_error=max(step.trace_sup_error for step in steps),
         p=float(p),
-        penalized=penalty.kind != "none",
         degenerate=degenerate,
     )
 
@@ -380,14 +377,12 @@ def replicate_trace_patch(
     chart: Chart,
     n_depth: int,
     depth: float = 1.0,
-    counts: Optional[tuple[int, ...]] = None,
 ) -> GridMap:
     """Depth-constant patch over a chart core sampled from the trace."""
-    if counts is None:
-        counts = tuple(
-            max(2, int(round(extent / trace.base.axes[a].spacing)) + 1)
-            for a, extent in enumerate(chart.core_extent)
-        )
+    counts = tuple(
+        max(2, int(round(extent / trace.base.axes[a].spacing)) + 1)
+        for a, extent in enumerate(chart.core_extent)
+    )
     dom = _patch_domain_for(chart, counts, n_depth, depth)
     coords = grid_coordinates(dom)
     mesh = np.meshgrid(*coords[:-1], indexing="ij")
@@ -505,8 +500,11 @@ def glue(
     Patches are maps over chart-core boxes cross the depth axis (plain
     collar maps for the single-chart covering).  The report carries the
     certified radius, cone size, measured trace error and covering-gap
-    fraction of every step, the patch and glued energies (penalized when
-    a penalty is given) and their ratio.
+    fraction of every step, the patch and glued energies and their ratio.
+    ``penalty=None`` glues the plain Dirichlet energies; a penalty adds
+    its term to every energy.  ``tol`` bounds each patch's bottom-trace
+    error (default: ten times the coarsest spacing of the trace and the
+    patches).
     """
     if gap_policy not in ("abort", "warn"):
         raise ParameterError(f"gap policy must be abort|warn, got {gap_policy!r}")
@@ -519,8 +517,8 @@ def glue(
         raise ParameterError(
             f"covering has {covering.chart_count} charts, got {len(patches)} patches"
         )
-    if penalty is None:
-        penalty = no_penalty()
+    if tol is None:
+        tol = max(default_constraint_tol(part.domain) for part in (trace, *patches))
 
     if covering.single_chart:
         return _glue_single(covering, patches[0], trace, p, tol, penalty)
@@ -528,11 +526,6 @@ def glue(
     m = covering.dimension
     n_depth = patches[0].domain.axes[-1].count
     depth = patches[0].domain.axes[-1].length
-    if tol is None:
-        h_worst = max(
-            [trace.base.max_spacing] + [patch.domain.max_spacing for patch in patches]
-        )
-        tol = 10.0 * h_worst
     for chart, patch in zip(covering.charts, patches):
         _check_patch(chart, patch, trace, n_depth, depth, tol)
 
@@ -646,7 +639,6 @@ def glue(
             step_trace = 0.0
         steps.append(
             GlueStep(
-                chart_index=chart.index,
                 radius=radius,
                 accepted_fraction=accepted_fraction,
                 trace_sup_error=step_trace,
@@ -661,14 +653,13 @@ def glue(
         domain=collar,
         target=trace.target,
         values=values.reshape(collar.shape + (trace.nu,)),
-        constraint_tol=max(trace.constraint_tol, 10.0 * collar.max_spacing),
+        constraint_tol=max(trace.constraint_tol, default_constraint_tol(collar)),
     )
     report = _glue_report(
         steps,
         tuple(penalized_energy(patch, p, penalty).value for patch in patches),
         penalized_energy(glued, p, penalty).value,
         p,
-        penalty,
     )
     return glued, report
 
@@ -717,7 +708,7 @@ def _fold_chart_step(
         domain=collar,
         target=trace.target,
         values=values.reshape(collar.shape + (trace.nu,)),
-        constraint_tol=max(trace.constraint_tol, 10.0 * collar.max_spacing),
+        constraint_tol=max(trace.constraint_tol, default_constraint_tol(collar)),
     )
     n_depth = depth_coords.shape[0]
     out = values.copy()
@@ -770,8 +761,8 @@ def _glue_single(
     patch: GridMap,
     trace: TraceMap,
     p: float,
-    tol: Optional[float],
-    penalty: PenaltySpec,
+    tol: float,
+    penalty: Optional[PenaltySpec],
 ) -> tuple[GridMap, GlueReport]:
     want = "cylinder" if covering.base_kind == "circle" else "torus_collar"
     if patch.domain.kind != want:
@@ -782,8 +773,6 @@ def _glue_single(
         raise ParameterError("single-chart patch resolution does not match the trace")
     if patch.target != trace.target:
         raise ParameterError("single-chart patch target does not match the trace")
-    if tol is None:
-        tol = 10.0 * max(trace.base.max_spacing, patch.domain.max_spacing)
     bottom = extract_trace(patch, "bottom")
     sup = float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))
     if sup > tol:
@@ -793,7 +782,6 @@ def _glue_single(
         )
     energy = penalized_energy(patch, p, penalty).value
     step = GlueStep(
-        chart_index=0,
         radius=1.0,
         accepted_fraction=0.0,
         trace_sup_error=sup,
@@ -802,7 +790,7 @@ def _glue_single(
         f_set=None,
         e_set=None,
     )
-    return patch, _glue_report((step,), (energy,), energy, p, penalty)
+    return patch, _glue_report((step,), (energy,), energy, p)
 
 
 def verify_glue(
@@ -817,15 +805,14 @@ def verify_glue(
     """Independent audit of a glued extension.
 
     Recomputes the bottom-trace discrepancy through the public face
-    extraction, recomputes all energies from scratch, and re-checks every
-    retained cone certificate with the cone module's verifier.
+    extraction, recomputes all energies from scratch (with the penalty's
+    term unless ``penalty`` is None), and re-checks every retained cone
+    certificate with the cone module's verifier.
     """
     bottom = extract_trace(glued, "bottom")
     if bottom.values.shape != trace.values.shape:
         raise ParameterError("glued map resolution does not match the trace")
     sup = float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))
-    if penalty is None:
-        penalty = no_penalty()
     patch_total = float(sum(penalized_energy(patch, p, penalty).value for patch in patches))
     glued_energy = penalized_energy(glued, p, penalty).value
     degenerate = patch_total <= 0.0

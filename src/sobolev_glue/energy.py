@@ -57,48 +57,33 @@ from .target import TargetSpec, distance_to_target
 @dataclass(frozen=True)
 class EnergyReport:
     value: float
-    p: float
-    s: Optional[float]
-    resolution: tuple[int, ...]
-    quadrature: str
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
     """Pointwise penalty dist(., reference)^power / eps^power.
 
-    ``kind`` is "none" (no penalty) or "distance_power".
+    Functions that take an ``Optional[PenaltySpec]`` read ``None`` as no
+    penalty.
     """
 
-    kind: str
-    eps: float = 1.0
-    power: float = 2.0
-    reference: Optional[TargetSpec] = None
+    eps: float
+    power: float
+    reference: TargetSpec
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "distance_power"):
-            raise ParameterError(f"unknown penalty kind {self.kind!r}")
-        if self.kind == "distance_power":
-            if not (self.eps > 0.0 and np.isfinite(self.eps)):
-                raise ParameterError(f"penalty eps must be positive, got {self.eps}")
-            if not (self.power > 0.0):
-                raise ParameterError(f"penalty power must be positive, got {self.power}")
-            if self.reference is None:
-                raise ParameterError("distance_power penalty needs a reference target")
+        if not (self.eps > 0.0 and np.isfinite(self.eps)):
+            raise ParameterError(f"penalty eps must be positive, got {self.eps}")
+        if not (self.power > 0.0):
+            raise ParameterError(f"penalty power must be positive, got {self.power}")
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "none":
-            return np.zeros(values.shape[:-1])
         dist = distance_to_target(self.reference, values)
         return dist**self.power / self.eps**self.power
 
 
-def no_penalty() -> PenaltySpec:
-    return PenaltySpec(kind="none")
-
-
 def distance_penalty(eps: float, power: float, reference: TargetSpec) -> PenaltySpec:
-    return PenaltySpec(kind="distance_power", eps=eps, power=power, reference=reference)
+    return PenaltySpec(eps=eps, power=power, reference=reference)
 
 
 def _check_p(p: float) -> float:
@@ -211,9 +196,11 @@ def _dirichlet_sum(s: np.ndarray, domain: DomainSpec, p: float) -> float:
     return float(np.sum(s ** (p / 2.0)) * _cell_volume(domain))
 
 
-def _penalty_sum(values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec) -> float:
+def _penalty_sum(
+    values: np.ndarray, vols: np.ndarray, penalty: Optional[PenaltySpec]
+) -> float:
     """Node-quadrature sum of the penalty; ``vols`` is ``node_volumes``."""
-    if penalty.kind == "none":
+    if penalty is None:
         return 0.0
     return float(np.sum(penalty.evaluate(values) * vols))
 
@@ -223,11 +210,7 @@ def dirichlet_p_energy(m: GridMap | TraceMap, p: float) -> EnergyReport:
     return EnergyReport(
         value=_dirichlet_sum(
             _grad_sq(_forward_differences(m.values, m.domain), m.domain), m.domain, p
-        ),
-        p=p,
-        s=None,
-        resolution=m.domain.shape,
-        quadrature="forward_difference_cells",
+        )
     )
 
 
@@ -338,31 +321,20 @@ def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
     w = node_volumes(base)
     total = _offset_pair_sum(u.values, base, kernel, p)
     total += float(np.sum(w.reshape(-1) ** 2 * _diagonal_completion(u, s, p)))
-    return EnergyReport(
-        value=total,
-        p=p,
-        s=s,
-        resolution=base.shape,
-        quadrature="node_pairs_diagonal_completed",
-    )
+    return EnergyReport(value=total)
 
 
-def penalty_total(m: GridMap | TraceMap, penalty: PenaltySpec) -> float:
+def penalty_total(m: GridMap | TraceMap, penalty: Optional[PenaltySpec]) -> float:
     return _penalty_sum(m.values, node_volumes(m.domain), penalty)
 
 
-def penalized_energy(m: GridMap | TraceMap, p: float, penalty: PenaltySpec) -> EnergyReport:
+def penalized_energy(
+    m: GridMap | TraceMap, p: float, penalty: Optional[PenaltySpec]
+) -> EnergyReport:
+    """Dirichlet energy plus the penalty; ``penalty=None`` adds nothing."""
     p = _check_p(p)
-    if penalty.kind != "none" and m.target.constrained:
+    if penalty is not None and m.target.constrained:
         raise ParameterError(
             "penalized maps are unconstrained; use a Euclidean ambient target"
         )
-    base_report = dirichlet_p_energy(m, p)
-    value = base_report.value + penalty_total(m, penalty)
-    return EnergyReport(
-        value=value,
-        p=p,
-        s=None,
-        resolution=m.domain.shape,
-        quadrature="forward_difference_cells+node_trapezoid",
-    )
+    return EnergyReport(value=dirichlet_p_energy(m, p).value + penalty_total(m, penalty))

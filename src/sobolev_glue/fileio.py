@@ -25,7 +25,6 @@ Cone certificates (CONE)::
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 import numpy as np
 
@@ -74,7 +73,7 @@ def read_manifest(path: str) -> dict[str, str]:
 
 # ---------------------------------------------------------------- grid maps
 
-def write_grid_map(path: str, m: GridMap | TraceMap, provenance: str = "sobolev-glue") -> None:
+def write_grid_map(path: str, m: GridMap | TraceMap) -> None:
     d = m.domain
     header = " ".join(
         ["SGF1", d.kind, str(m.nu)] + [str(n) for n in d.shape] + [m.target.kind]
@@ -89,7 +88,7 @@ def write_grid_map(path: str, m: GridMap | TraceMap, provenance: str = "sobolev-
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
     entries = {
         "constraint_tol": format_real(m.constraint_tol),
-        "created_by": provenance,
+        "created_by": "sobolev-glue",
     }
     if not d.is_canonical():
         entries["axis_lengths"] = ",".join(format_real(L) for L in d.lengths)

@@ -31,7 +31,13 @@ import numpy as np
 
 from .energy import dirichlet_p_energy
 from .errors import DomainError, ParameterError, PreconditionError
-from .gridmap import GridMap, evaluate_batch, extract_trace, node_mesh
+from .gridmap import (
+    GridMap,
+    default_constraint_tol,
+    evaluate_batch,
+    extract_trace,
+    node_mesh,
+)
 from .target import project_to_target
 
 # Affine substitutions of the two folded regions (rows act on (x1, x2)).
@@ -123,7 +129,7 @@ def fold(u0: GridMap, u1: GridMap, trace_tol: float | None = None) -> GridMap:
     _check_fold_inputs(u0, u1)
     dom = u0.domain
     if trace_tol is None:
-        trace_tol = 10.0 * dom.max_spacing
+        trace_tol = default_constraint_tol(dom)
     elif not (np.isfinite(trace_tol) and trace_tol >= 0.0):
         # a nan tolerance would accept any traces: gap > nan is false
         raise ParameterError(

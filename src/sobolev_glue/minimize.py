@@ -50,7 +50,7 @@ from .energy import (
     _forward_differences,
     _grad_sq,
     _penalty_sum,
-    no_penalty,
+    distance_penalty,
     node_volumes,
     penalized_energy,
 )
@@ -61,7 +61,7 @@ from .errors import (
     PreconditionError,
     SingularityError,
 )
-from .gridmap import GridMap, TraceMap
+from .gridmap import GridMap, TraceMap, default_constraint_tol
 from .target import (
     TargetSpec,
     distance_to_target,
@@ -81,9 +81,7 @@ class MinimizeConfig:
     ``step`` is the initial trial step; it is halved until sufficient
     decrease holds and regrows after acceptances.
     ``tol`` stops the loop once the relative energy decrease of an
-    accepted step falls below it.  ``seed`` is reserved for randomized
-    restarts; the default initializer (depth-replicated boundary data) is
-    deterministic and ignores it.
+    accepted step falls below it.
     """
 
     p: float = 2.0
@@ -91,7 +89,6 @@ class MinimizeConfig:
     step: float = 1.0
     tol: float = 1e-8
     projection: str = "auto"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _check_p(self.p)
@@ -174,8 +171,6 @@ def _dirichlet_gradient(
 def _penalty_gradient(
     values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec
 ) -> np.ndarray:
-    if penalty.kind == "none":
-        return np.zeros_like(values)
     norms = np.sqrt(sum_of_squares(values))
     dist = np.abs(norms - 1.0)
     q = penalty.power
@@ -216,9 +211,10 @@ def _descend(
     domain: DomainSpec,
     target: TargetSpec,
     cfg: MinimizeConfig,
-    penalty: PenaltySpec,
+    penalty: Optional[PenaltySpec],
     project: bool,
 ) -> MinimizeResult:
+    """Descent from the depth-replicated trace; ``penalty=None`` adds no penalty."""
     _check_collar(u, domain)
     p = cfg.p
     n_depth = domain.shape[-1]
@@ -235,7 +231,8 @@ def _descend(
 
     def gradient(v: np.ndarray, diffs: list[np.ndarray], s: np.ndarray) -> np.ndarray:
         g = _dirichlet_gradient(diffs, s, domain, p)
-        g += _penalty_gradient(v, vols, penalty)
+        if penalty is not None:
+            g += _penalty_gradient(v, vols, penalty)
         g[..., 0, :] = 0.0  # bottom row pinned
         return g
 
@@ -309,7 +306,7 @@ def _descend(
         domain=domain,
         target=target if project else euclidean(u.nu),
         values=values,
-        constraint_tol=max(u.constraint_tol, 10.0 * domain.max_spacing),
+        constraint_tol=max(u.constraint_tol, default_constraint_tol(domain)),
     )
     return MinimizeResult(
         map=final,
@@ -339,14 +336,14 @@ def minimize_extension_detailed(
                 f"boundary data strays {worst:.3g} from the target"
             )
     project = target.constrained and cfg.projection == "auto"
-    return _descend(u, domain, target, cfg, no_penalty(), project)
+    return _descend(u, domain, target, cfg, None, project)
 
 
 def minimize_penalized_detailed(
     u: TraceMap, penalty: PenaltySpec, domain: DomainSpec, cfg: MinimizeConfig
 ) -> MinimizeResult:
     """Unconstrained descent on Dirichlet-plus-penalty with pinned bottom."""
-    if penalty.kind == "none":
+    if penalty is None:
         raise ParameterError("penalized descent needs a non-trivial penalty")
     return _descend(u, domain, euclidean(u.nu), cfg, penalty, project=False)
 
@@ -376,9 +373,7 @@ def isobe_sweep(
         nd = n_depth or max(8, min(64, int(round(depth / h_base)) + 1))
         domain = collar_over(u.base, nd, float(depth))
         for eps in eps_list:
-            penalty = PenaltySpec(
-                kind="distance_power", eps=float(eps), power=cfg.p, reference=u.target
-            )
+            penalty = distance_penalty(float(eps), cfg.p, u.target)
             try:
                 energy = minimize_penalized_detailed(u, penalty, domain, cfg).energy
             except OptimizationError as exc:

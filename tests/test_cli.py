@@ -340,7 +340,7 @@ def test_glue_patch_count_mismatch_exits_two(tmp_path, capsys):
 
 def _write_cfg(tmp_path, **overrides):
     path = str(tmp_path / "opt.cfg")
-    entries = {"max_iterations": 200, "step": 1.0, "tol": 1e-8, "seed": 0}
+    entries = {"max_iterations": 200, "step": 1.0, "tol": 1e-8}
     entries.update(overrides)
     with open(path, "w") as fh:
         fh.write("# optimizer configuration\n")
@@ -449,16 +449,40 @@ def test_estimate_on_an_interval_trace_is_a_usage_error(tmp_path, capsys):
     assert out == ""
 
 
-def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys):
+@pytest.mark.parametrize("entry", [{"momentum": 0.9}, {"seed": 0}], ids=["momentum", "seed"])
+def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys, entry):
     trace_path = str(tmp_path / "t.sgf")
     _write_degree_one_trace(trace_path, 32)
-    cfg = _write_cfg(tmp_path, momentum=0.9)
-    code, _, _ = run_cli(
+    cfg = _write_cfg(tmp_path, **entry)
+    code, _, err = run_cli(
         ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", cfg,
          "--out", str(tmp_path / "e.sgf")],
         capsys,
     )
     assert code == 2
+    assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+def test_penalty_width_must_be_finite_and_positive(tmp_path, capsys, eps):
+    trace_path = str(tmp_path / "t.sgf")
+    _write_degree_one_trace(trace_path, 16)
+    map_path = str(tmp_path / "m.sgf")
+    d = dom.cylinder(16, 5)
+    t = d.axes[0].coordinates()
+    vals = 1.2 * np.stack([np.cos(t), np.sin(t)], -1)[:, None, :] * np.ones((1, 5, 1))
+    fileio.write_grid_map(map_path, gm.GridMap(domain=d, target=tg.euclidean(2), values=vals))
+    code, out, _ = run_cli(
+        ["energy", "--kind", "penalized", "--p", "2.0", f"--eps={eps}", "--in", map_path],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", _write_cfg(tmp_path),
+         "--out", str(tmp_path / "e.sgf"), "--penalized", f"--eps={eps}"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
 
 
 def test_accept_rejects_unknown_suite(tmp_path, capsys):

@@ -337,10 +337,3 @@ def test_penalized_energy_requires_unconstrained_values():
     rep = en.penalized_energy(free, 2.0, pen)
     assert rep.value == pytest.approx(en.dirichlet_p_energy(free, 2.0).value, rel=1e-12)
 
-
-def test_energy_report_carries_the_run_parameters():
-    u = _interval_trace(12, lambda x: x)
-    rep = en.gagliardo_energy(u, 0.5, 2.0)
-    assert rep.p == 2.0
-    assert rep.s == 0.5
-    assert rep.resolution == (12,)

@@ -170,7 +170,7 @@ def test_penalized_descent_relaxes_below_the_constrained_energy():
     assert relaxed.target == tg.euclidean(2)
     assert np.array_equal(relaxed.values[:, 0, :], u.values)
     with pytest.raises(ParameterError):
-        mi.minimize_penalized_detailed(u, en.no_penalty(), collar, cfg)
+        mi.minimize_penalized_detailed(u, None, collar, cfg)
 
 
 @pytest.mark.parametrize("p, eps", [(2.0, None), (3.0, None), (2.0, 0.25)])
@@ -194,6 +194,17 @@ def test_last_descent_energy_is_the_reported_energy(p, eps):
         res = mi.minimize_penalized_detailed(u, pen, collar, cfg)
     assert res.iterations >= 1
     assert res.energies[-1] == res.energy
+
+
+def test_unpenalized_descent_never_builds_a_penalty_gradient(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("an unpenalized descent has no penalty gradient")
+
+    monkeypatch.setattr(mi, "_penalty_gradient", no_call)
+    u = _wobbled_trace(20)
+    cfg = mi.MinimizeConfig(max_iterations=5)
+    res = mi.minimize_extension_detailed(u, dom.cylinder(20, 6), tg.circle(), cfg)
+    assert res.iterations == 5
 
 
 def test_deeper_collars_carry_more_energy():
@@ -295,7 +306,7 @@ def _reference_objective(values, domain, p, vols, penalty):
     dirichlet = float(
         np.sum(_reference_grad_sq(values, domain) ** (p / 2.0)) * en._cell_volume(domain)
     )
-    if penalty.kind == "none":
+    if penalty is None:
         return dirichlet
     dist = np.abs(np.linalg.norm(values, axis=-1) - 1.0)
     q = penalty.power
@@ -321,7 +332,7 @@ def _reference_dirichlet_gradient(values, domain, p):
 
 
 def _reference_penalty_gradient(values, vols, penalty):
-    if penalty.kind == "none":
+    if penalty is None:
         return np.zeros_like(values)
     norms = np.linalg.norm(values, axis=-1)
     dist = np.abs(norms - 1.0)
@@ -365,7 +376,7 @@ def test_objective_and_gradient_match_the_roll_and_reduce_reference(kind, nu, p,
     vals = _kernel_values(np.random.default_rng(nu + int(10 * p)), domain, nu)
     vols = en.node_volumes(domain)
     reference = tg.circle() if nu == 2 else tg.sphere(nu)
-    penalty = en.distance_penalty(0.3, p, reference) if penalized else en.no_penalty()
+    penalty = en.distance_penalty(0.3, p, reference) if penalized else None
 
     diffs = list(en._forward_differences(vals, domain))
     s = en._grad_sq(diffs, domain)
@@ -373,17 +384,16 @@ def test_objective_and_gradient_match_the_roll_and_reduce_reference(kind, nu, p,
     assert _same_bits(s, _reference_grad_sq(vals, domain))
     objective = en._dirichlet_sum(s, domain, p) + en._penalty_sum(vals, vols, penalty)
     assert _same_bits(objective, _reference_objective(vals, domain, p, vols, penalty))
-    gradient = mi._dirichlet_gradient(diffs, s, domain, p) + mi._penalty_gradient(
-        vals, vols, penalty
-    )
-    want = _reference_dirichlet_gradient(vals, domain, p) + _reference_penalty_gradient(
-        vals, vols, penalty
-    )
+    gradient = mi._dirichlet_gradient(diffs, s, domain, p)
+    want = _reference_dirichlet_gradient(vals, domain, p)
+    if penalized:
+        gradient = gradient + mi._penalty_gradient(vals, vols, penalty)
+        want = want + _reference_penalty_gradient(vals, vols, penalty)
+        assert _same_bits(
+            mi._penalty_gradient(vals, vols, penalty),
+            _reference_penalty_gradient(vals, vols, penalty),
+        )
     assert _same_bits(gradient, want)
-    assert _same_bits(
-        mi._penalty_gradient(vals, vols, penalty),
-        _reference_penalty_gradient(vals, vols, penalty),
-    )
 
     m = gm.GridMap(domain=domain, target=tg.euclidean(nu), values=vals)
     assert _same_bits(mi.dirichlet_gradient(m, p), _reference_dirichlet_gradient(vals, domain, p))
@@ -472,7 +482,7 @@ def _torus_sphere_trace(n, constant_block=False):
 )
 def test_descent_keeps_every_iterate_of_the_reference_descent(case):
     rng = np.random.default_rng(4)
-    penalty = en.no_penalty()
+    penalty = None
     if case == "torus_s2":
         u = _torus_sphere_trace(6)
         domain, p, step = dom.torus_collar(6, 6, 5), 2.0, 1.0
@@ -497,11 +507,11 @@ def test_descent_keeps_every_iterate_of_the_reference_descent(case):
             p = float(case[-1])
             penalty = en.distance_penalty(0.3, p, tg.circle())
     cfg = mi.MinimizeConfig(p=p, step=step, max_iterations=40)
-    if penalty.kind == "none":
+    if penalty is None:
         res = mi.minimize_extension_detailed(u, domain, u.target, cfg)
     else:
         res = mi.minimize_penalized_detailed(u, penalty, domain, cfg)
-    project = penalty.kind == "none" and u.target.constrained
+    project = penalty is None and u.target.constrained
     values, energies, iterations, converged, grad_sup = _reference_descent(
         u, domain, cfg, penalty, project
     )
