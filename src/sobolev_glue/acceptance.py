@@ -267,7 +267,7 @@ def criterion_05_circle_covering_glue() -> CriterionResult:
                     for c in cov.charts
                 ]
                 glued, report = glue(cov, patches, u, p=2.0)
-                audit = verify_glue(glued, u, cov, patches, p=2.0, report=report)
+                audit = verify_glue(glued, u, patches, p=2.0, report=report)
                 h = u.base.max_spacing
                 if audit.trace_sup_error > 10.0 * h:
                     return False, (

@@ -266,10 +266,6 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     if args.penalized:
         if args.eps is None:
             raise ParameterError("--penalized needs --eps")
-        if not trace.target.constrained:
-            raise ParameterError(
-                "--penalized needs a constrained trace target as penalty reference"
-            )
         penalty = distance_penalty(args.eps, args.p, trace.target)
         result = minimize_penalized_detailed(trace, penalty, domain, cfg)
     else:

@@ -14,8 +14,7 @@ Containments are certified at grid scale only:
 * a ray direction is accepted if every sample point along it between r
   and 1 lies in a grid cell all of whose corners are in G;
 * the accepted direction set is eroded by one direction cell, so every
-  certified direction has accepted neighbours (the certificate stores the
-  un-eroded set as ``pre_margin``);
+  certified direction has accepted neighbours;
 * an F node is covered if it lies strictly inside the ball or both
   direction nodes bracketing its angle survive the erosion.
 
@@ -87,24 +86,18 @@ class SampledSet:
 
 @dataclass(frozen=True)
 class ConeCertificate:
-    """Direction indicator plus a radius; ``pre_margin`` is the un-eroded set."""
+    """Accepted (eroded) direction indicator plus the certified radius."""
 
     directions: np.ndarray
     radius: float
     verified: bool
-    pre_margin: np.ndarray
 
     def __post_init__(self) -> None:
         d = np.array(self.directions, dtype=bool)
-        m = np.array(self.pre_margin, dtype=bool)
-        if d.shape != m.shape:
-            raise ParameterError("direction and margin indicators differ in shape")
         if not (0.0 < self.radius < 1.0):
             raise ParameterError(f"certificate radius must lie in (0,1), got {self.radius}")
         d.flags.writeable = False
-        m.flags.writeable = False
         object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "pre_margin", m)
 
     @property
     def dimension(self) -> int:
@@ -337,9 +330,7 @@ def find_cone(
         accepted = pre
     else:
         accepted = pre & np.roll(pre, 1) & np.roll(pre, -1)
-    certificate = ConeCertificate(
-        directions=accepted, radius=radius, verified=False, pre_margin=pre
-    )
+    certificate = ConeCertificate(directions=accepted, radius=radius, verified=False)
     if not np.all(_covered(f, certificate)):
         raise ResolutionError(
             "no ladder radius certifies F inside ball-plus-cone at this resolution"

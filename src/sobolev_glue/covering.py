@@ -1,7 +1,7 @@
 """Chart coverings of the circle and the flat torus, and the glue induction.
 
-A covering carries K overlapping chart cores G_i, each with a map to
-the unit ball of chart coordinates: arcs mapped affinely onto [-1,1]
+A covering carries K >= 2 overlapping chart cores G_i, each with a map
+to the unit ball of chart coordinates: arcs mapped affinely onto [-1,1]
 for the circle, squares mapped affinely onto [-1,1]^2 and then through
 a fixed smooth square-to-disk diffeomorphism for the torus.
 
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import Axis, DomainSpec, TWO_PI, box, collar_over, square
+from .domain import Axis, DomainSpec, TWO_PI, box, collar_over, from_kind, square
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
     DomainError,
@@ -39,6 +39,7 @@ from .folding import fold_sources
 from .gridmap import (
     GridMap,
     TraceMap,
+    _locate,
     default_constraint_tol,
     evaluate_batch,
     extract_trace,
@@ -164,14 +165,6 @@ class Covering:
     charts: tuple[Chart, ...]
 
     @property
-    def single_chart(self) -> bool:
-        return len(self.charts) == 0
-
-    @property
-    def chart_count(self) -> int:
-        return 1 if self.single_chart else len(self.charts)
-
-    @property
     def dimension(self) -> int:
         return len(self.base_lengths)
 
@@ -192,20 +185,17 @@ def _torus_factors(count: int) -> tuple[int, int]:
 def build_covering(base: DomainSpec, count: int) -> Covering:
     """Overlapping arcs (circle) or squares (torus) with affine chart maps.
 
-    Chart count 1 returns the degenerate one-patch covering: the whole
-    base, no chart map.  Gluing with it is a passthrough; it exists so
-    chart count 1 has a well-defined meaning even though no single honest
-    chart can cover a closed manifold.  The sampled covering property and
-    the chart-ball normalization are checked before returning.
+    A circle takes any ``count >= 2``; a torus takes a ``count`` that
+    factors into a grid of at least 2 x 2 charts.  The sampled covering
+    property and the chart-ball normalization are checked before
+    returning.
     """
     if base.kind not in ("circle", "torus"):
         raise ParameterError(f"coverings need a circle or torus base, got {base.kind!r}")
     if not base.is_canonical():
         raise ParameterError("coverings assume canonical base lengths")
-    if count < 1:
-        raise ParameterError(f"chart count must be positive, got {count}")
-    if count == 1:
-        return Covering(base_kind=base.kind, base_lengths=base.lengths, charts=())
+    if count < 2:
+        raise ParameterError(f"a covering needs at least 2 charts, got {count}")
 
     charts: list[Chart] = []
     if base.kind == "circle":
@@ -248,9 +238,7 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
 def _validate_covering(covering: Covering) -> None:
     m = covering.dimension
     res = 1024 if m == 1 else 128
-    axes = [np.linspace(0.0, L, res, endpoint=False) for L in covering.base_lengths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    pts = node_mesh(from_kind(covering.base_kind, (res,) * m))
     covered = np.zeros(pts.shape[0], dtype=bool)
     for chart in covering.charts:
         covered |= chart.in_core(pts)
@@ -340,25 +328,6 @@ class VerifyGlueReport:
     cone_checks_passed: Optional[bool]
 
 
-def _glue_report(
-    steps: Sequence[GlueStep],
-    per_patch: Sequence[float],
-    glued_energy: float,
-    p: float,
-) -> GlueReport:
-    total = float(sum(per_patch))
-    degenerate = total <= 0.0
-    return GlueReport(
-        steps=tuple(steps),
-        patch_energy_total=total,
-        glued_energy=glued_energy,
-        ratio=float("nan") if degenerate else glued_energy / total,
-        trace_sup_error=max(step.trace_sup_error for step in steps),
-        p=float(p),
-        degenerate=degenerate,
-    )
-
-
 # ------------------------------------------------------------------- glue
 
 def _patch_domain_for(chart: Chart, counts: tuple[int, ...], n_depth: int, depth: float) -> DomainSpec:
@@ -442,12 +411,7 @@ def _conservative_membership(
     Axes are periodic here (the base is a circle or torus).
     """
     ok = np.ones(pts.shape[0], dtype=bool)
-    idx = []
-    for a, axis in enumerate(axes):
-        h = axis.spacing
-        x = np.mod(pts[:, a], axis.length)
-        i = np.floor(x / h).astype(np.int64)
-        idx.append(np.clip(i, 0, axis.count - 1))
+    idx = [_locate(axis, pts[:, a])[0] for a, axis in enumerate(axes)]
     for corner in range(1 << len(axes)):
         sel = []
         for a, axis in enumerate(axes):
@@ -497,8 +461,8 @@ def glue(
 ) -> tuple[GridMap, GlueReport]:
     """Glue patch extensions into one collar extension of the trace.
 
-    Patches are maps over chart-core boxes cross the depth axis (plain
-    collar maps for the single-chart covering).  The report carries the
+    Patches are maps over chart-core boxes cross the depth axis, one per
+    chart of the covering, in chart order.  The report carries the
     certified radius, cone size, measured trace error and covering-gap
     fraction of every step, the patch and glued energies and their ratio.
     ``penalty=None`` glues the plain Dirichlet energies; a penalty adds
@@ -513,15 +477,12 @@ def glue(
             f"trace base {trace.base.kind!r} does not match covering base "
             f"{covering.base_kind!r}"
         )
-    if len(patches) != covering.chart_count:
+    if len(patches) != len(covering.charts):
         raise ParameterError(
-            f"covering has {covering.chart_count} charts, got {len(patches)} patches"
+            f"covering has {len(covering.charts)} charts, got {len(patches)} patches"
         )
     if tol is None:
         tol = max(default_constraint_tol(part.domain) for part in (trace, *patches))
-
-    if covering.single_chart:
-        return _glue_single(covering, patches[0], trace, p, tol, penalty)
 
     m = covering.dimension
     n_depth = patches[0].domain.axes[-1].count
@@ -539,13 +500,10 @@ def glue(
         trace.values.reshape(n_base, trace.nu)[:, None, :], n_depth, axis=1
     )
 
-    check_res = _CHECK_RESOLUTION[m]
-    check_axes = tuple(Axis(count=check_res, length=L, periodic=True) for L in covering.base_lengths)
-    check_grids = np.meshgrid(*[ax.coordinates() for ax in check_axes], indexing="ij")
-    check_pts = np.stack([g.reshape(-1) for g in check_grids], axis=-1)
-    check_shape = tuple(ax.count for ax in check_axes)
+    check_grid = from_kind(covering.base_kind, (_CHECK_RESOLUTION[m],) * m)
+    check_pts = node_mesh(check_grid)
     # open and closed cores of every chart on the check grid, one pass each
-    check_cores = np.empty((covering.chart_count, check_pts.shape[0]), dtype=bool)
+    check_cores = np.empty((len(covering.charts), check_pts.shape[0]), dtype=bool)
     check_closed = np.empty_like(check_cores)
     for i, chart in enumerate(covering.charts):
         check_cores[i], check_closed[i] = chart.core_masks(check_pts)
@@ -584,7 +542,7 @@ def glue(
             f_ind[in_ball_mask] = ~in_later
             e_ind = np.zeros(chart_pts.shape[0], dtype=bool)
             e_ind[in_ball_mask] = _conservative_membership(
-                h_check.reshape(check_shape), check_axes, pts_back
+                h_check.reshape(check_grid.shape), check_grid.axes, pts_back
             )
             shape = (cone_res,) * m
             f_set = cone_mod.SampledSet(m, cone_res, True, f_ind.reshape(shape))
@@ -655,11 +613,17 @@ def glue(
         values=values.reshape(collar.shape + (trace.nu,)),
         constraint_tol=max(trace.constraint_tol, default_constraint_tol(collar)),
     )
-    report = _glue_report(
-        steps,
-        tuple(penalized_energy(patch, p, penalty).value for patch in patches),
-        penalized_energy(glued, p, penalty).value,
-        p,
+    patch_total = float(sum(penalized_energy(patch, p, penalty).value for patch in patches))
+    glued_energy = penalized_energy(glued, p, penalty).value
+    degenerate = patch_total <= 0.0
+    report = GlueReport(
+        steps=tuple(steps),
+        patch_energy_total=patch_total,
+        glued_energy=glued_energy,
+        ratio=float("nan") if degenerate else glued_energy / patch_total,
+        trace_sup_error=max(step.trace_sup_error for step in steps),
+        p=float(p),
+        degenerate=degenerate,
     )
     return glued, report
 
@@ -756,47 +720,9 @@ def _fold_chart_step(
     return out
 
 
-def _glue_single(
-    covering: Covering,
-    patch: GridMap,
-    trace: TraceMap,
-    p: float,
-    tol: float,
-    penalty: Optional[PenaltySpec],
-) -> tuple[GridMap, GlueReport]:
-    want = "cylinder" if covering.base_kind == "circle" else "torus_collar"
-    if patch.domain.kind != want:
-        raise ParameterError(
-            f"the single-chart patch must be a {want} map, got {patch.domain.kind!r}"
-        )
-    if patch.domain.shape[:-1] != trace.base.shape:
-        raise ParameterError("single-chart patch resolution does not match the trace")
-    if patch.target != trace.target:
-        raise ParameterError("single-chart patch target does not match the trace")
-    bottom = extract_trace(patch, "bottom")
-    sup = float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))
-    if sup > tol:
-        raise PreconditionError(
-            f"single-chart patch bottom trace strays {sup:.3g} from the boundary "
-            f"data, tolerance {tol:.3g}"
-        )
-    energy = penalized_energy(patch, p, penalty).value
-    step = GlueStep(
-        radius=1.0,
-        accepted_fraction=0.0,
-        trace_sup_error=sup,
-        gap_fraction=0.0,
-        certificate=None,
-        f_set=None,
-        e_set=None,
-    )
-    return patch, _glue_report((step,), (energy,), energy, p)
-
-
 def verify_glue(
     glued: GridMap,
     trace: TraceMap,
-    covering: Covering,
     patches: Sequence[GridMap],
     p: float = 2.0,
     penalty: Optional[PenaltySpec] = None,
@@ -805,9 +731,10 @@ def verify_glue(
     """Independent audit of a glued extension.
 
     Recomputes the bottom-trace discrepancy through the public face
-    extraction, recomputes all energies from scratch (with the penalty's
-    term unless ``penalty`` is None), and re-checks every retained cone
-    certificate with the cone module's verifier.
+    extraction, recomputes the energies of the glued map and of the
+    ``patches`` it was glued from (with the penalty's term unless
+    ``penalty`` is None), and re-checks every cone certificate that
+    ``report`` retains with the cone module's verifier.
     """
     bottom = extract_trace(glued, "bottom")
     if bottom.values.shape != trace.values.shape:

@@ -51,7 +51,7 @@ import numpy as np
 from .domain import DomainSpec
 from .errors import ParameterError
 from .gridmap import GridMap, TraceMap
-from .target import TargetSpec, distance_to_target
+from .target import TargetSpec, distance_to_target, sum_of_squares
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,10 @@ class EnergyReport:
 class PenaltySpec:
     """Pointwise penalty dist(., reference)^power / eps^power.
 
-    Functions that take an ``Optional[PenaltySpec]`` read ``None`` as no
-    penalty.
+    The reference is the unit circle or a unit sphere: the descent's
+    penalty gradient (``minimize._penalty_gradient``) is the gradient of
+    the distance to the unit sphere.  Functions that take an
+    ``Optional[PenaltySpec]`` read ``None`` as no penalty.
     """
 
     eps: float
@@ -76,6 +78,10 @@ class PenaltySpec:
             raise ParameterError(f"penalty eps must be positive, got {self.eps}")
         if not (self.power > 0.0):
             raise ParameterError(f"penalty power must be positive, got {self.power}")
+        if not self.reference.constrained:
+            raise ParameterError(
+                f"penalty reference must be a circle or sphere, got {self.reference.kind!r}"
+            )
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         dist = distance_to_target(self.reference, values)
@@ -222,21 +228,14 @@ def _diagonal_completion(u: TraceMap, s: float, p: float) -> np.ndarray:
     contribution vanishes with the grid.
     """
     base = u.base
-    d = base.ndim
-    exponent = s * p + d
-    vals = u.values
+    exponent = s * p + base.ndim
     per_axis = []
-    for a, axis in enumerate(base.axes):
-        forward = np.roll(vals, -1, axis=a)
+    for a, (diff, axis) in enumerate(zip(_forward_differences(u.values, base), base.axes)):
         if not axis.periodic:
-            forward = np.array(forward)
-            # last node has no forward neighbour; use the backward one
-            last: list = [slice(None)] * vals.ndim
-            prev: list = [slice(None)] * vals.ndim
-            last[a] = axis.count - 1
-            prev[a] = axis.count - 2
-            forward[tuple(last)] = vals[tuple(prev)]
-        jump = np.linalg.norm(forward - vals, axis=-1)
+            # last node has no forward neighbour; use the backward one,
+            # the layer before's difference up to a sign
+            diff[_layer(a, _LAST)] = diff[_layer(a, slice(-2, -1))]
+        jump = np.sqrt(sum_of_squares(diff))
         per_axis.append(jump**p / axis.spacing**exponent)
     return np.mean(per_axis, axis=0).reshape(-1)
 

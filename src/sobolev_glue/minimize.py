@@ -359,14 +359,13 @@ def isobe_sweep(
 ) -> SweepResult:
     """Tabulate penalized minima over penalty widths and collar depths.
 
-    The descents and the penalty power use the exponent ``cfg.p``.
+    The descents and the penalty power use the exponent ``cfg.p``; the
+    penalty's reference is ``u.target``, a circle or sphere.
     """
     if len(eps_list) == 0 or len(depth_list) == 0:
         raise ParameterError("sweep lists must be nonempty")
     if any(e <= 0 for e in eps_list) or any(L <= 0 for L in depth_list):
         raise ParameterError("sweep parameters must be positive")
-    if not u.target.constrained:
-        raise ParameterError("the sweep penalty needs a constrained reference target")
     h_base = u.base.max_spacing
     triples: list[tuple[float, float, float]] = []
     for depth in depth_list:

@@ -338,6 +338,30 @@ def test_glue_patch_count_mismatch_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_glue_with_one_chart_exits_two(tmp_path, capsys):
+    n, n_depth = 48, 8
+    trace_path = str(tmp_path / "trace.sgf")
+    tr = _write_degree_one_trace(trace_path, n)
+    patch_path = str(tmp_path / "patch.sgf")
+    vals = np.repeat(tr.values[:, None, :], n_depth, axis=1)
+    fileio.write_grid_map(
+        patch_path,
+        gm.GridMap(domain=dom.cylinder(n, n_depth), target=tg.circle(), values=vals),
+    )
+    out = tmp_path / "g.sgf"
+    code, stdout, _ = run_cli(
+        [
+            "glue", "--base", "circle", "--k", "1",
+            "--trace", trace_path, "--patch", patch_path,
+            "--p", "2.0", "--out", str(out), "--report", str(tmp_path / "g.rep"),
+        ],
+        capsys,
+    )
+    assert code == 2  # a covering needs at least 2 charts
+    assert stdout == ""
+    assert not out.exists()
+
+
 def _write_cfg(tmp_path, **overrides):
     path = str(tmp_path / "opt.cfg")
     entries = {"max_iterations": 200, "step": 1.0, "tol": 1e-8}
@@ -512,3 +536,14 @@ def test_thread_cap_environment_variable():
     )
     assert proc.returncode == 2  # suite still unknown, but the cap parsed
     assert b"SOBOLEV_GLUE_THREADS" not in proc.stderr
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # the thread cap must be set before the numeric stack loads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sobolev_glue.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"

@@ -147,11 +147,12 @@ def test_direction_sets_grow_with_the_radius():
 def test_accepted_directions_keep_a_margin():
     f, g = _segment_sets()
     cert = cone.find_cone(f, g)
+    pre_margin = cone.ray_clearance(g) < cert.radius  # the un-eroded set
     idx = np.flatnonzero(cert.directions)
     n = cert.directions.size
     for j in idx:
-        assert cert.pre_margin[(j - 1) % n]
-        assert cert.pre_margin[(j + 1) % n]
+        assert pre_margin[(j - 1) % n]
+        assert pre_margin[(j + 1) % n]
 
 
 def test_certificate_survives_grid_refinement():
@@ -176,12 +177,7 @@ def test_shrunk_radius_fails_on_a_constructed_counterexample():
     cert = cone.find_cone(f, g)
     assert cert.verified
     assert cert.radius > 0.5
-    shrunk = cone.ConeCertificate(
-        directions=cert.directions,
-        radius=0.3,
-        verified=False,
-        pre_margin=cert.pre_margin,
-    )
+    shrunk = cone.ConeCertificate(directions=cert.directions, radius=0.3, verified=False)
     assert not cone.verify_cone(f, g, shrunk)
 
 
@@ -216,9 +212,7 @@ def test_verifier_needs_both_bracketing_directions():
     for keep in ([j0, j0 + 1], [j0], [j0 + 1]):
         directions = np.zeros(nd, dtype=bool)
         directions[keep] = True
-        cert = cone.ConeCertificate(
-            directions=directions, radius=0.5, verified=False, pre_margin=directions
-        )
+        cert = cone.ConeCertificate(directions=directions, radius=0.5, verified=False)
         assert cone.verify_cone(f, g, cert) == (len(keep) == 2)
         assert cone.accepts(cert, node[None, :])[0] == (len(keep) == 2)
 
@@ -237,12 +231,7 @@ def test_sampled_set_shape_validation():
     with pytest.raises(ParameterError):
         cone.SampledSet(dimension=3, resolution=9, closed=True, indicator=np.ones((9, 9, 9), dtype=bool))
     with pytest.raises(ParameterError):
-        cone.ConeCertificate(
-            directions=np.ones(8, dtype=bool),
-            radius=1.0,
-            verified=False,
-            pre_margin=np.ones(8, dtype=bool),
-        )
+        cone.ConeCertificate(directions=np.ones(8, dtype=bool), radius=1.0, verified=False)
 
 
 def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
@@ -269,7 +258,7 @@ def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
             in_cone = accepted[j0] & accepted[(j0 + 1) % nd] & (radii > 0.0)
         covered = (radii < radius) | ((radii <= 1.0 + f.spacing) & in_cone)
         if np.all(covered[f_flat]):
-            return radius, accepted, pre
+            return radius, accepted
     return None
 
 
@@ -313,10 +302,9 @@ def test_single_radius_check_matches_the_ladder_scan():
                 cone.find_cone(f, g, ladder_steps=steps)
             continue
         cert = cone.find_cone(f, g, ladder_steps=steps)
-        radius, accepted, pre = expected
+        radius, accepted = expected
         assert cert.radius == radius
         assert np.array_equal(cert.directions, accepted)
-        assert np.array_equal(cert.pre_margin, pre)
     assert failures >= 3
 
 
@@ -377,7 +365,7 @@ def _certificate_or_error(f, g, steps):
         cert = cone.find_cone(f, g, ladder_steps=steps)
     except (PreconditionError, ResolutionError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return cert.directions.tobytes(), cert.pre_margin.tobytes(), cert.radius, cert.verified
+    return cert.directions.tobytes(), cert.radius, cert.verified
 
 
 def test_tabulated_ray_clearance_matches_the_point_by_point_scan():
@@ -391,7 +379,7 @@ def test_certificates_do_not_depend_on_table_warmth():
     for table in _TABLES:
         table.cache_clear()
     cold = [_certificate_or_error(f, g, steps) for f, g, steps in cases]
-    assert any(isinstance(c, tuple) and c[3] for c in cold)
+    assert any(isinstance(c, tuple) and c[2] for c in cold)
     # warm, in reverse order: entries get evicted and rebuilt along the way
     warm = [_certificate_or_error(f, g, steps) for f, g, steps in reversed(cases)]
     assert warm[::-1] == cold

@@ -89,6 +89,10 @@ def test_covering_construction_validates_inputs():
     with pytest.raises(ParameterError):
         cov.build_covering(dom.circle(16), 0)
     with pytest.raises(ParameterError):
+        cov.build_covering(dom.circle(16), 1)  # a covering has at least 2 charts
+    with pytest.raises(ParameterError):
+        cov.build_covering(dom.torus(16, 16), 1)
+    with pytest.raises(ParameterError):
         cov.build_covering(dom.torus(16, 16), 2)  # torus needs at least 4
     with pytest.raises(ParameterError):
         cov.build_covering(dom.torus(16, 16), 5)  # no 2x2-or-larger factorization
@@ -103,7 +107,7 @@ def test_covering_construction_validates_inputs():
 def test_circle_chart_cores_cover_the_base():
     for k in (2, 3, 5):
         covering = cov.build_covering(dom.circle(96), k)
-        assert covering.chart_count == k
+        assert len(covering.charts) == k
         thetas = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)[:, None]
         hit = np.zeros(512, dtype=bool)
         for chart in covering.charts:
@@ -120,21 +124,6 @@ def test_chart_disk_coordinates_invert():
     pts, offsets = chart.from_disk(z)
     again = chart.to_disk(pts)
     assert np.max(np.abs(again - z)) <= 1e-9
-
-
-def test_one_chart_covering_is_a_passthrough():
-    n, n_depth = 64, 12
-    trace = _degree_one_trace(n)
-    covering = cov.build_covering(dom.circle(n), 1)
-    assert covering.single_chart
-    collar = dom.cylinder(n, n_depth)
-    vals = np.repeat(trace.values[:, None, :], n_depth, axis=1)
-    patch = gm.GridMap(domain=collar, target=tg.circle(), values=vals, constraint_tol=1e-9)
-    glued, report = cov.glue(covering, [patch], trace)
-    assert report.ratio == 1.0
-    assert report.trace_sup_error == 0.0
-    assert np.array_equal(glued.values, patch.values)
-    assert report.steps[0].radius == 1.0
 
 
 def test_two_chart_circle_glue_hits_the_analytic_ratio():
@@ -217,7 +206,7 @@ def test_torus_four_chart_glue():
     assert report.trace_sup_error <= 1e-12
     assert all(step.gap_fraction == 0.0 for step in report.steps)
     assert not report.degenerate
-    check = cov.verify_glue(glued, trace, covering, patches, report=report)
+    check = cov.verify_glue(glued, trace, patches, report=report)
     assert check.cone_checks_passed
     assert check.ratio == pytest.approx(report.ratio, rel=1e-12)
     # the audit measures on the collar bottom, the report per chart grid;
@@ -268,7 +257,7 @@ def test_depth_varying_patches_pin_the_glued_ratio(case, pinned_ratio):
     glued, report = cov.glue(covering, patches, trace)
     assert report.ratio == pytest.approx(pinned_ratio, rel=1e-12)
     assert report.trace_sup_error <= 1e-12
-    check = cov.verify_glue(glued, trace, covering, patches, report=report)
+    check = cov.verify_glue(glued, trace, patches, report=report)
     assert check.cone_checks_passed
     assert check.trace_sup_error <= 1e-12
 

@@ -325,6 +325,12 @@ def test_penalty_vanishes_on_target_and_scales_with_eps():
     assert b == pytest.approx(4.0 * a, rel=1e-12)  # (eps1/eps2)^power
 
 
+def test_penalty_reference_must_be_a_circle_or_sphere():
+    # the descent's penalty gradient is that of the distance to the unit sphere
+    with pytest.raises(ParameterError):
+        en.distance_penalty(0.3, 2.0, tg.euclidean(2))
+
+
 def test_penalized_energy_requires_unconstrained_values():
     d = dom.cylinder(12, 4)
     t = d.axes[0].coordinates()
