@@ -21,6 +21,7 @@ from . import cone as cone_mod
 from .covering import build_covering, glue, replicate_trace_patch, verify_glue
 from .domain import circle, cylinder, interval, square
 from .energy import dirichlet_p_energy, distance_penalty, gagliardo_energy
+from .errors import GlueError
 from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold, fold_trace_errors
 from .gridmap import GridMap, TraceMap
 from .minimize import (
@@ -50,7 +51,11 @@ def _timed(
     name: str, check: Callable[[], tuple[bool, str]]
 ) -> CriterionResult:
     start = time.monotonic()
-    passed, details = check()
+    try:
+        passed, details = check()
+    except GlueError as exc:
+        # a library error is a failed criterion; the later ones still run
+        passed, details = False, f"{type(exc).__name__}: {exc}"
     return CriterionResult(
         name=name, passed=passed, details=details, duration=time.monotonic() - start
     )

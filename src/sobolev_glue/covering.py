@@ -535,9 +535,12 @@ def glue(
         else:
             # closed leftover of this core vs the trusted region so far
             pts_back, _ = chart.from_disk(chart_pts[in_ball_mask])
+            # membership is pointwise: each later core tests only the
+            # points no earlier one has claimed
             in_later = np.zeros(pts_back.shape[0], dtype=bool)
             for other in later:
-                in_later |= other.in_core(pts_back)
+                rest = np.flatnonzero(~in_later)
+                in_later[rest] = other.in_core(pts_back[rest])
             f_ind = np.zeros(chart_pts.shape[0], dtype=bool)
             f_ind[in_ball_mask] = ~in_later
             e_ind = np.zeros(chart_pts.shape[0], dtype=bool)

@@ -164,16 +164,28 @@ def read_trace_map(path: str) -> TraceMap:
 
 # ------------------------------------------------------------ sampled sets
 
+def _bit_lines(rows: np.ndarray) -> str:
+    """Rows of a 2-D boolean array as 0/1 characters, one line per row."""
+    codes = np.full((rows.shape[0], rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    np.add(rows, ord("0"), out=codes[:, :-1], dtype=np.uint8)
+    return codes.tobytes().decode("ascii")
+
+
+def _parse_bits(rows: list[str]) -> np.ndarray | None:
+    """Concatenated 0/1 rows as a flat boolean array; None if any other character."""
+    codes = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    # characters below "0" wrap around to large uint8 values
+    if np.any(codes - np.uint8(ord("0")) > 1):
+        return None
+    return codes == ord("1")
+
+
 def write_sampled_set(path: str, dimension: int, resolution: int, closed: bool, indicator: np.ndarray) -> None:
     flag = "closed" if closed else "open"
     grid = np.asarray(indicator, dtype=bool)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"SET1 {dimension} {resolution} {flag}\n")
-        if dimension == 1:
-            fh.write("".join("1" if b else "0" for b in grid) + "\n")
-        else:
-            for row in grid:
-                fh.write("".join("1" if b else "0" for b in row) + "\n")
+        fh.write(_bit_lines(grid.reshape(1, -1) if dimension == 1 else grid))
 
 
 def read_sampled_set(path: str) -> tuple[int, int, bool, np.ndarray]:
@@ -195,16 +207,15 @@ def read_sampled_set(path: str) -> tuple[int, int, bool, np.ndarray]:
     if dimension == 1:
         if len(rows) != 1 or len(rows[0]) != resolution:
             raise FormatError(f"expected one row of {resolution} bits in {path}")
-        bits = np.array([c == "1" for c in rows[0]], dtype=bool)
     elif dimension == 2:
         if len(rows) != resolution or any(len(r) != resolution for r in rows):
             raise FormatError(f"expected {resolution} rows of {resolution} bits in {path}")
-        bits = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
     else:
         raise FormatError(f"sampled sets support dimension 1 or 2, got {dimension}")
-    if not set("".join(rows)) <= {"0", "1"}:
+    bits = _parse_bits(rows)
+    if bits is None:
         raise FormatError(f"indicator rows must be 0/1 characters in {path}")
-    return dimension, resolution, closed, bits
+    return dimension, resolution, closed, bits.reshape((resolution,) * dimension)
 
 
 # --------------------------------------------------------- cone certificates
@@ -213,7 +224,7 @@ def write_cone_certificate(path: str, radius: float, directions: np.ndarray) -> 
     bits = np.asarray(directions, dtype=bool)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"CONE1 {format_real(radius)} {bits.size}\n")
-        fh.write("".join("1" if b else "0" for b in bits) + "\n")
+        fh.write(_bit_lines(bits.reshape(1, -1)))
 
 
 def read_cone_certificate(path: str) -> tuple[float, np.ndarray]:
@@ -229,11 +240,12 @@ def read_cone_certificate(path: str) -> tuple[float, np.ndarray]:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"malformed CONE1 header in {path}: {exc}") from exc
-    if len(row) != count or not set(row) <= {"0", "1"}:
+    bits = _parse_bits([row]) if len(row) == count else None
+    if bits is None:
         raise FormatError(f"expected {count} direction bits in {path}")
     if not (0.0 < radius < 1.0):
         raise FormatError(f"certificate radius must lie in (0,1), got {radius}")
-    return radius, np.array([c == "1" for c in row], dtype=bool)
+    return radius, bits
 
 
 def sha256_of(path: str) -> str:

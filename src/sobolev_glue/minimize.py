@@ -7,7 +7,9 @@ adds a pointwise distance penalty; both return a ``MinimizeResult`` with
 the map, its energy and the descent's convergence record.
 ``isobe_sweep`` tabulates penalized minima over a grid of penalty widths
 and collar depths, and ``circle_lifting_oracle`` solves the lifted scalar
-problem exactly for p = 2 circle-valued data.
+problem exactly for p = 2 circle-valued data: an FFT along the periodic
+angle and one tridiagonal solve in depth per Fourier mode, in
+O(N log N) time and O(N) memory for N grid nodes.
 
 The descent direction is the exact analytic gradient of the discrete
 objective; the bottom row's gradient is zeroed and every trial point
@@ -34,8 +36,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 from .domain import DomainSpec, collar_over
 from .energy import (
@@ -411,8 +411,10 @@ def circle_lifting_oracle(
 
     Unwraps the boundary angles (adjacent jumps must stay below pi),
     splits off the winding part, solves the scalar harmonic problem with
-    pinned bottom and free top by a sparse direct solve, and returns the
-    wrapped harmonic map with the exact discrete energy of its lifting.
+    pinned bottom and free top exactly (a real FFT along theta, one
+    tridiagonal solve in depth per Fourier mode, the inverse FFT; Hockney,
+    J. ACM 12 (1965)), and returns the wrapped harmonic map with the exact
+    discrete energy of its lifting.
     """
     if u.base.kind != "circle":
         raise ParameterError(f"the lifting oracle needs a circle base, got {u.base.kind!r}")
@@ -445,56 +447,35 @@ def circle_lifting_oracle(
     psi_bottom = phi - degree * theta
 
     # scalar harmonic extension of psi: quadratic form over grid edges,
-    # theta edges only below the top row (cells anchor at their low corner)
-    w_theta = h_t / h_theta
-    w_t = h_theta / h_t
-    n_free = n * (n_t - 1)
-
-    def free_index(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (j - 1) * n + i
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    rhs = np.zeros(n_free)
-
-    def add_edge(ia, ja, ib, jb, w) -> None:
-        a_free = ja >= 1
-        b_free = jb >= 1
-        idx_a = free_index(ia, ja)
-        idx_b = free_index(ib, jb)
-        both = a_free & b_free
-        rows.append(idx_a[a_free])
-        cols.append(idx_a[a_free])
-        data.append(np.full(int(np.sum(a_free)), w))
-        rows.append(idx_b[b_free])
-        cols.append(idx_b[b_free])
-        data.append(np.full(int(np.sum(b_free)), w))
-        rows.append(idx_a[both])
-        cols.append(idx_b[both])
-        data.append(np.full(int(np.sum(both)), -w))
-        rows.append(idx_b[both])
-        cols.append(idx_a[both])
-        data.append(np.full(int(np.sum(both)), -w))
-        only_a = a_free & ~b_free
-        rhs[idx_a[only_a]] += w * psi_bottom[ib[only_a]]
-        only_b = b_free & ~a_free
-        rhs[idx_b[only_b]] += w * psi_bottom[ia[only_b]]
-
-    ii = np.arange(n)
-    for j in range(n_t - 1):
-        jj = np.full(n, j)
-        add_edge(ii, jj, np.mod(ii + 1, n), jj, w_theta)  # theta edge in row j
-        add_edge(ii, jj, ii, jj + 1, w_t)  # depth edge from row j to j+1
-
-    matrix = coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_free, n_free),
-    ).tocsr()
-    solution = spsolve(matrix, rhs)
+    # theta edges only below the top row (cells anchor at their low corner).
+    # Its normal equations are periodic in theta with constant
+    # coefficients, so Fourier mode k of the free rows j = 1..n_t-1 solves
+    # one tridiagonal system: off-diagonal -w_t, diagonal
+    # 2 w_t + w_theta (2 - 2 cos(2 pi k / n)) below the top row and w_t
+    # on the top row, which has no theta edges.  Only row 1 sees the data,
+    # through its depth edge w_t to the pinned bottom, so mode k is
+    # psi_hat_k(0) times the real response g_k to that unit load.
+    # g_k comes from a Thomas sweep over the rows, vectorised over the
+    # modes, on the system divided by w_t; array row r is depth j = r + 1.
+    ratio = (h_t / h_theta) ** 2  # w_theta / w_t
+    n_free = n_t - 1
+    k = np.arange(n // 2 + 1)
+    diagonal = 2.0 + ratio * (2.0 - 2.0 * np.cos(2.0 * math.pi * k / n))
+    # forward sweep: inv[r] is 1 / (pivot of row r), load[r] the swept load
+    inv = np.empty((n_free, k.size))
+    load = np.empty((n_free, k.size))
+    inv_above, load_above = 0.0, 1.0
+    for r in range(n_free):
+        pivot = (1.0 if r == n_free - 1 else diagonal) - inv_above
+        inv[r] = inv_above = 1.0 / pivot
+        load[r] = load_above = inv_above * load_above
+    # back substitution, in place: load becomes g
+    for r in range(n_free - 2, -1, -1):
+        load[r] += inv[r] * load[r + 1]
+    modes = np.fft.rfft(psi_bottom)
     psi = np.empty((n, n_t))
     psi[:, 0] = psi_bottom
-    psi[:, 1:] = solution.reshape(n_t - 1, n).T
+    psi[:, 1:] = np.fft.irfft(modes * load, n=n, axis=-1).T
 
     # exact discrete energy of the lifting deg*theta + psi; the seam
     # difference carries the winding increment deg * h_theta

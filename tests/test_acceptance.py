@@ -14,6 +14,7 @@ import pytest
 
 from sobolev_glue import acceptance as acc
 from sobolev_glue import cli
+from sobolev_glue.errors import ResolutionError
 
 #: ``accept --suite primary`` verdicts without their durations.  A change
 #: that moves an acceptance number has to change this pin.
@@ -98,6 +99,33 @@ def test_accept_cli_runs_the_primary_suite(tmp_path, capsys):
     verdicts = [line for line in lines if line.startswith(("PASS", "FAIL"))]
     assert [re.sub(r" \(\d+\.\ds\)$", "", line) for line in verdicts] == PRIMARY_VERDICTS
     assert lines[-1].startswith("SUMMARY passed=10/10")
+
+
+def test_a_raising_criterion_prints_fail_and_the_rest_still_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        acc,
+        "ALL_CRITERIA",
+        (
+            acc.criterion_01_pair_sum_exactness,
+            acc.criterion_04_cone_capture,
+            acc.criterion_10_gradient_check,
+        ),
+    )
+
+    def no_cone(f, g):
+        raise ResolutionError("grid too coarse to certify a cone")
+
+    monkeypatch.setattr(acc.cone_mod, "find_cone", no_cone)
+    code = cli.main(["accept", "--suite", "primary", "--out", str(tmp_path / "a.txt")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "PASS 01_pair_sum_exactness",
+        "FAIL 04_cone_capture",
+        "PASS 10_gradient_check",
+    ]
+    assert "ResolutionError: grid too coarse to certify a cone" in lines[1]
+    assert lines[3] == "SUMMARY passed=2/3"
 
 
 def _reference_smooth_field(rng, n):

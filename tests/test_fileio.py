@@ -151,6 +151,68 @@ def test_sampled_set_rejects_bad_flag_and_ragged_rows(tmp_path):
         fileio.read_sampled_set(path)
 
 
+def test_sampled_set_and_certificate_bytes(tmp_path):
+    path = str(tmp_path / "f.set")
+    fileio.write_sampled_set(path, 2, 3, True, np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0]]))
+    with open(path, "rb") as fh:
+        assert fh.read() == b"SET1 2 3 closed\n100\n011\n000\n"
+    fileio.write_sampled_set(path, 1, 4, False, np.array([False, True, True, False]))
+    with open(path, "rb") as fh:
+        assert fh.read() == b"SET1 1 4 open\n0110\n"
+    fileio.write_cone_certificate(path, 0.5, np.array([True, False, True]))
+    with open(path, "rb") as fh:
+        assert fh.read() == b"CONE1 0.5 3\n101\n"
+
+
+def test_sampled_set_reader_skips_blank_lines_and_strips_rows(tmp_path):
+    path = str(tmp_path / "f.set")
+    with open(path, "w") as fh:
+        fh.write("SET1 2 3 closed\n\n  010 \n\t101\n\n011\n\n")
+    d, res, closed, bits = fileio.read_sampled_set(path)
+    assert (d, res, closed) == (2, 3, True)
+    assert bits.dtype == bool
+    assert bits.tolist() == [[False, True, False], [True, False, True], [False, True, True]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("SET2 2 3 open\n000\n000\n000\n", "not a SET1 header"),
+        ("SET1 2 3\n000\n000\n000\n", "not a SET1 header"),
+        ("SET1 2 x open\n000\n", "malformed SET1 header"),
+        ("SET1 2 3 open\n000\n000\n", "expected 3 rows of 3 bits"),
+        ("SET1 1 3 open\n0000\n", "expected one row of 3 bits"),
+        ("SET1 1 3 open\n000\n000\n", "expected one row of 3 bits"),
+        ("SET1 3 3 open\n000\n", "sampled sets support dimension 1 or 2"),
+        ("SET1 2 3 open\n000\n020\n000\n", "indicator rows must be 0/1 characters"),
+        ("SET1 1 3 open\n0/1\n", "indicator rows must be 0/1 characters"),
+    ],
+)
+def test_sampled_set_error_paths(tmp_path, text, message):
+    path = str(tmp_path / "bad.set")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(FormatError, match=message):
+        fileio.read_sampled_set(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("CONE2 0.5 3\n010\n", "not a CONE1 header"),
+        ("CONE1 x 3\n010\n", "malformed CONE1 header"),
+        ("CONE1 0.5 3\n0101\n", "expected 3 direction bits"),
+        ("CONE1 0.5 3\n0a1\n", "expected 3 direction bits"),
+    ],
+)
+def test_cone_certificate_error_paths(tmp_path, text, message):
+    path = str(tmp_path / "bad.cone")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(FormatError, match=message):
+        fileio.read_cone_certificate(path)
+
+
 def test_cone_certificate_round_trip(tmp_path):
     path = str(tmp_path / "c.cone")
     dirs = np.zeros(64, dtype=bool)

@@ -70,6 +70,137 @@ def test_lifting_oracle_rejects_bad_inputs():
         mi.circle_lifting_oracle(vanishing, dom.cylinder(32, 8))
 
 
+def _lifted_trace(n, degree, psi_bottom):
+    base = dom.circle(n)
+    phi = degree * base.axes[0].coordinates() + psi_bottom
+    vals = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    return gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
+
+
+def _harmonic_part(lifted, degree):
+    # angle of the map relative to the winding part; exact while |psi| < pi
+    theta = lifted.domain.axes[0].coordinates()[:, None]
+    z = (lifted.values[..., 0] + 1j * lifted.values[..., 1]) * np.exp(-1j * degree * theta)
+    return np.angle(z)
+
+
+def _lifting_energy(psi, degree, h_theta, h_t):
+    # edge sum of the lifting degree * theta + psi: theta edges below the
+    # top row, depth edges between adjacent rows
+    d_theta = np.roll(psi, -1, axis=0)[:, :-1] - psi[:, :-1] + degree * h_theta
+    d_t = np.diff(psi, axis=1)
+    return float((np.sum(d_theta**2) / h_theta**2 + np.sum(d_t**2) / h_t**2) * h_theta * h_t)
+
+
+def _sparse_reference_psi(psi_bottom, n, n_t, h_theta, h_t):
+    """The lifted harmonic problem assembled edge by edge and solved sparse."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    w_theta, w_t = h_t / h_theta, h_theta / h_t
+    n_free = n * (n_t - 1)
+    rows, cols, data = [], [], []
+    rhs = np.zeros(n_free)
+    for j in range(n_t - 1):
+        for i in range(n):
+            # theta edge (i, j)-(i+1, j) and depth edge (i, j)-(i, j+1)
+            for (ia, ja), (ib, jb), w in (
+                ((i, j), ((i + 1) % n, j), w_theta),
+                ((i, j), (i, j + 1), w_t),
+            ):
+                free = [(jj - 1) * n + ii if jj >= 1 else None for ii, jj in ((ia, ja), (ib, jb))]
+                pinned = [psi_bottom[ii] for ii in (ia, ib)]
+                for me, other, value in ((free[0], free[1], pinned[1]), (free[1], free[0], pinned[0])):
+                    if me is None:
+                        continue
+                    rows.append(me)
+                    cols.append(me)
+                    data.append(w)
+                    if other is None:
+                        rhs[me] += w * value
+                    else:
+                        rows.append(me)
+                        cols.append(other)
+                        data.append(-w)
+    matrix = coo_matrix((data, (rows, cols)), shape=(n_free, n_free)).tocsr()
+    psi = np.empty((n, n_t))
+    psi[:, 0] = psi_bottom
+    psi[:, 1:] = spsolve(matrix, rhs).reshape(n_t - 1, n).T
+    return psi
+
+
+@pytest.mark.parametrize("n", [8, 33, 64])
+@pytest.mark.parametrize("n_t", [2, 5, 17])
+@pytest.mark.parametrize("degree", [0, 1, -2])
+def test_lifting_oracle_matches_a_sparse_direct_solve(n, n_t, degree):
+    rng = np.random.default_rng(100 * n + 10 * n_t + degree)
+    theta = dom.circle(n).axes[0].coordinates()
+    psi_bottom = 0.3 + sum(
+        rng.uniform(-0.08, 0.08) * np.cos(k * theta + rng.uniform(0.0, 2.0 * np.pi))
+        for k in range(1, 5)
+    )
+    collar = dom.cylinder(n, n_t)
+    lifted, energy = mi.circle_lifting_oracle(_lifted_trace(n, degree, psi_bottom), collar)
+    h_theta, h_t = collar.axes[0].spacing, collar.axes[1].spacing
+    psi = _sparse_reference_psi(psi_bottom, n, n_t, h_theta, h_t)
+    want = _lifting_energy(psi, degree, h_theta, h_t)
+    assert abs(energy - want) <= 1e-13 * want
+    full = degree * theta[:, None] + psi
+    np.testing.assert_allclose(
+        lifted.values, np.stack([np.cos(full), np.sin(full)], axis=-1), rtol=0.0, atol=1e-11
+    )
+
+
+def test_lifting_oracle_single_mode_separates_in_theta_and_depth():
+    # psi = eps cos(k theta) lifts to eps cos(k theta) a_j, where a solves
+    # the depth recurrence of mode k with a_0 = 1
+    n, n_t, k, eps, degree = 48, 12, 3, 0.2, 1
+    collar = dom.cylinder(n, n_t, depth=0.7)
+    h_theta, h_t = collar.axes[0].spacing, collar.axes[1].spacing
+    w_theta, w_t = h_t / h_theta, h_theta / h_t
+    lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
+    rows = n_t - 1
+    a_mat = np.zeros((rows, rows))
+    rhs = np.zeros(rows)
+    for r in range(rows):  # row r holds depth index r + 1
+        top = r == rows - 1
+        a_mat[r, r] = w_t if top else 2.0 * w_t + w_theta * lam
+        if r > 0:
+            a_mat[r, r - 1] = -w_t
+        if not top:
+            a_mat[r, r + 1] = -w_t
+    rhs[0] = w_t
+    profile = np.concatenate([[1.0], np.linalg.solve(a_mat, rhs)])
+    theta = collar.axes[0].coordinates()
+    psi = eps * np.cos(k * theta)[:, None] * profile[None, :]
+
+    lifted, energy = mi.circle_lifting_oracle(_lifted_trace(n, degree, psi[:, 0]), collar)
+    np.testing.assert_allclose(_harmonic_part(lifted, degree), psi, rtol=0.0, atol=1e-13)
+    assert energy == pytest.approx(_lifting_energy(psi, degree, h_theta, h_t), rel=1e-13)
+    # a nonzero mode decays into the depth, down to the free top row
+    assert np.all(np.diff(profile[:-1]) < 0.0)
+
+
+def test_lifting_oracle_solves_a_large_cylinder_exactly():
+    # ~262k unknowns; the harmonic part satisfies the discrete
+    # Euler-Lagrange equations at every free node
+    n, n_t, degree = 1024, 256, 2
+    theta = dom.circle(n).axes[0].coordinates()
+    psi_bottom = 0.5 * np.cos(theta) + 0.3 * np.sin(7.0 * theta) + 0.02 * np.cos(300.0 * theta)
+    collar = dom.cylinder(n, n_t)
+    lifted, energy = mi.circle_lifting_oracle(_lifted_trace(n, degree, psi_bottom), collar)
+    h_theta, h_t = collar.axes[0].spacing, collar.axes[1].spacing
+    w_theta, w_t = h_t / h_theta, h_theta / h_t
+    psi = _harmonic_part(lifted, degree)
+    inner = psi[:, 1:-1]
+    residual = w_theta * (
+        2.0 * inner - np.roll(inner, 1, axis=0) - np.roll(inner, -1, axis=0)
+    ) + w_t * (2.0 * inner - psi[:, :-2] - psi[:, 2:])
+    assert np.max(np.abs(residual)) <= 1e-9
+    assert np.max(np.abs(w_t * (psi[:, -1] - psi[:, -2]))) <= 1e-9
+    assert energy == pytest.approx(_lifting_energy(psi, degree, h_theta, h_t), rel=1e-12)
+
+
 def test_descent_brackets_the_oracle_on_degree_one_data():
     n, n_depth = 64, 24
     u = _degree_trace(n, 1)
