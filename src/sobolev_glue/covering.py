@@ -14,7 +14,10 @@ parameter, depth / collar depth) coordinates with the previous state as
 the first map and the patch as the second; moved samples return to the
 ball through ``radial_fold_map``.  Bookkeeping tracks the sampled
 trusted region H_i and checks the covering invariant
-H_i union G_{i+1} ... G_K = base after every step.
+H_i union G_{i+1} ... G_K = base after every step.  Every step's cone
+certificate is checked by ``cone.find_cone`` itself, and a step whose
+check fails raises.  ``verify_glue`` audits what the steps do not: the
+glued map's bottom face against the trace at every base node.
 """
 
 from __future__ import annotations
@@ -303,8 +306,6 @@ class GlueStep:
     trace_sup_error: float
     gap_fraction: float
     certificate: Optional[cone_mod.ConeCertificate]
-    f_set: Optional[cone_mod.SampledSet]
-    e_set: Optional[cone_mod.SampledSet]
 
 
 @dataclass(frozen=True)
@@ -316,16 +317,6 @@ class GlueReport:
     trace_sup_error: float
     p: float
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class VerifyGlueReport:
-    trace_sup_error: float
-    glued_energy: float
-    patch_energy_total: float
-    ratio: float
-    degenerate: bool
-    cone_checks_passed: Optional[bool]
 
 
 # ------------------------------------------------------------------- glue
@@ -455,7 +446,6 @@ def glue(
     patches: Sequence[GridMap],
     trace: TraceMap,
     p: float = 2.0,
-    tol: Optional[float] = None,
     gap_policy: str = "abort",
     penalty: Optional[PenaltySpec] = None,
 ) -> tuple[GridMap, GlueReport]:
@@ -466,9 +456,10 @@ def glue(
     certified radius, cone size, measured trace error and covering-gap
     fraction of every step, the patch and glued energies and their ratio.
     ``penalty=None`` glues the plain Dirichlet energies; a penalty adds
-    its term to every energy.  ``tol`` bounds each patch's bottom-trace
-    error (default: ten times the coarsest spacing of the trace and the
-    patches).
+    its term to every energy.  Each patch's bottom trace may stray from
+    the boundary data by at most ten times the coarsest spacing of the
+    trace and the patches.  A cone certificate that fails its check
+    raises ``GlueError``.
     """
     if gap_policy not in ("abort", "warn"):
         raise ParameterError(f"gap policy must be abort|warn, got {gap_policy!r}")
@@ -481,8 +472,7 @@ def glue(
         raise ParameterError(
             f"covering has {len(covering.charts)} charts, got {len(patches)} patches"
         )
-    if tol is None:
-        tol = max(default_constraint_tol(part.domain) for part in (trace, *patches))
+    tol = max(default_constraint_tol(part.domain) for part in (trace, *patches))
 
     m = covering.dimension
     n_depth = patches[0].domain.axes[-1].count
@@ -528,8 +518,6 @@ def glue(
             values[inside] = _patch_columns(chart, patch, base_pts[inside], depth_coords, trace)
             h_check = check_cores[0]
             cert = None
-            f_set = None
-            e_set = None
             radius = 1.0
             accepted_fraction = 0.0
         else:
@@ -561,6 +549,11 @@ def glue(
                 raise ResolutionError(
                     f"step {i + 1} (chart {chart.index}): {exc}"
                 ) from exc
+            if not cert.verified:
+                raise GlueError(
+                    f"step {i + 1} (chart {chart.index}): the cone certificate "
+                    "fails its check"
+                )
             radius = cert.radius
             accepted_fraction = float(np.mean(cert.directions))
 
@@ -605,8 +598,6 @@ def glue(
                 trace_sup_error=step_trace,
                 gap_fraction=gap_fraction,
                 certificate=cert,
-                f_set=f_set,
-                e_set=e_set,
             )
         )
 
@@ -723,43 +714,14 @@ def _fold_chart_step(
     return out
 
 
-def verify_glue(
-    glued: GridMap,
-    trace: TraceMap,
-    patches: Sequence[GridMap],
-    p: float = 2.0,
-    penalty: Optional[PenaltySpec] = None,
-    report: Optional[GlueReport] = None,
-) -> VerifyGlueReport:
-    """Independent audit of a glued extension.
+def verify_glue(glued: GridMap, trace: TraceMap) -> float:
+    """Sup distance of the glued map's bottom face from the trace.
 
-    Recomputes the bottom-trace discrepancy through the public face
-    extraction, recomputes the energies of the glued map and of the
-    ``patches`` it was glued from (with the penalty's term unless
-    ``penalty`` is None), and re-checks every cone certificate that
-    ``report`` retains with the cone module's verifier.
+    The face is read through the public ``extract_trace`` at every base
+    node; ``glue``'s own per-step errors read only the trusted nodes of
+    its working array.
     """
     bottom = extract_trace(glued, "bottom")
     if bottom.values.shape != trace.values.shape:
         raise ParameterError("glued map resolution does not match the trace")
-    sup = float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))
-    patch_total = float(sum(penalized_energy(patch, p, penalty).value for patch in patches))
-    glued_energy = penalized_energy(glued, p, penalty).value
-    degenerate = patch_total <= 0.0
-    ratio = float("nan") if degenerate else glued_energy / patch_total
-    cone_ok: Optional[bool] = None
-    if report is not None:
-        checks = [
-            cone_mod.verify_cone(step.f_set, step.e_set, step.certificate)
-            for step in report.steps
-            if step.certificate is not None
-        ]
-        cone_ok = all(checks) if checks else True
-    return VerifyGlueReport(
-        trace_sup_error=sup,
-        glued_energy=glued_energy,
-        patch_energy_total=patch_total,
-        ratio=ratio,
-        degenerate=degenerate,
-        cone_checks_passed=cone_ok,
-    )
+    return float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))

@@ -24,7 +24,9 @@ Cone certificates (CONE)::
 
 from __future__ import annotations
 
+import math
 import os
+from typing import Optional
 
 import numpy as np
 
@@ -116,7 +118,7 @@ def _parse_header(line: str) -> tuple[str, int, tuple[int, ...], str]:
     return kind, nu, counts, target_kind
 
 
-def _read_sgf(path: str) -> tuple[dom.DomainSpec, TargetSpec, np.ndarray, float]:
+def _read_sgf(path: str) -> tuple[dom.DomainSpec, TargetSpec, np.ndarray, Optional[float]]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().rstrip("\n")
@@ -143,7 +145,10 @@ def _read_sgf(path: str) -> tuple[dom.DomainSpec, TargetSpec, np.ndarray, float]
                 )
             if not np.all(np.isfinite(data)):
                 raise FormatError(f"non-finite values in {path}")
-            tol = float(manifest.get("constraint_tol", -1.0))
+            raw_tol = manifest.get("constraint_tol")
+            tol = None if raw_tol is None else float(raw_tol)
+            if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+                raise FormatError(f"constraint_tol in {path} must be finite and >= 0, got {raw_tol!r}")
             values = data.reshape(counts + (nu,))
             return domain, target, values, tol
     except OSError as exc:

@@ -14,7 +14,9 @@ a manifold value must project explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,21 +50,26 @@ def _check_values(domain: DomainSpec, target: TargetSpec, values: np.ndarray, to
     return values
 
 
+def _freeze(m: GridMap | TraceMap, domain: DomainSpec) -> None:
+    """Settle ``m.constraint_tol`` (``None``: the default 10 h) and check ``m.values``."""
+    tol = m.constraint_tol
+    if tol is None:
+        tol = default_constraint_tol(domain)
+    elif not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"constraint tolerance must be finite and >= 0, got {tol}")
+    object.__setattr__(m, "constraint_tol", tol)
+    object.__setattr__(m, "values", _check_values(domain, m.target, m.values, tol))
+
+
 @dataclass(frozen=True)
 class GridMap:
     domain: DomainSpec
     target: TargetSpec
     values: np.ndarray
-    constraint_tol: float = field(default=-1.0)
+    constraint_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        tol = self.constraint_tol
-        if tol < 0.0:
-            tol = default_constraint_tol(self.domain)
-            object.__setattr__(self, "constraint_tol", tol)
-        object.__setattr__(
-            self, "values", _check_values(self.domain, self.target, self.values, tol)
-        )
+        _freeze(self, self.domain)
 
     @property
     def nu(self) -> int:
@@ -74,16 +81,10 @@ class TraceMap:
     base: DomainSpec
     target: TargetSpec
     values: np.ndarray
-    constraint_tol: float = field(default=-1.0)
+    constraint_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        tol = self.constraint_tol
-        if tol < 0.0:
-            tol = default_constraint_tol(self.base)
-            object.__setattr__(self, "constraint_tol", tol)
-        object.__setattr__(
-            self, "values", _check_values(self.base, self.target, self.values, tol)
-        )
+        _freeze(self, self.base)
 
     @property
     def domain(self) -> DomainSpec:
@@ -199,14 +200,14 @@ def node_mesh(domain: DomainSpec) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
-def sample_function(domain: DomainSpec, target: TargetSpec, fn, constraint_tol: float = -1.0) -> GridMap:
+def sample_function(domain: DomainSpec, target: TargetSpec, fn, constraint_tol: Optional[float] = None) -> GridMap:
     """Build a GridMap by evaluating ``fn`` (vectorized over (N, ndim) points)."""
     pts = node_mesh(domain)
     vals = np.asarray(fn(pts), dtype=np.float64).reshape(domain.shape + (target.nu,))
     return GridMap(domain=domain, target=target, values=vals, constraint_tol=constraint_tol)
 
 
-def sample_trace(base: DomainSpec, target: TargetSpec, fn, constraint_tol: float = -1.0) -> TraceMap:
+def sample_trace(base: DomainSpec, target: TargetSpec, fn, constraint_tol: Optional[float] = None) -> TraceMap:
     pts = node_mesh(base)
     vals = np.asarray(fn(pts), dtype=np.float64).reshape(base.shape + (target.nu,))
     return TraceMap(base=base, target=target, values=vals, constraint_tol=constraint_tol)

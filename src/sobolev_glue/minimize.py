@@ -20,7 +20,8 @@ rejected trial steps, those whose projection hit the origin included.
 Each point is evaluated once.  A trial point's objective computes the
 undivided forward differences along every axis and the cell |DU|^2
 built from them; when the point is accepted, the next gradient reuses
-both instead of recomputing them.  The gradient multiplies the cell
+both instead of recomputing them, and ``MinimizeResult.energy`` is the
+last accepted objective.  The gradient multiplies the cell
 weight into each component separately, divides in place and writes
 roll(t, 1, a) - t as two slice subtractions into a reused buffer; the
 descent builds every trial point and its squared move in two buffers
@@ -52,7 +53,6 @@ from .energy import (
     _penalty_sum,
     distance_penalty,
     node_volumes,
-    penalized_energy,
 )
 from .errors import (
     LiftingError,
@@ -310,7 +310,7 @@ def _descend(
     )
     return MinimizeResult(
         map=final,
-        energy=penalized_energy(final, p, penalty).value,
+        energy=energy,
         iterations=iterations,
         energies=tuple(energies),
         converged=converged,
@@ -355,7 +355,6 @@ def isobe_sweep(
     eps_list: Sequence[float],
     depth_list: Sequence[float],
     cfg: MinimizeConfig,
-    n_depth: Optional[int] = None,
 ) -> SweepResult:
     """Tabulate penalized minima over penalty widths and collar depths.
 
@@ -369,8 +368,8 @@ def isobe_sweep(
     h_base = u.base.max_spacing
     triples: list[tuple[float, float, float]] = []
     for depth in depth_list:
-        nd = n_depth or max(8, min(64, int(round(depth / h_base)) + 1))
-        domain = collar_over(u.base, nd, float(depth))
+        n_depth = max(8, min(64, int(round(depth / h_base)) + 1))
+        domain = collar_over(u.base, n_depth, float(depth))
         for eps in eps_list:
             penalty = distance_penalty(float(eps), cfg.p, u.target)
             try:

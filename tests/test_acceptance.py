@@ -14,6 +14,7 @@ import pytest
 
 from sobolev_glue import acceptance as acc
 from sobolev_glue import cli
+from sobolev_glue import gridmap as gm
 from sobolev_glue.errors import ResolutionError
 
 #: ``accept --suite primary`` verdicts without their durations.  A change
@@ -60,6 +61,31 @@ def test_criterion_04_cone_capture():
 
 def test_criterion_05_circle_covering_glue():
     _check(acc.criterion_05_circle_covering_glue, 120.0)
+
+
+def _turn_one_bottom_node(glue):
+    # turn one bottom node 1 rad along the circle: chord ~0.96 > 10 h
+    def tampered(*args, **kwargs):
+        glued, report = glue(*args, **kwargs)
+        values = glued.values.copy()
+        c, s = math.cos(1.0), math.sin(1.0)
+        x, y = values[3, 0]
+        values[3, 0] = [c * x - s * y, s * x + c * y]
+        return gm.GridMap(domain=glued.domain, target=glued.target, values=values), report
+
+    return tampered
+
+
+def test_criterion_05_fails_on_a_moved_trace_or_a_failed_certificate(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(acc, "glue", _turn_one_bottom_node(acc.glue))
+        result = acc.criterion_05_circle_covering_glue()
+    assert not result.passed
+    assert result.details.startswith("K=2 n=128: trace error 0.959")
+    monkeypatch.setattr(acc.cone_mod, "verify_cone", lambda f, g, certificate: False)
+    result = acc.criterion_05_circle_covering_glue()
+    assert not result.passed
+    assert result.details.startswith("GlueError: step 2 (chart 1)")
 
 
 def test_criterion_06_extension_closed_form():

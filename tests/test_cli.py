@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sobolev_glue import cli, fileio
+from sobolev_glue import cli, cone, fileio
 from sobolev_glue import covering as cov
 from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
@@ -139,6 +139,32 @@ def test_non_finite_values_exit_five(tmp_path, capsys, bad):
     code, _, err = run_cli(["energy", "--kind", "dirichlet", "--p", "2.0", "--in", path], capsys)
     assert code == 5
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-3", "tight"])
+def test_a_bad_constraint_tol_in_the_manifest_exits_five(tmp_path, capsys, bad):
+    # a node far off the circle: a NaN tolerance would wave it through,
+    # and -3 once read as "use the default"
+    path = str(tmp_path / "t.sgf")
+    tr = _write_degree_one_trace(path, n=64)
+    values = tr.values.copy()
+    values[5] = [5.0, 5.0]
+    fileio.write_grid_map(
+        path, gm.TraceMap(base=tr.base, target=tr.target, values=values, constraint_tol=10.0)
+    )
+    with open(fileio.manifest_path(path)) as fh:
+        lines = [
+            f"constraint_tol: {bad}\n" if line.startswith("constraint_tol:") else line
+            for line in fh
+        ]
+    with open(fileio.manifest_path(path), "w") as fh:
+        fh.writelines(lines)
+    code, stdout, err = run_cli(
+        ["energy", "--kind", "gagliardo", "--p", "2", "--s", "0.5", "--in", path], capsys
+    )
+    assert code == 5
+    assert stdout == ""
+    assert repr(bad) in err
 
 
 def _matched_fold_pair(tmp_path, n=33):
@@ -359,6 +385,25 @@ def test_glue_with_one_chart_exits_two(tmp_path, capsys):
     )
     assert code == 2  # a covering needs at least 2 charts
     assert stdout == ""
+    assert not out.exists()
+
+
+def test_glue_with_a_failed_cone_certificate_exits_four(tmp_path, capsys, monkeypatch):
+    trace_path, patch_paths = _write_glue_inputs(tmp_path, n=48, n_depth=8)
+    monkeypatch.setattr(cone, "verify_cone", lambda f, g, certificate: False)
+    out = tmp_path / "g.sgf"
+    code, stdout, err = run_cli(
+        [
+            "glue", "--base", "circle", "--k", "2",
+            "--trace", trace_path,
+            "--patch", patch_paths[0], "--patch", patch_paths[1],
+            "--p", "2.0", "--out", str(out), "--report", str(tmp_path / "g.rep"),
+        ],
+        capsys,
+    )
+    assert code == 4
+    assert stdout == ""
+    assert "step 2 (chart 1)" in err
     assert not out.exists()
 
 

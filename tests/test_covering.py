@@ -9,12 +9,13 @@ must land on 2 pi / (K * arc length) for any chart count.
 import numpy as np
 import pytest
 
+from sobolev_glue import cone
 from sobolev_glue import covering as cov
 from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
 from sobolev_glue import gridmap as gm
 from sobolev_glue import target as tg
-from sobolev_glue.errors import DomainError, ParameterError, PreconditionError
+from sobolev_glue.errors import DomainError, GlueError, ParameterError, PreconditionError
 
 
 def _degree_one_trace(n):
@@ -206,12 +207,10 @@ def test_torus_four_chart_glue():
     assert report.trace_sup_error <= 1e-12
     assert all(step.gap_fraction == 0.0 for step in report.steps)
     assert not report.degenerate
-    check = cov.verify_glue(glued, trace, patches, report=report)
-    assert check.cone_checks_passed
-    assert check.ratio == pytest.approx(report.ratio, rel=1e-12)
+    assert all(step.certificate.verified for step in report.steps[1:])
     # the audit measures on the collar bottom, the report per chart grid;
     # both must sit at rounding level for node-aligned patches
-    assert check.trace_sup_error <= 1e-12
+    assert cov.verify_glue(glued, trace) <= 1e-12
     assert report.ratio == pytest.approx(0.4446, abs=2e-3)
 
 
@@ -257,9 +256,8 @@ def test_depth_varying_patches_pin_the_glued_ratio(case, pinned_ratio):
     glued, report = cov.glue(covering, patches, trace)
     assert report.ratio == pytest.approx(pinned_ratio, rel=1e-12)
     assert report.trace_sup_error <= 1e-12
-    check = cov.verify_glue(glued, trace, patches, report=report)
-    assert check.cone_checks_passed
-    assert check.trace_sup_error <= 1e-12
+    assert all(step.certificate.verified for step in report.steps[1:])
+    assert cov.verify_glue(glued, trace) <= 1e-12
 
 
 def test_glue_validates_patch_lists():
@@ -301,8 +299,28 @@ def test_glue_rejects_patches_that_stray_from_the_trace():
         values=patches[0].values + 0.05,
     )
     cov.glue(covering, [mild, patches[1]], trace)
-    with pytest.raises(PreconditionError):
-        cov.glue(covering, [mild, patches[1]], trace, tol=0.01)
+
+
+def test_verify_glue_measures_a_moved_bottom_node():
+    covering, patches, trace = _circle_setup(2, 128)
+    glued, _ = cov.glue(covering, patches, trace)
+    node = glued.values[37, 0]
+    turned = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]) @ node
+    # a 0.1 shift, and a 1 rad turn along the circle whose chord
+    # 2 sin(1/2) ~ 0.96 exceeds the 10 h ~ 0.49 that criterion 05 allows
+    assert 2.0 * np.sin(0.5) > 10.0 * trace.base.max_spacing
+    for value, size in ((node + [0.1, 0.0], 0.1), (turned, 2.0 * np.sin(0.5))):
+        values = glued.values.copy()
+        values[37, 0] = value
+        moved = gm.GridMap(domain=glued.domain, target=glued.target, values=values)
+        assert cov.verify_glue(moved, trace) == pytest.approx(size, rel=1e-12)
+
+
+def test_glue_refuses_a_certificate_that_fails_its_check(monkeypatch):
+    covering, patches, trace = _circle_setup(2, 64, n_depth=8)
+    monkeypatch.setattr(cone, "verify_cone", lambda f, g, certificate: False)
+    with pytest.raises(GlueError, match=r"step 2 \(chart 1\)"):
+        cov.glue(covering, patches, trace)
 
 
 def test_replicate_trace_patch_layout():

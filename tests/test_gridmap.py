@@ -75,6 +75,12 @@ def test_constraint_tolerance_is_enforced_on_construction():
     # stray data is admitted when no explicit tolerance is given.
     loose = gm.GridMap(domain=d, target=tg.circle(), values=bad)
     assert loose.constraint_tol == pytest.approx(10.0 * d.max_spacing)
+    # a NaN would pass every node; infinite or negative bounds mean nothing
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ParameterError):
+            gm.GridMap(domain=d, target=tg.circle(), values=good, constraint_tol=tol)
+        with pytest.raises(ParameterError):
+            gm.TraceMap(base=d, target=tg.circle(), values=good, constraint_tol=tol)
 
 
 def test_value_shape_must_match_domain():

@@ -306,8 +306,8 @@ def test_penalized_descent_relaxes_below_the_constrained_energy():
 
 @pytest.mark.parametrize("p, eps", [(2.0, None), (3.0, None), (2.0, 0.25)])
 def test_last_descent_energy_is_the_reported_energy(p, eps):
-    # the descent objective and the reported energy share one
-    # implementation, so the last accepted value is bit-identical
+    # the reported energy is the last accepted objective, and it is the
+    # public penalized_energy of the returned map bit for bit
     u = _degree_trace(24, 1)
     t = u.base.axes[0].coordinates()
     wobble = t + 0.3 * np.sin(2.0 * t)
@@ -318,13 +318,14 @@ def test_last_descent_energy_is_the_reported_energy(p, eps):
     )
     collar = dom.cylinder(24, 8)
     cfg = mi.MinimizeConfig(p=p, max_iterations=40)
+    pen = None if eps is None else en.distance_penalty(eps, p, tg.circle())
     if eps is None:
         res = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg)
     else:
-        pen = en.distance_penalty(eps, p, tg.circle())
         res = mi.minimize_penalized_detailed(u, pen, collar, cfg)
     assert res.iterations >= 1
     assert res.energies[-1] == res.energy
+    assert en.penalized_energy(res.map, p, pen).value == res.energy
 
 
 def test_unpenalized_descent_never_builds_a_penalty_gradient(monkeypatch):
@@ -354,7 +355,7 @@ def test_deeper_collars_carry_more_energy():
 def test_sweep_flags_on_winding_data():
     u = _degree_trace(32, 1)
     cfg = mi.MinimizeConfig(max_iterations=300)
-    sweep = mi.isobe_sweep(u, (0.5, 0.25), (1.0, 0.5), cfg, n_depth=10)
+    sweep = mi.isobe_sweep(u, (0.5, 0.25), (1.0, 0.5), cfg)
     assert len(sweep.triples) == 4
     for eps, depth, energy in sweep.triples:
         assert np.isfinite(energy)
