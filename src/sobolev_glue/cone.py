@@ -120,10 +120,6 @@ def _grid_points(dimension: int, resolution: int) -> np.ndarray:
     return np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
 
 
-def node_points(s: SampledSet) -> np.ndarray:
-    return _grid_points(s.dimension, s.resolution)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

@@ -14,14 +14,19 @@ parameter, depth / collar depth) coordinates with the previous state as
 the first map and the patch as the second; moved samples return to the
 ball through ``radial_fold_map``.  Bookkeeping tracks the sampled
 trusted region H_i and checks the covering invariant
-H_i union G_{i+1} ... G_K = base after every step.  Every step's cone
-certificate is checked by ``cone.find_cone`` itself, and a step whose
-check fails raises.  ``verify_glue`` audits what the steps do not: the
-glued map's bottom face against the trace at every base node.
+H_i union G_{i+1} ... G_K = base after every step.  A chart core is a
+box: ``Chart.core_masks`` ANDs one interval test per axis over a product
+grid, ``glue`` builds these masks once per grid (collar base and check
+grid), and ``Chart.in_core`` tests only scattered pull-back points.
+Every step's cone certificate is checked by
+``cone.find_cone`` itself, and a step whose check fails raises.
+``verify_glue`` audits what the steps do not: the glued map's bottom
+face against the trace at every base node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -104,14 +109,18 @@ class Chart:
     def dimension(self) -> int:
         return len(self.center)
 
+    def _wrapped_offset(self, axis: int, x: np.ndarray) -> np.ndarray:
+        """Signed offsets from the center along one axis, the shorter way round."""
+        length = self.base_lengths[axis]
+        delta = np.mod(x - self.center[axis], length)
+        return np.where(delta > length / 2.0, delta - length, delta)
+
     def _wrapped_offsets(self, pts: np.ndarray) -> np.ndarray:
         """Signed offsets from the center, wrapped to the shorter way round."""
         pts = np.asarray(pts, dtype=np.float64)
         out = np.empty_like(pts)
         for a in range(self.dimension):
-            length = self.base_lengths[a]
-            delta = np.mod(pts[..., a] - self.center[a], length)
-            out[..., a] = np.where(delta > length / 2.0, delta - length, delta)
+            out[..., a] = self._wrapped_offset(a, pts[..., a])
         return out
 
     def affine(self, pts: np.ndarray) -> np.ndarray:
@@ -121,15 +130,26 @@ class Chart:
         return off / scale
 
     def in_core(self, pts: np.ndarray) -> np.ndarray:
+        """Open-core membership of scattered base points."""
         return np.all(np.abs(self.affine(pts)) < 1.0, axis=-1)
 
-    def in_closed_core(self, pts: np.ndarray) -> np.ndarray:
-        return np.all(np.abs(self.affine(pts)) <= 1.0 + 1e-12, axis=-1)
+    def core_masks(self, grid: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Open and closed core masks over the nodes of ``grid``, flat in C order.
 
-    def core_masks(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(in_core(pts), in_closed_core(pts))`` from one ``affine`` pass."""
-        a = np.abs(self.affine(pts))
-        return np.all(a < 1.0, axis=-1), np.all(a <= 1.0 + 1e-12, axis=-1)
+        A core is a box, so each mask is the outer AND of one interval
+        test per axis, on the axis coordinates ``affine`` would read.
+        """
+        opens, closeds = [], []
+        for a, axis in enumerate(grid.axes):
+            half = self.core_extent[a] / 2.0
+            coord = np.abs(self._wrapped_offset(a, axis.coordinates()) / half)
+            opens.append(coord < 1.0)
+            closeds.append(coord <= 1.0 + 1e-12)
+        open_core, closed_core = (
+            functools.reduce(np.logical_and.outer, masks).reshape(-1)
+            for masks in (opens, closeds)
+        )
+        return open_core, closed_core
 
     def to_disk(self, pts: np.ndarray) -> np.ndarray:
         """Chart-ball coordinates of base points (points of the closed core)."""
@@ -238,14 +258,18 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
     return covering
 
 
+def _core_tables(covering: Covering, grid: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Open and closed core masks of every chart over ``grid``, shape (K, nodes)."""
+    opens, closeds = zip(*(chart.core_masks(grid) for chart in covering.charts))
+    return np.array(opens), np.array(closeds)
+
+
 def _validate_covering(covering: Covering) -> None:
     m = covering.dimension
     res = 1024 if m == 1 else 128
-    pts = node_mesh(from_kind(covering.base_kind, (res,) * m))
-    covered = np.zeros(pts.shape[0], dtype=bool)
-    for chart in covering.charts:
-        covered |= chart.in_core(pts)
-    if not np.all(covered):
+    grid = from_kind(covering.base_kind, (res,) * m)
+    open_cores, _ = _core_tables(covering, grid)
+    if not np.all(np.any(open_cores, axis=0)):
         raise GlueError("internal: chart cores fail to cover the base")
     for chart in covering.charts:
         # core boundary must land on the unit sphere of chart coordinates
@@ -281,20 +305,17 @@ def _validate_covering(covering: Covering) -> None:
 # -------------------------------------------------------- radial fold map
 
 def radial_fold_map(z_prime: np.ndarray, z_m, r: float) -> np.ndarray:
-    """(z', z_m) -> (1 - z_m * r) z' for unit directions z'.
+    """(z', z_m) -> (1 - z_m * r) z' for (N, m) rows of unit directions z'.
 
     Sweeps the radius interval (1-r, 1) as z_m runs over (0, 1); the end
     values are accepted so sampled grids can touch both rims.
     """
-    z_prime = np.asarray(z_prime, dtype=np.float64)
-    single = z_prime.ndim == 1
-    dirs = np.atleast_2d(z_prime)
+    dirs = np.asarray(z_prime, dtype=np.float64)
     norms = np.linalg.norm(dirs, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise DomainError("radial fold directions must be unit vectors")
     z_m = np.asarray(z_m, dtype=np.float64)
-    out = (1.0 - z_m * float(r)).reshape(-1, 1) * dirs
-    return out[0] if single and out.shape[0] == 1 else out
+    return (1.0 - z_m * float(r)).reshape(-1, 1) * dirs
 
 
 # ------------------------------------------------------------ glue reports
@@ -305,7 +326,6 @@ class GlueStep:
     accepted_fraction: float
     trace_sup_error: float
     gap_fraction: float
-    certificate: Optional[cone_mod.ConeCertificate]
 
 
 @dataclass(frozen=True)
@@ -359,8 +379,15 @@ def replicate_trace_patch(
 
 
 def _check_patch(
-    chart: Chart, patch: GridMap, trace: TraceMap, n_depth: int, depth: float, tol: float
+    chart: Chart,
+    patch: GridMap,
+    trace: TraceMap,
+    inside: np.ndarray,
+    n_depth: int,
+    depth: float,
+    tol: float,
 ) -> float:
+    """Check a patch's grids and target, and its bottom trace on the closed core ``inside``."""
     dom = patch.domain
     want_kind = "square" if chart.dimension == 1 else "box"
     if dom.kind != want_kind:
@@ -379,9 +406,7 @@ def _check_patch(
         raise ParameterError(f"patch {chart.index} target does not match the trace")
     # trace agreement on the core; pairwise overlap agreement follows since
     # every patch is compared against the same trace
-    base_pts = node_mesh(trace.base)
-    inside = chart.in_closed_core(base_pts)
-    offsets = chart.patch_offsets(base_pts[inside])
+    offsets = chart.patch_offsets(node_mesh(trace.base)[inside])
     probe = np.concatenate([offsets, np.zeros((offsets.shape[0], 1))], axis=-1)
     got = evaluate_batch(patch, probe)
     want = trace.values.reshape(-1, trace.nu)[inside]
@@ -421,7 +446,7 @@ def _chart_regions(
 ) -> tuple[np.ndarray, ...]:
     """``(inside, z, radii, ball, annulus)`` of one step on a sampled base grid.
 
-    ``inside`` marks the points of the closed core (``chart.in_closed_core``),
+    ``inside`` marks the points of the closed core (``chart.core_masks``),
     ``z`` and ``radii`` are their ball coordinates, and ``ball`` /
     ``annulus`` mark, among them, the certified ball and the accepted cone
     annulus.
@@ -477,8 +502,13 @@ def glue(
     m = covering.dimension
     n_depth = patches[0].domain.axes[-1].count
     depth = patches[0].domain.axes[-1].length
-    for chart, patch in zip(covering.charts, patches):
-        _check_patch(chart, patch, trace, n_depth, depth, tol)
+    # open and closed cores of every chart, once per grid: the collar base
+    # grid and the check grid
+    base_cores, base_closed = _core_tables(covering, trace.base)
+    check_grid = from_kind(covering.base_kind, (_CHECK_RESOLUTION[m],) * m)
+    check_cores, check_closed = _core_tables(covering, check_grid)
+    for i, (chart, patch) in enumerate(zip(covering.charts, patches)):
+        _check_patch(chart, patch, trace, base_closed[i], n_depth, depth, tol)
 
     collar = collar_over(trace.base, n_depth, depth)
     base_pts = node_mesh(trace.base)
@@ -490,13 +520,7 @@ def glue(
         trace.values.reshape(n_base, trace.nu)[:, None, :], n_depth, axis=1
     )
 
-    check_grid = from_kind(covering.base_kind, (_CHECK_RESOLUTION[m],) * m)
     check_pts = node_mesh(check_grid)
-    # open and closed cores of every chart on the check grid, one pass each
-    check_cores = np.empty((len(covering.charts), check_pts.shape[0]), dtype=bool)
-    check_closed = np.empty_like(check_cores)
-    for i, chart in enumerate(covering.charts):
-        check_cores[i], check_closed[i] = chart.core_masks(check_pts)
     # cores_to_come[i]: union of the cores of the charts after chart i
     later_cores = np.concatenate([check_cores[1:], np.zeros_like(check_cores[:1])])
     cores_to_come = np.logical_or.accumulate(later_cores[::-1], axis=0)[::-1]
@@ -514,10 +538,9 @@ def glue(
         if i == 0:
             # trusted regions: the open core on the collar base grid and
             # on the check grid
-            h_collar, inside = chart.core_masks(base_pts)
+            h_collar, inside = base_cores[0], base_closed[0]
             values[inside] = _patch_columns(chart, patch, base_pts[inside], depth_coords, trace)
             h_check = check_cores[0]
-            cert = None
             radius = 1.0
             accepted_fraction = 0.0
         else:
@@ -557,9 +580,7 @@ def glue(
             radius = cert.radius
             accepted_fraction = float(np.mean(cert.directions))
 
-            collar_regions = _chart_regions(
-                chart, base_pts, chart.in_closed_core(base_pts), radius, cert
-            )
+            collar_regions = _chart_regions(chart, base_pts, base_closed[i], radius, cert)
             values = _fold_chart_step(
                 chart,
                 patch,
@@ -597,7 +618,6 @@ def glue(
                 accepted_fraction=accepted_fraction,
                 trace_sup_error=step_trace,
                 gap_fraction=gap_fraction,
-                certificate=cert,
             )
         )
 
@@ -687,8 +707,8 @@ def _fold_chart_step(
     # radial fold parameter: 0 at the outer rim |z|=1, 1 at the inner rim
     x = np.clip((1.0 - r_ann) / (1.0 - radius), 0.0, 1.0)
     n_ann = ann_idx.size
-    # one sample per (annulus node, depth node); region codes index
-    # folding.FOLD_REGIONS: 0 reads the previous state, 1 and 2 the patch
+    # one sample per (annulus node, depth node); fold_sources' region code
+    # 0 reads the previous state, 1 and 2 the patch
     region, s1, s2 = fold_sources(
         np.repeat(x, n_depth), np.tile(depth_coords / depth, n_ann)
     )

@@ -2,20 +2,20 @@
 
 The fold acts on the last two coordinates (x1, x2) of a square or cube
 grid; any leading periodic factor rides along untouched.  The unit square
-splits into three regions:
+splits into three regions, numbered by the codes ``fold_sources`` returns:
 
-* ``FROM_FIRST``    x1 <= x2/2:      value of the first map at (2 x1, x2 - 2 x1)
-* ``REFLECTED``     x2/2 < x1 <= x2: value of the second map at (x2, 2 x1 - x2)
-* ``COPIED``        x2 < x1:         the second map's own value
+* 0, from first   x1 <= x2/2:      value of the first map at (2 x1, x2 - 2 x1)
+* 1, reflected    x2/2 < x1 <= x2: value of the second map at (x2, 2 x1 - x2)
+* 2, copied       x2 < x1:         the second map's own value
 
 Ties sit with the earlier region.  ``fold_sources`` is the one statement
-of this rule: ``fold`` and ``classify_region`` call it here, and
-``covering.glue`` calls it in (radial, depth) coordinates of each chart's
-annulus.  ``fold`` returns only the folded map.  It keeps the second
-map's bottom trace at nodes, keeps the first map's x1 = 0 face and the
-second map's x1 = 1 face, and its p-energy is controlled by the largest
-singular values of the two affine substitutions, computed in closed form
-below and cross-checked against an SVD oracle in the test suite.
+of this rule: ``fold`` calls it here, and ``covering.glue`` calls it in
+(radial, depth) coordinates of each chart's annulus.  ``fold`` returns
+only the folded map.  It keeps the second map's bottom trace at nodes,
+keeps the first map's x1 = 0 face and the second map's x1 = 1 face, and
+its p-energy is controlled by the largest singular values of the two
+affine substitutions, computed in closed form below and cross-checked
+against an SVD oracle in the test suite.
 ``fold_trace_errors`` measures a folded map's three trace errors, and
 ``verify_fold_traces`` builds its ``FoldReport``: those errors, the three
 p-energies and their ratio.
@@ -23,7 +23,6 @@ p-energies and their ratio.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -49,12 +48,6 @@ FIRST_WEDGE_STRETCH_SQ = (9.0 + math.sqrt(65.0)) / 2.0
 REFLECTED_WEDGE_STRETCH_SQ = 3.0 + math.sqrt(5.0)
 
 
-class FoldRegion(enum.Enum):
-    FROM_FIRST = "from_first"
-    REFLECTED = "reflected"
-    COPIED = "copied"
-
-
 @dataclass(frozen=True)
 class FoldReport:
     trace_bottom_error: float
@@ -67,19 +60,16 @@ class FoldReport:
     p: float
 
 
-#: region codes returned by :func:`fold_sources` index this tuple
-FOLD_REGIONS = tuple(FoldRegion)
-
-
 def fold_sources(
     x1: np.ndarray, x2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Region code and source coordinates of points of the folding square.
 
-    Returns ``(region, s1, s2)``: ``region`` indexes :data:`FOLD_REGIONS`
-    (ties go to the earlier region) and ``(s1, s2)`` is the point the
-    folded map reads, (2 x1, x2 - 2 x1) in ``FROM_FIRST``, (x2, 2 x1 - x2)
-    in ``REFLECTED`` and (x1, x2) itself in ``COPIED``.
+    Returns ``(region, s1, s2)``.  ``region`` is 0 where the folded map
+    reads the first map, 1 where it reads the second map reflected and 2
+    where it copies the second map; ties go to the earlier region.
+    ``(s1, s2)`` is the point the folded map reads: (2 x1, x2 - 2 x1) in
+    region 0, (x2, 2 x1 - x2) in region 1 and (x1, x2) itself in region 2.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
@@ -89,11 +79,6 @@ def fold_sources(
     s1 = np.where(first, 2.0 * x1, np.where(reflected, x2, x1))
     s2 = np.where(first, x2 - 2.0 * x1, np.where(reflected, 2.0 * x1 - x2, x2))
     return region, s1, s2
-
-
-def classify_region(x1: float, x2: float) -> FoldRegion:
-    """Region of a point of the folding square; ties go to the earlier region."""
-    return FOLD_REGIONS[int(fold_sources(x1, x2)[0])]
 
 
 def fold_energy_bound(p: float) -> float:

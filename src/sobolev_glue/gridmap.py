@@ -124,8 +124,6 @@ def evaluate_batch(m: GridMap | TraceMap, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation at an (N, ndim) array of points."""
     dom = m.domain
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[None, :]
     if points.shape[-1] != dom.ndim:
         raise DomainError(
             f"points have dimension {points.shape[-1]}, domain has {dom.ndim}"
@@ -157,11 +155,6 @@ def evaluate_batch(m: GridMap | TraceMap, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(m: GridMap | TraceMap, point) -> np.ndarray:
-    """Interpolate at a single point; exact where the point is a node."""
-    return evaluate_batch(m, np.asarray(point, dtype=np.float64)[None, :])[0]
-
-
 def extract_trace(m: GridMap, face: str) -> TraceMap:
     """Restrict a map to a boundary face as a map over the face's own grid."""
     axis, side = face_axis_side(m.domain, face)
@@ -170,23 +163,6 @@ def extract_trace(m: GridMap, face: str) -> TraceMap:
     picker[axis] = 0 if side == 0 else m.domain.shape[axis] - 1
     values = np.array(m.values[tuple(picker)])
     return TraceMap(base=base, target=m.target, values=values, constraint_tol=m.constraint_tol)
-
-
-def set_boundary(m: GridMap, face: str, trace: TraceMap) -> GridMap:
-    """Replace one boundary node layer; inverse of extract_trace on that face."""
-    axis, side = face_axis_side(m.domain, face)
-    base = face_domain(m.domain, face)
-    if trace.base.shape != base.shape:
-        raise DomainError(
-            f"trace resolution {trace.base.shape} does not match face {base.shape}"
-        )
-    if trace.target != m.target:
-        raise DomainError("trace target does not match map target")
-    values = np.array(m.values)
-    picker: list = [slice(None)] * (m.domain.ndim + 1)
-    picker[axis] = 0 if side == 0 else m.domain.shape[axis] - 1
-    values[tuple(picker)] = trace.values
-    return GridMap(domain=m.domain, target=m.target, values=values, constraint_tol=m.constraint_tol)
 
 
 def grid_coordinates(domain: DomainSpec) -> list[np.ndarray]:
@@ -198,16 +174,3 @@ def node_mesh(domain: DomainSpec) -> np.ndarray:
     """(N, ndim) array of all node coordinates in C order."""
     grids = np.meshgrid(*grid_coordinates(domain), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-
-def sample_function(domain: DomainSpec, target: TargetSpec, fn, constraint_tol: Optional[float] = None) -> GridMap:
-    """Build a GridMap by evaluating ``fn`` (vectorized over (N, ndim) points)."""
-    pts = node_mesh(domain)
-    vals = np.asarray(fn(pts), dtype=np.float64).reshape(domain.shape + (target.nu,))
-    return GridMap(domain=domain, target=target, values=vals, constraint_tol=constraint_tol)
-
-
-def sample_trace(base: DomainSpec, target: TargetSpec, fn, constraint_tol: Optional[float] = None) -> TraceMap:
-    pts = node_mesh(base)
-    vals = np.asarray(fn(pts), dtype=np.float64).reshape(base.shape + (target.nu,))
-    return TraceMap(base=base, target=target, values=vals, constraint_tol=constraint_tol)

@@ -117,20 +117,16 @@ class MinimizeResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Penalized minima over (eps, depth) pairs with the two limit flags.
+    """Penalized minima over (eps, depth) pairs with the eps-limit flag.
 
     ``bounded_in_eps``: at every depth the smallest-eps energy stays
     within a factor 2 of the largest-eps energy (plus an absolute floor),
-    the sampled form of boundedness along eps -> 0.  ``depth_limit_vanishes``:
-    the largest-over-eps energy at the smallest depth is at most 1.5 x
-    (depth ratio) x the one at the largest depth, the sampled form of the
-    small-depth limit vanishing.  Both statements are about the computed
-    resolutions only.
+    the sampled form of boundedness along eps -> 0.  The statement is
+    about the computed resolutions only.
     """
 
     triples: tuple[tuple[float, float, float], ...]
     bounded_in_eps: bool
-    depth_limit_vanishes: bool
 
 
 # ------------------------------------------------------------- objectives
@@ -380,25 +376,12 @@ def isobe_sweep(
                 ) from exc
             triples.append((float(eps), float(depth), energy))
 
-    floor = 1e-9
     by_depth: dict[float, dict[float, float]] = {}
     for eps, depth, energy in triples:
         by_depth.setdefault(depth, {})[eps] = energy
-    bounded = True
-    for depth, row in by_depth.items():
-        top = row[max(row)]
-        small = row[min(row)]
-        bounded &= small <= max(2.0 * top, floor)
-    depths = sorted(by_depth)
-    d_min, d_max = depths[0], depths[-1]
-    sup_min = max(by_depth[d_min].values())
-    sup_max = max(by_depth[d_max].values())
-    vanishes = sup_min <= max(1.5 * (d_min / d_max) * sup_max, floor)
-    return SweepResult(
-        triples=tuple(triples),
-        bounded_in_eps=bounded,
-        depth_limit_vanishes=vanishes,
-    )
+    # smallest-eps energy against the largest-eps one, above an absolute floor
+    bounded = all(row[min(row)] <= max(2.0 * row[max(row)], 1e-9) for row in by_depth.values())
+    return SweepResult(triples=tuple(triples), bounded_in_eps=bounded)
 
 
 # ---------------------------------------------------------- lifting oracle

@@ -6,6 +6,7 @@ drives the same suite through the command line entry point and pins
 every verdict line.
 """
 
+import dataclasses
 import math
 import re
 
@@ -86,6 +87,42 @@ def test_criterion_05_fails_on_a_moved_trace_or_a_failed_certificate(monkeypatch
     result = acc.criterion_05_circle_covering_glue()
     assert not result.passed
     assert result.details.startswith("GlueError: step 2 (chart 1)")
+
+
+def _shift_one_bottom_node(glue):
+    def tampered(*args, **kwargs):
+        glued, report = glue(*args, **kwargs)
+        values = glued.values.copy()
+        values[3, 0] += [0.1, 0.0]
+        return gm.GridMap(domain=glued.domain, target=glued.target, values=values), report
+
+    return tampered
+
+
+def _degenerate_report(glue):
+    def tampered(*args, **kwargs):
+        glued, report = glue(*args, **kwargs)
+        return glued, dataclasses.replace(report, ratio=float("nan"), degenerate=True)
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [acc.criterion_05_circle_covering_glue, acc.criterion_07_penalized_glue_constant],
+)
+def test_glue_criteria_fail_on_a_shifted_node_or_a_degenerate_report(criterion, monkeypatch):
+    # a 0.1 shift is far below the old 10 h gate but far above the ~1e-15
+    # that node-aligned patches glue to
+    with monkeypatch.context() as patch:
+        patch.setattr(acc, "glue", _shift_one_bottom_node(acc.glue))
+        result = criterion()
+    assert not result.passed
+    assert result.details == "K=2 n=128: trace error 0.1 exceeds 1e-12"
+    monkeypatch.setattr(acc, "glue", _degenerate_report(acc.glue))
+    result = criterion()
+    assert not result.passed
+    assert result.details == "K=2 n=128: degenerate patch energies"
 
 
 def test_criterion_06_extension_closed_form():

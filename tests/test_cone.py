@@ -234,6 +234,13 @@ def test_sampled_set_shape_validation():
         cone.ConeCertificate(directions=np.ones(8, dtype=bool), radius=1.0, verified=False)
 
 
+def _node_points(s):
+    """Grid nodes over [-1, 1]^dimension as (N, dimension) rows, C order."""
+    axis = np.linspace(-1.0, 1.0, s.resolution)
+    mesh = np.meshgrid(*[axis] * s.dimension, indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
+
+
 def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
     """Top-down scan of every radius k/K, first success wins; None if none does.
 
@@ -241,7 +248,7 @@ def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
     written out here rather than taken from the cone module.
     """
     clearance = cone.ray_clearance(g, ladder_steps)
-    pts = cone.node_points(f)
+    pts = _node_points(f)
     radii = np.linalg.norm(pts, axis=-1)
     f_flat = f.indicator.reshape(-1)
     for k in range(1, ladder_steps):
@@ -320,7 +327,7 @@ def _reference_ray_clearance(g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
     res = g.resolution
     ext = g.indicator
     if g.dimension == 2:
-        pts = cone.node_points(g)
+        pts = _node_points(g)
         radii = np.linalg.norm(pts, axis=-1)
         outside = radii > 1.0
         pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]

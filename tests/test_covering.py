@@ -9,13 +9,69 @@ must land on 2 pi / (K * arc length) for any chart count.
 import numpy as np
 import pytest
 
-from sobolev_glue import cone
+from sobolev_glue import cli, cone, fileio
 from sobolev_glue import covering as cov
 from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
 from sobolev_glue import gridmap as gm
 from sobolev_glue import target as tg
 from sobolev_glue.errors import DomainError, GlueError, ParameterError, PreconditionError
+
+
+#: ``sobolev-glue glue`` stdout, line by line, for replicated patches of
+#: ``_torus_x_trace(48)`` (K=4, 10 depth nodes) and ``_degree_one_trace(128)``
+#: (K=3, 16 depth nodes).  A change that moves a glue number has to change
+#: this pin.
+GLUE_CLI_LINES = {
+    "torus": [
+        "base=torus",
+        "k=4",
+        "p=2",
+        "r_1=1",
+        "accepted_fraction_1=0",
+        "trace_sup_error_1=1.0235750533041806e-15",
+        "gap_fraction_1=0",
+        "r_2=0.984375",
+        "accepted_fraction_2=0.54280155642023342",
+        "trace_sup_error_2=2.7755575615628914e-15",
+        "gap_fraction_2=0",
+        "r_3=0.984375",
+        "accepted_fraction_3=0.8268482490272373",
+        "trace_sup_error_3=3.7975470271705162e-15",
+        "gap_fraction_3=0",
+        "r_4=0.984375",
+        "accepted_fraction_4=1",
+        "trace_sup_error_4=3.2425355437371536e-15",
+        "gap_fraction_4=0",
+        "trace_sup_error=3.7975470271705162e-15",
+        "patch_energy_total=88.699677276333659",
+        "glued_energy=39.437626657512716",
+        "ratio=0.44461973108029829",
+        "degenerate=false",
+    ],
+    "circle": [
+        "base=circle",
+        "k=3",
+        "p=2",
+        "r_1=1",
+        "accepted_fraction_1=0",
+        "trace_sup_error_1=1.1957467920563633e-15",
+        "gap_fraction_1=0",
+        "r_2=0.984375",
+        "accepted_fraction_2=0.5",
+        "trace_sup_error_2=1.1957467920563633e-15",
+        "gap_fraction_2=0",
+        "r_3=0.984375",
+        "accepted_fraction_3=1",
+        "trace_sup_error_3=1.1957467920563633e-15",
+        "gap_fraction_3=0",
+        "trace_sup_error=1.1957467920563633e-15",
+        "patch_energy_total=9.4228856398225496",
+        "glued_energy=6.2823794321910063",
+        "ratio=0.66671502470970401",
+        "degenerate=false",
+    ],
+}
 
 
 def _degree_one_trace(n):
@@ -43,20 +99,31 @@ def _circle_setup(k, n, n_depth=16):
     return covering, patches, trace
 
 
-def test_core_masks_match_the_open_and_closed_core_tests():
-    for base, k in ((dom.circle(64), 3), (dom.torus(16, 16), 9)):
+def test_core_masks_match_the_pointwise_core_tests():
+    # the last entry is the most nodes one chart has on its core boundary,
+    # where the open and closed tests part; None: not pinned
+    cases = [
+        (dom.circle(64), 2, 2),
+        (dom.circle(64), 3, None),
+        (dom.circle(2048), 5, None),
+        (dom.torus(16, 16), 4, 48),
+        (dom.torus(16, 16), 9, None),
+        (dom.torus(48, 48), 6, None),
+        (dom.torus(384, 384), 9, 768),
+    ]
+    for base, k, boundary_nodes in cases:
         covering = cov.build_covering(base, k)
-        lengths = np.array(base.lengths)
-        pts = np.random.default_rng(k).uniform(-0.5, 1.5, size=(2000, base.ndim)) * lengths
+        pts = gm.node_mesh(base)
+        most = 0
         for chart in covering.charts:
-            # the core's corners and edge midpoints: closed core, not open
-            offsets = np.array(np.meshgrid(*[[-0.5, 0.0, 0.5]] * base.ndim)).reshape(base.ndim, -1).T
-            edge = np.mod(np.array(chart.center) + offsets * np.array(chart.core_extent), lengths)
-            probe = np.concatenate([pts, edge])
-            open_core, closed_core = chart.core_masks(probe)
-            assert np.array_equal(open_core, chart.in_core(probe))
-            assert np.array_equal(closed_core, chart.in_closed_core(probe))
-            assert np.any(closed_core & ~open_core)
+            open_core, closed_core = chart.core_masks(base)
+            a = np.abs(chart.affine(pts))
+            assert np.array_equal(open_core, chart.in_core(pts))
+            assert np.array_equal(open_core, np.all(a < 1.0, axis=-1))
+            assert np.array_equal(closed_core, np.all(a <= 1.0 + 1e-12, axis=-1))
+            most = max(most, int(np.sum(closed_core & ~open_core)))
+        if boundary_nodes is not None:
+            assert most == boundary_nodes
 
 
 def test_square_disk_round_trip():
@@ -207,7 +274,6 @@ def test_torus_four_chart_glue():
     assert report.trace_sup_error <= 1e-12
     assert all(step.gap_fraction == 0.0 for step in report.steps)
     assert not report.degenerate
-    assert all(step.certificate.verified for step in report.steps[1:])
     # the audit measures on the collar bottom, the report per chart grid;
     # both must sit at rounding level for node-aligned patches
     assert cov.verify_glue(glued, trace) <= 1e-12
@@ -256,7 +322,6 @@ def test_depth_varying_patches_pin_the_glued_ratio(case, pinned_ratio):
     glued, report = cov.glue(covering, patches, trace)
     assert report.ratio == pytest.approx(pinned_ratio, rel=1e-12)
     assert report.trace_sup_error <= 1e-12
-    assert all(step.certificate.verified for step in report.steps[1:])
     assert cov.verify_glue(glued, trace) <= 1e-12
 
 
@@ -339,3 +404,23 @@ def test_replicate_trace_patch_layout():
     np.testing.assert_allclose(
         np.linalg.norm(patch.values[:, 0, :], axis=-1), 1.0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("case", ["torus", "circle"])
+def test_glue_cli_prints_the_pinned_report(case, tmp_path, capsys):
+    if case == "torus":
+        trace, k, n_depth = _torus_x_trace(48), 4, 10
+    else:
+        trace, k, n_depth = _degree_one_trace(128), 3, 16
+    trace_path = str(tmp_path / "trace.sgf")
+    fileio.write_grid_map(trace_path, trace)
+    args = ["glue", "--base", case, "--k", str(k), "--trace", trace_path]
+    for i, chart in enumerate(cov.build_covering(trace.base, k).charts):
+        path = str(tmp_path / f"patch{i}.sgf")
+        fileio.write_grid_map(path, cov.replicate_trace_patch(trace, chart, n_depth))
+        args += ["--patch", path]
+    out, report = str(tmp_path / "glued.sgf"), str(tmp_path / "glue.report")
+    assert cli.main(args + ["--p", "2.0", "--out", out, "--report", report]) == 0
+    assert capsys.readouterr().out.splitlines() == GLUE_CLI_LINES[case]
+    with open(report) as fh:
+        assert fh.read().splitlines() == GLUE_CLI_LINES[case]

@@ -28,15 +28,23 @@ def test_stretch_constants_match_svd_of_the_substitutions():
     assert fo.REFLECTED_WEDGE_STRETCH_SQ == pytest.approx(3.0 + np.sqrt(5.0))
 
 
+def _region_code(x1, x2):
+    # the documented rule written out: 0 first map, 1 reflected, 2 copied;
+    # ties go to the earlier region
+    if x1 <= x2 / 2.0:
+        return 0
+    if x1 <= x2:
+        return 1
+    return 2
+
+
 def test_region_classification_with_tie_breaks():
-    R = fo.FoldRegion
-    assert fo.classify_region(0.1, 0.8) is R.FROM_FIRST
-    assert fo.classify_region(0.4, 0.8) is R.FROM_FIRST  # tie x1 = x2/2
-    assert fo.classify_region(0.5, 0.8) is R.REFLECTED
-    assert fo.classify_region(0.8, 0.8) is R.REFLECTED  # tie x1 = x2
-    assert fo.classify_region(0.9, 0.8) is R.COPIED
-    assert fo.classify_region(0.5, 0.0) is R.COPIED
-    assert fo.classify_region(0.0, 0.0) is R.FROM_FIRST
+    x1 = [0.1, 0.4, 0.5, 0.8, 0.9, 0.5, 0.0]
+    x2 = [0.8, 0.8, 0.8, 0.8, 0.8, 0.0, 0.0]
+    region, _, _ = fo.fold_sources(x1, x2)
+    # ties x1 = x2/2 (second point) and x1 = x2 (fourth) sit with the
+    # earlier region
+    assert region.tolist() == [0, 0, 1, 1, 2, 2, 0]
 
 
 def test_shared_rule_matches_the_classifier_and_substitutes():
@@ -45,9 +53,7 @@ def test_shared_rule_matches_the_classifier_and_substitutes():
     x1 = np.array([0.1, 0.4, 0.5, 0.8, 0.9, 0.5, 0.0, 0.25, 0.5])
     x2 = np.array([0.8, 0.8, 0.8, 0.8, 0.8, 0.0, 0.0, 0.5, 0.5])
     region, s1, s2 = fo.fold_sources(x1, x2)
-    assert [fo.FOLD_REGIONS[r] for r in region] == [
-        fo.classify_region(a, b) for a, b in zip(x1, x2)
-    ]
+    assert region.tolist() == [_region_code(a, b) for a, b in zip(x1, x2)]
     first = region == 0
     reflected = region == 1
     copied = region == 2
@@ -63,14 +69,11 @@ def test_shared_rule_matches_the_classifier_and_substitutes():
 def test_region_measures_are_quarter_quarter_half():
     rng = np.random.default_rng(1)
     pts = rng.random((20000, 2))
-    regions = np.array([fo.classify_region(x1, x2).value for x1, x2 in pts])
-    frac = {
-        name: float(np.mean(regions == name))
-        for name in ("from_first", "reflected", "copied")
-    }
-    assert frac["from_first"] == pytest.approx(0.25, abs=0.02)
-    assert frac["reflected"] == pytest.approx(0.25, abs=0.02)
-    assert frac["copied"] == pytest.approx(0.50, abs=0.02)
+    regions, _, _ = fo.fold_sources(pts[:, 0], pts[:, 1])
+    frac = [float(np.mean(regions == code)) for code in (0, 1, 2)]
+    assert frac[0] == pytest.approx(0.25, abs=0.02)
+    assert frac[1] == pytest.approx(0.25, abs=0.02)
+    assert frac[2] == pytest.approx(0.50, abs=0.02)
 
 
 def _affine_pair(n, v, w):

@@ -36,17 +36,18 @@ def test_evaluate_is_exact_at_nodes():
 def test_interpolation_reproduces_linear_functions(x, y, a, b):
     d = dom.square(9, 9)
     m = _linear_map(d, [[a, b]], [0.5])
-    got = gm.evaluate(m, (x, y))
+    got = gm.evaluate_batch(m, [(x, y)])[0]
     assert got[0] == pytest.approx(a * x + b * y + 0.5, abs=1e-12)
 
 
 def test_periodic_axis_wraps_instead_of_failing():
     d = dom.circle(16)
-    m = gm.sample_function(d, tg.euclidean(1), lambda t: np.cos(t))
-    inside = gm.evaluate(m, (0.3,))
-    wrapped = gm.evaluate(m, (0.3 + 2.0 * np.pi,))
+    theta = d.axes[0].coordinates()
+    m = gm.GridMap(domain=d, target=tg.euclidean(1), values=np.cos(theta)[:, None])
+    inside, wrapped, negative = gm.evaluate_batch(
+        m, [(0.3,), (0.3 + 2.0 * np.pi,), (0.3 - 2.0 * np.pi,)]
+    )
     assert wrapped == pytest.approx(inside, abs=1e-12)
-    negative = gm.evaluate(m, (0.3 - 2.0 * np.pi,))
     assert negative == pytest.approx(inside, abs=1e-12)
 
 
@@ -54,11 +55,11 @@ def test_evaluation_outside_an_interval_axis_is_a_domain_error():
     d = dom.square(5, 5)
     m = _linear_map(d, [[1.0, 0.0]], [0.0])
     with pytest.raises(DomainError):
-        gm.evaluate(m, (1.5, 0.5))
+        gm.evaluate_batch(m, [(1.5, 0.5)])
     with pytest.raises(DomainError):
-        gm.evaluate(m, (-0.5, 0.5))
+        gm.evaluate_batch(m, [(-0.5, 0.5)])
     # A hair outside is clamped, not rejected.
-    got = gm.evaluate(m, (1.0 + 1e-12, 0.5))
+    got = gm.evaluate_batch(m, [(1.0 + 1e-12, 0.5)])[0]
     assert got[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -91,45 +92,16 @@ def test_value_shape_must_match_domain():
         gm.GridMap(domain=d, target=tg.euclidean(2), values=np.zeros((4, 4)))
 
 
-def test_extract_set_boundary_round_trip():
+def test_extract_trace_reads_the_bottom_layer():
     d = dom.cylinder(12, 6)
     rng = np.random.default_rng(5)
     m = gm.GridMap(domain=d, target=tg.euclidean(2), values=rng.normal(size=(12, 6, 2)))
     tr = gm.extract_trace(m, "bottom")
     assert tr.base.kind == "circle"
     assert np.array_equal(tr.values, m.values[:, 0, :])
-    replaced = gm.set_boundary(m, "bottom", tr)
-    assert np.array_equal(replaced.values, m.values)
-    other = gm.TraceMap(base=tr.base, target=tr.target, values=tr.values + 1.0)
-    bumped = gm.set_boundary(m, "bottom", other)
-    assert np.array_equal(bumped.values[:, 0, :], m.values[:, 0, :] + 1.0)
-    assert np.array_equal(bumped.values[:, 1:, :], m.values[:, 1:, :])
-
-
-def test_set_boundary_rejects_mismatched_trace():
-    d = dom.cylinder(12, 6)
-    m = gm.GridMap(domain=d, target=tg.euclidean(2), values=np.zeros((12, 6, 2)))
-    short = gm.TraceMap(
-        base=dom.circle(8), target=tg.euclidean(2), values=np.zeros((8, 2))
-    )
-    with pytest.raises(DomainError):
-        gm.set_boundary(m, "bottom", short)
-
-
-def test_sample_function_stores_values_verbatim():
-    d = dom.circle(10)
-    m = gm.sample_function(
-        d,
-        tg.circle(),
-        lambda pts: np.stack([np.cos(pts[:, 0]), np.sin(pts[:, 0])], axis=-1),
-        constraint_tol=1e-12,
-    )
-    theta = d.axes[0].coordinates()
-    np.testing.assert_array_equal(m.values[:, 0], np.cos(theta))
-    np.testing.assert_array_equal(m.values[:, 1], np.sin(theta))
 
 
 def test_trace_map_domain_alias():
-    tr = gm.sample_trace(dom.circle(6), tg.euclidean(1), lambda t: t[..., None] * 0.0)
+    tr = gm.TraceMap(base=dom.circle(6), target=tg.euclidean(1), values=np.zeros((6, 1)))
     assert tr.domain is tr.base
     assert tr.nu == 1

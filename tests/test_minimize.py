@@ -361,7 +361,6 @@ def test_sweep_flags_on_winding_data():
         assert np.isfinite(energy)
         assert energy <= 1.1 * 2.0 * np.pi
     assert sweep.bounded_in_eps
-    assert sweep.depth_limit_vanishes
 
 
 def test_sweep_validates_parameters():
