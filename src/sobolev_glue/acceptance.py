@@ -399,17 +399,23 @@ def criterion_09_trace_inequality_echo() -> CriterionResult:
         for n in (64, 128):
             rng = np.random.default_rng(0)
             worst = 0.0
-            for _ in range(10):
+            for k in range(10):
                 u = _degree_zero_trace(rng, n)
                 gag = gagliardo_energy(u, 0.5, 2.0).value
                 dom = cylinder(n, max(16, n // 4), 1.0)
                 ext = minimize_extension_detailed(u, dom, circle_target(), cfg).energy
                 if ext <= 0.0:
                     return False, f"n={n}: degenerate extension energy"
-                worst = max(worst, gag / ext)
+                ratio = gag / ext
+                # max() would drop a NaN, and a zero constant would divide the drift
+                if not 0.0 < ratio < math.inf:
+                    return False, (
+                        f"n={n} trace {k}: energy ratio {ratio!r} is not finite and positive"
+                    )
+                worst = max(worst, ratio)
             constants.append(worst)
         drift = abs(constants[1] - constants[0]) / constants[0]
-        if drift > 0.30:
+        if not drift <= 0.30:
             return False, f"measured constant drift {drift:.3g} exceeds 30%"
         return True, (
             f"measured_C={constants[0]:.4g}->{constants[1]:.4g} drift={drift:.3g}"

@@ -16,11 +16,15 @@ Containments are certified at grid scale only:
 * the accepted direction set is eroded by one direction cell, so every
   certified direction has accepted neighbours;
 * an F node is covered if it lies strictly inside the ball or both
-  direction nodes bracketing its angle survive the erosion.
+  direction nodes bracketing it survive the erosion.
 
+``_brackets`` is the one rule for which directions bracket a point.
 ``verify_cone`` re-checks both inclusions by brute force over grid nodes.
 It shares no capture logic with the search, only the per-grid node
 tables below; the tests check those against independent formulas.
+Node meshes, cell tests and neighbourhoods (``_grid_points``,
+``_cells_all_true``, ``_interior_nodes``) are written once for any
+dimension; ``covering`` reuses the cell test on its periodic base grid.
 
 Geometry that depends on the grid alone, not on the sets, is tabulated
 once per key in bounded LRU tables of at most 4 entries each, and every
@@ -31,8 +35,8 @@ set on that grid only gathers from them:
   1 MB at resolution 256);
 * per (dimension, resolution): the node radii and the rim pull-back of
   the radial extension below;
-* per (resolution, direction count): the lower direction bracket of each
-  node's angle.
+* per (dimension, resolution, direction count): the bracket pair
+  ``(j0, j1)`` of every node.
 
 Indices are int32 and every cached array is read-only.  Node coordinates
 are not kept; they are rebuilt where a table is built.
@@ -46,6 +50,7 @@ only reads honest node values inside the closed ball.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -80,9 +85,6 @@ class SampledSet:
     def spacing(self) -> float:
         return 2.0 / (self.resolution - 1)
 
-    def coordinates(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.resolution)
-
 
 @dataclass(frozen=True)
 class ConeCertificate:
@@ -99,10 +101,6 @@ class ConeCertificate:
         d.flags.writeable = False
         object.__setattr__(self, "directions", d)
 
-    @property
-    def dimension(self) -> int:
-        return 1 if self.directions.size == 2 else 2
-
 
 def from_predicate(dimension: int, resolution: int, predicate, closed: bool) -> SampledSet:
     """Sample an analytic predicate (vectorized over (N, dimension) points)."""
@@ -114,10 +112,8 @@ def from_predicate(dimension: int, resolution: int, predicate, closed: bool) -> 
 def _grid_points(dimension: int, resolution: int) -> np.ndarray:
     """Grid nodes over [-1,1]^dimension as (N, dimension) rows, C order."""
     axis = np.linspace(-1.0, 1.0, resolution)
-    if dimension == 1:
-        return axis[:, None]
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
+    mesh = np.meshgrid(*[axis] * dimension, indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -173,10 +169,11 @@ def _extended_indicator(s: SampledSet) -> np.ndarray:
 
 
 def _cells_all_true(indicator: np.ndarray) -> np.ndarray:
-    """Per grid cell, (res - 1)^m of them: every corner is in the set."""
-    ok = indicator[:-1] & indicator[1:]
-    if ok.ndim == 2:
-        ok = ok[:, :-1] & ok[:, 1:]
+    """Per grid cell, (n - 1) per axis of n nodes: every corner is in the set."""
+    ok = indicator
+    for a in range(indicator.ndim):
+        before = (slice(None),) * a
+        ok = ok[before + (slice(None, -1),)] & ok[before + (slice(1, None),)]
     return ok
 
 
@@ -188,16 +185,9 @@ def _interior_nodes(indicator: np.ndarray, extended: np.ndarray) -> np.ndarray:
     """
     out = indicator.copy()
     padded = np.pad(extended, 1, constant_values=True)
-    if indicator.ndim == 1:
-        n = indicator.size
-        out &= padded[0:n] & padded[2 : n + 2]
-        return out
-    n0, n1 = indicator.shape
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            out &= padded[1 + di : 1 + di + n0, 1 + dj : 1 + dj + n1]
+    for shift in itertools.product((-1, 0, 1), repeat=indicator.ndim):
+        if any(shift):
+            out &= padded[tuple(slice(1 + d, 1 + d + n) for d, n in zip(shift, indicator.shape))]
     return out
 
 
@@ -257,33 +247,42 @@ def ray_clearance(g: SampledSet, ladder_steps: int = DEFAULT_LADDER_STEPS) -> np
     return np.max(blocked, axis=1)
 
 
-def _lower_bracket(pts: np.ndarray, nd: int) -> np.ndarray:
-    """Direction-grid node j0 at or below each point's angle (2D sets).
+def _brackets(pts: np.ndarray, nd: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two direction nodes ``(j0, j1)`` bracketing each of the (N, m) points.
 
-    The upper bracket is j1 = (j0 + 1) % nd.
+    On a 1-D set both are the point's side: 0 for x <= 0, 1 for x > 0.
+    On a 2-D set j0 is the direction at or below the point's angle and
+    j1 = (j0 + 1) % nd the next one.
     """
+    if pts.shape[1] == 1:
+        side = (pts[:, 0] > 0.0).astype(np.int64)
+        return side, side
     angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-    step = 2.0 * np.pi / nd
-    return np.floor(angles / step).astype(np.int64) % nd
+    j0 = np.floor(angles / (2.0 * np.pi / nd)).astype(np.int64) % nd
+    return j0, (j0 + 1) % nd
 
 
 @functools.lru_cache(maxsize=4)
-def _node_brackets(resolution: int, nd: int) -> np.ndarray:
-    """Lower direction bracket of every node of a 2-D grid."""
-    return _read_only(_lower_bracket(_grid_points(2, resolution), nd).astype(np.int32))
+def _node_brackets(dimension: int, resolution: int, nd: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_brackets`` of every node of a grid."""
+    j0, j1 = _brackets(_grid_points(dimension, resolution), nd)
+    return _read_only(j0.astype(np.int32)), _read_only(j1.astype(np.int32))
+
+
+def _in_cone(
+    accepted: np.ndarray, brackets: tuple[np.ndarray, np.ndarray], radii: np.ndarray
+) -> np.ndarray:
+    """Both bracketing directions accepted; the origin carries no direction."""
+    j0, j1 = brackets
+    return accepted[j0] & accepted[j1] & (radii > 0.0)
 
 
 def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
     """Coverage mask of F nodes by the certificate's open ball union its cone."""
     radii, _, _ = _node_tables(f.dimension, f.resolution)
     accepted = certificate.directions
-    if f.dimension == 1:
-        in_cone = accepted[(f.coordinates() > 0.0).astype(np.int64)]
-    else:
-        # both brackets accepted: j0 and j0 + 1 read through one rolled copy
-        both = accepted & np.roll(accepted, -1)
-        in_cone = both[_node_brackets(f.resolution, accepted.size)]
-    in_cone &= radii > 0.0
+    brackets = _node_brackets(f.dimension, f.resolution, accepted.size)
+    in_cone = _in_cone(accepted, brackets, radii)
     # one cell of slack: F nodes may poke past the sphere by grid fuzz
     in_unit = radii <= 1.0 + f.spacing
     mask = (radii < certificate.radius) | (in_unit & in_cone)
@@ -342,12 +341,9 @@ def accepts(certificate: ConeCertificate, pts: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=np.float64)
     accepted = certificate.directions
-    if certificate.dimension == 1:
-        sign_idx = (pts[:, 0] > 0.0).astype(np.int64)
-        return accepted[sign_idx] & (np.abs(pts[:, 0]) > 0.0)
-    radii = np.linalg.norm(pts, axis=-1)
-    j0 = _lower_bracket(pts, accepted.size)
-    return accepted[j0] & accepted[(j0 + 1) % accepted.size] & (radii > 0.0)
+    # the norm of a 1-D point under 1e-154 underflows to 0; |x| does not
+    radii = np.abs(pts[:, 0]) if pts.shape[1] == 1 else np.linalg.norm(pts, axis=-1)
+    return _in_cone(accepted, _brackets(pts, accepted.size), radii)
 
 
 def verify_cone(f: SampledSet, g: SampledSet, certificate: ConeCertificate) -> bool:
@@ -365,14 +361,8 @@ def verify_cone(f: SampledSet, g: SampledSet, certificate: ConeCertificate) -> b
         raise ParameterError("two-dimensional sets need at least 4 direction bits")
     radius = certificate.radius
     radii, _, _ = _node_tables(f.dimension, f.resolution)
-
-    if f.dimension == 1:
-        x = f.coordinates()
-        in_cone = accepted[(x > 0.0).astype(np.int64)] & (np.abs(x) > 0.0)
-    else:
-        nd = accepted.size
-        j0 = _node_brackets(f.resolution, nd)
-        in_cone = accepted[j0] & accepted[(j0 + 1) % nd] & (radii > 0.0)
+    j0, j1 = _node_brackets(f.dimension, f.resolution, accepted.size)
+    in_cone = accepted[j0] & accepted[j1] & (radii > 0.0)
 
     f_flat = f.indicator.reshape(-1)
     outside_ball = f_flat & (radii >= radius)

@@ -18,6 +18,10 @@ H_i union G_{i+1} ... G_K = base after every step.  A chart core is a
 box: ``Chart.core_masks`` ANDs one interval test per axis over a product
 grid, ``glue`` builds these masks once per grid (collar base and check
 grid), and ``Chart.in_core`` tests only scattered pull-back points.
+A pull-back point belongs to the trusted set E of a step when every
+corner of its base-grid cell is trusted: ``cone``'s cell test over the
+wrap-padded mask, read at the point's cell.  ``Chart.base_points`` is
+the one map from patch-box offsets to base points.
 Every step's cone certificate is checked by
 ``cone.find_cone`` itself, and a step whose check fails raises.
 ``verify_glue`` audits what the steps do not: the glued map's bottom
@@ -34,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import Axis, DomainSpec, TWO_PI, box, collar_over, from_kind, square
+from .domain import Axis, DomainSpec, TWO_PI, collar_over, from_kind
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
     DomainError,
@@ -48,6 +52,7 @@ from .gridmap import (
     GridMap,
     TraceMap,
     _locate,
+    _sup_distance,
     default_constraint_tol,
     evaluate_batch,
     extract_trace,
@@ -61,6 +66,9 @@ _CONE_RESOLUTION = {1: 513, 2: 257}
 
 #: base-grid sampling for the trusted-region bookkeeping, by base dimension
 _CHECK_RESOLUTION = {1: 2048, 2: 384}
+
+#: domain kind of a patch (chart core box x collar depth), by base dimension
+_PATCH_KIND = {1: "square", 2: "box"}
 
 
 # ---------------------------------------------------- square <-> disk maps
@@ -166,19 +174,19 @@ class Chart:
         """
         z = np.asarray(z, dtype=np.float64)
         a = z if self.dimension == 1 else disk_to_square(z)
-        extent = np.array(self.core_extent)
-        offsets = np.clip((a + 1.0) / 2.0, 0.0, 1.0) * extent
-        pts = np.empty_like(offsets)
-        for ax in range(self.dimension):
-            low = self.center[ax] - extent[ax] / 2.0
-            pts[..., ax] = np.mod(low + offsets[..., ax], self.base_lengths[ax])
-        return pts, offsets
+        offsets = np.clip((a + 1.0) / 2.0, 0.0, 1.0) * np.array(self.core_extent)
+        return self.base_points(offsets), offsets
 
     def patch_offsets(self, pts: np.ndarray) -> np.ndarray:
         """Patch-box coordinates of base points of the closed core."""
         off = self._wrapped_offsets(pts)
         extent = np.array(self.core_extent)
         return np.clip(off + extent / 2.0, 0.0, extent)
+
+    def base_points(self, offsets: np.ndarray) -> np.ndarray:
+        """Base points of patch-box offsets; the inverse of ``patch_offsets``."""
+        low = np.array(self.center) - np.array(self.core_extent) / 2.0
+        return np.mod(low + offsets, np.array(self.base_lengths))
 
 
 @dataclass(frozen=True)
@@ -271,27 +279,12 @@ def _validate_covering(covering: Covering) -> None:
     open_cores, _ = _core_tables(covering, grid)
     if not np.all(np.any(open_cores, axis=0)):
         raise GlueError("internal: chart cores fail to cover the base")
+    # the boundary nodes of a 33-node probe grid over [-1, 1]^m
+    probe = cone_mod._grid_points(m, 33)
+    edges = probe[np.max(np.abs(probe), axis=-1) == 1.0]
     for chart in covering.charts:
         # core boundary must land on the unit sphere of chart coordinates
-        probe = np.linspace(-1.0, 1.0, 33)
-        if m == 1:
-            edges = np.array([[-1.0], [1.0]])
-        else:
-            edges = np.concatenate(
-                [
-                    np.stack([np.full_like(probe, s), probe], axis=-1)
-                    for s in (-1.0, 1.0)
-                ]
-                + [
-                    np.stack([probe, np.full_like(probe, s)], axis=-1)
-                    for s in (-1.0, 1.0)
-                ]
-            )
-        extent = np.array(chart.core_extent)
-        base_pts = np.mod(
-            np.array(chart.center) + edges * extent / 2.0,
-            np.array(covering.base_lengths),
-        )
+        base_pts = chart.base_points((edges + 1.0) / 2.0 * np.array(chart.core_extent))
         z = chart.to_disk(base_pts)
         radii = np.linalg.norm(np.atleast_2d(z), axis=-1)
         if np.max(np.abs(radii - 1.0)) > 1e-9:
@@ -341,17 +334,6 @@ class GlueReport:
 
 # ------------------------------------------------------------------- glue
 
-def _patch_domain_for(chart: Chart, counts: tuple[int, ...], n_depth: int, depth: float) -> DomainSpec:
-    if chart.dimension == 1:
-        return square(counts[0], n_depth, lengths=(chart.core_extent[0], depth))
-    return box(
-        counts[0],
-        counts[1],
-        n_depth,
-        lengths=(chart.core_extent[0], chart.core_extent[1], depth),
-    )
-
-
 def replicate_trace_patch(
     trace: TraceMap,
     chart: Chart,
@@ -363,16 +345,13 @@ def replicate_trace_patch(
         max(2, int(round(extent / trace.base.axes[a].spacing)) + 1)
         for a, extent in enumerate(chart.core_extent)
     )
-    dom = _patch_domain_for(chart, counts, n_depth, depth)
+    dom = from_kind(
+        _PATCH_KIND[chart.dimension], counts + (n_depth,), lengths=chart.core_extent + (depth,)
+    )
     coords = grid_coordinates(dom)
     mesh = np.meshgrid(*coords[:-1], indexing="ij")
     offsets = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    extent = np.array(chart.core_extent)
-    low = np.array(chart.center) - extent / 2.0
-    base_pts = np.mod(low + offsets, np.array(chart.base_lengths))
-    vals = evaluate_batch(trace, base_pts)
-    if trace.target.constrained:
-        vals = project_to_target(trace.target, vals)
+    vals = project_to_target(trace.target, evaluate_batch(trace, chart.base_points(offsets)))
     sheet = vals.reshape(tuple(counts) + (trace.nu,))
     full = np.repeat(sheet[..., None, :], n_depth, axis=-2)
     return GridMap(domain=dom, target=trace.target, values=full)
@@ -389,7 +368,7 @@ def _check_patch(
 ) -> float:
     """Check a patch's grids and target, and its bottom trace on the closed core ``inside``."""
     dom = patch.domain
-    want_kind = "square" if chart.dimension == 1 else "box"
+    want_kind = _PATCH_KIND[chart.dimension]
     if dom.kind != want_kind:
         raise ParameterError(
             f"patch {chart.index} must live on a {want_kind} grid, got {dom.kind!r}"
@@ -410,7 +389,7 @@ def _check_patch(
     probe = np.concatenate([offsets, np.zeros((offsets.shape[0], 1))], axis=-1)
     got = evaluate_batch(patch, probe)
     want = trace.values.reshape(-1, trace.nu)[inside]
-    sup = float(np.max(np.linalg.norm(got - want, axis=-1), initial=0.0))
+    sup = _sup_distance(got, want)
     if sup > tol:
         raise PreconditionError(
             f"patch {chart.index} bottom trace strays {sup:.3g} from the boundary "
@@ -424,17 +403,12 @@ def _conservative_membership(
 ) -> np.ndarray:
     """All containing-cell corners of each point are inside the set.
 
-    Axes are periodic here (the base is a circle or torus).
+    Axes are periodic here (the base is a circle or torus): one wrapped
+    node padded onto each axis closes the cells across the seam.
     """
-    ok = np.ones(pts.shape[0], dtype=bool)
-    idx = [_locate(axis, pts[:, a])[0] for a, axis in enumerate(axes)]
-    for corner in range(1 << len(axes)):
-        sel = []
-        for a, axis in enumerate(axes):
-            j = idx[a] + ((corner >> a) & 1)
-            sel.append(np.mod(j, axis.count))
-        ok &= indicator[tuple(sel)]
-    return ok
+    padded = np.pad(indicator, [(0, 1)] * indicator.ndim, mode="wrap")
+    cells = cone_mod._cells_all_true(padded)
+    return cells[tuple(_locate(axis, pts[:, a])[0] for a, axis in enumerate(axes))]
 
 
 def _chart_regions(
@@ -606,17 +580,11 @@ def glue(
                 f"{gap_fraction:.3%} of the base is uncovered"
             )
 
-        trusted = h_collar
-        if np.any(trusted):
-            errs = np.linalg.norm(values[trusted, 0, :] - trace_flat[trusted], axis=-1)
-            step_trace = float(np.max(errs))
-        else:
-            step_trace = 0.0
         steps.append(
             GlueStep(
                 radius=radius,
                 accepted_fraction=accepted_fraction,
-                trace_sup_error=step_trace,
+                trace_sup_error=_sup_distance(values[h_collar, 0, :], trace_flat[h_collar]),
                 gap_fraction=gap_fraction,
             )
         )
@@ -664,9 +632,7 @@ def _patch_columns(
         axis=-1,
     )
     got = evaluate_batch(patch, probe).reshape(-1, n_depth, trace.nu)
-    if trace.target.constrained:
-        got = project_to_target(trace.target, got)
-    return got
+    return project_to_target(trace.target, got)
 
 
 def _fold_chart_step(
@@ -727,10 +693,7 @@ def _fold_chart_step(
     result[~reads_prev] = evaluate_batch(
         patch, np.concatenate([offs[~reads_prev], t_val[~reads_prev]], axis=-1)
     )
-    result = result.reshape(n_ann, n_depth, trace.nu)
-    if trace.target.constrained:
-        result = project_to_target(trace.target, result)
-    out[ann_idx] = result
+    out[ann_idx] = project_to_target(trace.target, result.reshape(n_ann, n_depth, trace.nu))
     return out
 
 
@@ -744,4 +707,4 @@ def verify_glue(glued: GridMap, trace: TraceMap) -> float:
     bottom = extract_trace(glued, "bottom")
     if bottom.values.shape != trace.values.shape:
         raise ParameterError("glued map resolution does not match the trace")
-    return float(np.max(np.linalg.norm(bottom.values - trace.values, axis=-1), initial=0.0))
+    return _sup_distance(bottom.values, trace.values)

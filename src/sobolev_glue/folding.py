@@ -32,6 +32,7 @@ from .energy import dirichlet_p_energy
 from .errors import DomainError, ParameterError, PreconditionError
 from .gridmap import (
     GridMap,
+    _sup_distance,
     default_constraint_tol,
     evaluate_batch,
     extract_trace,
@@ -87,10 +88,6 @@ def fold_energy_bound(p: float) -> float:
     return stretch ** (p / 2.0) / 2.0 + 1.0
 
 
-def _sup_norm_gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
-
-
 def _check_fold_inputs(u0: GridMap, u1: GridMap) -> None:
     if u0.domain != u1.domain:
         raise DomainError("folded maps must share one domain")
@@ -122,7 +119,7 @@ def fold(u0: GridMap, u1: GridMap, trace_tol: float | None = None) -> GridMap:
         )
     bottom0 = u0.values[..., 0, :]
     bottom1 = u1.values[..., 0, :]
-    gap = _sup_norm_gap(bottom0, bottom1)
+    gap = _sup_distance(bottom0, bottom1)
     if gap > trace_tol:
         raise PreconditionError(
             f"bottom traces differ by {gap:.3g}, tolerance {trace_tol:.3g}"
@@ -169,7 +166,7 @@ def fold_trace_errors(
         raise DomainError("folded map does not match the inputs")
 
     def face_gap(face: str, reference: GridMap) -> float:
-        return _sup_norm_gap(
+        return _sup_distance(
             extract_trace(folded, face).values, extract_trace(reference, face).values
         )
 

@@ -33,6 +33,11 @@ def default_constraint_tol(domain: DomainSpec) -> float:
     return 10.0 * domain.max_spacing
 
 
+def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest Euclidean distance between matching value vectors; 0.0 when there are none."""
+    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
+
+
 def _check_values(domain: DomainSpec, target: TargetSpec, values: np.ndarray, tol: float) -> np.ndarray:
     values = np.array(values, dtype=np.float64)
     expected = domain.shape + (target.nu,)

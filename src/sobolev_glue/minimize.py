@@ -58,13 +58,11 @@ from .errors import (
     LiftingError,
     OptimizationError,
     ParameterError,
-    PreconditionError,
     SingularityError,
 )
 from .gridmap import GridMap, TraceMap, default_constraint_tol
 from .target import (
     TargetSpec,
-    distance_to_target,
     euclidean,
     project_to_target,
     sum_of_squares,
@@ -325,12 +323,6 @@ def minimize_extension_detailed(
     """
     if u.target != target:
         raise ParameterError("trace target does not match the requested target")
-    if target.constrained:
-        worst = float(np.max(distance_to_target(target, u.values)))
-        if worst > u.constraint_tol:
-            raise PreconditionError(
-                f"boundary data strays {worst:.3g} from the target"
-            )
     project = target.constrained and cfg.projection == "auto"
     return _descend(u, domain, target, cfg, None, project)
 

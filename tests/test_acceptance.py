@@ -9,6 +9,7 @@ every verdict line.
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ def test_a_raising_criterion_prints_fail_and_the_rest_still_run(tmp_path, capsys
     ]
     assert "ResolutionError: grid too coarse to certify a cone" in lines[1]
     assert lines[3] == "SUMMARY passed=2/3"
+
+
+def test_criterion_09_fails_on_a_nan_energy_instead_of_dividing_by_zero(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(acc, "ALL_CRITERIA", (acc.criterion_09_trace_inequality_echo,))
+    monkeypatch.setattr(acc, "gagliardo_energy", lambda *args: SimpleNamespace(value=math.nan))
+    code = cli.main(["accept", "--suite", "primary", "--out", str(tmp_path / "a.txt")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("FAIL 09_trace_inequality_echo: n=64 trace 0: energy ratio nan ")
+    assert lines[1] == "SUMMARY passed=0/1"
 
 
 def _reference_smooth_field(rng, n):

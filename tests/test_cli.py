@@ -292,6 +292,33 @@ def test_cone_hypothesis_failure_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "res, f_of, g_of, bits",
+    [
+        (129, lambda x: x >= 0.5, lambda x: x > 0.25, "01"),
+        (129, lambda x: x <= -0.5, lambda x: x < -0.25, "10"),
+        (200, lambda x: np.abs(x) >= 0.3, lambda x: np.abs(x) > 0.1, "11"),
+    ],
+)
+def test_cone_on_one_dimensional_sets_prints_and_writes_the_pinned_certificate(
+    tmp_path, capsys, res, f_of, g_of, bits
+):
+    x = np.linspace(-1.0, 1.0, res)
+    fp, gp, out = str(tmp_path / "f.set"), str(tmp_path / "g.set"), str(tmp_path / "c.cert")
+    fileio.write_sampled_set(fp, 1, res, True, f_of(x))
+    fileio.write_sampled_set(gp, 1, res, False, g_of(x))
+    code, stdout, _ = run_cli(["cone", "--f", fp, "--g", gp, "--out", out], capsys)
+    assert code == 0
+    assert stdout.splitlines() == [
+        "radius=0.984375",
+        f"accepted_directions={bits.count('1')}",
+        "direction_count=2",
+        "verified=true",
+    ]
+    with open(out, "rb") as fh:
+        assert fh.read() == f"CONE1 0.984375 2\n{bits}\n".encode("ascii")
+
+
 def _write_glue_inputs(tmp_path, n=64, n_depth=10):
     trace_path = str(tmp_path / "trace.sgf")
     tr = _write_degree_one_trace(trace_path, n)

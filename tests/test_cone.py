@@ -196,6 +196,13 @@ def test_accepts_is_conservative_and_rejects_the_origin():
     assert got2[0]
     assert not got2[1] and not got2[2]
 
+    # 1-D: the side of x, down to the smallest float (x * x would underflow)
+    pts = np.array([[1e-300], [5e-324], [0.0], [-0.0], [-1e-300], [0.3], [-0.3]])
+    right = cone.ConeCertificate(directions=np.array([False, True]), radius=0.5, verified=False)
+    assert cone.accepts(right, pts).tolist() == [True, True, False, False, False, True, False]
+    both = cone.ConeCertificate(directions=np.array([True, True]), radius=0.5, verified=False)
+    assert cone.accepts(both, pts).tolist() == [True, True, False, False, True, True, True]
+
 
 def test_verifier_needs_both_bracketing_directions():
     # one F node off every ray, outside the ball: it is captured only when
@@ -399,7 +406,8 @@ def test_cached_tables_are_read_only_int32():
         *cone._ray_cells(2, 33, 16),
         *cone._ray_cells(1, 33, 16),
         *cone._node_tables(2, 33),
-        cone._node_brackets(33, 132),
+        *cone._node_brackets(2, 33, 132),
+        *cone._node_brackets(1, 33, 2),
     ]
     for a in arrays:
         if a.dtype.kind == "i":
@@ -412,7 +420,8 @@ def test_bracket_table_matches_a_cross_product_oracle():
     # node p lies in the closed sector from ray j0 up to (not onto) ray j1:
     # d_j0 x p >= 0 > d_j1 x p, with slack for nodes on a ray
     for res, nd in ((256, 1024), (257, 1028), (257, 516), (33, 132), (9, 4), (8, 5)):
-        j0 = cone._node_brackets(res, nd).astype(np.int64)
+        j0, j1 = (j.astype(np.int64) for j in cone._node_brackets(2, res, nd))
+        assert np.array_equal(j1, (j0 + 1) % nd)
         axis = np.linspace(-1.0, 1.0, res)
         xs, ys = np.meshgrid(axis, axis, indexing="ij")
         px, py = xs.reshape(-1), ys.reshape(-1)
@@ -427,3 +436,9 @@ def test_bracket_table_matches_a_cross_product_oracle():
         assert np.all(cross((j0 + 1) % nd)[nonzero] < 1e-12)
         radii = cone._node_tables(2, res)[0]
         assert np.allclose(radii, np.hypot(px, py), rtol=4e-16, atol=0.0)
+    # both brackets of a 1-D node are its side: 0 for x <= 0 (the origin
+    # included), 1 for x > 0
+    for res in (2, 3, 8, 9, 129, 256):
+        j0, j1 = cone._node_brackets(1, res, 2)
+        side = (np.linspace(-1.0, 1.0, res) > 0.0).astype(np.int32)
+        assert np.array_equal(j0, side) and np.array_equal(j1, side)

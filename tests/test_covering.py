@@ -194,6 +194,60 @@ def test_chart_disk_coordinates_invert():
     assert np.max(np.abs(again - z)) <= 1e-9
 
 
+@pytest.mark.parametrize("base, k", [(dom.circle(256), 3), (dom.torus(64, 64), 4)])
+def test_base_points_invert_patch_offsets_across_the_seam(base, k):
+    # chart 0's core straddles the seam on every axis, so it holds points
+    # near 0 and near the full length
+    chart = cov.build_covering(base, k).charts[0]
+    lengths = np.array(chart.base_lengths)
+    _, closed_core = chart.core_masks(base)
+    rng = np.random.default_rng(4)
+    inner = chart.base_points(rng.uniform(0.0, 1.0, (300, base.ndim)) * chart.core_extent)
+    pts = np.concatenate([gm.node_mesh(base)[closed_core], inner])
+    low, high = np.min(pts, axis=0), np.max(pts, axis=0)
+    assert np.all(low < 0.05 * lengths) and np.all(high > 0.95 * lengths)
+    back = chart.base_points(chart.patch_offsets(pts))
+    assert np.all((back >= 0.0) & (back < lengths))
+    gap = np.mod(back - pts + lengths / 2.0, lengths) - lengths / 2.0
+    assert np.max(np.abs(gap)) <= 1e-12
+
+
+def _corner_loop_membership(indicator, axes, pts):
+    """Every corner of each point's cell, one gather per corner (2^m of them)."""
+    ok = np.ones(pts.shape[0], dtype=bool)
+    idx = [gm._locate(axis, pts[:, a])[0] for a, axis in enumerate(axes)]
+    for corner in range(1 << len(axes)):
+        sel = [np.mod(idx[a] + ((corner >> a) & 1), axis.count) for a, axis in enumerate(axes)]
+        ok &= indicator[tuple(sel)]
+    return ok
+
+
+@pytest.mark.parametrize(
+    "grid", [dom.circle(2048), dom.circle(3), dom.torus(384, 384), dom.torus(4, 4)]
+)
+def test_conservative_membership_matches_the_corner_loop(grid):
+    rng = np.random.default_rng(grid.axes[0].count)
+    lengths = np.array([axis.length for axis in grid.axes])
+    nodes = gm.node_mesh(grid)
+    h = np.array([axis.spacing for axis in grid.axes])
+    seam = np.array([0.0, lengths[0] - 1e-15])
+    # on a node of axis 0 and anywhere in a cell along the other axes
+    edges = nodes[rng.integers(0, len(nodes), 300)]
+    edges[:, 1:] += rng.uniform(0.0, 1.0, (300, grid.ndim - 1)) * h[1:]
+    pts = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, (4000, grid.ndim)) * lengths,
+            nodes[rng.integers(0, len(nodes), 500)],
+            edges,
+            np.stack(np.meshgrid(*[seam] * grid.ndim, indexing="ij"), -1).reshape(-1, grid.ndim),
+        ]
+    )
+    for density in (0.5, 0.9, 1.0):
+        mask = rng.uniform(size=grid.shape) < density
+        got = cov._conservative_membership(mask, grid.axes, pts)
+        assert got.tobytes() == _corner_loop_membership(mask, grid.axes, pts).tobytes()
+
+
 def test_two_chart_circle_glue_hits_the_analytic_ratio():
     covering, patches, trace = _circle_setup(2, 128)
     glued, report = cov.glue(covering, patches, trace)
