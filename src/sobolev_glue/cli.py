@@ -232,7 +232,7 @@ def _parse_config(path: str) -> dict[str, str]:
 
 
 def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
-    from .domain import collar_over
+    from .domain import collar_over, depth_node_count
     from .energy import distance_penalty
     from .fileio import read_trace_map, write_grid_map
     from .minimize import (
@@ -259,9 +259,7 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     cfg = MinimizeConfig(p=args.p, **overrides)
 
     depth = args.depth
-    h_base = trace.base.max_spacing
-    n_depth = max(8, min(128, int(round(depth / h_base)) + 1))
-    domain = collar_over(trace.base, n_depth, depth)
+    domain = collar_over(trace.base, depth_node_count(trace.base, depth), depth)
 
     if args.penalized:
         if args.eps is None:

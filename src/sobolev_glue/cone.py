@@ -102,13 +102,6 @@ class ConeCertificate:
         object.__setattr__(self, "directions", d)
 
 
-def from_predicate(dimension: int, resolution: int, predicate, closed: bool) -> SampledSet:
-    """Sample an analytic predicate (vectorized over (N, dimension) points)."""
-    pts = _grid_points(dimension, resolution)
-    values = np.asarray(predicate(pts), dtype=bool).reshape((resolution,) * dimension)
-    return SampledSet(dimension=dimension, resolution=resolution, closed=closed, indicator=values)
-
-
 def _grid_points(dimension: int, resolution: int) -> np.ndarray:
     """Grid nodes over [-1,1]^dimension as (N, dimension) rows, C order."""
     axis = np.linspace(-1.0, 1.0, resolution)
@@ -270,11 +263,11 @@ def _node_brackets(dimension: int, resolution: int, nd: int) -> tuple[np.ndarray
 
 
 def _in_cone(
-    accepted: np.ndarray, brackets: tuple[np.ndarray, np.ndarray], radii: np.ndarray
+    accepted: np.ndarray, brackets: tuple[np.ndarray, np.ndarray], off_origin: np.ndarray
 ) -> np.ndarray:
     """Both bracketing directions accepted; the origin carries no direction."""
     j0, j1 = brackets
-    return accepted[j0] & accepted[j1] & (radii > 0.0)
+    return accepted[j0] & accepted[j1] & off_origin
 
 
 def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
@@ -282,7 +275,7 @@ def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
     radii, _, _ = _node_tables(f.dimension, f.resolution)
     accepted = certificate.directions
     brackets = _node_brackets(f.dimension, f.resolution, accepted.size)
-    in_cone = _in_cone(accepted, brackets, radii)
+    in_cone = _in_cone(accepted, brackets, radii > 0.0)
     # one cell of slack: F nodes may poke past the sphere by grid fuzz
     in_unit = radii <= 1.0 + f.spacing
     mask = (radii < certificate.radius) | (in_unit & in_cone)
@@ -337,13 +330,15 @@ def accepts(certificate: ConeCertificate, pts: np.ndarray) -> np.ndarray:
     """Conservative cone membership of points: both bracketing directions.
 
     ``pts`` has shape (N, 1) or (N, 2) to match the certificate's ambient
-    dimension.  The origin is never accepted (it carries no direction).
+    dimension.  The origin is never accepted (it carries no direction);
+    a point with any nonzero coordinate, however small, is judged by the
+    directions that bracket it.
     """
     pts = np.asarray(pts, dtype=np.float64)
     accepted = certificate.directions
-    # the norm of a 1-D point under 1e-154 underflows to 0; |x| does not
-    radii = np.abs(pts[:, 0]) if pts.shape[1] == 1 else np.linalg.norm(pts, axis=-1)
-    return _in_cone(accepted, _brackets(pts, accepted.size), radii)
+    # a norm would underflow to 0 for 2-D points below about 1e-162
+    off_origin = np.any(pts != 0.0, axis=-1)
+    return _in_cone(accepted, _brackets(pts, accepted.size), off_origin)
 
 
 def verify_cone(f: SampledSet, g: SampledSet, certificate: ConeCertificate) -> bool:

@@ -365,7 +365,7 @@ def _check_patch(
     n_depth: int,
     depth: float,
     tol: float,
-) -> float:
+) -> None:
     """Check a patch's grids and target, and its bottom trace on the closed core ``inside``."""
     dom = patch.domain
     want_kind = _PATCH_KIND[chart.dimension]
@@ -395,7 +395,6 @@ def _check_patch(
             f"patch {chart.index} bottom trace strays {sup:.3g} from the boundary "
             f"data on its core, tolerance {tol:.3g}"
         )
-    return sup
 
 
 def _conservative_membership(
@@ -445,7 +444,6 @@ def glue(
     patches: Sequence[GridMap],
     trace: TraceMap,
     p: float = 2.0,
-    gap_policy: str = "abort",
     penalty: Optional[PenaltySpec] = None,
 ) -> tuple[GridMap, GlueReport]:
     """Glue patch extensions into one collar extension of the trace.
@@ -457,11 +455,10 @@ def glue(
     ``penalty=None`` glues the plain Dirichlet energies; a penalty adds
     its term to every energy.  Each patch's bottom trace may stray from
     the boundary data by at most ten times the coarsest spacing of the
-    trace and the patches.  A cone certificate that fails its check
-    raises ``GlueError``.
+    trace and the patches.  A cone certificate that fails its check, or
+    a step after which part of the base is uncovered, raises
+    ``GlueError``; so every returned step has gap fraction 0.
     """
-    if gap_policy not in ("abort", "warn"):
-        raise ParameterError(f"gap policy must be abort|warn, got {gap_policy!r}")
     if trace.base.kind != covering.base_kind:
         raise ParameterError(
             f"trace base {trace.base.kind!r} does not match covering base "
@@ -574,7 +571,7 @@ def glue(
 
         holes = ~(h_check | cores_to_come[i])
         gap_fraction = float(np.mean(holes))
-        if gap_fraction > 0.0 and gap_policy == "abort":
+        if gap_fraction > 0.0:
             raise GlueError(
                 f"covering invariant fails after step {i + 1}: "
                 f"{gap_fraction:.3%} of the base is uncovered"

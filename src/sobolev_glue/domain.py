@@ -112,10 +112,6 @@ class DomainSpec:
     def max_spacing(self) -> float:
         return max(a.spacing for a in self.axes)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod([a.length for a in self.axes]))
-
     def is_canonical(self) -> bool:
         _, canonical = KIND_TABLE[self.kind]
         return all(
@@ -174,6 +170,11 @@ def collar_over(base: DomainSpec, n_depth: int, depth: float) -> DomainSpec:
     if base.kind == "torus":
         return torus_collar(base.shape[0], base.shape[1], n_depth, depth)
     raise ParameterError(f"collar bases are circles or tori, got {base.kind!r}")
+
+
+def depth_node_count(base: DomainSpec, depth: float) -> int:
+    """round(depth / h) + 1 depth nodes for the coarsest base spacing h, clamped to 8..128."""
+    return max(8, min(128, int(round(depth / base.max_spacing)) + 1))
 
 
 def from_kind(kind: str, counts: tuple[int, ...], lengths=None) -> DomainSpec:

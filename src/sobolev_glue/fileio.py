@@ -20,6 +20,9 @@ Cone certificates (CONE)::
 
     CONE1 <r> <direction-res>
     0/1 characters for the direction indicator, one line
+
+CONE1 is written only: ``cone`` writes its certificate for the record,
+and nothing in the package reads one back.
 """
 
 from __future__ import annotations
@@ -230,27 +233,6 @@ def write_cone_certificate(path: str, radius: float, directions: np.ndarray) -> 
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"CONE1 {format_real(radius)} {bits.size}\n")
         fh.write(_bit_lines(bits.reshape(1, -1)))
-
-
-def read_cone_certificate(path: str) -> tuple[float, np.ndarray]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if len(header) != 3 or header[0] != "CONE1":
-                raise FormatError(f"not a CONE1 header in {path}")
-            radius = float(header[1])
-            count = int(header[2])
-            row = fh.readline().strip()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"malformed CONE1 header in {path}: {exc}") from exc
-    bits = _parse_bits([row]) if len(row) == count else None
-    if bits is None:
-        raise FormatError(f"expected {count} direction bits in {path}")
-    if not (0.0 < radius < 1.0):
-        raise FormatError(f"certificate radius must lie in (0,1), got {radius}")
-    return radius, bits
 
 
 def sha256_of(path: str) -> str:

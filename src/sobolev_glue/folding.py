@@ -14,8 +14,7 @@ of this rule: ``fold`` calls it here, and ``covering.glue`` calls it in
 only the folded map.  It keeps the second map's bottom trace at nodes,
 keeps the first map's x1 = 0 face and the second map's x1 = 1 face, and
 its p-energy is controlled by the largest singular values of the two
-affine substitutions, computed in closed form below and cross-checked
-against an SVD oracle in the test suite.
+affine substitutions ``FIRST_WEDGE_MATRIX`` and ``REFLECTED_WEDGE_MATRIX``.
 ``fold_trace_errors`` measures a folded map's three trace errors, and
 ``verify_fold_traces`` builds its ``FoldReport``: those errors, the three
 p-energies and their ratio.
@@ -23,7 +22,6 @@ p-energies and their ratio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +41,6 @@ from .target import project_to_target
 # Affine substitutions of the two folded regions (rows act on (x1, x2)).
 FIRST_WEDGE_MATRIX = np.array([[2.0, 0.0], [-2.0, 1.0]])
 REFLECTED_WEDGE_MATRIX = np.array([[0.0, 1.0], [2.0, -1.0]])
-
-# Largest squared singular values of the matrices above, in closed form.
-FIRST_WEDGE_STRETCH_SQ = (9.0 + math.sqrt(65.0)) / 2.0
-REFLECTED_WEDGE_STRETCH_SQ = 3.0 + math.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -80,12 +74,6 @@ def fold_sources(
     s1 = np.where(first, 2.0 * x1, np.where(reflected, x2, x1))
     s2 = np.where(first, x2 - 2.0 * x1, np.where(reflected, 2.0 * x1 - x2, x2))
     return region, s1, s2
-
-
-def fold_energy_bound(p: float) -> float:
-    """Guaranteed ceiling for energy_out / (energy_in_0 + energy_in_1)."""
-    stretch = max(FIRST_WEDGE_STRETCH_SQ, REFLECTED_WEDGE_STRETCH_SQ)
-    return stretch ** (p / 2.0) / 2.0 + 1.0
 
 
 def _check_fold_inputs(u0: GridMap, u1: GridMap) -> None:

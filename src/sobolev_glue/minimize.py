@@ -4,12 +4,14 @@
 discrete p-Dirichlet cell sum with the bottom row pinned to the boundary
 data, ``minimize_penalized_detailed`` drops the manifold projection and
 adds a pointwise distance penalty; both return a ``MinimizeResult`` with
-the map, its energy and the descent's convergence record.
-``isobe_sweep`` tabulates penalized minima over a grid of penalty widths
-and collar depths, and ``circle_lifting_oracle`` solves the lifted scalar
-problem exactly for p = 2 circle-valued data: an FFT along the periodic
-angle and one tridiagonal solve in depth per Fourier mode, in
-O(N log N) time and O(N) memory for N grid nodes.
+the map, its energy, the iteration count, the convergence flag, the
+final gradient sup and the backtracks.  ``isobe_sweep`` tabulates
+penalized minima over penalty widths and collar depths, each collar with
+``domain.depth_node_count`` depth nodes, and ``circle_lifting_oracle``
+solves the lifted scalar problem exactly for p = 2 circle-valued data:
+an FFT along the periodic angle and one tridiagonal solve in depth per
+Fourier mode, in O(N log N) time and O(N) memory for N grid nodes; its
+energy is the Dirichlet cell sum of ``energy`` applied to the lifting.
 
 The descent direction is the exact analytic gradient of the discrete
 objective; the bottom row's gradient is zeroed and every trial point
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import DomainSpec, collar_over
+from .domain import DomainSpec, collar_over, depth_node_count
 from .energy import (
     PenaltySpec,
     _FIRST,
@@ -107,7 +109,6 @@ class MinimizeResult:
     map: GridMap
     energy: float
     iterations: int
-    energies: tuple[float, ...]
     converged: bool
     gradient_sup: float
     backtracks: int
@@ -233,7 +234,6 @@ def _descend(
     energy, diffs, s = evaluate(values)
     if not np.isfinite(energy):
         raise OptimizationError("initial energy is not finite")
-    energies = [energy]
     trial = cfg.step
     converged = False
     grad_sup = float("inf")
@@ -289,7 +289,6 @@ def _descend(
         if candidate is step:
             step = values  # the old iterate becomes the next buffer
         values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
-        energies.append(energy)
         iterations = it + 1
         trial = min(t * 2.0, cfg.step * 1024.0)
         if drop <= cfg.tol * max(1.0, abs(energy)):
@@ -306,7 +305,6 @@ def _descend(
         map=final,
         energy=energy,
         iterations=iterations,
-        energies=tuple(energies),
         converged=converged,
         gradient_sup=grad_sup,
         backtracks=backtracks,
@@ -353,11 +351,9 @@ def isobe_sweep(
         raise ParameterError("sweep lists must be nonempty")
     if any(e <= 0 for e in eps_list) or any(L <= 0 for L in depth_list):
         raise ParameterError("sweep parameters must be positive")
-    h_base = u.base.max_spacing
     triples: list[tuple[float, float, float]] = []
     for depth in depth_list:
-        n_depth = max(8, min(64, int(round(depth / h_base)) + 1))
-        domain = collar_over(u.base, n_depth, float(depth))
+        domain = collar_over(u.base, depth_node_count(u.base, depth), float(depth))
         for eps in eps_list:
             penalty = distance_penalty(float(eps), cfg.p, u.target)
             try:
@@ -451,14 +447,11 @@ def circle_lifting_oracle(
     psi[:, 0] = psi_bottom
     psi[:, 1:] = np.fft.irfft(modes * load, n=n, axis=-1).T
 
-    # exact discrete energy of the lifting deg*theta + psi; the seam
+    # exact discrete energy of the lifting deg*theta + psi: every theta
     # difference carries the winding increment deg * h_theta
-    d_theta = (np.roll(psi, -1, axis=0) - psi) + degree * h_theta
-    d_t = psi[:, 1:] - psi[:, :-1]
-    energy = float(
-        np.sum((d_theta[:, : n_t - 1] / h_theta) ** 2) * h_theta * h_t
-        + np.sum((d_t / h_t) ** 2) * h_theta * h_t
-    )
+    d_theta, d_t = _forward_differences(psi[..., None], domain)
+    d_theta += degree * h_theta
+    energy = _dirichlet_sum(_grad_sq((d_theta, d_t), domain), domain, 2.0)
 
     full_phi = degree * theta[:, None] + psi
     wrapped = np.stack([np.cos(full_phi), np.sin(full_phi)], axis=-1)

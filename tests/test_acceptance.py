@@ -192,6 +192,29 @@ def test_a_raising_criterion_prints_fail_and_the_rest_still_run(tmp_path, capsys
     assert lines[3] == "SUMMARY passed=2/3"
 
 
+def test_any_exception_in_a_criterion_prints_fail_and_the_rest_still_run(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(
+        acc,
+        "ALL_CRITERIA",
+        (acc.criterion_09_trace_inequality_echo, acc.criterion_10_gradient_check),
+    )
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(acc, "gagliardo_energy", broken)
+    code = cli.main(["accept", "--suite", "primary", "--out", str(tmp_path / "a.txt")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith(
+        "FAIL 09_trace_inequality_echo: ValueError: operands could not be broadcast together"
+    )
+    assert lines[1].startswith("PASS 10_gradient_check: ")
+    assert lines[2] == "SUMMARY passed=1/2"
+
+
 def test_criterion_09_fails_on_a_nan_energy_instead_of_dividing_by_zero(
     tmp_path, capsys, monkeypatch
 ):

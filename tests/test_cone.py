@@ -15,8 +15,15 @@ from sobolev_glue.errors import ParameterError, PreconditionError, ResolutionErr
 TOP = 63.0 / 64.0
 
 
+def _sample(dimension, resolution, predicate, closed):
+    """Sample a predicate, vectorised over (N, dimension) points, at the grid nodes."""
+    axes = np.meshgrid(*[np.linspace(-1.0, 1.0, resolution)] * dimension, indexing="ij")
+    pts = np.stack([a.reshape(-1) for a in axes], axis=-1)
+    return cone.SampledSet(dimension, resolution, closed, predicate(pts).reshape(axes[0].shape))
+
+
 def _disk(radius, closed, res=129):
-    return cone.from_predicate(
+    return _sample(
         2, res, lambda p: np.linalg.norm(p, axis=-1) <= radius, closed
     )
 
@@ -28,8 +35,8 @@ def _segment_sets(res=129):
     def g_pred(p):
         return (p[:, 0] > 0.45) & (np.abs(p[:, 1]) < 0.3)
 
-    f = cone.from_predicate(2, res, f_pred, closed=True)
-    g = cone.from_predicate(2, res, g_pred, closed=False)
+    f = _sample(2, res, f_pred, closed=True)
+    g = _sample(2, res, g_pred, closed=False)
     return f, g
 
 
@@ -37,7 +44,7 @@ def test_small_ball_is_swallowed_by_the_radius_ball():
     # capture of a ball of radius 1/4 inside a punctured half ball needs
     # no cone at all; the certificate may come back with empty directions
     f = _disk(0.25, closed=True)
-    g = cone.from_predicate(
+    g = _sample(
         2,
         129,
         lambda p: (np.linalg.norm(p, axis=-1) < 0.5)
@@ -66,7 +73,7 @@ def test_axis_segment_is_captured_by_a_narrow_cone():
 
 def test_full_ball_in_full_ambient_takes_the_top_radius():
     f = _disk(1.0, closed=True, res=65)
-    g = cone.from_predicate(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    g = _sample(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
     cert = cone.find_cone(f, g)
     assert cert.radius == pytest.approx(TOP)
     assert np.all(cert.directions)
@@ -76,16 +83,16 @@ def test_full_ball_in_full_ambient_takes_the_top_radius():
 
 
 def test_one_dimensional_interval_and_half_line():
-    f = cone.from_predicate(1, 129, lambda p: np.abs(p[:, 0]) <= 1.0, closed=True)
-    g = cone.from_predicate(1, 129, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    f = _sample(1, 129, lambda p: np.abs(p[:, 0]) <= 1.0, closed=True)
+    g = _sample(1, 129, lambda p: np.ones(len(p), dtype=bool), closed=False)
     cert = cone.find_cone(f, g)
     assert cert.radius == pytest.approx(TOP)
     # a 1-D set is scanned along its 2 directions, whatever the resolution
     assert cert.directions.shape == (2,)
     assert np.array_equal(cert.directions, [True, True])
 
-    f2 = cone.from_predicate(1, 129, lambda p: p[:, 0] >= 0.5, closed=True)
-    g2 = cone.from_predicate(1, 129, lambda p: p[:, 0] > 0.25, closed=False)
+    f2 = _sample(1, 129, lambda p: p[:, 0] >= 0.5, closed=True)
+    g2 = _sample(1, 129, lambda p: p[:, 0] > 0.25, closed=False)
     cert2 = cone.find_cone(f2, g2)
     assert cert2.verified
     # only the positive direction survives the clearance scan
@@ -95,7 +102,7 @@ def test_one_dimensional_interval_and_half_line():
 
 def test_rim_outside_ambient_interior_is_a_precondition_error():
     f = _disk(1.0, closed=True, res=65)
-    g = cone.from_predicate(2, 65, lambda p: p[:, 0] > 0.0, closed=False)
+    g = _sample(2, 65, lambda p: p[:, 0] > 0.0, closed=False)
     with pytest.raises(PreconditionError):
         cone.find_cone(f, g)
 
@@ -106,31 +113,31 @@ def test_blocked_ray_to_an_outer_node_is_a_resolution_error():
     # apply at this resolution) whose ray never meets G: no rung covers
     # it, so the search must report a resolution failure.
     res = 257  # grid cell 1/128, rim band ~0.011, ladder gap 1/64
-    f = cone.from_predicate(
+    f = _sample(
         2, res, lambda p: np.linalg.norm(p - np.array([63.0 / 64.0, 0.0]), axis=-1) <= 0.004,
         closed=True,
     )
-    g = cone.from_predicate(2, res, lambda p: p[:, 1] > 0.2, closed=False)
+    g = _sample(2, res, lambda p: p[:, 1] > 0.2, closed=False)
     assert np.count_nonzero(f.indicator) == 1
     with pytest.raises(ResolutionError):
         cone.find_cone(f, g)
 
 
 def test_flag_and_stray_validation():
-    f_open = cone.from_predicate(2, 33, lambda p: np.linalg.norm(p, axis=-1) <= 0.5, closed=False)
-    g_open = cone.from_predicate(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=False)
-    g_closed = cone.from_predicate(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=True)
-    f_good = cone.from_predicate(2, 33, lambda p: np.linalg.norm(p, axis=-1) <= 0.5, closed=True)
+    f_open = _sample(2, 33, lambda p: np.linalg.norm(p, axis=-1) <= 0.5, closed=False)
+    g_open = _sample(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    g_closed = _sample(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=True)
+    f_good = _sample(2, 33, lambda p: np.linalg.norm(p, axis=-1) <= 0.5, closed=True)
     with pytest.raises(ParameterError):
         cone.find_cone(f_open, g_open)
     with pytest.raises(ParameterError):
         cone.find_cone(f_good, g_closed)
-    f_stray = cone.from_predicate(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=True)
+    f_stray = _sample(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=True)
     with pytest.raises(ParameterError):
         cone.find_cone(f_stray, g_open)  # corners stick out of the unit ball
     with pytest.raises(ParameterError):
         cone.find_cone(f_good, g_open, ladder_steps=1)
-    g_small = cone.from_predicate(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    g_small = _sample(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
     with pytest.raises(ParameterError):
         cone.find_cone(f_good, g_small)  # resolution mismatch
 
@@ -172,7 +179,7 @@ def test_shrunk_radius_fails_on_a_constructed_counterexample():
         blob = np.linalg.norm(p - np.array([0.0, 0.45]), axis=-1) <= 0.03
         return seg | blob
 
-    f = cone.from_predicate(2, 129, f_pred, closed=True)
+    f = _sample(2, 129, f_pred, closed=True)
     _, g = _segment_sets(res=129)
     cert = cone.find_cone(f, g)
     assert cert.verified
@@ -183,7 +190,7 @@ def test_shrunk_radius_fails_on_a_constructed_counterexample():
 
 def test_accepts_is_conservative_and_rejects_the_origin():
     f = _disk(1.0, closed=True, res=65)
-    g = cone.from_predicate(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    g = _sample(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
     cert = cone.find_cone(f, g)
     pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, -0.7], [1.0, 1.0]])
     got = cone.accepts(cert, pts)
@@ -203,16 +210,22 @@ def test_accepts_is_conservative_and_rejects_the_origin():
     both = cone.ConeCertificate(directions=np.array([True, True]), radius=0.5, verified=False)
     assert cone.accepts(both, pts).tolist() == [True, True, False, False, True, True, True]
 
+    # 2-D: the origin is the point whose coordinates are all zero, however
+    # small the other points are (their norm would underflow)
+    every = cone.ConeCertificate(directions=np.ones(8, dtype=bool), radius=0.5, verified=False)
+    tiny = np.array([[1e-200, 0.0], [0.0, -1e-300], [5e-324, 5e-324], [0.0, 0.0], [-0.0, 0.0]])
+    assert cone.accepts(every, tiny).tolist() == [True, True, True, False, False]
+
 
 def test_verifier_needs_both_bracketing_directions():
     # one F node off every ray, outside the ball: it is captured only when
     # both directions around its angle are accepted
     res = 33
     node = np.array([0.5, 0.75])
-    f = cone.from_predicate(
+    f = _sample(
         2, res, lambda p: np.linalg.norm(p - node, axis=-1) < 1e-9, closed=True
     )
-    g = cone.from_predicate(2, res, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    g = _sample(2, res, lambda p: np.ones(len(p), dtype=bool), closed=False)
     assert np.count_nonzero(f.indicator) == 1
     nd = 4 * res
     j0 = int(np.arctan2(node[1], node[0]) // (2.0 * np.pi / nd))
@@ -225,8 +238,8 @@ def test_verifier_needs_both_bracketing_directions():
 
 
 def test_empty_capture_set_is_vacuously_captured():
-    f = cone.from_predicate(2, 65, lambda p: np.zeros(len(p), dtype=bool), closed=True)
-    g = cone.from_predicate(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    f = _sample(2, 65, lambda p: np.zeros(len(p), dtype=bool), closed=True)
+    g = _sample(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
     cert = cone.find_cone(f, g)
     assert cert.verified
     assert cone.verify_cone(f, g, cert)
@@ -278,18 +291,18 @@ def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
 
 def _failing_instances():
     res = 257
-    f = cone.from_predicate(
+    f = _sample(
         2, res, lambda p: np.linalg.norm(p - np.array([63.0 / 64.0, 0.0]), axis=-1) <= 0.004,
         closed=True,
     )
-    g = cone.from_predicate(2, res, lambda p: p[:, 1] > 0.2, closed=False)
+    g = _sample(2, res, lambda p: p[:, 1] > 0.2, closed=False)
     yield f, g, cone.DEFAULT_LADDER_STEPS
     yield f, g, 8
     # a ring of F outside radius 3/4 that no ray reaches through G
-    ring = cone.from_predicate(
+    ring = _sample(
         2, 129, lambda p: np.abs(np.linalg.norm(p, axis=-1) - 0.8) <= 0.01, closed=True
     )
-    g_disk = cone.from_predicate(
+    g_disk = _sample(
         2, 129, lambda p: np.linalg.norm(p, axis=-1) < 0.5, closed=False
     )
     yield ring, g_disk, 4
@@ -303,8 +316,8 @@ def test_single_radius_check_matches_the_ladder_scan():
         cases.extend((f, g, steps) for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5))
     cases.extend(_failing_instances())
     f1, g1 = (
-        cone.from_predicate(1, 129, lambda p: p[:, 0] >= 0.5, closed=True),
-        cone.from_predicate(1, 129, lambda p: p[:, 0] > 0.25, closed=False),
+        _sample(1, 129, lambda p: p[:, 0] >= 0.5, closed=True),
+        _sample(1, 129, lambda p: p[:, 0] > 0.25, closed=False),
     )
     cases.append((f1, g1, cone.DEFAULT_LADDER_STEPS))
     failures = 0
@@ -368,8 +381,8 @@ def _table_cases():
             f, g = acceptance._random_cone_instance(rng, *grid)
             for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5):
                 yield f, g, steps
-    f1 = cone.from_predicate(1, 65, lambda p: p[:, 0] >= 0.5, closed=True)
-    g1 = cone.from_predicate(1, 65, lambda p: p[:, 0] > 0.25, closed=False)
+    f1 = _sample(1, 65, lambda p: p[:, 0] >= 0.5, closed=True)
+    g1 = _sample(1, 65, lambda p: p[:, 0] > 0.25, closed=False)
     for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5):
         yield f1, g1, steps
 

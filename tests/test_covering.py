@@ -379,12 +379,18 @@ def test_depth_varying_patches_pin_the_glued_ratio(case, pinned_ratio):
     assert cov.verify_glue(glued, trace) <= 1e-12
 
 
+def test_glue_raises_when_a_step_leaves_the_base_uncovered(monkeypatch):
+    covering, patches, trace = _circle_setup(2, 64, n_depth=8)
+    # after step 2 nothing is trusted and no later core remains
+    monkeypatch.setattr(cov, "_trusted_after", lambda trusted, regions: np.zeros_like(trusted))
+    with pytest.raises(GlueError, match="covering invariant fails after step 2: 100.000%"):
+        cov.glue(covering, patches, trace)
+
+
 def test_glue_validates_patch_lists():
     covering, patches, trace = _circle_setup(2, 64, n_depth=8)
     with pytest.raises(ParameterError):
         cov.glue(covering, patches[:1], trace)
-    with pytest.raises(ParameterError):
-        cov.glue(covering, patches, trace, gap_policy="ignore")
     wrong_base = _degree_one_trace(48)
     with pytest.raises(ParameterError):
         cov.glue(covering, patches, gm.TraceMap(

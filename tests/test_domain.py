@@ -43,12 +43,6 @@ def test_kind_table_matches_constructors():
         assert d.lengths == pytest.approx(lengths)
 
 
-def test_volume_is_product_of_lengths():
-    assert dom.square(4, 4).volume == pytest.approx(1.0)
-    assert dom.cylinder(8, 4, depth=0.5).volume == pytest.approx(np.pi)
-    assert dom.torus(4, 4).volume == pytest.approx(1.0)
-
-
 def test_noncanonical_lengths_are_allowed_and_flagged():
     d = dom.square(4, 4, lengths=(3.0, 0.5))
     assert not d.is_canonical()
@@ -115,3 +109,13 @@ def test_collar_over_maps_each_base_to_its_collar():
     for base in (dom.interval(6), dom.square(4, 4), dom.cylinder(6, 4)):
         with pytest.raises(ParameterError):
             dom.collar_over(base, 4, 1.0)
+
+
+def test_depth_node_count_is_one_per_base_spacing_from_8_to_128():
+    # round(depth / h) + 1 nodes; 64 and 65 straddle the sweep's former cap
+    circle = dom.circle(64)
+    h = circle.max_spacing
+    counts = [dom.depth_node_count(circle, k * h) for k in (1, 6, 7, 63, 64, 127, 128, 500)]
+    assert counts == [8, 8, 8, 64, 65, 128, 128, 128]
+    # the coarsest base axis sets h: 1/16 here
+    assert dom.depth_node_count(dom.torus(32, 16), 2.0) == 33

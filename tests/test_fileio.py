@@ -196,40 +196,6 @@ def test_sampled_set_error_paths(tmp_path, text, message):
         fileio.read_sampled_set(path)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("CONE2 0.5 3\n010\n", "not a CONE1 header"),
-        ("CONE1 x 3\n010\n", "malformed CONE1 header"),
-        ("CONE1 0.5 3\n0101\n", "expected 3 direction bits"),
-        ("CONE1 0.5 3\n0a1\n", "expected 3 direction bits"),
-    ],
-)
-def test_cone_certificate_error_paths(tmp_path, text, message):
-    path = str(tmp_path / "bad.cone")
-    with open(path, "w") as fh:
-        fh.write(text)
-    with pytest.raises(FormatError, match=message):
-        fileio.read_cone_certificate(path)
-
-
-def test_cone_certificate_round_trip(tmp_path):
-    path = str(tmp_path / "c.cone")
-    dirs = np.zeros(64, dtype=bool)
-    dirs[10:20] = True
-    fileio.write_cone_certificate(path, 63.0 / 64.0, dirs)
-    radius, back = fileio.read_cone_certificate(path)
-    assert radius == 63.0 / 64.0
-    assert np.array_equal(back, dirs)
-
-
-def test_cone_certificate_radius_must_be_interior(tmp_path):
-    path = str(tmp_path / "c.cone")
-    fileio.write_cone_certificate(path, 1.5, np.ones(4, dtype=bool))
-    with pytest.raises(FormatError):
-        fileio.read_cone_certificate(path)
-
-
 def test_manifest_round_trip_and_digest(tmp_path):
     path = str(tmp_path / "out.bin")
     with open(path, "wb") as fh:
