@@ -258,8 +258,7 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
             ) from exc
     cfg = MinimizeConfig(p=args.p, **overrides)
 
-    depth = args.depth
-    domain = collar_over(trace.base, depth_node_count(trace.base, depth), depth)
+    domain = collar_over(trace.base, depth_node_count(trace.base, args.depth), args.depth)
 
     if args.penalized:
         if args.eps is None:

@@ -5,6 +5,10 @@ to the unit ball of chart coordinates: arcs mapped affinely onto [-1,1]
 for the circle, squares mapped affinely onto [-1,1]^2 and then through
 a fixed smooth square-to-disk diffeomorphism for the torus.
 
+Patches live on ``domain.collar_over`` of a chart's core box, whose
+axes are intervals; ``_check_patch`` accepts any such grid within length
+tolerances, since patches come from outside the program.
+
 ``glue`` runs the inductive construction over a collar base x (0, depth):
 the first chart's patch is adopted on its core; every later chart
 contributes its patch on a ball of certified radius r_i and is folded
@@ -38,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import Axis, DomainSpec, TWO_PI, collar_over, from_kind
+from .domain import Axis, DomainSpec, TWO_PI, collar_over, from_axes, from_kind
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
     DomainError,
@@ -66,9 +70,6 @@ _CONE_RESOLUTION = {1: 513, 2: 257}
 
 #: base-grid sampling for the trusted-region bookkeeping, by base dimension
 _CHECK_RESOLUTION = {1: 2048, 2: 384}
-
-#: domain kind of a patch (chart core box x collar depth), by base dimension
-_PATCH_KIND = {1: "square", 2: "box"}
 
 
 # ---------------------------------------------------- square <-> disk maps
@@ -341,18 +342,16 @@ def replicate_trace_patch(
     depth: float = 1.0,
 ) -> GridMap:
     """Depth-constant patch over a chart core sampled from the trace."""
-    counts = tuple(
-        max(2, int(round(extent / trace.base.axes[a].spacing)) + 1)
-        for a, extent in enumerate(chart.core_extent)
-    )
-    dom = from_kind(
-        _PATCH_KIND[chart.dimension], counts + (n_depth,), lengths=chart.core_extent + (depth,)
-    )
+    core = from_axes(tuple(
+        Axis(max(2, int(round(extent / axis.spacing)) + 1), float(extent), False)
+        for axis, extent in zip(trace.base.axes, chart.core_extent)
+    ))
+    dom = collar_over(core, n_depth, depth)
     coords = grid_coordinates(dom)
     mesh = np.meshgrid(*coords[:-1], indexing="ij")
     offsets = np.stack([g.reshape(-1) for g in mesh], axis=-1)
     vals = project_to_target(trace.target, evaluate_batch(trace, chart.base_points(offsets)))
-    sheet = vals.reshape(tuple(counts) + (trace.nu,))
+    sheet = vals.reshape(core.shape + (trace.nu,))
     full = np.repeat(sheet[..., None, :], n_depth, axis=-2)
     return GridMap(domain=dom, target=trace.target, values=full)
 
@@ -368,11 +367,8 @@ def _check_patch(
 ) -> None:
     """Check a patch's grids and target, and its bottom trace on the closed core ``inside``."""
     dom = patch.domain
-    want_kind = _PATCH_KIND[chart.dimension]
-    if dom.kind != want_kind:
-        raise ParameterError(
-            f"patch {chart.index} must live on a {want_kind} grid, got {dom.kind!r}"
-        )
+    if dom.ndim != chart.dimension + 1 or any(axis.periodic for axis in dom.axes):
+        raise ParameterError(f"patch {chart.index} needs a core box x depth grid, got {dom.kind!r}")
     for a, extent in enumerate(chart.core_extent):
         if abs(dom.axes[a].length - extent) > 1e-9 * max(1.0, extent):
             raise ParameterError(

@@ -23,6 +23,12 @@ torus_collar   torus x (0,1)                               1, 1, 1
 Non-canonical lengths (a collar of depth L != 1, a chart patch whose
 first axis is an arc length) are allowed in memory; the file sidecar
 records them so round trips are exact.
+
+Two builders make every domain: ``from_kind`` (the named constructors
+call it) and ``from_axes``, which names the kind of the axes' periodicity
+pattern.  ``collar_over`` is the one collar rule: the base's own axes,
+lengths included, then one interval depth axis; box, cube and
+torus_collar bases have no collar.
 """
 
 from __future__ import annotations
@@ -120,76 +126,67 @@ class DomainSpec:
         )
 
 
-def _build(kind: str, counts: tuple[int, ...], lengths=None) -> DomainSpec:
+def from_kind(kind: str, counts: tuple[int, ...], lengths=None) -> DomainSpec:
+    """The domain of ``kind`` with ``counts`` nodes per axis; canonical lengths by default."""
+    if kind not in KIND_TABLE:
+        raise ParameterError(f"unknown domain kind {kind!r}")
     flags, canonical = KIND_TABLE[kind]
-    if lengths is None:
-        lengths = canonical
-    axes = tuple(
-        Axis(count=n, length=float(L), periodic=f)
-        for n, L, f in zip(counts, lengths, flags)
-    )
+    lengths = canonical if lengths is None else lengths
+    axes = tuple(Axis(n, float(L), f) for n, L, f in zip(counts, lengths, flags))
     return DomainSpec(kind=kind, axes=axes)
 
 
+def from_axes(axes: tuple[Axis, ...]) -> DomainSpec:
+    """The domain on ``axes``, of the kind that their periodicity pattern names."""
+    pattern = tuple(a.periodic for a in axes)
+    for kind, (flags, _) in KIND_TABLE.items():
+        if flags == pattern:
+            return DomainSpec(kind=kind, axes=tuple(axes))
+    raise DomainError(f"no named kind for periodicity pattern {pattern}")
+
+
 def interval(n: int) -> DomainSpec:
-    return _build("interval", (n,))
+    return from_kind("interval", (n,))
 
 
 def circle(n: int) -> DomainSpec:
-    return _build("circle", (n,))
+    return from_kind("circle", (n,))
 
 
 def square(n1: int, n2: int, lengths: tuple[float, float] | None = None) -> DomainSpec:
-    return _build("square", (n1, n2), lengths)
+    return from_kind("square", (n1, n2), lengths)
 
 
 def box(n1: int, n2: int, n3: int, lengths: tuple[float, float, float] | None = None) -> DomainSpec:
-    return _build("box", (n1, n2, n3), lengths)
+    return from_kind("box", (n1, n2, n3), lengths)
 
 
 def cylinder(n_theta: int, n_depth: int, depth: float = 1.0) -> DomainSpec:
-    return _build("cylinder", (n_theta, n_depth), (TWO_PI, depth))
+    return from_kind("cylinder", (n_theta, n_depth), (TWO_PI, depth))
 
 
 def cube(n_theta: int, n1: int, n2: int) -> DomainSpec:
-    return _build("cube", (n_theta, n1, n2))
+    return from_kind("cube", (n_theta, n1, n2))
 
 
 def torus(n1: int, n2: int) -> DomainSpec:
-    return _build("torus", (n1, n2))
+    return from_kind("torus", (n1, n2))
 
 
 def torus_collar(n1: int, n2: int, n_depth: int, depth: float = 1.0) -> DomainSpec:
-    return _build("torus_collar", (n1, n2, n_depth), (1.0, 1.0, depth))
+    return from_kind("torus_collar", (n1, n2, n_depth), (1.0, 1.0, depth))
 
 
 def collar_over(base: DomainSpec, n_depth: int, depth: float) -> DomainSpec:
-    """The collar base x (0, depth): a cylinder over a circle, a torus collar over a torus."""
-    if base.kind == "circle":
-        return cylinder(base.shape[0], n_depth, depth)
-    if base.kind == "torus":
-        return torus_collar(base.shape[0], base.shape[1], n_depth, depth)
-    raise ParameterError(f"collar bases are circles or tori, got {base.kind!r}")
+    """The collar base x (0, depth): the base's own axes, then one depth interval."""
+    return from_axes(base.axes + (Axis(n_depth, float(depth), False),))
 
 
 def depth_node_count(base: DomainSpec, depth: float) -> int:
     """round(depth / h) + 1 depth nodes for the coarsest base spacing h, clamped to 8..128."""
-    return max(8, min(128, int(round(depth / base.max_spacing)) + 1))
-
-
-def from_kind(kind: str, counts: tuple[int, ...], lengths=None) -> DomainSpec:
-    if kind not in KIND_TABLE:
-        raise ParameterError(f"unknown domain kind {kind!r}")
-    return _build(kind, counts, lengths)
-
-
-def kind_for_axes(axes: tuple[Axis, ...]) -> str:
-    """Structural kind of an axis tuple (used when slicing a face off)."""
-    pattern = tuple(a.periodic for a in axes)
-    for kind, (flags, _) in KIND_TABLE.items():
-        if flags == pattern:
-            return kind
-    raise DomainError(f"no named kind for periodicity pattern {pattern}")
+    if not (np.isfinite(depth) and depth > 0.0):
+        raise ParameterError(f"collar depth must be finite and > 0, got {depth}")
+    return max(8, min(128, round(min(depth / base.max_spacing, 128.0)) + 1))
 
 
 # Boundary faces.  "bottom"/"top" always refer to the last axis, which by
@@ -214,5 +211,4 @@ def face_axis_side(domain: DomainSpec, face: str) -> tuple[int, int]:
 
 def face_domain(domain: DomainSpec, face: str) -> DomainSpec:
     axis, _ = face_axis_side(domain, face)
-    remaining = domain.axes[:axis] + domain.axes[axis + 1 :]
-    return DomainSpec(kind=kind_for_axes(remaining), axes=remaining)
+    return from_axes(domain.axes[:axis] + domain.axes[axis + 1 :])

@@ -13,6 +13,9 @@ an FFT along the periodic angle and one tridiagonal solve in depth per
 Fourier mode, in O(N log N) time and O(N) memory for N grid nodes; its
 energy is the Dirichlet cell sum of ``energy`` applied to the lifting.
 
+A descent runs only on ``domain.collar_over(u.base, ...)``, the trace
+base's own axes then depth; any other domain is a ``ParameterError``.
+
 The descent direction is the exact analytic gradient of the discrete
 objective; the bottom row's gradient is zeroed and every trial point
 gets the boundary data copied into its bottom row, so it stays
@@ -187,18 +190,8 @@ def dirichlet_gradient(m: GridMap, p: float) -> np.ndarray:
 # ---------------------------------------------------------------- descent
 
 def _check_collar(u: TraceMap, domain: DomainSpec) -> None:
-    if domain.kind not in ("cylinder", "torus_collar", "square", "box"):
-        raise ParameterError(
-            f"extension domains are collars over the trace base, got {domain.kind!r}"
-        )
-    if domain.shape[:-1] != u.base.shape:
-        raise ParameterError(
-            f"collar base resolution {domain.shape[:-1]} does not match the "
-            f"trace resolution {u.base.shape}"
-        )
-    for a in range(u.base.ndim):
-        if abs(domain.axes[a].length - u.base.axes[a].length) > 1e-12:
-            raise ParameterError("collar base lengths do not match the trace")
+    if domain != collar_over(u.base, domain.shape[-1], domain.axes[-1].length):
+        raise ParameterError(f"{domain} is not a collar over the trace base {u.base}")
 
 
 def _descend(
@@ -349,11 +342,12 @@ def isobe_sweep(
     """
     if len(eps_list) == 0 or len(depth_list) == 0:
         raise ParameterError("sweep lists must be nonempty")
-    if any(e <= 0 for e in eps_list) or any(L <= 0 for L in depth_list):
-        raise ParameterError("sweep parameters must be positive")
+    if any(e <= 0 for e in eps_list):
+        raise ParameterError("penalty widths must be positive")
+    # every depth is checked, and its collar built, before any descent
+    collars = [(float(d), collar_over(u.base, depth_node_count(u.base, d), d)) for d in depth_list]
     triples: list[tuple[float, float, float]] = []
-    for depth in depth_list:
-        domain = collar_over(u.base, depth_node_count(u.base, depth), float(depth))
+    for depth, domain in collars:
         for eps in eps_list:
             penalty = distance_penalty(float(eps), cfg.p, u.target)
             try:
@@ -388,8 +382,8 @@ def circle_lifting_oracle(
     """
     if u.base.kind != "circle":
         raise ParameterError(f"the lifting oracle needs a circle base, got {u.base.kind!r}")
-    if domain.kind != "cylinder":
-        raise ParameterError(f"the lifting oracle needs a cylinder collar, got {domain.kind!r}")
+    if not u.base.is_canonical():
+        raise ParameterError("the lifting oracle's winding term needs circumference 2*pi")
     if u.nu != 2 or not u.target.constrained:
         raise ParameterError("the lifting oracle needs circle-valued data")
     _check_collar(u, domain)

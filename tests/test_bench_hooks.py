@@ -38,11 +38,12 @@ def test_the_criteria_tuple_names_its_criteria_by_number():
     assert numbers == [f"{k:02d}" for k in range(1, len(numbers) + 1)]
 
 
-def test_the_attributes_the_benchmark_reads_exist():
+def test_the_attributes_the_benchmark_reads_exist(tmp_path):
     # the fields bench/ reads off configs, results and reports, on the
-    # smallest inputs that produce each of them
+    # smallest inputs that produce each of them, and the calls it makes,
+    # with positional arguments where bench/workloads.py passes them so
     import sobolev_glue
-    from sobolev_glue import cone, covering, domain, energy, gridmap, minimize, target
+    from sobolev_glue import cone, covering, domain, energy, fileio, gridmap, minimize, target
 
     for name in sobolev_glue._SUBMODULES:
         importlib.import_module(f"sobolev_glue.{name}")
@@ -59,6 +60,14 @@ def test_the_attributes_the_benchmark_reads_exist():
     result = minimize.minimize_extension_detailed(trace, collar, trace.target, one_step)
     assert result.iterations == 1 and isinstance(result.converged, bool)
     assert result.map.domain == collar and result.energy > 0.0
+    _, exact = minimize.circle_lifting_oracle(trace, collar)
+    assert exact > 0.0
+
+    built = (domain.torus(4, 4), domain.square(4, 4), domain.cylinder(4, 3, 1.0),
+             domain.torus_collar(4, 4, 3, 1.0))
+    assert [d.kind for d in built] == ["torus", "square", "cylinder", "torus_collar"]
+    for d in built:
+        assert d.axes[-1].coordinates().shape == (d.shape[-1],) and d.max_spacing > 0.0
 
     penalty = energy.distance_penalty(0.25, 2.0, target.circle())
     free = gridmap.GridMap(domain=collar, target=target.euclidean(2), values=result.map.values)
@@ -78,3 +87,5 @@ def test_the_attributes_the_benchmark_reads_exist():
     f = cone.SampledSet(2, 33, True, radii <= 0.25)
     g = cone.SampledSet(2, 33, False, np.ones_like(f.indicator))
     assert cone.find_cone(f, g).verified
+    fileio.write_sampled_set(str(tmp_path / "f.set"), 2, 33, True, f.indicator)
+    assert fileio.read_sampled_set(str(tmp_path / "f.set"))[1] == 33

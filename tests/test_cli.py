@@ -563,18 +563,61 @@ def test_estimate_penalized_needs_eps_and_constrained_trace(tmp_path, capsys):
 
 
 def test_estimate_on_an_interval_trace_is_a_usage_error(tmp_path, capsys):
-    trace_path = str(tmp_path / "t.sgf")
+    # an interval trace extends over its square collar; a box base has no
+    # collar kind, so its trace is still a usage error
+    runs = {}
+    for name, base in (("interval", dom.interval(9)), ("box", dom.box(3, 3, 3))):
+        trace_path, out = str(tmp_path / f"{name}.sgf"), str(tmp_path / f"{name}_ext.sgf")
+        values = np.tile([1.0, 0.0], base.shape + (1,))
+        fileio.write_grid_map(trace_path, gm.TraceMap(base=base, target=tg.circle(), values=values))
+        code, stdout, err = run_cli(
+            ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", _write_cfg(tmp_path),
+             "--out", out],
+            capsys,
+        )
+        runs[name] = (code, stdout, err, out)
+    code, _, _, out = runs["interval"]
+    assert code == 0
+    ext = fileio.read_grid_map(out)
+    assert ext.domain == dom.square(9, 9)
+    code, stdout, err, out = runs["box"]
+    assert (code, stdout) == (2, "")
+    assert "periodicity pattern" in err
+    assert not os.path.exists(out)
+
+
+def test_estimate_keeps_the_lengths_of_a_non_canonical_circle(tmp_path, capsys):
+    base = dom.from_kind("circle", (24,), (3.0,))
+    t = base.axes[0].coordinates() * (2.0 * np.pi / 3.0)
+    trace_path, out = str(tmp_path / "t.sgf"), str(tmp_path / "ext.sgf")
     fileio.write_grid_map(
         trace_path,
-        gm.TraceMap(base=dom.interval(9), target=tg.circle(), values=np.tile([1.0, 0.0], (9, 1))),
+        gm.TraceMap(base=base, target=tg.circle(), values=np.stack([np.cos(t), np.sin(t)], -1)),
     )
-    code, out, _ = run_cli(
-        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", _write_cfg(tmp_path),
-         "--out", str(tmp_path / "e.sgf")],
+    code, stdout, _ = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0",
+         "--cfg", _write_cfg(tmp_path, max_iterations=20), "--out", out],
         capsys,
     )
-    assert code == 2
-    assert out == ""
+    assert code == 0
+    assert float(_value_of(stdout, "energy")) > 0.0
+    assert fileio.read_manifest(out)["axis_lengths"] == "3,1"
+    assert fileio.read_grid_map(out).domain.lengths == (3.0, 1.0)
+
+
+@pytest.mark.parametrize("depth", ["nan", "inf", "0"])
+def test_collar_depth_must_be_finite_and_positive(tmp_path, capsys, depth):
+    trace_path = str(tmp_path / "t.sgf")
+    _write_degree_one_trace(trace_path, 16)
+    out = str(tmp_path / "e.sgf")
+    code, stdout, err = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", _write_cfg(tmp_path),
+         "--out", out, f"--depth={depth}"],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert "depth" in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("entry", [{"momentum": 0.9}, {"seed": 0}], ids=["momentum", "seed"])

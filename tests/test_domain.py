@@ -102,13 +102,34 @@ def test_max_spacing_takes_the_coarsest_axis():
 
 
 def test_collar_over_maps_each_base_to_its_collar():
-    cyl = dom.collar_over(dom.circle(12), 5, 0.5)
-    assert cyl == dom.cylinder(12, 5, 0.5)
-    tc = dom.collar_over(dom.torus(6, 8), 4, 2.0)
-    assert tc == dom.torus_collar(6, 8, 4, 2.0)
-    for base in (dom.interval(6), dom.square(4, 4), dom.cylinder(6, 4)):
-        with pytest.raises(ParameterError):
+    # the base's own axes, lengths included, then the depth interval
+    cases = (
+        (dom.interval(6), dom.square(6, 4, lengths=(1.0, 0.5))),
+        (dom.circle(12), dom.cylinder(12, 4, 0.5)),
+        (dom.square(6, 5), dom.box(6, 5, 4, lengths=(1.0, 1.0, 0.5))),
+        (dom.cylinder(12, 5), dom.from_kind("cube", (12, 5, 4), (2.0 * np.pi, 1.0, 0.5))),
+        (dom.torus(6, 8), dom.torus_collar(6, 8, 4, 0.5)),
+    )
+    for base, collar in cases:
+        assert dom.collar_over(base, 4, 0.5) == collar
+        assert dom.face_domain(collar, "bottom") == base
+    for base in (dom.box(4, 4, 4), dom.cube(6, 4, 4), dom.torus_collar(6, 6, 4)):
+        with pytest.raises(DomainError):
             dom.collar_over(base, 4, 1.0)
+
+
+def test_collar_over_keeps_non_canonical_base_lengths():
+    base = dom.from_kind("circle", (12,), (3.0,))
+    collar = dom.collar_over(base, 5, 2.0)
+    assert (collar.kind, collar.lengths, collar.shape) == ("cylinder", (3.0, 2.0), (12, 5))
+    assert dom.face_domain(collar, "bottom") == base
+
+
+def test_from_axes_names_the_kind_of_the_periodicity_pattern():
+    axes = (dom.Axis(6, 1.0, True), dom.Axis(6, 1.0, True), dom.Axis(4, 2.0, False))
+    assert dom.from_axes(axes) == dom.torus_collar(6, 6, 4, 2.0)
+    with pytest.raises(DomainError):
+        dom.from_axes((dom.Axis(4, 1.0, False), dom.Axis(4, 1.0, True)))
 
 
 def test_depth_node_count_is_one_per_base_spacing_from_8_to_128():
@@ -119,3 +140,13 @@ def test_depth_node_count_is_one_per_base_spacing_from_8_to_128():
     assert counts == [8, 8, 8, 64, 65, 128, 128, 128]
     # the coarsest base axis sets h: 1/16 here
     assert dom.depth_node_count(dom.torus(32, 16), 2.0) == 33
+
+
+@pytest.mark.parametrize("depth", [0.0, -1.0, float("nan"), float("inf")])
+def test_depth_node_count_needs_a_finite_positive_depth(depth):
+    with pytest.raises(ParameterError, match="depth"):
+        dom.depth_node_count(dom.circle(16), depth)
+
+
+def test_depth_node_count_caps_a_huge_finite_depth():
+    assert dom.depth_node_count(dom.circle(16), 1e308) == 128

@@ -1,0 +1,56 @@
+"""Gate panel: each acceptance gate must fail on data that breaks it.
+
+Every case plants one defect in the library by monkeypatching, runs only
+the criteria that should see it, and asserts that each of them FAILs.
+A criterion that still passes with the defect in place checks nothing
+about the code it names.
+"""
+
+import pytest
+
+from sobolev_glue import acceptance as acc
+from sobolev_glue import cone, folding, minimize
+
+
+def _swapped_fold_sources(original):
+    # the two source coordinates trade places
+    def swapped(x1, x2):
+        region, s1, s2 = original(x1, x2)
+        return region, s2, s1
+
+    return swapped
+
+
+def _halved_gradient(original):
+    def halved(*args, **kwargs):
+        return 0.5 * original(*args, **kwargs)
+
+    return halved
+
+
+def _short_ladder(original):
+    # K = 2 checks only the radius r = 1/2
+    def short(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
+        return original(f, g, ladder_steps=2)
+
+    return short
+
+
+@pytest.mark.parametrize(
+    "module, name, defect, criteria",
+    [
+        (folding, "fold_sources", _swapped_fold_sources,
+         (acc.criterion_02_fold_trace_contract, acc.criterion_03_fold_energy_constant)),
+        (minimize, "_dirichlet_gradient", _halved_gradient,
+         (acc.criterion_10_gradient_check,)),
+        (cone, "find_cone", _short_ladder,
+         (acc.criterion_04_cone_capture, acc.criterion_05_circle_covering_glue)),
+    ],
+    ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two"],
+)
+def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
+    for criterion in criteria:
+        result = criterion()
+        print(acc.format_line(result))
+        assert not result.passed, f"{result.name} passed with {name} broken"

@@ -365,18 +365,72 @@ def test_sweep_validates_parameters():
     cfg = mi.MinimizeConfig()
     with pytest.raises(ParameterError):
         mi.isobe_sweep(u, (), (1.0,), cfg)
-    with pytest.raises(ParameterError):
-        mi.isobe_sweep(u, (0.5,), (-1.0,), cfg)
+    for depth in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="depth"):
+            mi.isobe_sweep(u, (0.5,), (1.0, depth), cfg)
     free = gm.TraceMap(
         base=dom.circle(16), target=tg.euclidean(2), values=np.ones((16, 2))
     )
     with pytest.raises(ParameterError):
         mi.isobe_sweep(free, (0.5,), (1.0,), cfg)
+    # an interval trace sweeps over square collars; a torus_collar base
+    # has no collar kind
     on_interval = gm.TraceMap(
         base=dom.interval(16), target=tg.circle(), values=np.tile([1.0, 0.0], (16, 1))
     )
+    assert mi.isobe_sweep(on_interval, (0.5,), (1.0,), cfg).triples == ((0.5, 1.0, 0.0),)
+    on_collar = gm.TraceMap(
+        base=dom.torus_collar(4, 4, 3), target=tg.circle(), values=np.tile([1.0, 0.0], (4, 4, 3, 1))
+    )
     with pytest.raises(ParameterError):
-        mi.isobe_sweep(on_interval, (0.5,), (1.0,), cfg)
+        mi.isobe_sweep(on_collar, (0.5,), (1.0,), cfg)
+
+
+def _circumference_three_trace(n):
+    base = dom.from_kind("circle", (n,), (3.0,))
+    t = base.axes[0].coordinates() * (2.0 * np.pi / 3.0)
+    vals = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    return gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
+
+
+def test_sweep_runs_on_a_non_canonical_circle():
+    u = _circumference_three_trace(16)
+    sweep = mi.isobe_sweep(u, (0.5,), (1.0,), mi.MinimizeConfig(max_iterations=50))
+    assert len(sweep.triples) == 1 and sweep.triples[0][2] > 0.0
+
+
+def test_descent_needs_the_collar_over_the_trace_base():
+    u = _circumference_three_trace(16)
+    cfg = mi.MinimizeConfig(max_iterations=1)
+    own = dom.collar_over(u.base, 6, 1.0)
+    assert mi.minimize_extension_detailed(u, own, tg.circle(), cfg).map.domain == own
+    # a 2*pi cylinder, a torus collar, and base lengths off by one ulp
+    nudged = dom.from_kind("cylinder", (16, 6), (np.nextafter(3.0, 4.0), 1.0))
+    for domain in (dom.cylinder(16, 6), dom.torus_collar(16, 16, 6), nudged):
+        with pytest.raises(ParameterError):
+            mi.minimize_extension_detailed(u, domain, tg.circle(), cfg)
+
+
+def test_lifting_oracle_refuses_a_non_canonical_circle():
+    # the oracle's winding term assumes circumference 2*pi: on this
+    # matching collar it would report about twice the true minimum
+    u = _circumference_three_trace(64)
+    collar = dom.from_kind("cylinder", (64, 17), (3.0, 1.0))
+    with pytest.raises(ParameterError, match="circumference"):
+        mi.circle_lifting_oracle(u, collar)
+
+
+def test_descent_runs_on_the_collar_of_every_base_kind():
+    cfg = mi.MinimizeConfig(max_iterations=2)
+    for base in (dom.interval(5), dom.circle(6), dom.square(4, 5), dom.cylinder(6, 4),
+                 dom.torus(4, 5)):
+        angle = 0.3 * np.arange(np.prod(base.shape)).reshape(base.shape)
+        vals = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        u = gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
+        collar = dom.collar_over(base, 4, 0.5)
+        result = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg)
+        assert result.map.domain == collar and np.isfinite(result.energy)
+        assert np.array_equal(result.map.values[..., 0, :], u.values)
 
 
 def _wiggle_trace(rng, n):
