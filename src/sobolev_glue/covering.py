@@ -3,38 +3,49 @@
 A covering carries K >= 2 overlapping chart cores G_i, each with a map
 to the unit ball of chart coordinates: arcs mapped affinely onto [-1,1]
 for the circle, squares mapped affinely onto [-1,1]^2 and then through
-a fixed smooth square-to-disk diffeomorphism for the torus.
+a fixed square-to-disk homeomorphism for the torus, smooth but with a
+singular Jacobian at the four corners.  Both kinds lay their cores out
+by one rule: k_a cores per axis, each 1.5 / k_a of the axis long.
 
 Patches live on ``domain.collar_over`` of a chart's core box, whose
 axes are intervals; ``_check_patch`` accepts any such grid within length
 tolerances, since patches come from outside the program.
 
-``glue`` runs the inductive construction over a collar base x (0, depth):
-the first chart's patch is adopted on its core; every later chart
-contributes its patch on a ball of certified radius r_i and is folded
-into the previous state across the cone-captured annulus.  The fold is
-``folding.fold_sources``, the square fold's rule, applied in (radial
-parameter, depth / collar depth) coordinates with the previous state as
-the first map and the patch as the second; moved samples return to the
-ball through ``radial_fold_map``.  Bookkeeping tracks the sampled
-trusted region H_i and checks the covering invariant
-H_i union G_{i+1} ... G_K = base after every step.  A chart core is a
-box: ``Chart.core_masks`` ANDs one interval test per axis over a product
-grid, ``glue`` builds these masks once per grid (collar base and check
-grid), and ``Chart.in_core`` tests only scattered pull-back points.
-A pull-back point belongs to the trusted set E of a step when every
-corner of its base-grid cell is trusted: ``cone``'s cell test over the
+``glue`` runs the inductive construction over a collar base x (0, depth).
+Step 1 adopts the first chart's patch on its core.  Every later step
+does three things:
+
+- ``_certificate`` samples F (the chart ball no later core claims) and
+  E (the part of it the trusted region holds) and certifies a cone
+  capture with ``cone.find_cone``, which checks its own certificate; a
+  step whose check fails raises.
+- ``_captured`` marks the points of the closed core the step trusts:
+  its ball of certified radius r_i and its accepted cone annulus.  The
+  same rule runs on the collar base grid and on the check grid.
+- ``_fold_step`` writes the patch on the ball and folds it into the
+  previous state across the annulus, in place, reading one snapshot of
+  that state.  The fold is ``folding.fold_sources``, the square fold's
+  rule, applied in (radial parameter, depth / collar depth) coordinates
+  with the previous state as the first map and the patch as the second;
+  moved samples return to the ball through ``radial_fold_map``.
+
+Bookkeeping tracks the sampled trusted region H_i and checks the
+covering invariant H_i union G_{i+1} ... G_K = base after every step.
+A chart core is a box: ``Chart.core_masks`` ANDs one interval test per
+axis over a product grid, ``glue`` builds these masks once per grid
+(collar base and check grid), and ``Chart.in_core`` tests only
+scattered pull-back points.  A pull-back point belongs to E when every
+corner of its check-grid cell is trusted: ``cone``'s cell test over the
 wrap-padded mask, read at the point's cell.  ``Chart.base_points`` is
-the one map from patch-box offsets to base points.
-Every step's cone certificate is checked by
-``cone.find_cone`` itself, and a step whose check fails raises.
-``verify_glue`` audits what the steps do not: the glued map's bottom
-face against the trace at every base node.
+the one map from patch-box offsets to base points.  ``verify_glue``
+audits what the steps do not: the glued map's bottom face against the
+trace at every base node.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import Axis, DomainSpec, TWO_PI, collar_over, from_axes, from_kind
+from .domain import KIND_TABLE, Axis, DomainSpec, collar_over, from_axes, from_kind
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
     DomainError,
@@ -75,7 +86,11 @@ _CHECK_RESOLUTION = {1: 2048, 2: 384}
 # ---------------------------------------------------- square <-> disk maps
 
 def square_to_disk(xy: np.ndarray) -> np.ndarray:
-    """Smooth diffeomorphism [-1,1]^2 -> closed unit disk (elliptical map)."""
+    """Homeomorphism [-1,1]^2 -> closed unit disk (elliptical map).
+
+    Smooth, but its Jacobian is singular at the four corners of the
+    square; at (1, 1) it is [[1, -1], [-1, 1]] / sqrt(2).
+    """
     xy = np.asarray(xy, dtype=np.float64)
     x, y = xy[..., 0], xy[..., 1]
     u = x * np.sqrt(np.maximum(1.0 - 0.5 * y * y, 0.0))
@@ -229,40 +244,19 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
     if count < 2:
         raise ParameterError(f"a covering needs at least 2 charts, got {count}")
 
-    charts: list[Chart] = []
-    if base.kind == "circle":
-        length = TWO_PI
-        arc = min(1.5 * math.pi, 3.0 * math.pi / count)
-        for i in range(count):
-            center = length * i / count
-            charts.append(
-                Chart(
-                    index=i,
-                    base_lengths=(length,),
-                    center=(center,),
-                    core_extent=(arc,),
-                )
-            )
-    else:
-        if count < 4:
-            raise ParameterError(f"torus coverings need at least 4 charts, got {count}")
-        k1, k2 = _torus_factors(count)
-        sides = (min(1.5 / k1, 0.95), min(1.5 / k2, 0.95))
-        index = 0
-        for a in range(k1):
-            for b in range(k2):
-                center = ((a + 0.5) / k1, (b + 0.5) / k2)
-                charts.append(
-                    Chart(
-                        index=index,
-                        base_lengths=(1.0, 1.0),
-                        center=center,
-                        core_extent=sides,
-                    )
-                )
-                index += 1
-
-    covering = Covering(base_kind=base.kind, base_lengths=base.lengths, charts=tuple(charts))
+    lengths = KIND_TABLE[base.kind][1]
+    # circle charts start at 0, torus charts half a grid cell in
+    counts, shift = ((count,), 0.0) if base.kind == "circle" else (_torus_factors(count), 0.5)
+    # each core spans 1.5 grid cells, so neighbouring cores overlap
+    extent = tuple(length * 1.5 / k for length, k in zip(lengths, counts))
+    centers = itertools.product(
+        *([length * (j + shift) / k for j in range(k)] for length, k in zip(lengths, counts))
+    )
+    charts = tuple(
+        Chart(index=i, base_lengths=lengths, center=center, core_extent=extent)
+        for i, center in enumerate(centers)
+    )
+    covering = Covering(base_kind=base.kind, base_lengths=base.lengths, charts=charts)
     _validate_covering(covering)
     return covering
 
@@ -283,16 +277,19 @@ def _validate_covering(covering: Covering) -> None:
     # the boundary nodes of a 33-node probe grid over [-1, 1]^m
     probe = cone_mod._grid_points(m, 33)
     edges = probe[np.max(np.abs(probe), axis=-1) == 1.0]
+    # square_to_disk's Jacobian is singular at the square's corners, so the
+    # round trip there only holds to O(sqrt(eps)) of the half extent
+    corner = np.count_nonzero(np.abs(edges) == 1.0, axis=-1)[:, None] == 2
     for chart in covering.charts:
         # core boundary must land on the unit sphere of chart coordinates
         base_pts = chart.base_points((edges + 1.0) / 2.0 * np.array(chart.core_extent))
         z = chart.to_disk(base_pts)
-        radii = np.linalg.norm(np.atleast_2d(z), axis=-1)
-        if np.max(np.abs(radii - 1.0)) > 1e-9:
+        if np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0)) > 1e-9:
             raise GlueError("internal: chart core boundary misses the unit sphere")
         pts_back, _ = chart.from_disk(z)
-        gap = np.array(chart._wrapped_offsets(pts_back) - chart._wrapped_offsets(base_pts))
-        if np.max(np.abs(gap)) > 1e-9:
+        gap = np.abs(chart._wrapped_offsets(pts_back) - chart._wrapped_offsets(base_pts))
+        half = np.array(chart.core_extent) / 2.0
+        if np.any(gap > np.where(corner, 4.0 * math.sqrt(np.finfo(float).eps) * half, 1e-12)):
             raise GlueError("internal: chart map does not invert on the core boundary")
 
 
@@ -406,33 +403,74 @@ def _conservative_membership(
     return cells[tuple(_locate(axis, pts[:, a])[0] for a, axis in enumerate(axes))]
 
 
-def _chart_regions(
-    chart: Chart,
-    pts: np.ndarray,
-    inside: np.ndarray,
-    radius: float,
-    cert: cone_mod.ConeCertificate,
-) -> tuple[np.ndarray, ...]:
-    """``(inside, z, radii, ball, annulus)`` of one step on a sampled base grid.
+def _certificate(
+    step: int,
+    covering: Covering,
+    trusted: np.ndarray,
+    check_grid: DomainSpec,
+) -> cone_mod.ConeCertificate:
+    """Checked cone certificate of chart ``step`` (0-based) against the trusted check-grid mask.
 
-    ``inside`` marks the points of the closed core (``chart.core_masks``),
-    ``z`` and ``radii`` are their ball coordinates, and ``ball`` /
-    ``annulus`` mark, among them, the certified ball and the accepted cone
-    annulus.
+    F is the part of the chart ball that no later core claims, E the part
+    whose check-grid cells ``trusted`` holds at every corner.
     """
-    z = np.atleast_2d(chart.to_disk(pts[inside]))
-    radii = np.linalg.norm(z, axis=-1)
-    ball = radii < radius
-    annulus = (radii >= radius) & cone_mod.accepts(cert, z)
-    return inside, z, radii, ball, annulus
+    chart = covering.charts[step]
+    m = chart.dimension
+    res = _CONE_RESOLUTION[m]
+    in_ball = cone_mod._node_tables(m, res)[0] <= 1.0
+    pts_back, _ = chart.from_disk(cone_mod._grid_points(m, res)[in_ball])
+    # membership is pointwise: each later core tests only the points no
+    # earlier one has claimed
+    in_later = np.zeros(pts_back.shape[0], dtype=bool)
+    for other in covering.charts[step + 1 :]:
+        rest = np.flatnonzero(~in_later)
+        in_later[rest] = other.in_core(pts_back[rest])
+    f_ind, e_ind = np.zeros((2, in_ball.size), dtype=bool)
+    f_ind[in_ball] = ~in_later
+    e_ind[in_ball] = _conservative_membership(
+        trusted.reshape(check_grid.shape), check_grid.axes, pts_back
+    )
+    shape = (res,) * m
+    try:
+        cert = cone_mod.find_cone(
+            cone_mod.SampledSet(m, res, True, f_ind.reshape(shape)),
+            cone_mod.SampledSet(m, res, False, e_ind.reshape(shape)),
+        )
+    except PreconditionError as exc:
+        raise GlueError(
+            f"internal: step {step + 1} leftover touches the chart sphere "
+            f"outside the trusted region ({exc})"
+        ) from exc
+    except ResolutionError as exc:
+        raise ResolutionError(f"step {step + 1} (chart {chart.index}): {exc}") from exc
+    if not cert.verified:
+        raise GlueError(
+            f"step {step + 1} (chart {chart.index}): the cone certificate fails its check"
+        )
+    return cert
 
 
-def _trusted_after(trusted: np.ndarray, regions: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Trusted mask after a step: ball and annulus on the core, the old mask off it."""
-    inside, _, _, ball, annulus = regions
-    new = np.zeros_like(trusted)
-    new[inside] = ball | annulus
-    return new | (trusted & ~inside)
+def _captured(chart: Chart, pts: np.ndarray, cert: cone_mod.ConeCertificate) -> np.ndarray:
+    """Which base points of the closed core a step trusts: its certified ball or cone annulus."""
+    z = chart.to_disk(pts)
+    return (np.linalg.norm(z, axis=-1) < cert.radius) | cone_mod.accepts(cert, z)
+
+
+def _trusted_after(trusted: np.ndarray, inside: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Trusted mask after a step: ``kept`` on the closed core ``inside``, the old mask off it."""
+    new = trusted & ~inside
+    new[inside] = kept
+    return new
+
+
+def _collar_state(collar: DomainSpec, trace: TraceMap, values: np.ndarray) -> GridMap:
+    """The glue state ``values``, one (depth, component) block per base node, as a collar map."""
+    return GridMap(
+        domain=collar,
+        target=trace.target,
+        values=values.reshape(collar.shape + (trace.nu,)),
+        constraint_tol=max(trace.constraint_tol, default_constraint_tol(collar)),
+    )
 
 
 def glue(
@@ -476,119 +514,60 @@ def glue(
     check_cores, check_closed = _core_tables(covering, check_grid)
     for i, (chart, patch) in enumerate(zip(covering.charts, patches)):
         _check_patch(chart, patch, trace, base_closed[i], n_depth, depth, tol)
+    # the patch energies check p and the penalty before any step runs
+    patch_total = float(sum(penalized_energy(patch, p, penalty).value for patch in patches))
 
     collar = collar_over(trace.base, n_depth, depth)
     base_pts = node_mesh(trace.base)
-    n_base = base_pts.shape[0]
-    depth_coords = collar.axes[-1].coordinates()
-
-    # initial state: replicated trace as the (never trusted) placeholder
-    values = np.repeat(
-        trace.values.reshape(n_base, trace.nu)[:, None, :], n_depth, axis=1
-    )
-
     check_pts = node_mesh(check_grid)
+    trace_flat = trace.values.reshape(base_pts.shape[0], trace.nu)
     # cores_to_come[i]: union of the cores of the charts after chart i
     later_cores = np.concatenate([check_cores[1:], np.zeros_like(check_cores[:1])])
     cores_to_come = np.logical_or.accumulate(later_cores[::-1], axis=0)[::-1]
-
-    cone_res = _CONE_RESOLUTION[m]
-    chart_pts = cone_mod._grid_points(m, cone_res)
-    chart_radii, _, _ = cone_mod._node_tables(m, cone_res)
-    in_ball_mask = chart_radii <= 1.0
-
+    # step 1 adopts the first patch on its closed core over the replicated
+    # trace, a placeholder no step trusts; its open core is trusted
+    values = np.repeat(trace_flat[:, None, :], n_depth, axis=1)
+    values[base_closed[0]] = _patch_columns(
+        covering.charts[0], patches[0], base_pts[base_closed[0]], collar.axes[-1].coordinates()
+    )
     steps: list[GlueStep] = []
-    trace_flat = trace.values.reshape(n_base, trace.nu)
 
-    for i, (chart, patch) in enumerate(zip(covering.charts, patches)):
-        later = covering.charts[i + 1 :]
-        if i == 0:
-            # trusted regions: the open core on the collar base grid and
-            # on the check grid
-            h_collar, inside = base_cores[0], base_closed[0]
-            values[inside] = _patch_columns(chart, patch, base_pts[inside], depth_coords, trace)
-            h_check = check_cores[0]
-            radius = 1.0
-            accepted_fraction = 0.0
-        else:
-            # closed leftover of this core vs the trusted region so far
-            pts_back, _ = chart.from_disk(chart_pts[in_ball_mask])
-            # membership is pointwise: each later core tests only the
-            # points no earlier one has claimed
-            in_later = np.zeros(pts_back.shape[0], dtype=bool)
-            for other in later:
-                rest = np.flatnonzero(~in_later)
-                in_later[rest] = other.in_core(pts_back[rest])
-            f_ind = np.zeros(chart_pts.shape[0], dtype=bool)
-            f_ind[in_ball_mask] = ~in_later
-            e_ind = np.zeros(chart_pts.shape[0], dtype=bool)
-            e_ind[in_ball_mask] = _conservative_membership(
-                h_check.reshape(check_grid.shape), check_grid.axes, pts_back
-            )
-            shape = (cone_res,) * m
-            f_set = cone_mod.SampledSet(m, cone_res, True, f_ind.reshape(shape))
-            e_set = cone_mod.SampledSet(m, cone_res, False, e_ind.reshape(shape))
-            try:
-                cert = cone_mod.find_cone(f_set, e_set)
-            except PreconditionError as exc:
-                raise GlueError(
-                    f"internal: step {i + 1} leftover touches the chart sphere "
-                    f"outside the trusted region ({exc})"
-                ) from exc
-            except ResolutionError as exc:
-                raise ResolutionError(
-                    f"step {i + 1} (chart {chart.index}): {exc}"
-                ) from exc
-            if not cert.verified:
-                raise GlueError(
-                    f"step {i + 1} (chart {chart.index}): the cone certificate "
-                    "fails its check"
-                )
-            radius = cert.radius
-            accepted_fraction = float(np.mean(cert.directions))
-
-            collar_regions = _chart_regions(chart, base_pts, base_closed[i], radius, cert)
-            values = _fold_chart_step(
-                chart,
-                patch,
-                collar,
-                values,
-                base_pts,
-                collar_regions,
-                depth_coords,
-                depth,
-                radius,
-                trace,
-            )
-            h_collar = _trusted_after(h_collar, collar_regions)
-            h_check = _trusted_after(
-                h_check, _chart_regions(chart, check_pts, check_closed[i], radius, cert)
-            )
-
-        holes = ~(h_check | cores_to_come[i])
-        gap_fraction = float(np.mean(holes))
+    def close_step(
+        radius: float, accepted_fraction: float, h_collar: np.ndarray, h_check: np.ndarray
+    ) -> None:
+        """Check the covering invariant after a step and report the step."""
+        gap_fraction = float(np.mean(~(h_check | cores_to_come[len(steps)])))
         if gap_fraction > 0.0:
             raise GlueError(
-                f"covering invariant fails after step {i + 1}: "
+                f"covering invariant fails after step {len(steps) + 1}: "
                 f"{gap_fraction:.3%} of the base is uncovered"
             )
+        error = _sup_distance(values[h_collar, 0, :], trace_flat[h_collar])
+        steps.append(GlueStep(radius, accepted_fraction, error, gap_fraction))
 
-        steps.append(
-            GlueStep(
-                radius=radius,
-                accepted_fraction=accepted_fraction,
-                trace_sup_error=_sup_distance(values[h_collar, 0, :], trace_flat[h_collar]),
-                gap_fraction=gap_fraction,
-            )
+    h_collar, h_check = base_cores[0], check_cores[0]
+    close_step(1.0, 0.0, h_collar, h_check)
+    for i in range(1, len(covering.charts)):
+        chart = covering.charts[i]
+        cert = _certificate(i, covering, h_check, check_grid)
+        core = np.flatnonzero(base_closed[i])
+        kept = _captured(chart, base_pts[core], cert)
+        _fold_step(
+            values,
+            _collar_state(collar, trace, values),
+            chart,
+            patches[i],
+            core[kept],
+            base_pts[core[kept]],
+            cert.radius,
         )
+        h_collar = _trusted_after(h_collar, base_closed[i], kept)
+        h_check = _trusted_after(
+            h_check, check_closed[i], _captured(chart, check_pts[check_closed[i]], cert)
+        )
+        close_step(cert.radius, float(np.mean(cert.directions)), h_collar, h_check)
 
-    glued = GridMap(
-        domain=collar,
-        target=trace.target,
-        values=values.reshape(collar.shape + (trace.nu,)),
-        constraint_tol=max(trace.constraint_tol, default_constraint_tol(collar)),
-    )
-    patch_total = float(sum(penalized_energy(patch, p, penalty).value for patch in patches))
+    glued = _collar_state(collar, trace, values)
     glued_energy = penalized_energy(glued, p, penalty).value
     degenerate = patch_total <= 0.0
     report = GlueReport(
@@ -608,7 +587,6 @@ def _patch_columns(
     patch: GridMap,
     pts: np.ndarray,
     depth_coords: np.ndarray,
-    trace: TraceMap,
 ) -> np.ndarray:
     """Patch values over base points of the closed core, one column per point.
 
@@ -624,48 +602,38 @@ def _patch_columns(
         ],
         axis=-1,
     )
-    got = evaluate_batch(patch, probe).reshape(-1, n_depth, trace.nu)
-    return project_to_target(trace.target, got)
+    got = evaluate_batch(patch, probe).reshape(-1, n_depth, patch.nu)
+    return project_to_target(patch.target, got)
 
 
-def _fold_chart_step(
+def _fold_step(
+    values: np.ndarray,
+    prev: GridMap,
     chart: Chart,
     patch: GridMap,
-    collar: DomainSpec,
-    values: np.ndarray,
-    base_pts: np.ndarray,
-    regions: tuple[np.ndarray, ...],
-    depth_coords: np.ndarray,
-    depth: float,
+    rows: np.ndarray,
+    pts: np.ndarray,
     radius: float,
-    trace: TraceMap,
-) -> np.ndarray:
-    """One induction step: patch on the ball, fold across the cone annulus."""
-    prev = GridMap(
-        domain=collar,
-        target=trace.target,
-        values=values.reshape(collar.shape + (trace.nu,)),
-        constraint_tol=max(trace.constraint_tol, default_constraint_tol(collar)),
-    )
+) -> None:
+    """One induction step, in place: the patch on the ball, the fold across the cone annulus.
+
+    ``rows`` are the base nodes the step captures and ``pts`` their base
+    points; ``prev`` is the state before the step.
+    """
+    depth_axis = prev.domain.axes[-1]
+    depth_coords, depth = depth_axis.coordinates(), depth_axis.length
     n_depth = depth_coords.shape[0]
-    out = values.copy()
+    z = chart.to_disk(pts)
+    radii = np.linalg.norm(z, axis=-1)
+    ball = radii < radius
+    values[rows[ball]] = _patch_columns(chart, patch, pts[ball], depth_coords)
 
-    inside, z, radii, in_ball, annulus = regions
-    inside_idx = np.where(inside)[0]
-    ball = inside_idx[in_ball]
-    if ball.size:
-        out[ball] = _patch_columns(chart, patch, base_pts[ball], depth_coords, trace)
-
-    ann_idx = inside_idx[annulus]
-    if ann_idx.size == 0:
-        return out
-
-    z_ann = z[annulus]
-    r_ann = radii[annulus]
+    # the captured rows off the ball are the accepted cone annulus
+    z_ann, r_ann = z[~ball], radii[~ball]
     omega = z_ann / np.maximum(r_ann, 1e-300)[:, None]
     # radial fold parameter: 0 at the outer rim |z|=1, 1 at the inner rim
     x = np.clip((1.0 - r_ann) / (1.0 - radius), 0.0, 1.0)
-    n_ann = ann_idx.size
+    n_ann = z_ann.shape[0]
     # one sample per (annulus node, depth node); fold_sources' region code
     # 0 reads the previous state, 1 and 2 the patch
     region, s1, s2 = fold_sources(
@@ -679,15 +647,16 @@ def _fold_chart_step(
     t_val = (s2 * depth)[:, None]
     reads_prev = region == 0
 
-    result = np.empty((n_ann * n_depth, trace.nu))
+    result = np.empty((n_ann * n_depth, patch.nu))
     result[reads_prev] = evaluate_batch(
         prev, np.concatenate([pts_back[reads_prev], t_val[reads_prev]], axis=-1)
     )
     result[~reads_prev] = evaluate_batch(
         patch, np.concatenate([offs[~reads_prev], t_val[~reads_prev]], axis=-1)
     )
-    out[ann_idx] = project_to_target(trace.target, result.reshape(n_ann, n_depth, trace.nu))
-    return out
+    values[rows[~ball]] = project_to_target(
+        patch.target, result.reshape(n_ann, n_depth, patch.nu)
+    )
 
 
 def verify_glue(glued: GridMap, trace: TraceMap) -> float:

@@ -99,8 +99,8 @@ class MinimizeConfig:
             raise ParameterError("max_iterations must be positive")
         if not (self.step > 0.0 and np.isfinite(self.step)):
             raise ParameterError(f"step must be positive, got {self.step}")
-        if not (self.tol > 0.0):
-            raise ParameterError(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0.0 and np.isfinite(self.tol)):
+            raise ParameterError(f"tolerance must be positive and finite, got {self.tol}")
         if self.projection not in ("auto", "none"):
             raise ParameterError(
                 f"projection mode must be auto|none, got {self.projection!r}"
@@ -342,21 +342,20 @@ def isobe_sweep(
     """
     if len(eps_list) == 0 or len(depth_list) == 0:
         raise ParameterError("sweep lists must be nonempty")
-    if any(e <= 0 for e in eps_list):
-        raise ParameterError("penalty widths must be positive")
-    # every depth is checked, and its collar built, before any descent
+    # every depth and width is checked, and its collar and penalty built,
+    # before any descent
     collars = [(float(d), collar_over(u.base, depth_node_count(u.base, d), d)) for d in depth_list]
+    penalties = [(float(e), distance_penalty(float(e), cfg.p, u.target)) for e in eps_list]
     triples: list[tuple[float, float, float]] = []
     for depth, domain in collars:
-        for eps in eps_list:
-            penalty = distance_penalty(float(eps), cfg.p, u.target)
+        for eps, penalty in penalties:
             try:
                 energy = minimize_penalized_detailed(u, penalty, domain, cfg).energy
             except OptimizationError as exc:
                 raise OptimizationError(
                     f"sweep point eps={eps} depth={depth}: {exc}"
                 ) from exc
-            triples.append((float(eps), float(depth), energy))
+            triples.append((eps, depth, energy))
 
     by_depth: dict[float, dict[float, float]] = {}
     for eps, depth, energy in triples:

@@ -634,6 +634,20 @@ def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys, entry):
     assert "unknown config key" in err
 
 
+def test_estimate_with_an_infinite_tol_is_a_usage_error(tmp_path, capsys):
+    trace_path = str(tmp_path / "t.sgf")
+    _write_degree_one_trace(trace_path, 16)
+    out = str(tmp_path / "e.sgf")
+    code, stdout, err = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", _write_cfg(tmp_path, tol="inf"),
+         "--out", out],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert "tolerance" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
 def test_penalty_width_must_be_finite_and_positive(tmp_path, capsys, eps):
     trace_path = str(tmp_path / "t.sgf")

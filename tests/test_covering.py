@@ -90,6 +90,22 @@ def _torus_x_trace(n):
     )
 
 
+def _sphere_trace(n):
+    # S^2-valued, tilted away from the north pole by two periodic fields
+    base = dom.torus(n, n)
+    x, y = gm.node_mesh(base).T
+    w = np.stack(
+        [
+            0.6 * np.cos(2.0 * np.pi * x) + 0.3 * np.sin(2.0 * np.pi * y),
+            0.5 * np.sin(2.0 * np.pi * (x + y)),
+            np.ones_like(x),
+        ],
+        axis=-1,
+    )
+    vals = (w / np.linalg.norm(w, axis=-1, keepdims=True)).reshape(n, n, 3)
+    return gm.TraceMap(base=base, target=tg.sphere(3), values=vals, constraint_tol=1e-12)
+
+
 def _circle_setup(k, n, n_depth=16):
     trace = _degree_one_trace(n)
     covering = cov.build_covering(dom.circle(n), k)
@@ -108,7 +124,9 @@ def test_core_masks_match_the_pointwise_core_tests():
         (dom.circle(2048), 5, None),
         (dom.torus(16, 16), 4, 48),
         (dom.torus(16, 16), 9, None),
+        (dom.torus(16, 16), 10, None),
         (dom.torus(48, 48), 6, None),
+        (dom.torus(48, 48), 36, None),
         (dom.torus(384, 384), 9, 768),
     ]
     for base, k, boundary_nodes in cases:
@@ -335,15 +353,17 @@ def test_torus_four_chart_glue():
 
 
 def _depth_twisted(patches):
-    # rotate each replicated patch by +-0.8 t / depth (sign by chart
-    # parity); the bottom row t = 0 keeps the trace
+    # rotate the first two components of each replicated patch by
+    # +-0.8 t / depth (sign by chart parity); the bottom row t = 0 keeps
+    # the trace
     out = []
     for i, patch in enumerate(patches):
         depth_axis = patch.domain.axes[-1]
         angle = (0.8 if i % 2 == 0 else -0.8) * depth_axis.coordinates() / depth_axis.length
         c, s = np.cos(angle), np.sin(angle)
         x, y = patch.values[..., 0], patch.values[..., 1]
-        vals = np.stack([c * x - s * y, s * x + c * y], axis=-1)
+        vals = patch.values.copy()
+        vals[..., 0], vals[..., 1] = c * x - s * y, s * x + c * y
         out.append(
             gm.GridMap(
                 domain=patch.domain,
@@ -357,38 +377,61 @@ def _depth_twisted(patches):
 
 @pytest.mark.parametrize(
     "case, pinned_ratio",
-    [("circle", 2.373523880645511), ("torus", 1.1224122656185567)],
+    [
+        ("circle", 2.373523880645511),
+        ("torus", 1.1224122656185567),
+        ("sphere", 1.6294854493908348),
+    ],
 )
 def test_depth_varying_patches_pin_the_glued_ratio(case, pinned_ratio):
     # depth-constant patches cannot tell which depth the fold reads; these
-    # can (reading the reflected region at depth x2 moves the ratios to
-    # about 2.4626 and 1.1293)
+    # can (reading the reflected region at depth x2 moves the circle and
+    # torus ratios to about 2.4626 and 1.1293).  The sphere case glues nine
+    # S^2-valued charts, so later steps fold into states earlier folds made
+    trace_tol = 1e-12
     if case == "circle":
         trace = _degree_one_trace(128)
         k, n_depth = 3, 16
-    else:
+    elif case == "torus":
         trace = _torus_x_trace(48)
         k, n_depth = 4, 10
+    else:
+        trace = _sphere_trace(64)
+        k, n_depth = 9, 10
+        # chart corners at multiples of 1/6 miss the 64-node grid, so the
+        # replicated patches interpolate the trace (error 1.97e-3)
+        trace_tol = 2e-3
     covering = cov.build_covering(trace.base, k)
     patches = _depth_twisted(
         [cov.replicate_trace_patch(trace, chart, n_depth) for chart in covering.charts]
     )
     glued, report = cov.glue(covering, patches, trace)
     assert report.ratio == pytest.approx(pinned_ratio, rel=1e-12)
-    assert report.trace_sup_error <= 1e-12
-    assert cov.verify_glue(glued, trace) <= 1e-12
+    assert report.trace_sup_error <= trace_tol
+    assert cov.verify_glue(glued, trace) <= trace_tol
 
 
 def test_glue_raises_when_a_step_leaves_the_base_uncovered(monkeypatch):
     covering, patches, trace = _circle_setup(2, 64, n_depth=8)
     # after step 2 nothing is trusted and no later core remains
-    monkeypatch.setattr(cov, "_trusted_after", lambda trusted, regions: np.zeros_like(trusted))
+    monkeypatch.setattr(
+        cov, "_trusted_after", lambda trusted, inside, kept: np.zeros_like(trusted)
+    )
     with pytest.raises(GlueError, match="covering invariant fails after step 2: 100.000%"):
         cov.glue(covering, patches, trace)
 
 
-def test_glue_validates_patch_lists():
+def _no_cone(*args):
+    raise AssertionError("a glue step ran before the glue checked p")
+
+
+def test_glue_validates_patch_lists(monkeypatch):
     covering, patches, trace = _circle_setup(2, 64, n_depth=8)
+    monkeypatch.setattr(cone, "find_cone", _no_cone)
+    for p in (0.5, float("nan")):
+        with pytest.raises(ParameterError, match="exponent p"):
+            cov.glue(covering, patches, trace, p=p)
+    monkeypatch.undo()
     with pytest.raises(ParameterError):
         cov.glue(covering, patches[:1], trace)
     wrong_base = _degree_one_trace(48)
@@ -484,3 +527,21 @@ def test_glue_cli_prints_the_pinned_report(case, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == GLUE_CLI_LINES[case]
     with open(report) as fh:
         assert fh.read().splitlines() == GLUE_CLI_LINES[case]
+
+
+def test_glue_cli_runs_a_ten_chart_torus(tmp_path, capsys):
+    # a 2 x 5 chart grid: its corner round trips only hold to O(sqrt(eps))
+    trace = _sphere_trace(16)
+    trace_path = str(tmp_path / "trace.sgf")
+    fileio.write_grid_map(trace_path, trace)
+    args = ["glue", "--base", "torus", "--k", "10", "--trace", trace_path]
+    for i, chart in enumerate(cov.build_covering(trace.base, 10).charts):
+        path = str(tmp_path / f"patch{i}.sgf")
+        fileio.write_grid_map(path, cov.replicate_trace_patch(trace, chart, 8))
+        args += ["--patch", path]
+    out, report = str(tmp_path / "glued.sgf"), str(tmp_path / "glue.report")
+    assert cli.main(args + ["--out", out, "--report", report]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("gap_fraction_")] == [
+        f"gap_fraction_{i}=0" for i in range(1, 11)
+    ]

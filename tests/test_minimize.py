@@ -269,8 +269,10 @@ def test_config_validation():
         mi.MinimizeConfig(max_iterations=0)
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(step=0.0)
-    with pytest.raises(ParameterError):
-        mi.MinimizeConfig(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        # an infinite tol would stop every descent after one step as converged
+        with pytest.raises(ParameterError, match="tolerance"):
+            mi.MinimizeConfig(tol=tol)
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(projection="always")
 
@@ -360,7 +362,11 @@ def test_sweep_flags_on_winding_data():
     assert sweep.bounded_in_eps
 
 
-def test_sweep_validates_parameters():
+def _no_descent(*args):
+    raise AssertionError("a descent ran before the sweep checked its parameters")
+
+
+def test_sweep_validates_parameters(monkeypatch):
     u = _degree_trace(16, 1)
     cfg = mi.MinimizeConfig()
     with pytest.raises(ParameterError):
@@ -368,6 +374,12 @@ def test_sweep_validates_parameters():
     for depth in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="depth"):
             mi.isobe_sweep(u, (0.5,), (1.0, depth), cfg)
+    # a bad width is refused before the first descent runs
+    monkeypatch.setattr(mi, "minimize_penalized_detailed", _no_descent)
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="eps"):
+            mi.isobe_sweep(u, (0.5, eps), (1.0,), cfg)
+    monkeypatch.undo()
     free = gm.TraceMap(
         base=dom.circle(16), target=tg.euclidean(2), values=np.ones((16, 2))
     )
