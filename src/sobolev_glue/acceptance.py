@@ -1,15 +1,19 @@
 """The primary acceptance suite: ten pinned, self-verifying checks.
 
-Each criterion function runs one check end to end and returns a
-CriterionResult with a pass flag and a short detail string; these are the
-checks the command-line ``accept`` subcommand and the acceptance test
-module drive.  Expected values are closed forms computed independently
-inside each criterion (eigenvalue oracles, winding bounds, exact
-integrands), never copied from the code under test.
+Each criterion is only its check body: it runs one check end to end and
+returns a pass flag with a short detail string.  The ``_criterion``
+decorator times it, turns any exception into a failure, and names the
+resulting CriterionResult after the function (``criterion_05_<topic>``
+gives ``05_<topic>``).  These are the checks that the command-line
+``accept`` subcommand and the acceptance test module drive.  Expected
+values are closed forms computed independently inside each criterion
+(eigenvalue oracles, winding bounds, exact integrands), never copied
+from the code under test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -46,34 +50,40 @@ def format_line(result: CriterionResult) -> str:
     return f"{status} {result.name}: {result.details} ({result.duration:.1f}s)"
 
 
-def _timed(
-    name: str, check: Callable[[], tuple[bool, str]]
-) -> CriterionResult:
-    start = time.monotonic()
-    try:
-        passed, details = check()
-    except Exception as exc:
-        # any error is a failed criterion; the later ones still run
-        passed, details = False, f"{type(exc).__name__}: {exc}"
-    return CriterionResult(
-        name=name, passed=passed, details=details, duration=time.monotonic() - start
-    )
+def _criterion(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+    """Make a check body ``criterion_<NN>_<topic>`` into a timed criterion.
+
+    The criterion returns a :class:`CriterionResult` named ``<NN>_<topic>``;
+    any exception in the body is a failed criterion, so the later ones
+    still run.
+    """
+    name = check.__name__.removeprefix("criterion_")
+
+    @functools.wraps(check)
+    def criterion() -> CriterionResult:
+        start = time.monotonic()
+        try:
+            passed, details = check()
+        except Exception as exc:
+            passed, details = False, f"{type(exc).__name__}: {exc}"
+        return CriterionResult(
+            name=name, passed=passed, details=details, duration=time.monotonic() - start
+        )
+
+    return criterion
 
 
 # ----------------------------------------------------------- criterion 01
 
-def criterion_01_pair_sum_exactness() -> CriterionResult:
+@_criterion
+def criterion_01_pair_sum_exactness() -> tuple[bool, str]:
     """u(x) = x on the unit interval has pair-sum energy exactly 1."""
-
-    def check() -> tuple[bool, str]:
-        base = interval(512)
-        x = base.axes[0].coordinates()
-        u = TraceMap(base=base, target=euclidean(1), values=x[:, None])
-        value = gagliardo_energy(u, 0.5, 2.0).value
-        err = abs(value - 1.0)
-        return err <= 1e-3, f"value={value:.17g} err={err:.3g} tol=1e-3"
-
-    return _timed("01_pair_sum_exactness", check)
+    base = interval(512)
+    x = base.axes[0].coordinates()
+    u = TraceMap(base=base, target=euclidean(1), values=x[:, None])
+    value = gagliardo_energy(u, 0.5, 2.0).value
+    err = abs(value - 1.0)
+    return err <= 1e-3, f"value={value:.17g} err={err:.3g} tol=1e-3"
 
 
 # ------------------------------------------------- criteria 02, 03 (folds)
@@ -118,60 +128,54 @@ def _matched_pair(rng: np.random.Generator, n: int) -> tuple[GridMap, GridMap]:
     return u0, u1
 
 
-def criterion_02_fold_trace_contract() -> CriterionResult:
+@_criterion
+def criterion_02_fold_trace_contract() -> tuple[bool, str]:
     """Fifty random matched pairs fold with all trace errors below 10 h."""
-
-    def check() -> tuple[bool, str]:
-        rng = np.random.default_rng(0)
-        n = 129
-        h = 1.0 / (n - 1)
-        worst = 0.0
-        for _ in range(50):
-            u0, u1 = _matched_pair(rng, n)
-            worst = max(worst, *fold_trace_errors(fold(u0, u1), u0, u1))
-        return worst <= 10.0 * h, f"worst_trace_error={worst:.3g} tol={10.0 * h:.3g}"
-
-    return _timed("02_fold_trace_contract", check)
+    rng = np.random.default_rng(0)
+    n = 129
+    h = 1.0 / (n - 1)
+    worst = 0.0
+    for _ in range(50):
+        u0, u1 = _matched_pair(rng, n)
+        worst = max(worst, *fold_trace_errors(fold(u0, u1), u0, u1))
+    return worst <= 10.0 * h, f"worst_trace_error={worst:.3g} tol={10.0 * h:.3g}"
 
 
-def criterion_03_fold_energy_constant() -> CriterionResult:
+@_criterion
+def criterion_03_fold_energy_constant() -> tuple[bool, str]:
     """Fold energy ratios stay under the singular-value bound for three p."""
-
-    def check() -> tuple[bool, str]:
-        # independent oracle: largest eigenvalues of J^T J
-        s0_sq = float(np.max(np.linalg.eigvalsh(FIRST_WEDGE_MATRIX.T @ FIRST_WEDGE_MATRIX)))
-        ss_sq = float(
-            np.max(np.linalg.eigvalsh(REFLECTED_WEDGE_MATRIX.T @ REFLECTED_WEDGE_MATRIX))
-        )
-        if abs(s0_sq - (9.0 + math.sqrt(65.0)) / 2.0) > 1e-12:
-            return False, "eigenvalue oracle disagrees with the first wedge constant"
-        if abs(ss_sq - (6.0 + math.sqrt(20.0)) / 2.0) > 1e-12:
-            return False, "eigenvalue oracle disagrees with the reflected wedge constant"
-        n = 129
-        exponents = (1.5, 2.0, 3.0)
-        # the folded map does not depend on p: fold each pair once, one
-        # pair in memory at a time
-        rng = np.random.default_rng(0)
-        worst = dict.fromkeys(exponents, 0.0)
-        for _ in range(50):
-            u0, u1 = _matched_pair(rng, n)
-            folded = fold(u0, u1)
-            for p in exponents:
-                e_out = dirichlet_p_energy(folded, p).value
-                e_in = (
-                    dirichlet_p_energy(u0, p).value + dirichlet_p_energy(u1, p).value
-                )
-                worst[p] = max(worst[p], e_out / e_in)
-        margins = []
+    # independent oracle: largest eigenvalues of J^T J
+    s0_sq = float(np.max(np.linalg.eigvalsh(FIRST_WEDGE_MATRIX.T @ FIRST_WEDGE_MATRIX)))
+    ss_sq = float(
+        np.max(np.linalg.eigvalsh(REFLECTED_WEDGE_MATRIX.T @ REFLECTED_WEDGE_MATRIX))
+    )
+    if abs(s0_sq - (9.0 + math.sqrt(65.0)) / 2.0) > 1e-12:
+        return False, "eigenvalue oracle disagrees with the first wedge constant"
+    if abs(ss_sq - (6.0 + math.sqrt(20.0)) / 2.0) > 1e-12:
+        return False, "eigenvalue oracle disagrees with the reflected wedge constant"
+    n = 129
+    exponents = (1.5, 2.0, 3.0)
+    # the folded map does not depend on p: fold each pair once, one
+    # pair in memory at a time
+    rng = np.random.default_rng(0)
+    worst = dict.fromkeys(exponents, 0.0)
+    for _ in range(50):
+        u0, u1 = _matched_pair(rng, n)
+        folded = fold(u0, u1)
         for p in exponents:
-            bound = max(s0_sq ** (p / 2.0), ss_sq ** (p / 2.0)) / 2.0 + 1.0
-            margins.append((p, worst[p], bound))
-            if worst[p] > bound:
-                return False, f"p={p}: ratio {worst[p]:.4g} exceeds bound {bound:.4g}"
-        detail = " ".join(f"p={p}:{w:.3g}<={b:.3g}" for p, w, b in margins)
-        return True, detail
-
-    return _timed("03_fold_energy_constant", check)
+            e_out = dirichlet_p_energy(folded, p).value
+            e_in = (
+                dirichlet_p_energy(u0, p).value + dirichlet_p_energy(u1, p).value
+            )
+            worst[p] = max(worst[p], e_out / e_in)
+    margins = []
+    for p in exponents:
+        bound = max(s0_sq ** (p / 2.0), ss_sq ** (p / 2.0)) / 2.0 + 1.0
+        margins.append((p, worst[p], bound))
+        if worst[p] > bound:
+            return False, f"p={p}: ratio {worst[p]:.4g} exceeds bound {bound:.4g}"
+    detail = " ".join(f"p={p}:{w:.3g}<={b:.3g}" for p, w, b in margins)
+    return True, detail
 
 
 # ----------------------------------------------------------- criterion 04
@@ -211,38 +215,35 @@ def _random_cone_instance(
     return f, g
 
 
-def criterion_04_cone_capture() -> CriterionResult:
+@_criterion
+def criterion_04_cone_capture() -> tuple[bool, str]:
     """100 random hypothesis-satisfying instances certify and pass their check."""
-
-    def check() -> tuple[bool, str]:
-        rng = np.random.default_rng(0)
-        resolution = 256
-        grid_radii, grid_angles = _polar_grid(resolution)
-        radii = []
-        for k in range(100):
-            f, g = _random_cone_instance(rng, grid_radii, grid_angles)
-            cert = cone_mod.find_cone(f, g)
-            if not cert.verified:
-                return False, f"instance {k}: certificate failed verification"
-            radii.append(cert.radius)
-        # segment toward e1 inside the open half-space x > 1/2
-        axis = np.linspace(-1.0, 1.0, resolution)
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        h = 2.0 / (resolution - 1)
-        # rounding slack: the grid has no y = 0 row at even resolution
-        seg = (np.abs(ys) <= h / 2.0 + 1e-9) & (xs >= 0.0) & (grid_radii <= 1.0)
-        half = xs > 0.5
-        f = cone_mod.SampledSet(2, resolution, True, seg)
-        g = cone_mod.SampledSet(2, resolution, False, half)
+    rng = np.random.default_rng(0)
+    resolution = 256
+    grid_radii, grid_angles = _polar_grid(resolution)
+    radii = []
+    for k in range(100):
+        f, g = _random_cone_instance(rng, grid_radii, grid_angles)
         cert = cone_mod.find_cone(f, g)
-        if not (cert.verified and cert.radius >= 0.6):
-            return False, f"segment example: r={cert.radius} verified={cert.verified}"
-        return True, (
-            f"100 instances certified, min_r={min(radii):.4g}, "
-            f"segment r={cert.radius:.4g}>=0.6"
-        )
-
-    return _timed("04_cone_capture", check)
+        if not cert.verified:
+            return False, f"instance {k}: certificate failed verification"
+        radii.append(cert.radius)
+    # segment toward e1 inside the open half-space x > 1/2
+    axis = np.linspace(-1.0, 1.0, resolution)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    h = 2.0 / (resolution - 1)
+    # rounding slack: the grid has no y = 0 row at even resolution
+    seg = (np.abs(ys) <= h / 2.0 + 1e-9) & (xs >= 0.0) & (grid_radii <= 1.0)
+    half = xs > 0.5
+    f = cone_mod.SampledSet(2, resolution, True, seg)
+    g = cone_mod.SampledSet(2, resolution, False, half)
+    cert = cone_mod.find_cone(f, g)
+    if not (cert.verified and cert.radius >= 0.6):
+        return False, f"segment example: r={cert.radius} verified={cert.verified}"
+    return True, (
+        f"100 instances certified, min_r={min(radii):.4g}, "
+        f"segment r={cert.radius:.4g}>=0.6"
+    )
 
 
 # ----------------------------------------------------------- criterion 05
@@ -279,100 +280,88 @@ def _replicated_glue_ratios(
     return None, ratios
 
 
-def criterion_05_circle_covering_glue() -> CriterionResult:
+@_criterion
+def criterion_05_circle_covering_glue() -> tuple[bool, str]:
     """Circle glue for two and three charts: traces tight, ratio stable."""
-
-    def check() -> tuple[bool, str]:
-        details = []
-        for k in (2, 3):
-            failure, ratios = _replicated_glue_ratios(k, circle_target())
-            if failure:
-                return False, failure
-            drift = abs(ratios[1] - ratios[0]) / ratios[0]
-            if not drift <= 0.20:
-                return False, f"K={k}: ratio drift {drift:.3g} exceeds 20%"
-            details.append(f"K={k}:ratio={ratios[0]:.4g}->{ratios[1]:.4g}")
-        return True, " ".join(details)
-
-    return _timed("05_circle_covering_glue", check)
-
-
-# ----------------------------------------------------------- criterion 06
-
-def criterion_06_extension_closed_form() -> CriterionResult:
-    """Identity and degree-2 circle traces: 2 pi and 8 pi within 5%."""
-
-    def check() -> tuple[bool, str]:
-        n, n_depth = 128, 64
-        ident = _degree_one_trace(n, circle_target())
-        theta = ident.base.axes[0].coordinates()
-        dom = cylinder(n, n_depth, 1.0)
-        cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-10)
-
-        e_ident = minimize_extension_detailed(ident, dom, circle_target(), cfg).energy
-        _, oracle_ident = circle_lifting_oracle(ident, dom)
-        two_pi = 2.0 * math.pi
-        if abs(e_ident - two_pi) > 0.05 * two_pi:
-            return False, f"identity energy {e_ident:.6g} not within 5% of 2pi"
-        if abs(e_ident - oracle_ident) > 0.01 * oracle_ident:
-            return False, (
-                f"identity energy {e_ident:.6g} disagrees with oracle "
-                f"{oracle_ident:.6g} beyond 1%"
-            )
-
-        deg2 = TraceMap(
-            base=ident.base,
-            target=circle_target(),
-            values=np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1),
-        )
-        e_deg2 = minimize_extension_detailed(deg2, dom, circle_target(), cfg).energy
-        eight_pi = 8.0 * math.pi
-        if abs(e_deg2 - eight_pi) > 0.05 * eight_pi:
-            return False, f"degree-2 energy {e_deg2:.6g} not within 5% of 8pi"
-        return True, (
-            f"identity={e_ident:.6g}~2pi oracle={oracle_ident:.6g} "
-            f"degree2={e_deg2:.6g}~8pi"
-        )
-
-    return _timed("06_extension_closed_form", check)
-
-
-# ----------------------------------------------------------- criterion 07
-
-def criterion_07_penalized_glue_constant() -> CriterionResult:
-    """Penalized glue constant at eps 0.25 stays stable under refinement."""
-
-    def check() -> tuple[bool, str]:
-        penalty = distance_penalty(0.25, 2.0, circle_target())
-        failure, ratios = _replicated_glue_ratios(2, euclidean(2), penalty)
+    details = []
+    for k in (2, 3):
+        failure, ratios = _replicated_glue_ratios(k, circle_target())
         if failure:
             return False, failure
         drift = abs(ratios[1] - ratios[0]) / ratios[0]
         if not drift <= 0.20:
-            return False, f"measured constant drift {drift:.3g} exceeds 20%"
-        return True, f"measured_C={ratios[0]:.4g}->{ratios[1]:.4g} drift={drift:.3g}"
+            return False, f"K={k}: ratio drift {drift:.3g} exceeds 20%"
+        details.append(f"K={k}:ratio={ratios[0]:.4g}->{ratios[1]:.4g}")
+    return True, " ".join(details)
 
-    return _timed("07_penalized_glue_constant", check)
+
+# ----------------------------------------------------------- criterion 06
+
+@_criterion
+def criterion_06_extension_closed_form() -> tuple[bool, str]:
+    """Identity and degree-2 circle traces: 2 pi and 8 pi within 5%."""
+    n, n_depth = 128, 64
+    ident = _degree_one_trace(n, circle_target())
+    theta = ident.base.axes[0].coordinates()
+    dom = cylinder(n, n_depth, 1.0)
+    cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-10)
+
+    e_ident = minimize_extension_detailed(ident, dom, circle_target(), cfg).energy
+    _, oracle_ident = circle_lifting_oracle(ident, dom)
+    two_pi = 2.0 * math.pi
+    if abs(e_ident - two_pi) > 0.05 * two_pi:
+        return False, f"identity energy {e_ident:.6g} not within 5% of 2pi"
+    if abs(e_ident - oracle_ident) > 0.01 * oracle_ident:
+        return False, (
+            f"identity energy {e_ident:.6g} disagrees with oracle "
+            f"{oracle_ident:.6g} beyond 1%"
+        )
+
+    deg2 = TraceMap(
+        base=ident.base,
+        target=circle_target(),
+        values=np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1),
+    )
+    e_deg2 = minimize_extension_detailed(deg2, dom, circle_target(), cfg).energy
+    eight_pi = 8.0 * math.pi
+    if abs(e_deg2 - eight_pi) > 0.05 * eight_pi:
+        return False, f"degree-2 energy {e_deg2:.6g} not within 5% of 8pi"
+    return True, (
+        f"identity={e_ident:.6g}~2pi oracle={oracle_ident:.6g} "
+        f"degree2={e_deg2:.6g}~8pi"
+    )
+
+
+# ----------------------------------------------------------- criterion 07
+
+@_criterion
+def criterion_07_penalized_glue_constant() -> tuple[bool, str]:
+    """Penalized glue constant at eps 0.25 stays stable under refinement."""
+    penalty = distance_penalty(0.25, 2.0, circle_target())
+    failure, ratios = _replicated_glue_ratios(2, euclidean(2), penalty)
+    if failure:
+        return False, failure
+    drift = abs(ratios[1] - ratios[0]) / ratios[0]
+    if not drift <= 0.20:
+        return False, f"measured constant drift {drift:.3g} exceeds 20%"
+    return True, f"measured_C={ratios[0]:.4g}->{ratios[1]:.4g} drift={drift:.3g}"
 
 
 # ----------------------------------------------------------- criterion 08
 
-def criterion_08_isobe_boundedness() -> CriterionResult:
+@_criterion
+def criterion_08_isobe_boundedness() -> tuple[bool, str]:
     """Identity-trace sweep stays below 1.1 x 2 pi for all eps."""
-
-    def check() -> tuple[bool, str]:
-        u = _degree_one_trace(64, circle_target())
-        cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
-        sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
-        bound = 1.1 * 2.0 * math.pi
-        worst = max(energy for _, _, energy in sweep.triples)
-        if worst > bound:
-            return False, f"energy {worst:.6g} exceeds the competitor bound {bound:.6g}"
-        if not sweep.bounded_in_eps:
-            return False, "bounded-in-eps flag is false"
-        return True, f"max_energy={worst:.6g}<= {bound:.6g} bounded_in_eps=true"
-
-    return _timed("08_isobe_boundedness", check)
+    u = _degree_one_trace(64, circle_target())
+    cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
+    sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
+    bound = 1.1 * 2.0 * math.pi
+    worst = max(energy for _, _, energy in sweep.triples)
+    if worst > bound:
+        return False, f"energy {worst:.6g} exceeds the competitor bound {bound:.6g}"
+    if not sweep.bounded_in_eps:
+        return False, "bounded-in-eps flag is false"
+    return True, f"max_energy={worst:.6g}<= {bound:.6g} bounded_in_eps=true"
 
 
 # ----------------------------------------------------------- criterion 09
@@ -389,83 +378,77 @@ def _degree_zero_trace(rng: np.random.Generator, n: int) -> TraceMap:
     return TraceMap(base=base, target=circle_target(), values=values)
 
 
-def criterion_09_trace_inequality_echo() -> CriterionResult:
+@_criterion
+def criterion_09_trace_inequality_echo() -> tuple[bool, str]:
     """Pair-sum energies bounded by a stable multiple of extension energies."""
-
-    def check() -> tuple[bool, str]:
-        cfg = MinimizeConfig(p=2.0, max_iterations=300, tol=1e-9)
-        constants = []
-        for n in (64, 128):
-            rng = np.random.default_rng(0)
-            worst = 0.0
-            for k in range(10):
-                u = _degree_zero_trace(rng, n)
-                gag = gagliardo_energy(u, 0.5, 2.0).value
-                dom = cylinder(n, max(16, n // 4), 1.0)
-                ext = minimize_extension_detailed(u, dom, circle_target(), cfg).energy
-                if ext <= 0.0:
-                    return False, f"n={n}: degenerate extension energy"
-                ratio = gag / ext
-                # max() would drop a NaN, and a zero constant would divide the drift
-                if not 0.0 < ratio < math.inf:
-                    return False, (
-                        f"n={n} trace {k}: energy ratio {ratio!r} is not finite and positive"
-                    )
-                worst = max(worst, ratio)
-            constants.append(worst)
-        drift = abs(constants[1] - constants[0]) / constants[0]
-        if not drift <= 0.30:
-            return False, f"measured constant drift {drift:.3g} exceeds 30%"
-        return True, (
-            f"measured_C={constants[0]:.4g}->{constants[1]:.4g} drift={drift:.3g}"
-        )
-
-    return _timed("09_trace_inequality_echo", check)
+    cfg = MinimizeConfig(p=2.0, max_iterations=300, tol=1e-9)
+    constants = []
+    for n in (64, 128):
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for k in range(10):
+            u = _degree_zero_trace(rng, n)
+            gag = gagliardo_energy(u, 0.5, 2.0).value
+            dom = cylinder(n, max(16, n // 4), 1.0)
+            ext = minimize_extension_detailed(u, dom, circle_target(), cfg).energy
+            if ext <= 0.0:
+                return False, f"n={n}: degenerate extension energy"
+            ratio = gag / ext
+            # max() would drop a NaN, and a zero constant would divide the drift
+            if not 0.0 < ratio < math.inf:
+                return False, (
+                    f"n={n} trace {k}: energy ratio {ratio!r} is not finite and positive"
+                )
+            worst = max(worst, ratio)
+        constants.append(worst)
+    drift = abs(constants[1] - constants[0]) / constants[0]
+    if not drift <= 0.30:
+        return False, f"measured constant drift {drift:.3g} exceeds 30%"
+    return True, (
+        f"measured_C={constants[0]:.4g}->{constants[1]:.4g} drift={drift:.3g}"
+    )
 
 
 # ----------------------------------------------------------- criterion 10
 
-def criterion_10_gradient_check() -> CriterionResult:
+@_criterion
+def criterion_10_gradient_check() -> tuple[bool, str]:
     """Analytic gradient matches high-order central differences to 1e-5."""
+    rng = np.random.default_rng(7)
+    n = 33
+    dom = cylinder(n, n, 1.0)
+    values = rng.normal(size=(n, n, 2))
 
-    def check() -> tuple[bool, str]:
-        rng = np.random.default_rng(7)
-        n = 33
-        dom = cylinder(n, n, 1.0)
-        values = rng.normal(size=(n, n, 2))
+    def energy_of(v: np.ndarray, p: float) -> float:
+        return dirichlet_p_energy(
+            GridMap(domain=dom, target=euclidean(2), values=v), p
+        ).value
 
-        def energy_of(v: np.ndarray, p: float) -> float:
-            return dirichlet_p_energy(
-                GridMap(domain=dom, target=euclidean(2), values=v), p
-            ).value
-
-        worst_all = 0.0
-        for p in (1.5, 2.0, 3.0):
-            grad = dirichlet_gradient(
-                GridMap(domain=dom, target=euclidean(2), values=values), p
-            )
-            worst = 0.0
-            for _ in range(100):
-                i = int(rng.integers(n))
-                j = int(rng.integers(n))
-                k = int(rng.integers(2))
-                d = 1e-4
-                samples = {}
-                for mult in (-2, -1, 1, 2):
-                    v = np.array(values)
-                    v[i, j, k] += mult * d
-                    samples[mult] = energy_of(v, p)
-                fd = (
-                    8.0 * (samples[1] - samples[-1]) - (samples[2] - samples[-2])
-                ) / (12.0 * d)
-                scale = max(abs(fd), abs(grad[i, j, k]), 1e-12)
-                worst = max(worst, abs(fd - grad[i, j, k]) / scale)
-            if worst > 1e-5:
-                return False, f"p={p}: relative error {worst:.3g} exceeds 1e-5"
-            worst_all = max(worst_all, worst)
-        return True, f"worst_rel_err={worst_all:.3g}<=1e-5 over p in {{1.5,2,3}}"
-
-    return _timed("10_gradient_check", check)
+    worst_all = 0.0
+    for p in (1.5, 2.0, 3.0):
+        grad = dirichlet_gradient(
+            GridMap(domain=dom, target=euclidean(2), values=values), p
+        )
+        worst = 0.0
+        for _ in range(100):
+            i = int(rng.integers(n))
+            j = int(rng.integers(n))
+            k = int(rng.integers(2))
+            d = 1e-4
+            samples = {}
+            for mult in (-2, -1, 1, 2):
+                v = np.array(values)
+                v[i, j, k] += mult * d
+                samples[mult] = energy_of(v, p)
+            fd = (
+                8.0 * (samples[1] - samples[-1]) - (samples[2] - samples[-2])
+            ) / (12.0 * d)
+            scale = max(abs(fd), abs(grad[i, j, k]), 1e-12)
+            worst = max(worst, abs(fd - grad[i, j, k]) / scale)
+        if worst > 1e-5:
+            return False, f"p={p}: relative error {worst:.3g} exceeds 1e-5"
+        worst_all = max(worst_all, worst)
+    return True, f"worst_rel_err={worst_all:.3g}<=1e-5 over p in {{1.5,2,3}}"
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (

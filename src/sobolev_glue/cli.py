@@ -1,17 +1,26 @@
 """Command-line entry point.
 
 Subcommands: ``energy``, ``fold``, ``cone``, ``glue``, ``estimate`` and
-``accept``.  Exit codes: 0 success, 2 parameter error, 3 precondition
-error, 4 resolution or optimization error, 5 I/O or format error; the
-``accept`` driver exits 1 when a criterion fails (that is a finding, not
-an error).  Every subcommand that writes an output file also writes a
-``<out>.run`` manifest with input/output digests, the argument list, the
-tool version and the wall-clock duration, so identical runs are
-diff-checkable.
+``accept``.  Each handler only computes, writes its output files and
+returns its exit code with the lines to print; :func:`main` does the
+rest for all of them.  Each subparser names its input and output file
+arguments once (``inputs``/``outputs`` in ``set_defaults``), and
+``main`` digests those files, times the handler, prints its lines and,
+when there is an output file, writes ``<out>.run`` beside the first one:
+the subcommand, the argument list, the tool version, the handler's
+wall-clock duration, and one ``input_<path>``/``output_<path>`` sha256
+line per file, keyed by the path as given on the command line, plus a
+``<path>.manifest`` line wherever that sidecar exists.  Identical runs
+are thus diff-checkable.
+
+Exit codes, from one ordered table of error families: 0 success, 2
+parameter error, 3 precondition error, 4 resolution or optimization
+error, 5 I/O or format error; the ``accept`` driver exits 1 when a
+criterion fails (that is a finding, not an error).
 
 ``SOBOLEV_GLUE_THREADS`` caps BLAS/OpenMP parallelism; it must be applied
 before the numeric stack loads, which is why all numeric imports in this
-module live inside the handlers.
+module live inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from .errors import (
     FormatError,
@@ -36,6 +45,17 @@ _THREAD_ENV_TARGETS = (
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
+)
+
+#: exit code of each error family; the first family that matches wins, so
+#: the bare GlueError row takes the family members no earlier row names
+#: (internal invariant breaks: the computation could not certify its result)
+_EXIT_CODES = (
+    (ParameterError, 2),
+    (PreconditionError, 3),
+    ((ResolutionError, OptimizationError), 4),
+    ((FormatError, OSError), 5),
+    (GlueError, 4),
 )
 
 
@@ -59,38 +79,6 @@ def _apply_thread_cap() -> None:
         os.environ[name] = str(threads)
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    arguments: list[str]
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    version: str = ""
-    duration_s: float = 0.0
-
-    def write(self, path: str) -> None:
-        entries = {
-            "subcommand": self.subcommand,
-            "arguments": " ".join(self.arguments),
-            "version": self.version,
-            "duration_s": f"{self.duration_s:.3f}",
-        }
-        for name, digest in sorted(self.inputs.items()):
-            entries[f"input_{name}"] = digest
-        for name, digest in sorted(self.outputs.items()):
-            entries[f"output_{name}"] = digest
-        # written at the given path itself, not as a sidecar of it
-        with open(path, "w", encoding="ascii") as fh:
-            for key, value in entries.items():
-                fh.write(f"{key}: {value}\n")
-
-
-def _digest(path: str) -> str:
-    from .fileio import sha256_of
-
-    return sha256_of(path)
-
-
 def _kv_line(key: str, value) -> str:
     """``key=value``; floats print with 17 significant digits (round-trip)."""
     if isinstance(value, float):
@@ -100,7 +88,7 @@ def _kv_line(key: str, value) -> str:
 
 # ---------------------------------------------------------------- handlers
 
-def _cmd_energy(args: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_energy(args: argparse.Namespace) -> tuple[int, list[str]]:
     from .energy import (
         dirichlet_p_energy,
         distance_penalty,
@@ -110,7 +98,6 @@ def _cmd_energy(args: argparse.Namespace, manifest: RunManifest) -> int:
     from .fileio import read_grid_map, read_trace_map
     from .target import circle as circle_target, sphere
 
-    manifest.inputs[os.path.basename(args.infile)] = _digest(args.infile)
     if args.kind == "gagliardo":
         if args.s is None:
             raise ParameterError("gagliardo energy needs --s")
@@ -125,67 +112,51 @@ def _cmd_energy(args: argparse.Namespace, manifest: RunManifest) -> int:
         m = read_grid_map(args.infile)
         reference = circle_target() if m.nu == 2 else sphere(m.nu)
         report = penalized_energy(m, args.p, distance_penalty(args.eps, args.p, reference))
-    print(_kv_line("value", report.value))
-    return 0
+    return 0, [_kv_line("value", report.value)]
 
 
-def _cmd_fold(args: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_fold(args: argparse.Namespace) -> tuple[int, list[str]]:
     from .fileio import read_grid_map, write_grid_map
     from .folding import fold, verify_fold_traces
 
-    manifest.inputs[os.path.basename(args.u0)] = _digest(args.u0)
-    manifest.inputs[os.path.basename(args.u1)] = _digest(args.u1)
     u0 = read_grid_map(args.u0)
     u1 = read_grid_map(args.u1)
     folded = fold(u0, u1, trace_tol=args.trace_tol)
     report = verify_fold_traces(folded, u0, u1, args.p)
     write_grid_map(args.out, folded)
-    manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    for key, value in asdict(report).items():
-        print(_kv_line(key, value))
-    return 0
+    return 0, [_kv_line(key, value) for key, value in asdict(report).items()]
 
 
-def _cmd_cone(args: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
     import numpy as np
 
     from .cone import SampledSet, find_cone
     from .fileio import read_sampled_set, write_cone_certificate
 
-    manifest.inputs[os.path.basename(args.f)] = _digest(args.f)
-    manifest.inputs[os.path.basename(args.g)] = _digest(args.g)
-    dim_f, res_f, closed_f, bits_f = read_sampled_set(args.f)
-    dim_g, res_g, closed_g, bits_g = read_sampled_set(args.g)
-    f = SampledSet(dim_f, res_f, closed_f, bits_f)
-    g = SampledSet(dim_g, res_g, closed_g, bits_g)
+    f, g = (SampledSet(*read_sampled_set(path)) for path in (args.f, args.g))
     cert = find_cone(f, g)
     write_cone_certificate(args.out, cert.radius, cert.directions)
-    manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    print(_kv_line("radius", cert.radius))
-    print(_kv_line("accepted_directions", int(np.sum(cert.directions))))
-    print(_kv_line("direction_count", int(cert.directions.size)))
-    print(_kv_line("verified", str(bool(cert.verified)).lower()))
-    return 0
+    return 0, [
+        _kv_line("radius", cert.radius),
+        _kv_line("accepted_directions", int(np.sum(cert.directions))),
+        _kv_line("direction_count", int(cert.directions.size)),
+        _kv_line("verified", str(bool(cert.verified)).lower()),
+    ]
 
 
-def _cmd_glue(args: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_glue(args: argparse.Namespace) -> tuple[int, list[str]]:
     from .covering import build_covering, glue
     from .fileio import read_grid_map, read_trace_map, write_grid_map
 
-    manifest.inputs[os.path.basename(args.trace)] = _digest(args.trace)
     trace = read_trace_map(args.trace)
     if trace.base.kind != args.base:
         raise ParameterError(
             f"trace base is {trace.base.kind!r}, --base says {args.base!r}"
         )
     covering = build_covering(trace.base, args.k)
-    patches = []
-    for path in args.patch:
-        manifest.inputs[os.path.basename(path)] = _digest(path)
-        patches.append(read_grid_map(path))
+    patches = [read_grid_map(path) for path in args.patch]
     glued, report = glue(covering, patches, trace, p=args.p)
     write_grid_map(args.out, glued)
-    manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
 
     lines: list[tuple[str, object]] = [
         ("base", args.base),
@@ -209,10 +180,7 @@ def _cmd_glue(args: argparse.Namespace, manifest: RunManifest) -> int:
     text = [_kv_line(key, value) for key, value in lines]
     with open(args.report, "w", encoding="utf-8") as handle:
         handle.writelines(line + "\n" for line in text)
-    manifest.outputs[os.path.basename(args.report)] = _digest(args.report)
-    for line in text:
-        print(line)
-    return 0
+    return 0, text
 
 
 def _parse_config(path: str) -> dict[str, str]:
@@ -231,7 +199,7 @@ def _parse_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
     from .domain import collar_over, depth_node_count
     from .energy import distance_penalty
     from .fileio import read_trace_map, write_grid_map
@@ -241,8 +209,6 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
         minimize_penalized_detailed,
     )
 
-    manifest.inputs[os.path.basename(args.trace)] = _digest(args.trace)
-    manifest.inputs[os.path.basename(args.cfg)] = _digest(args.cfg)
     trace = read_trace_map(args.trace)
 
     known = {"max_iterations": int, "step": float, "tol": float}
@@ -268,33 +234,25 @@ def _cmd_estimate(args: argparse.Namespace, manifest: RunManifest) -> int:
     else:
         result = minimize_extension_detailed(trace, domain, trace.target, cfg)
     write_grid_map(args.out, result.map)
-    manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    print(_kv_line("energy", result.energy))
-    print(_kv_line("iterations", result.iterations))
-    print(_kv_line("converged", str(result.converged).lower()))
-    print(_kv_line("gradient_sup", result.gradient_sup))
-    print(_kv_line("backtracks", result.backtracks))
-    return 0
+    return 0, [
+        _kv_line("energy", result.energy),
+        _kv_line("iterations", result.iterations),
+        _kv_line("converged", str(result.converged).lower()),
+        _kv_line("gradient_sup", result.gradient_sup),
+        _kv_line("backtracks", result.backtracks),
+    ]
 
 
-def _cmd_accept(args: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_accept(args: argparse.Namespace) -> tuple[int, list[str]]:
     from .acceptance import format_line, run_primary_suite
 
-    if args.suite != "primary":
-        raise ParameterError(f"unknown suite {args.suite!r}; only 'primary' exists")
     results = run_primary_suite()
-    lines = [format_line(result) for result in results]
     passed = sum(1 for result in results if result.passed)
-    summary = f"SUMMARY passed={passed}/{len(results)}"
+    lines = [format_line(result) for result in results]
+    lines.append(f"SUMMARY passed={passed}/{len(results)}")
     with open(args.out, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-        handle.write(summary + "\n")
-    manifest.outputs[os.path.basename(args.out)] = _digest(args.out)
-    for line in lines:
-        print(line)
-    print(summary)
-    return 0 if passed == len(results) else 1
+        handle.writelines(line + "\n" for line in lines)
+    return (0 if passed == len(results) else 1), lines
 
 
 # ------------------------------------------------------------------ parser
@@ -312,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--s", type=float, default=None)
     p_energy.add_argument("--eps", type=float, default=None)
     p_energy.add_argument("--in", dest="infile", required=True)
-    p_energy.set_defaults(handler=_cmd_energy, out_attr=None)
+    p_energy.set_defaults(handler=_cmd_energy, inputs=("infile",), outputs=())
 
     p_fold = sub.add_parser("fold", help="fold two extensions sharing a trace")
     p_fold.add_argument("--u0", required=True)
@@ -320,13 +278,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fold.add_argument("--out", required=True)
     p_fold.add_argument("--trace-tol", type=float, default=None)
     p_fold.add_argument("--p", type=float, default=2.0)
-    p_fold.set_defaults(handler=_cmd_fold, out_attr="out")
+    p_fold.set_defaults(handler=_cmd_fold, inputs=("u0", "u1"), outputs=("out",))
 
     p_cone = sub.add_parser("cone", help="certify a cone capture")
     p_cone.add_argument("--f", required=True)
     p_cone.add_argument("--g", required=True)
     p_cone.add_argument("--out", required=True)
-    p_cone.set_defaults(handler=_cmd_cone, out_attr="out")
+    p_cone.set_defaults(handler=_cmd_cone, inputs=("f", "g"), outputs=("out",))
 
     p_glue = sub.add_parser("glue", help="glue chart patches over a covering")
     p_glue.add_argument("--base", required=True, choices=("circle", "torus"))
@@ -336,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_glue.add_argument("--p", type=float, default=2.0)
     p_glue.add_argument("--out", required=True)
     p_glue.add_argument("--report", required=True)
-    p_glue.set_defaults(handler=_cmd_glue, out_attr="out")
+    p_glue.set_defaults(handler=_cmd_glue, inputs=("trace", "patch"), outputs=("out", "report"))
 
     p_est = sub.add_parser("estimate", help="estimate the extension energy")
     p_est.add_argument("--trace", required=True)
@@ -346,51 +304,65 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--depth", type=float, default=1.0)
     p_est.add_argument("--cfg", required=True)
     p_est.add_argument("--out", required=True)
-    p_est.set_defaults(handler=_cmd_estimate, out_attr="out")
+    p_est.set_defaults(handler=_cmd_estimate, inputs=("trace", "cfg"), outputs=("out",))
 
     p_accept = sub.add_parser("accept", help="run the acceptance suite")
-    p_accept.add_argument("--suite", required=True)
+    p_accept.add_argument("--suite", required=True, choices=("primary",))
     p_accept.add_argument("--out", required=True)
-    p_accept.set_defaults(handler=_cmd_accept, out_attr="out")
+    p_accept.set_defaults(handler=_cmd_accept, inputs=(), outputs=("out",))
 
     return parser
+
+
+# ------------------------------------------------------------------ driver
+
+def _digests(args: argparse.Namespace, kind: str, names: tuple[str, ...]) -> dict[str, str]:
+    """``<kind>_<path>`` -> sha256 for every file the named arguments hold.
+
+    ``--patch`` holds a list.  A file's ``<path>.manifest`` sidecar gets
+    its own entry wherever it exists, since it changes what is read.
+    """
+    from .fileio import manifest_path, sha256_of
+
+    entries = {}
+    for name in names:
+        value = getattr(args, name)
+        for path in value if isinstance(value, list) else [value]:
+            entries[f"{kind}_{path}"] = sha256_of(path)
+            sidecar = manifest_path(path)
+            if os.path.exists(sidecar):
+                entries[f"{kind}_{sidecar}"] = sha256_of(sidecar)
+    return entries
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         _apply_thread_cap()
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         from . import __version__
 
-        manifest = RunManifest(
-            subcommand=args.subcommand, arguments=argv, version=__version__
-        )
+        inputs = _digests(args, "input", args.inputs)
         start = time.monotonic()
-        code = args.handler(args, manifest)
-        manifest.duration_s = time.monotonic() - start
-        out_attr = getattr(args, "out_attr", None)
-        if out_attr is not None:
-            manifest.write(getattr(args, out_attr) + ".run")
+        code, lines = args.handler(args)
+        duration = time.monotonic() - start
+        for line in lines:
+            print(line)
+        if args.outputs:
+            record = {
+                "subcommand": args.subcommand,
+                "arguments": " ".join(argv),
+                "version": __version__,
+                "duration_s": f"{duration:.3f}",
+                **inputs,
+                **_digests(args, "output", args.outputs),
+            }
+            with open(getattr(args, args.outputs[0]) + ".run", "w", encoding="utf-8") as fh:
+                fh.writelines(f"{key}: {value}\n" for key, value in record.items())
         return code
-    except ParameterError as exc:
+    except (GlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ResolutionError, OptimizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except GlueError as exc:
-        # residual family members (internal invariant breaks): the
-        # computation could not certify its result
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for family, code in _EXIT_CODES if isinstance(exc, family))
 
 
 if __name__ == "__main__":

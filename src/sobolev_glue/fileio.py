@@ -212,6 +212,8 @@ def read_sampled_set(path: str) -> tuple[int, int, bool, np.ndarray]:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"malformed SET1 header in {path}: {exc}") from exc
+    if resolution < 2:
+        raise FormatError(f"SET1 resolution must be at least 2, got {resolution} in {path}")
     if dimension == 1:
         if len(rows) != 1 or len(rows[0]) != resolution:
             raise FormatError(f"expected one row of {resolution} bits in {path}")

@@ -16,6 +16,7 @@ from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
 from sobolev_glue import folding as fo
 from sobolev_glue import gridmap as gm
+from sobolev_glue import errors
 from sobolev_glue import target as tg
 
 
@@ -37,7 +38,7 @@ def _value_of(stdout, key):
 
 def _read_run_record(path):
     entries = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             key, _, value = line.partition(":")
             entries[key.strip()] = value.strip()
@@ -49,6 +50,22 @@ def _write_degree_one_trace(path, n=48):
     t = base.axes[0].coordinates()
     vals = np.stack([np.cos(t), np.sin(t)], axis=-1)
     tr = gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-9)
+    fileio.write_grid_map(path, tr)
+    return tr
+
+
+def _rational_circle_points(n):
+    """Degree-zero loop of rational points of the circle, the same bits on every platform."""
+    x = np.arange(n) / n
+    s = 0.8 * x * (1.0 - x)
+    return np.stack([(1.0 - s * s) / (1.0 + s * s), 2.0 * s / (1.0 + s * s)], axis=-1)
+
+
+def _write_rational_trace(path, n):
+    tr = gm.TraceMap(
+        base=dom.circle(n), target=tg.circle(), values=_rational_circle_points(n),
+        constraint_tol=1e-9,
+    )
     fileio.write_grid_map(path, tr)
     return tr
 
@@ -108,6 +125,33 @@ def test_energy_penalized_needs_eps(tmp_path, capsys):
 def test_unknown_subcommand_exits_two(capsys):
     code, _, _ = run_cli(["transmogrify"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "family, code",
+    [
+        (errors.ParameterError, 2),
+        (errors.DomainError, 2),
+        (errors.SingularityError, 2),
+        (errors.PreconditionError, 3),
+        (errors.LiftingError, 3),
+        (errors.ResolutionError, 4),
+        (errors.OptimizationError, 4),
+        (errors.GlueError, 4),
+        (errors.FormatError, 5),
+        (OSError, 5),
+    ],
+)
+def test_each_error_family_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, family, code):
+    def failing(*args):
+        raise family("planted failure")
+
+    monkeypatch.setattr(cli, "_cmd_accept", failing)
+    out = tmp_path / "r.txt"
+    got, stdout, err = run_cli(["accept", "--suite", "primary", "--out", str(out)], capsys)
+    assert (got, stdout) == (code, "")
+    assert err == "error: planted failure\n"
+    assert not os.path.exists(str(out) + ".run")
 
 
 def test_missing_input_file_exits_five(tmp_path, capsys):
@@ -191,6 +235,75 @@ def test_fold_writes_output_and_manifest(tmp_path, capsys):
     assert run_record["subcommand"] == "fold"
     assert any(key.startswith("input_") for key in run_record)
     assert any(key.startswith("output_") for key in run_record)
+
+
+def test_the_run_record_digests_every_sidecar(tmp_path, capsys):
+    # the axis_lengths in a trace's sidecar change what estimate computes,
+    # so two runs that differ only there must differ in their run records
+    trace_path, out = str(tmp_path / "t.sgf"), str(tmp_path / "ext.sgf")
+    cfg = _write_cfg(tmp_path, max_iterations=5)
+    _write_degree_one_trace(trace_path)
+    argv = ["estimate", "--trace", trace_path, "--p", "2", "--cfg", cfg, "--out", out]
+    records, energies = [], []
+    for lengths in (None, "3"):
+        if lengths is not None:
+            with open(fileio.manifest_path(trace_path), "a") as fh:
+                fh.write(f"axis_lengths: {lengths}\n")
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        energies.append(_value_of(stdout, "energy"))
+        records.append(_read_run_record(out + ".run"))
+    assert energies[0] != energies[1]
+    sidecar_in, sidecar_out = fileio.manifest_path(trace_path), fileio.manifest_path(out)
+    record = records[1]
+    assert record[f"input_{sidecar_in}"] == fileio.sha256_of(sidecar_in)
+    assert record[f"output_{sidecar_out}"] == fileio.sha256_of(sidecar_out)
+    assert records[0][f"input_{sidecar_in}"] != record[f"input_{sidecar_in}"]
+    assert records[0][f"input_{trace_path}"] == record[f"input_{trace_path}"]
+    assert record[f"input_{cfg}"] == fileio.sha256_of(cfg)
+    assert f"input_{fileio.manifest_path(cfg)}" not in record  # no sidecar, no line
+
+
+def test_the_run_record_keeps_one_entry_per_path(tmp_path, capsys):
+    trace_path, patch_paths = _write_glue_inputs(tmp_path, n=48, n_depth=8)
+    # two patches with one basename, in two directories, one of them
+    # with a non-ASCII name
+    same_name = []
+    for directory, path in zip(("a", "\u00e4"), patch_paths):
+        (tmp_path / directory).mkdir()
+        same_name.append(str(tmp_path / directory / "patch.sgf"))
+        os.replace(path, same_name[-1])
+        os.replace(fileio.manifest_path(path), fileio.manifest_path(same_name[-1]))
+    out, report = str(tmp_path / "g.sgf"), str(tmp_path / "g.rep")
+    argv = ["glue", "--base", "circle", "--k", "2", "--trace", trace_path,
+            "--patch", same_name[0], "--patch", same_name[1], "--out", out, "--report", report]
+    assert run_cli(argv, capsys)[0] == 0
+    record = _read_run_record(out + ".run")
+    files = [trace_path] + same_name
+    expected = {f"input_{path}" for path in files}
+    expected |= {f"input_{fileio.manifest_path(path)}" for path in files}
+    expected |= {f"output_{out}", f"output_{fileio.manifest_path(out)}", f"output_{report}"}
+    assert {key for key in record if key.startswith(("input_", "output_"))} == expected
+    for key in expected:
+        assert record[key] == fileio.sha256_of(key.partition("_")[2])
+    assert record["subcommand"] == "glue"
+    assert record["arguments"] == " ".join(argv)
+
+
+def test_a_missing_input_exits_five_before_any_usage_check(tmp_path, capsys):
+    # every input is digested before the handler runs, so a missing patch
+    # is reported even when --base disagrees with the trace
+    trace_path, patch_paths = _write_glue_inputs(tmp_path, n=48, n_depth=8)
+    out = tmp_path / "g.sgf"
+    code, stdout, err = run_cli(
+        ["glue", "--base", "torus", "--k", "2", "--trace", trace_path,
+         "--patch", patch_paths[0], "--patch", str(tmp_path / "missing.sgf"),
+         "--out", str(out), "--report", str(tmp_path / "g.rep")],
+        capsys,
+    )
+    assert (code, stdout) == (5, "")
+    assert "missing.sgf" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("p_args, p", [([], 2.0), (["--p", "3"], 3.0)])
@@ -295,6 +408,16 @@ def test_cone_hypothesis_failure_exits_three(tmp_path, capsys):
     fileio.write_sampled_set(gp, 2, res, False, xs > 0.0)
     code, _, _ = run_cli(["cone", "--f", fp, "--g", gp, "--out", str(tmp_path / "c")], capsys)
     assert code == 3
+
+
+def test_cone_on_a_one_node_set_exits_five(tmp_path, capsys):
+    fp, gp = str(tmp_path / "f.set"), str(tmp_path / "g.set")
+    for path in (fp, gp):
+        with open(path, "w") as fh:
+            fh.write("SET1 1 1 closed\n1\n")
+    code, _, err = run_cli(["cone", "--f", fp, "--g", gp, "--out", str(tmp_path / "c")], capsys)
+    assert code == 5
+    assert "resolution must be at least 2" in err
 
 
 @pytest.mark.parametrize(
@@ -476,17 +599,9 @@ def test_estimate_prints_energy_and_writes_manifest(tmp_path, capsys):
 
 
 def test_estimate_output_is_pinned_on_a_degree_zero_trace(tmp_path, capsys):
-    # rational points of the circle, so the trace has the same bits on
-    # every platform; an empty config keeps every optimizer default
-    n = 64
-    x = np.arange(n) / n
-    s = 0.8 * x * (1.0 - x)
-    vals = np.stack([(1.0 - s * s) / (1.0 + s * s), 2.0 * s / (1.0 + s * s)], axis=-1)
+    # an empty config keeps every optimizer default
     trace_path, cfg, out = (str(tmp_path / name) for name in ("t.sgf", "d.cfg", "ext.sgf"))
-    fileio.write_grid_map(
-        trace_path,
-        gm.TraceMap(base=dom.circle(n), target=tg.circle(), values=vals, constraint_tol=1e-9),
-    )
+    _write_rational_trace(trace_path, 64)
     with open(cfg, "w") as fh:
         fh.write("# defaults\n")
     code, stdout, _ = run_cli(
@@ -500,6 +615,90 @@ def test_estimate_output_is_pinned_on_a_degree_zero_trace(tmp_path, capsys):
     assert fileio.sha256_of(out) == (
         "55e6a53efa8c728f855cd77612c118291c356778a88f1c6d5d555e368cb83c3a"
     )
+
+
+def _pinned_run_argv(tmp_path, name):
+    """Arguments of one stdout pin, with its inputs written to ``tmp_path``.
+
+    Every input is built from dyadic grid coordinates or rational points
+    of the circle, so it has the same bits on every platform.
+    """
+    if name == "energy_dirichlet":
+        path = str(tmp_path / "m.sgf")
+        d = dom.square(9, 9)
+        x, y = gm.node_mesh(d).reshape(9, 9, 2).transpose(2, 0, 1)
+        values = np.stack([x * y, x - y * y], axis=-1)
+        fileio.write_grid_map(path, gm.GridMap(domain=d, target=tg.euclidean(2), values=values))
+        return ["energy", "--kind", "dirichlet", "--p", "3", "--in", path]
+    if name == "energy_gagliardo":
+        path = str(tmp_path / "t.sgf")
+        _write_rational_trace(path, 64)
+        return ["energy", "--kind", "gagliardo", "--p", "2", "--s", "0.5", "--in", path]
+    if name == "energy_penalized":
+        path = str(tmp_path / "m.sgf")
+        d = dom.cylinder(16, 5)
+        scale = 1.0 + np.arange(5) / 4.0
+        values = _rational_circle_points(16)[:, None, :] * scale[None, :, None]
+        fileio.write_grid_map(path, gm.GridMap(domain=d, target=tg.euclidean(2), values=values))
+        return ["energy", "--kind", "penalized", "--p", "2", "--eps", "0.5", "--in", path]
+    if name == "fold":
+        d = dom.square(17, 17)
+        x, y = gm.node_mesh(d).reshape(17, 17, 2).transpose(2, 0, 1)
+        # both maps vanish on the bottom row y = 0, so their traces agree
+        paths = [str(tmp_path / "u0.sgf"), str(tmp_path / "u1.sgf")]
+        for path, values in zip(paths, ([x * y, y * y], [y, x * y * y])):
+            fileio.write_grid_map(
+                path, gm.GridMap(domain=d, target=tg.euclidean(2), values=np.stack(values, -1))
+            )
+        return ["fold", "--u0", paths[0], "--u1", paths[1], "--out", str(tmp_path / "out.sgf")]
+    if name == "glue":
+        trace_path = str(tmp_path / "t.sgf")
+        tr = _write_rational_trace(trace_path, 48)
+        argv = ["glue", "--base", "circle", "--k", "2", "--trace", trace_path]
+        for i, chart in enumerate(cov.build_covering(tr.base, 2).charts):
+            path = str(tmp_path / f"patch{i}.sgf")
+            fileio.write_grid_map(path, cov.replicate_trace_patch(tr, chart, 8))
+            argv += ["--patch", path]
+        return argv + ["--out", str(tmp_path / "out.sgf"), "--report", str(tmp_path / "g.rep")]
+    raise KeyError(name)
+
+
+#: stdout bytes and sha256 of the ``--out`` file (None: no such file) of
+#: each pinned run, captured before the handlers left their bookkeeping
+#: to ``cli.main``
+PINNED_RUNS = {
+    "energy_dirichlet": ("value=5.3391176276428052\n", None),
+    "energy_gagliardo": ("value=0.48680703886341897\n", None),
+    "energy_penalized": ("value=15.184019362067524\n", None),
+    "fold": (
+        "trace_bottom_error=0\ntrace_left_error=0\ntrace_right_error=0\n"
+        "energy_in_0=1.9375\nenergy_in_1=1.57330322265625\nenergy_out=3.1863083839416504\n"
+        "ratio=0.90757247896420434\np=2\n",
+        "89bdeb291ab29cded71913406ac7882251ff3d54d45d2b0f2741a43746c498c2",
+    ),
+    "glue": (
+        "base=circle\nk=2\np=2\n"
+        "r_1=1\naccepted_fraction_1=0\ntrace_sup_error_1=2.6184557666721351e-16\n"
+        "gap_fraction_1=0\n"
+        "r_2=0.984375\naccepted_fraction_2=1\ntrace_sup_error_2=2.3263411494723067e-16\n"
+        "gap_fraction_2=0\n"
+        "trace_sup_error=2.6184557666721351e-16\npatch_energy_total=0.18657980474049712\n"
+        "glued_energy=0.13333237883992949\nratio=0.71461313310609176\ndegenerate=false\n",
+        "da865bf0c48dc07643e00489b4334b619c20f2b03e98e87b8959315d2b680cf5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_stdout_and_output_bytes_are_pinned(tmp_path, capsys, name):
+    stdout_pin, out_pin = PINNED_RUNS[name]
+    code, stdout, err = run_cli(_pinned_run_argv(tmp_path, name), capsys)
+    assert (code, err) == (0, "")
+    assert stdout == stdout_pin
+    out = tmp_path / "out.sgf"
+    assert out.exists() == (out_pin is not None)
+    if out_pin is not None:
+        assert fileio.sha256_of(str(out)) == out_pin
 
 
 def test_estimate_reports_convergence_and_the_gradient_sup(tmp_path, capsys):

@@ -186,6 +186,8 @@ def test_sampled_set_reader_skips_blank_lines_and_strips_rows(tmp_path):
         ("SET1 3 3 open\n000\n", "sampled sets support dimension 1 or 2"),
         ("SET1 2 3 open\n000\n020\n000\n", "indicator rows must be 0/1 characters"),
         ("SET1 1 3 open\n0/1\n", "indicator rows must be 0/1 characters"),
+        ("SET1 1 1 closed\n1\n", "resolution must be at least 2, got 1"),
+        ("SET1 2 0 open\n", "resolution must be at least 2, got 0"),
     ],
 )
 def test_sampled_set_error_paths(tmp_path, text, message):
