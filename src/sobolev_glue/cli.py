@@ -185,17 +185,21 @@ def _cmd_glue(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 def _parse_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: config file is not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}"
+            )
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
 
 

@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import KIND_TABLE, Axis, DomainSpec, collar_over, from_axes, from_kind
+from .domain import KIND_TABLE, Axis, DomainSpec, collar_over, from_kind
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
     DomainError,
@@ -71,7 +71,6 @@ from .gridmap import (
     default_constraint_tol,
     evaluate_batch,
     extract_trace,
-    grid_coordinates,
     node_mesh,
 )
 from .target import project_to_target
@@ -339,15 +338,12 @@ def replicate_trace_patch(
     depth: float = 1.0,
 ) -> GridMap:
     """Depth-constant patch over a chart core sampled from the trace."""
-    core = from_axes(tuple(
+    core = DomainSpec(tuple(
         Axis(max(2, int(round(extent / axis.spacing)) + 1), float(extent), False)
         for axis, extent in zip(trace.base.axes, chart.core_extent)
     ))
     dom = collar_over(core, n_depth, depth)
-    coords = grid_coordinates(dom)
-    mesh = np.meshgrid(*coords[:-1], indexing="ij")
-    offsets = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    vals = project_to_target(trace.target, evaluate_batch(trace, chart.base_points(offsets)))
+    vals = project_to_target(trace.target, evaluate_batch(trace, chart.base_points(node_mesh(core))))
     sheet = vals.reshape(core.shape + (trace.nu,))
     full = np.repeat(sheet[..., None, :], n_depth, axis=-2)
     return GridMap(domain=dom, target=trace.target, values=full)

@@ -24,16 +24,18 @@ Non-canonical lengths (a collar of depth L != 1, a chart patch whose
 first axis is an arc length) are allowed in memory; the file sidecar
 records them so round trips are exact.
 
-Two builders make every domain: ``from_kind`` (the named constructors
-call it) and ``from_axes``, which names the kind of the axes' periodicity
-pattern.  ``collar_over`` is the one collar rule: the base's own axes,
-lengths included, then one interval depth axis; box, cube and
-torus_collar bases have no collar.
+A domain is built from its axes alone, ``DomainSpec(axes)``, and its
+kind is the name of their periodicity pattern: the eight patterns in
+``KIND_TABLE`` are distinct, and any other pattern raises
+``DomainError``.  ``from_kind`` (which the named constructors call) lays
+out the axes of a named kind.  ``collar_over`` is the one collar rule:
+the base's own axes, lengths included, then one interval depth axis;
+box, cube and torus_collar bases have no collar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +54,7 @@ KIND_TABLE: dict[str, tuple[tuple[bool, ...], tuple[float, ...]]] = {
     "torus": ((True, True), (1.0, 1.0)),
     "torus_collar": ((True, True, False), (1.0, 1.0, 1.0)),
 }
+_KIND_OF_PATTERN = {flags: kind for kind, (flags, _) in KIND_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -85,22 +88,16 @@ class Axis:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A named product of axes; construct via the module-level helpers."""
+    """A product of axes, of the kind that their periodicity pattern names."""
 
-    kind: str
+    kind: str = field(init=False)
     axes: tuple[Axis, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in KIND_TABLE:
-            raise ParameterError(f"unknown domain kind {self.kind!r}")
-        flags, _ = KIND_TABLE[self.kind]
-        if len(self.axes) != len(flags):
-            raise ParameterError(
-                f"kind {self.kind!r} has {len(flags)} axes, got {len(self.axes)}"
-            )
-        for axis, flag in zip(self.axes, flags):
-            if axis.periodic != flag:
-                raise ParameterError(f"axis periodicity does not match kind {self.kind!r}")
+        pattern = tuple(a.periodic for a in self.axes)
+        if pattern not in _KIND_OF_PATTERN:
+            raise DomainError(f"no named kind for periodicity pattern {pattern}")
+        object.__setattr__(self, "kind", _KIND_OF_PATTERN[pattern])
 
     @property
     def ndim(self) -> int:
@@ -132,17 +129,12 @@ def from_kind(kind: str, counts: tuple[int, ...], lengths=None) -> DomainSpec:
         raise ParameterError(f"unknown domain kind {kind!r}")
     flags, canonical = KIND_TABLE[kind]
     lengths = canonical if lengths is None else lengths
-    axes = tuple(Axis(n, float(L), f) for n, L, f in zip(counts, lengths, flags))
-    return DomainSpec(kind=kind, axes=axes)
-
-
-def from_axes(axes: tuple[Axis, ...]) -> DomainSpec:
-    """The domain on ``axes``, of the kind that their periodicity pattern names."""
-    pattern = tuple(a.periodic for a in axes)
-    for kind, (flags, _) in KIND_TABLE.items():
-        if flags == pattern:
-            return DomainSpec(kind=kind, axes=tuple(axes))
-    raise DomainError(f"no named kind for periodicity pattern {pattern}")
+    # zip would silently drop the surplus of a longer tuple
+    if not len(counts) == len(lengths) == len(flags):
+        raise ParameterError(
+            f"kind {kind!r} has {len(flags)} axes, got {len(counts)} counts and {len(lengths)} lengths"
+        )
+    return DomainSpec(tuple(Axis(n, float(L), f) for n, L, f in zip(counts, lengths, flags)))
 
 
 def interval(n: int) -> DomainSpec:
@@ -179,7 +171,7 @@ def torus_collar(n1: int, n2: int, n_depth: int, depth: float = 1.0) -> DomainSp
 
 def collar_over(base: DomainSpec, n_depth: int, depth: float) -> DomainSpec:
     """The collar base x (0, depth): the base's own axes, then one depth interval."""
-    return from_axes(base.axes + (Axis(n_depth, float(depth), False),))
+    return DomainSpec(base.axes + (Axis(n_depth, float(depth), False),))
 
 
 def depth_node_count(base: DomainSpec, depth: float) -> int:
@@ -211,4 +203,4 @@ def face_axis_side(domain: DomainSpec, face: str) -> tuple[int, int]:
 
 def face_domain(domain: DomainSpec, face: str) -> DomainSpec:
     axis, _ = face_axis_side(domain, face)
-    return from_axes(domain.axes[:axis] + domain.axes[axis + 1 :])
+    return DomainSpec(domain.axes[:axis] + domain.axes[axis + 1 :])

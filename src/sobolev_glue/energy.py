@@ -211,7 +211,7 @@ def _penalty_sum(
     return float(np.sum(penalty.evaluate(values) * vols))
 
 
-def dirichlet_p_energy(m: GridMap | TraceMap, p: float) -> EnergyReport:
+def dirichlet_p_energy(m: GridMap, p: float) -> EnergyReport:
     p = _check_p(p)
     return EnergyReport(
         value=_dirichlet_sum(
@@ -323,12 +323,12 @@ def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
     return EnergyReport(value=total)
 
 
-def penalty_total(m: GridMap | TraceMap, penalty: Optional[PenaltySpec]) -> float:
+def penalty_total(m: GridMap, penalty: Optional[PenaltySpec]) -> float:
     return _penalty_sum(m.values, node_volumes(m.domain), penalty)
 
 
 def penalized_energy(
-    m: GridMap | TraceMap, p: float, penalty: Optional[PenaltySpec]
+    m: GridMap, p: float, penalty: Optional[PenaltySpec]
 ) -> EnergyReport:
     """Dirichlet energy plus the penalty; ``penalty=None`` adds nothing."""
     p = _check_p(p)

@@ -23,13 +23,17 @@ Cone certificates (CONE)::
 
 CONE1 is written only: ``cone`` writes its certificate for the record,
 and nothing in the package reads one back.
+
+The SGF reader only parses: ``DomainSpec``, ``TargetSpec`` and
+``GridMap`` validate what it hands them, and any ``ParameterError`` they
+raise becomes a ``FormatError`` naming the file.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Optional
+from typing import TypeVar
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .target import TargetSpec
 _FMT = "%.17g"
 #: rows of an SGF body formatted per write
 _WRITE_ROWS = 4096
+_Map = TypeVar("_Map", bound=GridMap)
 
 
 def format_real(x: float) -> str:
@@ -78,7 +83,7 @@ def read_manifest(path: str) -> dict[str, str]:
 
 # ---------------------------------------------------------------- grid maps
 
-def write_grid_map(path: str, m: GridMap | TraceMap) -> None:
+def write_grid_map(path: str, m: GridMap) -> None:
     d = m.domain
     header = " ".join(
         ["SGF1", d.kind, str(m.nu)] + [str(n) for n in d.shape] + [m.target.kind]
@@ -100,60 +105,39 @@ def write_grid_map(path: str, m: GridMap | TraceMap) -> None:
     write_manifest(path, entries)
 
 
-def _parse_header(line: str) -> tuple[str, int, tuple[int, ...], str]:
-    parts = line.split()
-    if len(parts) < 5 or parts[0] != "SGF1":
-        raise FormatError(f"not an SGF1 header: {line!r}")
-    kind = parts[1]
-    if kind not in dom.KIND_TABLE:
-        raise FormatError(f"unknown domain kind in header: {kind!r}")
-    expected_axes = len(dom.KIND_TABLE[kind][0])
-    if len(parts) != 3 + expected_axes + 1:
-        raise FormatError(
-            f"header for kind {kind!r} must list {expected_axes} resolutions: {line!r}"
-        )
-    try:
-        nu = int(parts[2])
-        counts = tuple(int(p) for p in parts[3 : 3 + expected_axes])
-    except ValueError as exc:
-        raise FormatError(f"non-integer field in header: {line!r}") from exc
-    target_kind = parts[-1]
-    return kind, nu, counts, target_kind
+def _read_sgf(path: str, cls: type[_Map]) -> _Map:
+    """Parse an SGF file and its sidecar into ``cls``; the types check what they hold.
 
-
-def _read_sgf(path: str) -> tuple[dom.DomainSpec, TargetSpec, np.ndarray, Optional[float]]:
+    The domain and the target are built before the body is read, and a
+    ``ParameterError`` from them or from the map becomes a ``FormatError``
+    naming the file.  Values off the target stay a ``PreconditionError``.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
-            kind, nu, counts, target_kind = _parse_header(header)
-            try:
-                target = TargetSpec(kind=target_kind, nu=nu)
-            except ParameterError as exc:
-                raise FormatError(str(exc)) from exc
+            header = fh.readline().split()
+            if len(header) < 5 or header[0] != "SGF1":
+                raise FormatError(f"not an SGF1 header in {path}: {' '.join(header)!r}")
             manifest = read_manifest(path)
-            lengths = None
-            if "axis_lengths" in manifest:
-                lengths = tuple(float(t) for t in manifest["axis_lengths"].split(","))
-                if len(lengths) != len(counts):
-                    raise FormatError("axis_lengths in manifest has wrong arity")
-            try:
-                domain = dom.from_kind(kind, counts, lengths)
-            except ParameterError as exc:
-                raise FormatError(str(exc)) from exc
-            n_nodes = int(np.prod(counts))
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-            if data.shape != (n_nodes, nu):
-                raise FormatError(
-                    f"expected {n_nodes} lines of {nu} values, got array {data.shape}"
-                )
-            if not np.all(np.isfinite(data)):
-                raise FormatError(f"non-finite values in {path}")
+            raw_lengths = manifest.get("axis_lengths")
+            counts = tuple(int(p) for p in header[3:-1])
+            domain = dom.from_kind(
+                header[1], counts,
+                None if raw_lengths is None else tuple(float(t) for t in raw_lengths.split(",")),
+            )
+            target = TargetSpec(kind=header[-1], nu=int(header[2]))
             raw_tol = manifest.get("constraint_tol")
             tol = None if raw_tol is None else float(raw_tol)
             if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
                 raise FormatError(f"constraint_tol in {path} must be finite and >= 0, got {raw_tol!r}")
-            values = data.reshape(counts + (nu,))
-            return domain, target, values, tol
+            # a reshape alone would take a 2 x 4 body for 4 x 2
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            if data.shape != (int(np.prod(counts)), target.nu):
+                raise FormatError(
+                    f"expected {int(np.prod(counts))} lines of {target.nu} values, got array {data.shape}"
+                )
+            return cls(domain, target, data.reshape(counts + (target.nu,)), tol)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -161,13 +145,11 @@ def _read_sgf(path: str) -> tuple[dom.DomainSpec, TargetSpec, np.ndarray, Option
 
 
 def read_grid_map(path: str) -> GridMap:
-    domain, target, values, tol = _read_sgf(path)
-    return GridMap(domain=domain, target=target, values=values, constraint_tol=tol)
+    return _read_sgf(path, GridMap)
 
 
 def read_trace_map(path: str) -> TraceMap:
-    domain, target, values, tol = _read_sgf(path)
-    return TraceMap(base=domain, target=target, values=values, constraint_tol=tol)
+    return _read_sgf(path, TraceMap)
 
 
 # ------------------------------------------------------------ sampled sets

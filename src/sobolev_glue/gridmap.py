@@ -2,9 +2,9 @@
 
 A :class:`GridMap` stores one nu-vector per grid node, C-ordered over the
 axes of its domain.  Values are 64-bit floats and the array is frozen on
-construction.  A :class:`TraceMap` is the same thing over a boundary face
-or over the base manifold of a collar; the two types are kept separate so
-signatures say which one they mean.
+construction, after the shape, finiteness, tolerance and target checks.
+A :class:`TraceMap` is a ``GridMap`` over a boundary face or over the base
+manifold of a collar; it differs only in naming its domain ``base``.
 
 Evaluation is multilinear interpolation of the stored node values.  It is
 exact at nodes and never projects back onto a curved target: interpolated
@@ -38,34 +38,6 @@ def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
 
 
-def _check_values(domain: DomainSpec, target: TargetSpec, values: np.ndarray, tol: float) -> np.ndarray:
-    values = np.array(values, dtype=np.float64)
-    expected = domain.shape + (target.nu,)
-    if values.shape != expected:
-        raise ParameterError(f"value array has shape {values.shape}, expected {expected}")
-    if not np.all(np.isfinite(values)):
-        raise ParameterError("value array contains non-finite entries")
-    if target.constrained:
-        worst = float(np.max(distance_to_target(target, values)))
-        if worst > tol:
-            raise PreconditionError(
-                f"node values stray {worst:.3g} from the target, tolerance {tol:.3g}"
-            )
-    values.flags.writeable = False
-    return values
-
-
-def _freeze(m: GridMap | TraceMap, domain: DomainSpec) -> None:
-    """Settle ``m.constraint_tol`` (``None``: the default 10 h) and check ``m.values``."""
-    tol = m.constraint_tol
-    if tol is None:
-        tol = default_constraint_tol(domain)
-    elif not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterError(f"constraint tolerance must be finite and >= 0, got {tol}")
-    object.__setattr__(m, "constraint_tol", tol)
-    object.__setattr__(m, "values", _check_values(domain, m.target, m.values, tol))
-
-
 @dataclass(frozen=True)
 class GridMap:
     domain: DomainSpec
@@ -74,31 +46,45 @@ class GridMap:
     constraint_tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _freeze(self, self.domain)
+        # constraint_tol None means the default 10 h
+        tol = self.constraint_tol
+        if tol is None:
+            tol = default_constraint_tol(self.domain)
+        elif not (math.isfinite(tol) and tol >= 0.0):
+            raise ParameterError(f"constraint tolerance must be finite and >= 0, got {tol}")
+        values = np.array(self.values, dtype=np.float64)
+        expected = self.domain.shape + (self.target.nu,)
+        if values.shape != expected:
+            raise ParameterError(f"value array has shape {values.shape}, expected {expected}")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("value array contains non-finite entries")
+        if self.target.constrained:
+            worst = float(np.max(distance_to_target(self.target, values)))
+            if worst > tol:
+                raise PreconditionError(
+                    f"node values stray {worst:.3g} from the target, tolerance {tol:.3g}"
+                )
+        values.flags.writeable = False
+        object.__setattr__(self, "constraint_tol", tol)
+        object.__setattr__(self, "values", values)
 
     @property
     def nu(self) -> int:
         return self.target.nu
 
 
-@dataclass(frozen=True)
-class TraceMap:
-    base: DomainSpec
-    target: TargetSpec
-    values: np.ndarray
-    constraint_tol: Optional[float] = None
+class TraceMap(GridMap):
+    """A grid map over a boundary face or a collar's base, which it names ``base``."""
 
-    def __post_init__(self) -> None:
-        _freeze(self, self.base)
-
-    @property
-    def domain(self) -> DomainSpec:
-        # structural alias so grid utilities can treat both map types alike
-        return self.base
+    def __init__(
+        self, base: DomainSpec, target: TargetSpec, values: np.ndarray,
+        constraint_tol: Optional[float] = None,
+    ) -> None:
+        super().__init__(base, target, values, constraint_tol)
 
     @property
-    def nu(self) -> int:
-        return self.target.nu
+    def base(self) -> DomainSpec:
+        return self.domain
 
 
 def _locate(axis: Axis, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,25 +93,22 @@ def _locate(axis: Axis, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(coords, dtype=np.float64)
     if axis.periodic:
         x = np.mod(x, axis.length)
-        idx = np.floor(x / h).astype(np.int64)
-        idx = np.clip(idx, 0, axis.count - 1)
-        frac = x / h - idx
-        return idx, np.clip(frac, 0.0, 1.0)
-    slack = _EDGE_TOL * max(1.0, axis.length)
-    if np.any(x < -slack) or np.any(x > axis.length + slack):
-        bad_low = float(np.min(x))
-        bad_high = float(np.max(x))
-        raise DomainError(
-            f"coordinate outside [0, {axis.length}] (saw range [{bad_low}, {bad_high}])"
-        )
-    x = np.clip(x, 0.0, axis.length)
+    else:
+        slack = _EDGE_TOL * max(1.0, axis.length)
+        if np.any(x < -slack) or np.any(x > axis.length + slack):
+            bad_low = float(np.min(x))
+            bad_high = float(np.max(x))
+            raise DomainError(
+                f"coordinate outside [0, {axis.length}] (saw range [{bad_low}, {bad_high}])"
+            )
+        x = np.clip(x, 0.0, axis.length)
     idx = np.floor(x / h).astype(np.int64)
-    idx = np.clip(idx, 0, axis.count - 2)
+    idx = np.clip(idx, 0, axis.cell_count - 1)
     frac = x / h - idx
     return idx, np.clip(frac, 0.0, 1.0)
 
 
-def evaluate_batch(m: GridMap | TraceMap, points: np.ndarray) -> np.ndarray:
+def evaluate_batch(m: GridMap, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation at an (N, ndim) array of points."""
     dom = m.domain
     points = np.asarray(points, dtype=np.float64)
@@ -170,12 +153,7 @@ def extract_trace(m: GridMap, face: str) -> TraceMap:
     return TraceMap(base=base, target=m.target, values=values, constraint_tol=m.constraint_tol)
 
 
-def grid_coordinates(domain: DomainSpec) -> list[np.ndarray]:
-    """Per-axis node coordinate vectors."""
-    return [axis.coordinates() for axis in domain.axes]
-
-
 def node_mesh(domain: DomainSpec) -> np.ndarray:
     """(N, ndim) array of all node coordinates in C order."""
-    grids = np.meshgrid(*grid_coordinates(domain), indexing="ij")
+    grids = np.meshgrid(*(axis.coordinates() for axis in domain.axes), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)

@@ -833,6 +833,19 @@ def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys, entry):
     assert "unknown config key" in err
 
 
+def test_estimate_with_a_non_utf8_cfg_is_a_usage_error(tmp_path, capsys):
+    trace_path, cfg, out = (str(tmp_path / name) for name in ("t.sgf", "bad.cfg", "e.sgf"))
+    _write_degree_one_trace(trace_path, 16)
+    with open(cfg, "wb") as fh:
+        fh.write(b"tol = 1e-8\n\xff\xfe\n")
+    code, stdout, err = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", cfg, "--out", out], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert cfg in err and "UTF-8" in err
+    assert not os.path.exists(out)
+
+
 def test_estimate_with_an_infinite_tol_is_a_usage_error(tmp_path, capsys):
     trace_path = str(tmp_path / "t.sgf")
     _write_degree_one_trace(trace_path, 16)

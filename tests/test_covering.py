@@ -182,10 +182,7 @@ def test_covering_construction_validates_inputs():
         cov.build_covering(dom.torus(16, 16), 2)  # torus needs at least 4
     with pytest.raises(ParameterError):
         cov.build_covering(dom.torus(16, 16), 5)  # no 2x2-or-larger factorization
-    stretched = dom.DomainSpec(
-        kind="circle",
-        axes=(dom.Axis(length=4.0, count=16, periodic=True),),
-    )
+    stretched = dom.DomainSpec((dom.Axis(length=4.0, count=16, periodic=True),))
     with pytest.raises(ParameterError):
         cov.build_covering(stretched, 2)  # only canonical bases are coverable
 

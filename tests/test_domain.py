@@ -64,6 +64,10 @@ def test_from_kind_rejects_unknown_kind_and_bad_counts():
     with pytest.raises(ParameterError):
         dom.from_kind("square", (4,))
     with pytest.raises(ParameterError):
+        dom.from_kind("square", (4, 4, 4))  # zip would drop the third count
+    with pytest.raises(ParameterError):
+        dom.from_kind("circle", (4,), (1.0, 2.0))  # and the surplus length
+    with pytest.raises(ParameterError):
         dom.interval(1)
 
 
@@ -125,11 +129,12 @@ def test_collar_over_keeps_non_canonical_base_lengths():
     assert dom.face_domain(collar, "bottom") == base
 
 
-def test_from_axes_names_the_kind_of_the_periodicity_pattern():
+def test_domain_spec_names_the_kind_of_the_periodicity_pattern():
     axes = (dom.Axis(6, 1.0, True), dom.Axis(6, 1.0, True), dom.Axis(4, 2.0, False))
-    assert dom.from_axes(axes) == dom.torus_collar(6, 6, 4, 2.0)
+    assert dom.DomainSpec(axes) == dom.torus_collar(6, 6, 4, 2.0)
+    assert dom.DomainSpec(axes).kind == "torus_collar"
     with pytest.raises(DomainError):
-        dom.from_axes((dom.Axis(4, 1.0, False), dom.Axis(4, 1.0, True)))
+        dom.DomainSpec((dom.Axis(4, 1.0, False), dom.Axis(4, 1.0, True)))
 
 
 def test_depth_node_count_is_one_per_base_spacing_from_8_to_128():

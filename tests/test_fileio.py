@@ -5,7 +5,7 @@ from sobolev_glue import domain as dom
 from sobolev_glue import fileio
 from sobolev_glue import gridmap as gm
 from sobolev_glue import target as tg
-from sobolev_glue.errors import FormatError
+from sobolev_glue.errors import FormatError, PreconditionError
 
 
 def _random_map(rng, domain, nu=2):
@@ -94,20 +94,46 @@ def test_missing_manifest_falls_back_to_canonical(tmp_path):
     assert np.array_equal(back.values, m.values)
 
 
-def test_malformed_headers_raise_format_errors(tmp_path):
+_CIRCLE_BODY = "1 0\n0 1\n-1 0\n0 -1\n"
+
+
+@pytest.mark.parametrize(
+    "text, sidecar, error",
+    [
+        ("BOGUS square 2 4 4 euclidean\n0 0\n", None, FormatError),
+        ("SGF1 pretzel 2 4 4 euclidean\n0 0\n", None, FormatError),
+        ("SGF1 square 2 4 euclidean\n0 0\n", None, FormatError),
+        ("SGF1 square x 4 4 euclidean\n0 0\n", None, FormatError),
+        ("SGF1 square 2 4 4 banana\n0 0\n", None, FormatError),
+        ("SGF1 circle 3 4 circle\n" + "1 0 0\n" * 4, None, FormatError),
+        ("SGF1 circle 2 2 circle\n1 0\n0 1\n", None, FormatError),
+        ("SGF1 circle 2 4 4 circle\n" + _CIRCLE_BODY, None, FormatError),
+        ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "axis_lengths: 1,2\n", FormatError),
+        ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "axis_lengths: 0\n", FormatError),
+        ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "constraint_tol: nan\n", FormatError),
+        ("SGF1 interval 4 2 euclidean\n" + "0 0\n" * 4, None, FormatError),
+        ("SGF1 interval 1 2 euclidean\n0\nnan\n", None, FormatError),
+        ("SGF1 circle 2 4 circle\n1 0\n5 5\n-1 0\n0 -1\n", "constraint_tol: 0.1\n",
+         PreconditionError),
+    ],
+    ids=[
+        "bad-magic", "unknown-kind", "missing-resolution", "non-integer-nu", "unknown-target",
+        "circle-target-nu-3", "two-node-circle", "extra-resolution", "two-axis-lengths",
+        "zero-axis-length", "nan-constraint-tol", "transposed-body", "non-finite-value",
+        "off-target-node",
+    ],
+)
+def test_sgf_rejections_keep_their_exception_type(tmp_path, text, sidecar, error):
+    # only the type is pinned: an off-target node is a precondition, not a format, error
     path = str(tmp_path / "bad.sgf")
-    cases = [
-        "BOGUS square 2 4 4 euclidean\n0 0\n",
-        "SGF1 pretzel 2 4 4 euclidean\n0 0\n",
-        "SGF1 square 2 4 euclidean\n0 0\n",  # missing one resolution
-        "SGF1 square x 4 4 euclidean\n0 0\n",
-        "SGF1 square 2 4 4 banana\n0 0\n",
-    ]
-    for text in cases:
-        with open(path, "w") as fh:
-            fh.write(text)
-        with pytest.raises(FormatError):
-            fileio.read_grid_map(path)
+    with open(path, "w") as fh:
+        fh.write(text)
+    if sidecar is not None:
+        with open(fileio.manifest_path(path), "w") as fh:
+            fh.write(sidecar)
+    with pytest.raises(error) as info:
+        fileio.read_grid_map(path)
+    assert type(info.value) is error
 
 
 def test_wrong_node_count_is_a_format_error(tmp_path):

@@ -9,7 +9,7 @@ about the code it names.
 import pytest
 
 from sobolev_glue import acceptance as acc
-from sobolev_glue import cone, folding, minimize
+from sobolev_glue import cone, energy, folding, minimize
 
 
 def _swapped_fold_sources(original):
@@ -21,11 +21,18 @@ def _swapped_fold_sources(original):
     return swapped
 
 
-def _halved_gradient(original):
+def _halved(original):
     def halved(*args, **kwargs):
         return 0.5 * original(*args, **kwargs)
 
     return halved
+
+
+def _zeroed(original):
+    def zeroed(*args, **kwargs):
+        return 0.0 * original(*args, **kwargs)
+
+    return zeroed
 
 
 def _short_ladder(original):
@@ -41,12 +48,17 @@ def _short_ladder(original):
     [
         (folding, "fold_sources", _swapped_fold_sources,
          (acc.criterion_02_fold_trace_contract, acc.criterion_03_fold_energy_constant)),
-        (minimize, "_dirichlet_gradient", _halved_gradient,
+        (minimize, "_dirichlet_gradient", _halved,
          (acc.criterion_10_gradient_check,)),
         (cone, "find_cone", _short_ladder,
          (acc.criterion_04_cone_capture, acc.criterion_05_circle_covering_glue)),
+        (energy, "_offset_pair_sum", _halved,
+         (acc.criterion_01_pair_sum_exactness,)),
+        (energy, "_diagonal_completion", _zeroed,
+         (acc.criterion_01_pair_sum_exactness,)),
     ],
-    ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two"],
+    ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two",
+         "pair_sum_halved", "diagonal_completion_zeroed"],
 )
 def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))
