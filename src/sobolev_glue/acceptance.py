@@ -217,7 +217,11 @@ def _random_cone_instance(
 
 @_criterion
 def criterion_04_cone_capture() -> tuple[bool, str]:
-    """100 random hypothesis-satisfying instances certify and pass their check."""
+    """100 random hypothesis-satisfying instances certify and pass their check.
+
+    On the segment instance the verifier must also reject two wrong
+    certificates at the certified radius.
+    """
     rng = np.random.default_rng(0)
     resolution = 256
     grid_radii, grid_angles = _polar_grid(resolution)
@@ -240,6 +244,13 @@ def criterion_04_cone_capture() -> tuple[bool, str]:
     cert = cone_mod.find_cone(f, g)
     if not (cert.verified and cert.radius >= 0.6):
         return False, f"segment example: r={cert.radius} verified={cert.verified}"
+    # with every direction accepted the cone leaves G = {x > 1/2}; with
+    # none, the segment's outer nodes lie outside ball and cone
+    for label, accepted in (("every", True), ("no", False)):
+        directions = np.full(cert.directions.size, accepted)
+        wrong = cone_mod.ConeCertificate(directions, cert.radius, False)
+        if cone_mod.verify_cone(f, g, wrong):
+            return False, f"segment example: verify_cone accepts {label} direction"
     return True, (
         f"100 instances certified, min_r={min(radii):.4g}, "
         f"segment r={cert.radius:.4g}>=0.6"

@@ -167,7 +167,6 @@ def _cmd_glue(args: argparse.Namespace) -> tuple[int, list[str]]:
         lines.append((f"r_{i}", step.radius))
         lines.append((f"accepted_fraction_{i}", step.accepted_fraction))
         lines.append((f"trace_sup_error_{i}", step.trace_sup_error))
-        lines.append((f"gap_fraction_{i}", step.gap_fraction))
     lines.extend(
         [
             ("trace_sup_error", report.trace_sup_error),

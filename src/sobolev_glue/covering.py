@@ -315,7 +315,6 @@ class GlueStep:
     radius: float
     accepted_fraction: float
     trace_sup_error: float
-    gap_fraction: float
 
 
 @dataclass(frozen=True)
@@ -480,14 +479,14 @@ def glue(
 
     Patches are maps over chart-core boxes cross the depth axis, one per
     chart of the covering, in chart order.  The report carries the
-    certified radius, cone size, measured trace error and covering-gap
-    fraction of every step, the patch and glued energies and their ratio.
+    certified radius, cone size and measured trace error of every step,
+    the patch and glued energies and their ratio.
     ``penalty=None`` glues the plain Dirichlet energies; a penalty adds
     its term to every energy.  Each patch's bottom trace may stray from
     the boundary data by at most ten times the coarsest spacing of the
     trace and the patches.  A cone certificate that fails its check, or
     a step after which part of the base is uncovered, raises
-    ``GlueError``; so every returned step has gap fraction 0.
+    ``GlueError``.
     """
     if trace.base.kind != covering.base_kind:
         raise ParameterError(
@@ -539,7 +538,7 @@ def glue(
                 f"{gap_fraction:.3%} of the base is uncovered"
             )
         error = _sup_distance(values[h_collar, 0, :], trace_flat[h_collar])
-        steps.append(GlueStep(radius, accepted_fraction, error, gap_fraction))
+        steps.append(GlueStep(radius, accepted_fraction, error))
 
     h_collar, h_check = base_cores[0], check_cores[0]
     close_step(1.0, 0.0, h_collar, h_check)

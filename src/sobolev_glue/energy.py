@@ -1,4 +1,4 @@
-"""Discrete energies of node-sampled maps.
+"""Discrete energies of node-sampled maps, with the descent's exact gradients.
 
 Three functionals are provided.
 
@@ -15,6 +15,11 @@ Three functionals are provided.
 * ``penalized_energy``: the Dirichlet term plus a node-quadrature sum of
   a pointwise penalty F(U) = dist(U, N)^power / eps^power.
 
+This module owns the value and the exact gradient of each functional
+that ``minimize`` descends: ``_dirichlet_sum`` with
+``_dirichlet_gradient``, and ``PenaltySpec.evaluate`` with
+``PenaltySpec.gradient``.
+
 The pair sum is evaluated in offset form.  On a product grid the kernel
 d^-(s p + d) depends only on the index offset between two nodes, taken
 circularly on periodic axes and over (-n, n) on interval axes, so it is
@@ -24,13 +29,14 @@ every p: O(N^2) time, with every temporary at O(N) entries times the
 number of components.  The result is deterministic: the same input gives
 the same bits on every run.
 
-The Dirichlet sum is built in two steps that the descent in
-``minimize`` shares: ``_forward_differences`` takes the undivided
-differences roll(U, -1, a) - U along every axis, and ``_grad_sq`` sums
-their squares over the 2 or 3 components.  Both write through slices
-instead of calling ``np.roll``: each difference is two slice
-subtractions into one new array, and the scaled differences are
-squared in place.  The components are added one at a time in the order
+The Dirichlet sum is built in two steps that the descent shares:
+``_forward_differences`` takes the undivided differences
+roll(U, -1, a) - U along every axis, and ``_grad_sq`` sums their
+squares over the 2 or 3 components; the gradient reuses both.  They
+write through slices instead of calling ``np.roll``: every difference,
+the gradient's roll(t, 1, a) - t included, is two slice subtractions
+(``_roll_difference``), and the scaled differences are squared in
+place.  The components are added one at a time in the order
 ``np.add.reduce`` uses for short axes (``target.sum_of_squares``), so
 every result has the bits of the roll-and-reduce formulas at a fraction
 of their cost.
@@ -63,10 +69,9 @@ class EnergyReport:
 class PenaltySpec:
     """Pointwise penalty dist(., reference)^power / eps^power.
 
-    The reference is the unit circle or a unit sphere: the descent's
-    penalty gradient (``minimize._penalty_gradient``) is the gradient of
-    the distance to the unit sphere.  Functions that take an
-    ``Optional[PenaltySpec]`` read ``None`` as no penalty.
+    The reference is the unit circle or a unit sphere, so ``gradient``
+    differentiates the distance to the unit sphere.  Functions that take
+    an ``Optional[PenaltySpec]`` read ``None`` as no penalty.
     """
 
     eps: float
@@ -76,8 +81,8 @@ class PenaltySpec:
     def __post_init__(self) -> None:
         if not (self.eps > 0.0 and np.isfinite(self.eps)):
             raise ParameterError(f"penalty eps must be positive, got {self.eps}")
-        if not (self.power > 0.0):
-            raise ParameterError(f"penalty power must be positive, got {self.power}")
+        if not (self.power > 0.0 and np.isfinite(self.power)):
+            raise ParameterError(f"penalty power must be positive and finite, got {self.power}")
         if not self.reference.constrained:
             raise ParameterError(
                 f"penalty reference must be a circle or sphere, got {self.reference.kind!r}"
@@ -86,6 +91,22 @@ class PenaltySpec:
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         dist = distance_to_target(self.reference, values)
         return dist**self.power / self.eps**self.power
+
+    def gradient(self, values: np.ndarray, vols: np.ndarray) -> np.ndarray:
+        """Exact gradient of the node-quadrature sum ``_penalty_sum``.
+
+        Zero where the distance is zero (power <= 1 has no derivative
+        there) and at the origin, where the nearest point is undefined.
+        """
+        norms = np.sqrt(sum_of_squares(values))
+        dist = np.abs(norms - 1.0)
+        q = self.power
+        mag = q * np.where(dist > 0.0, dist, 1.0) ** (q - 1.0)
+        mag = np.where(dist > 0.0, mag, 0.0) / self.eps**q
+        safe = np.where(norms > 0.0, norms, 1.0)
+        direction = values * (np.sign(norms - 1.0) / safe)[..., None]
+        direction[norms == 0.0] = 0.0
+        return (vols * mag)[..., None] * direction
 
 
 def distance_penalty(eps: float, power: float, reference: TargetSpec) -> PenaltySpec:
@@ -138,30 +159,37 @@ def _layer(axis: int, layer: slice) -> tuple[slice, ...]:
     return (slice(None),) * axis + (layer,)
 
 
+def _roll_difference(v: np.ndarray, a: int, shift: int, out: np.ndarray) -> np.ndarray:
+    """Write ``roll(v, shift, a) - v`` into the C-ordered ``out``; shift is -1 or 1.
+
+    Two slice subtractions instead of ``np.roll``.  One step along axis a
+    is k entries apart in C order, so v[i - shift k] - v[i] over the
+    flattened array is the difference at every node off the layer that
+    wraps (the last along a for shift -1, the first for shift 1); the
+    second subtraction then writes that layer's wrapped difference over
+    the pairs that ran into the next row.  Every entry subtracts the
+    operands ``np.roll`` would pair, so the bits are the same.
+    """
+    k = math.prod(v.shape[a + 1 :])
+    ahead, behind = slice(k, None), slice(None, -k)
+    src, dst = (ahead, behind) if shift == -1 else (behind, ahead)
+    wrap, partner = (_LAST, _FIRST) if shift == -1 else (_FIRST, _LAST)
+    flat = v.reshape(-1)
+    np.subtract(flat[src], flat[dst], out=out.reshape(-1)[dst])
+    np.subtract(v[_layer(a, partner)], v[_layer(a, wrap)], out=out[_layer(a, wrap)])
+    return out
+
+
 def _forward_differences(values: np.ndarray, domain: DomainSpec) -> Iterator[np.ndarray]:
     """Undivided forward differences ``roll(v, -1, a) - v``, one per axis.
 
     Made on demand, so an energy that consumes them holds one at a time;
-    the descent keeps them in a list for its gradient.  Full-size arrays:
-    on interval axes the last layer wraps around and is never read,
-    because no cell is anchored there.
-
-    Each is written by two slice subtractions into one new C-ordered
-    array.  One step along axis a is k entries apart in C order, so
-    v[i + k] - v[i] over the flattened array is the forward difference at
-    every node off the last layer along a; the second subtraction then
-    writes that layer's wrapped difference v[0] - v[n - 1] over the pairs
-    that ran into the next row.  Every entry subtracts the operands
-    ``np.roll`` would pair, so the bits are the same.
+    the descent keeps them in a list for its gradient.  Full-size
+    C-ordered arrays: on interval axes the last layer wraps around and is
+    never read, because no cell is anchored there.
     """
-    flat = values.reshape(-1)
     for a in range(domain.ndim):
-        diff = np.empty_like(values, order="C")
-        k = math.prod(values.shape[a + 1 :])
-        np.subtract(flat[k:], flat[:-k], out=diff.reshape(-1)[:-k])
-        last = _layer(a, _LAST)
-        np.subtract(values[_layer(a, _FIRST)], values[last], out=diff[last])
-        yield diff
+        yield _roll_difference(values, a, -1, np.empty_like(values, order="C"))
 
 
 def _squares_summed(q: np.ndarray) -> np.ndarray:
@@ -200,6 +228,36 @@ def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
 def _dirichlet_sum(s: np.ndarray, domain: DomainSpec, p: float) -> float:
     """Cell sum of |DU|^p from ``s`` = ``_grad_sq``."""
     return float(np.sum(s ** (p / 2.0)) * _cell_volume(domain))
+
+
+def _dirichlet_gradient(
+    diffs: list[np.ndarray], s: np.ndarray, domain: DomainSpec, p: float
+) -> np.ndarray:
+    """Exact gradient of ``_dirichlet_sum`` from the forward differences and ``s``.
+
+    Each axis adds roll(t, 1, a) - t for t = w diff / h^2, the cell weight
+    w = |DU|^(p-2) multiplied into each component separately.
+    """
+    exponent = (p - 2.0) / 2.0
+    if exponent < 0.0:
+        # p < 2: the cell term is non-differentiable at zero gradient;
+        # take the zero subgradient there
+        w_cells = np.where(s > 0.0, s, 1.0) ** exponent
+        w_cells = np.where(s > 0.0, w_cells, 0.0)
+    else:
+        w_cells = s**exponent
+    w_full = np.zeros(domain.shape)
+    w_full[_cells(domain)] = w_cells
+    grad = np.zeros_like(diffs[0])
+    t = np.empty_like(grad, order="C")
+    back = np.empty_like(grad, order="C")
+    for a, (diff, axis) in enumerate(zip(diffs, domain.axes)):
+        for c in range(t.shape[-1]):
+            np.multiply(w_full, diff[..., c], out=t[..., c])
+        t /= axis.spacing**2
+        grad += _roll_difference(t, a, 1, back)
+    grad *= p * _cell_volume(domain)
+    return grad
 
 
 def _penalty_sum(

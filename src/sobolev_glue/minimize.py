@@ -1,5 +1,8 @@
 """Gradient-descent estimators for collar extension energies.
 
+This module owns the descent, the sweep and the lifting oracle; each
+objective's value and exact gradient belong to ``energy``.
+
 ``minimize_extension_detailed`` runs projected gradient descent on the
 discrete p-Dirichlet cell sum with the bottom row pinned to the boundary
 data, ``minimize_penalized_detailed`` drops the manifold projection and
@@ -19,20 +22,21 @@ base's own axes then depth; any other domain is a ``ParameterError``.
 The descent direction is the exact analytic gradient of the discrete
 objective; the bottom row's gradient is zeroed and every trial point
 gets the boundary data copied into its bottom row, so it stays
-bit-identical throughout.  ``MinimizeResult.backtracks`` counts the
-rejected trial steps, those whose projection hit the origin included.
+bit-identical throughout.  Every trial point is projected onto the
+descent's target: the circle or sphere of a projected descent, a
+Euclidean space (no change) otherwise.  ``MinimizeResult.backtracks``
+counts the rejected trial steps, those whose projection hit the origin
+included.
 
 Each point is evaluated once.  A trial point's objective computes the
 undivided forward differences along every axis and the cell |DU|^2
 built from them; when the point is accepted, the next gradient reuses
 both instead of recomputing them, and ``MinimizeResult.energy`` is the
-last accepted objective.  The gradient multiplies the cell
-weight into each component separately, divides in place and writes
-roll(t, 1, a) - t as two slice subtractions into a reused buffer; the
-descent builds every trial point and its squared move in two buffers
-it allocates once.  The gradient, the energy and the iterates are the
-bits the two-pass roll-and-broadcast formulas gave, because every entry
-is computed from the same operands in the same order.
+last accepted objective.  The descent builds every trial point and its
+squared move in two buffers it allocates once.  The gradient, the
+energy and the iterates are the bits the two-pass roll-and-broadcast
+formulas gave, because every entry is computed from the same operands
+in the same order.
 """
 
 from __future__ import annotations
@@ -46,12 +50,8 @@ import numpy as np
 from .domain import DomainSpec, collar_over, depth_node_count
 from .energy import (
     PenaltySpec,
-    _FIRST,
-    _LAST,
-    _layer,
-    _cell_volume,
-    _cells,
     _check_p,
+    _dirichlet_gradient,
     _dirichlet_sum,
     _forward_differences,
     _grad_sq,
@@ -66,12 +66,7 @@ from .errors import (
     SingularityError,
 )
 from .gridmap import GridMap, TraceMap, default_constraint_tol
-from .target import (
-    TargetSpec,
-    euclidean,
-    project_to_target,
-    sum_of_squares,
-)
+from .target import TargetSpec, euclidean, project_to_target
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -131,57 +126,14 @@ class SweepResult:
     bounded_in_eps: bool
 
 
-# ------------------------------------------------------------- objectives
-
-def _dirichlet_gradient(
-    diffs: list[np.ndarray], s: np.ndarray, domain: DomainSpec, p: float
-) -> np.ndarray:
-    """Gradient from a point's forward differences and its ``_grad_sq``."""
-    exponent = (p - 2.0) / 2.0
-    if exponent < 0.0:
-        # p < 2: the cell term is non-differentiable at zero gradient;
-        # take the zero subgradient there
-        w_cells = np.where(s > 0.0, s, 1.0) ** exponent
-        w_cells = np.where(s > 0.0, w_cells, 0.0)
-    else:
-        w_cells = s**exponent
-    w_full = np.zeros(domain.shape)
-    w_full[_cells(domain)] = w_cells
-    grad = np.zeros_like(diffs[0])
-    t = np.empty_like(grad, order="C")
-    back = np.empty_like(grad, order="C")  # roll(t, 1, a) - t
-    t_flat, back_flat = t.reshape(-1), back.reshape(-1)
-    for a, (diff, axis) in enumerate(zip(diffs, domain.axes)):
-        for c in range(t.shape[-1]):
-            np.multiply(w_full, diff[..., c], out=t[..., c])
-        t /= axis.spacing**2
-        # t[i - k] - t[i] off the first layer along a (k entries per step,
-        # as in ``_forward_differences``), then that layer's wrapped term
-        k = math.prod(t.shape[a + 1 :])
-        np.subtract(t_flat[:-k], t_flat[k:], out=back_flat[k:])
-        first = _layer(a, _FIRST)
-        np.subtract(t[_layer(a, _LAST)], t[first], out=back[first])
-        grad += back
-    grad *= p * _cell_volume(domain)
-    return grad
-
-
-def _penalty_gradient(
-    values: np.ndarray, vols: np.ndarray, penalty: PenaltySpec
-) -> np.ndarray:
-    norms = np.sqrt(sum_of_squares(values))
-    dist = np.abs(norms - 1.0)
-    q = penalty.power
-    mag = q * np.where(dist > 0.0, dist, 1.0) ** (q - 1.0)
-    mag = np.where(dist > 0.0, mag, 0.0) / penalty.eps**q
-    safe = np.where(norms > 0.0, norms, 1.0)
-    direction = values * (np.sign(norms - 1.0) / safe)[..., None]
-    direction[norms == 0.0] = 0.0
-    return (vols * mag)[..., None] * direction
-
+# -------------------------------------------------------------- gradient
 
 def dirichlet_gradient(m: GridMap, p: float) -> np.ndarray:
-    """Exact gradient of the discrete p-Dirichlet energy in the node values."""
+    """Exact gradient of the discrete p-Dirichlet energy in the node values.
+
+    Looks ``_dirichlet_gradient`` up in this module, so a patched kernel
+    here is the one this function and the descent both run.
+    """
     p = _check_p(p)
     diffs = list(_forward_differences(np.asarray(m.values), m.domain))
     return _dirichlet_gradient(diffs, _grad_sq(diffs, m.domain), m.domain, p)
@@ -200,9 +152,12 @@ def _descend(
     target: TargetSpec,
     cfg: MinimizeConfig,
     penalty: Optional[PenaltySpec],
-    project: bool,
 ) -> MinimizeResult:
-    """Descent from the depth-replicated trace; ``penalty=None`` adds no penalty."""
+    """Descent from the depth-replicated trace; ``penalty=None`` adds no penalty.
+
+    Every trial point is projected onto ``target``, which leaves it as it
+    is on a Euclidean target.
+    """
     _check_collar(u, domain)
     p = cfg.p
     n_depth = domain.shape[-1]
@@ -220,7 +175,7 @@ def _descend(
     def gradient(v: np.ndarray, diffs: list[np.ndarray], s: np.ndarray) -> np.ndarray:
         g = _dirichlet_gradient(diffs, s, domain, p)
         if penalty is not None:
-            g += _penalty_gradient(v, vols, penalty)
+            g += penalty.gradient(v, vols)
         g[..., 0, :] = 0.0  # bottom row pinned
         return g
 
@@ -233,8 +188,8 @@ def _descend(
     iterations = 0
     backtracks = 0
 
-    # reused buffers: ``step`` holds values - t * grad (an unprojected
-    # descent's candidate itself), ``moved`` the squared move
+    # reused buffers: ``step`` holds values - t * grad (the candidate
+    # itself on a Euclidean target), ``moved`` the squared move
     step = np.empty_like(values)
     moved = np.empty_like(values)
 
@@ -252,14 +207,12 @@ def _descend(
         t = trial
         for _ in range(_MAX_HALVINGS):
             np.multiply(grad, t, out=step)
-            candidate = np.subtract(values, step, out=step)
-            if project:
-                try:
-                    candidate = project_to_target(target, candidate)
-                except SingularityError:
-                    t *= 0.5
-                    backtracks += 1
-                    continue
+            try:
+                candidate = project_to_target(target, np.subtract(values, step, out=step))
+            except SingularityError:
+                t *= 0.5
+                backtracks += 1
+                continue
             candidate[..., 0, :] = bottom
             cand_energy, cand_diffs, cand_s = evaluate(candidate)
             np.subtract(candidate, values, out=moved)
@@ -290,7 +243,7 @@ def _descend(
 
     final = GridMap(
         domain=domain,
-        target=target if project else euclidean(u.nu),
+        target=target,
         values=values,
         constraint_tol=max(u.constraint_tol, default_constraint_tol(domain)),
     )
@@ -314,8 +267,9 @@ def minimize_extension_detailed(
     """
     if u.target != target:
         raise ParameterError("trace target does not match the requested target")
-    project = target.constrained and cfg.projection == "auto"
-    return _descend(u, domain, target, cfg, None, project)
+    if cfg.projection == "none":
+        target = euclidean(u.nu)
+    return _descend(u, domain, target, cfg, None)
 
 
 def minimize_penalized_detailed(
@@ -324,7 +278,7 @@ def minimize_penalized_detailed(
     """Unconstrained descent on Dirichlet-plus-penalty with pinned bottom."""
     if penalty is None:
         raise ParameterError("penalized descent needs a non-trivial penalty")
-    return _descend(u, domain, euclidean(u.nu), cfg, penalty, project=False)
+    return _descend(u, domain, euclidean(u.nu), cfg, penalty)
 
 
 # ------------------------------------------------------------------ sweep

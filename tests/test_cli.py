@@ -679,9 +679,7 @@ PINNED_RUNS = {
     "glue": (
         "base=circle\nk=2\np=2\n"
         "r_1=1\naccepted_fraction_1=0\ntrace_sup_error_1=2.6184557666721351e-16\n"
-        "gap_fraction_1=0\n"
         "r_2=0.984375\naccepted_fraction_2=1\ntrace_sup_error_2=2.3263411494723067e-16\n"
-        "gap_fraction_2=0\n"
         "trace_sup_error=2.6184557666721351e-16\npatch_energy_total=0.18657980474049712\n"
         "glued_energy=0.13333237883992949\nratio=0.71461313310609176\ndegenerate=false\n",
         "da865bf0c48dc07643e00489b4334b619c20f2b03e98e87b8959315d2b680cf5",

@@ -30,19 +30,15 @@ GLUE_CLI_LINES = {
         "r_1=1",
         "accepted_fraction_1=0",
         "trace_sup_error_1=1.0235750533041806e-15",
-        "gap_fraction_1=0",
         "r_2=0.984375",
         "accepted_fraction_2=0.54280155642023342",
         "trace_sup_error_2=2.7755575615628914e-15",
-        "gap_fraction_2=0",
         "r_3=0.984375",
         "accepted_fraction_3=0.8268482490272373",
         "trace_sup_error_3=3.7975470271705162e-15",
-        "gap_fraction_3=0",
         "r_4=0.984375",
         "accepted_fraction_4=1",
         "trace_sup_error_4=3.2425355437371536e-15",
-        "gap_fraction_4=0",
         "trace_sup_error=3.7975470271705162e-15",
         "patch_energy_total=88.699677276333659",
         "glued_energy=39.437626657512716",
@@ -56,15 +52,12 @@ GLUE_CLI_LINES = {
         "r_1=1",
         "accepted_fraction_1=0",
         "trace_sup_error_1=1.1957467920563633e-15",
-        "gap_fraction_1=0",
         "r_2=0.984375",
         "accepted_fraction_2=0.5",
         "trace_sup_error_2=1.1957467920563633e-15",
-        "gap_fraction_2=0",
         "r_3=0.984375",
         "accepted_fraction_3=1",
         "trace_sup_error_3=1.1957467920563633e-15",
-        "gap_fraction_3=0",
         "trace_sup_error=1.1957467920563633e-15",
         "patch_energy_total=9.4228856398225496",
         "glued_energy=6.2823794321910063",
@@ -274,7 +267,6 @@ def test_two_chart_circle_glue_hits_the_analytic_ratio():
     assert report.ratio == pytest.approx(2.0 / 3.0, abs=2e-3)
     two_pi = 2.0 * np.pi
     assert report.glued_energy == pytest.approx(two_pi, rel=0.01)
-    assert all(step.gap_fraction == 0.0 for step in report.steps)
 
 
 def test_three_chart_circle_glue_hits_the_analytic_ratio():
@@ -341,7 +333,6 @@ def test_torus_four_chart_glue():
     ]
     glued, report = cov.glue(covering, patches, trace)
     assert report.trace_sup_error <= 1e-12
-    assert all(step.gap_fraction == 0.0 for step in report.steps)
     assert not report.degenerate
     # the audit measures on the collar bottom, the report per chart grid;
     # both must sit at rounding level for node-aligned patches
@@ -539,6 +530,7 @@ def test_glue_cli_runs_a_ten_chart_torus(tmp_path, capsys):
     out, report = str(tmp_path / "glued.sgf"), str(tmp_path / "glue.report")
     assert cli.main(args + ["--out", out, "--report", report]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("gap_fraction_")] == [
-        f"gap_fraction_{i}=0" for i in range(1, 11)
+    # every one of the ten steps is reported
+    assert [line.partition("=")[0] for line in lines if line.startswith("r_")] == [
+        f"r_{i}" for i in range(1, 11)
     ]

@@ -331,6 +331,13 @@ def test_penalty_reference_must_be_a_circle_or_sphere():
         en.distance_penalty(0.3, 2.0, tg.euclidean(2))
 
 
+@pytest.mark.parametrize("power", [np.inf, np.nan, 0.0, -1.0])
+def test_penalty_power_must_be_positive_and_finite(power):
+    # an infinite power would make every penalty value inf / inf = nan
+    with pytest.raises(ParameterError):
+        en.distance_penalty(0.5, power, tg.circle())
+
+
 def test_penalized_energy_requires_unconstrained_values():
     d = dom.cylinder(12, 4)
     t = d.axes[0].coordinates()

@@ -35,6 +35,13 @@ def _zeroed(original):
     return zeroed
 
 
+def _always_true(original):
+    def always_true(*args, **kwargs):
+        return True
+
+    return always_true
+
+
 def _short_ladder(original):
     # K = 2 checks only the radius r = 1/2
     def short(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
@@ -56,9 +63,11 @@ def _short_ladder(original):
          (acc.criterion_01_pair_sum_exactness,)),
         (energy, "_diagonal_completion", _zeroed,
          (acc.criterion_01_pair_sum_exactness,)),
+        (cone, "verify_cone", _always_true,
+         (acc.criterion_04_cone_capture,)),
     ],
     ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two",
-         "pair_sum_halved", "diagonal_completion_zeroed"],
+         "pair_sum_halved", "diagonal_completion_zeroed", "verify_cone_always_true"],
 )
 def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))

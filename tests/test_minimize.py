@@ -331,7 +331,7 @@ def test_unpenalized_descent_never_builds_a_penalty_gradient(monkeypatch):
     def no_call(*args):
         raise AssertionError("an unpenalized descent has no penalty gradient")
 
-    monkeypatch.setattr(mi, "_penalty_gradient", no_call)
+    monkeypatch.setattr(en.PenaltySpec, "gradient", no_call)
     u = _wobbled_trace(20)
     cfg = mi.MinimizeConfig(max_iterations=5)
     res = mi.minimize_extension_detailed(u, dom.cylinder(20, 6), tg.circle(), cfg)
@@ -581,10 +581,10 @@ def test_objective_and_gradient_match_the_roll_and_reduce_reference(kind, nu, p,
     gradient = mi._dirichlet_gradient(diffs, s, domain, p)
     want = _reference_dirichlet_gradient(vals, domain, p)
     if penalized:
-        gradient = gradient + mi._penalty_gradient(vals, vols, penalty)
+        gradient = gradient + penalty.gradient(vals, vols)
         want = want + _reference_penalty_gradient(vals, vols, penalty)
         assert _same_bits(
-            mi._penalty_gradient(vals, vols, penalty),
+            penalty.gradient(vals, vols),
             _reference_penalty_gradient(vals, vols, penalty),
         )
     assert _same_bits(gradient, want)
