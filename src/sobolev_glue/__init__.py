@@ -1,12 +1,21 @@
-"""Folding, cone capture and chart gluing of boundary-map extensions.
-
-Submodules are imported lazily so the command line tool can pin thread
-environment variables before any numerical library loads.
-"""
-
-from importlib import import_module
+"""Folding, cone capture and chart gluing of boundary-map extensions."""
 
 __version__ = "0.1.0"
+
+from . import (  # noqa: E402  (cli reads __version__)
+    acceptance,
+    cli,
+    cone,
+    covering,
+    domain,
+    energy,
+    errors,
+    fileio,
+    folding,
+    gridmap,
+    minimize,
+    target,
+)
 
 _SUBMODULES = (
     "domain",
@@ -22,15 +31,3 @@ _SUBMODULES = (
     "errors",
     "cli",
 )
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        module = import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -17,10 +17,6 @@ Exit codes, from one ordered table of error families: 0 success, 2
 parameter error, 3 precondition error, 4 resolution or optimization
 error, 5 I/O or format error; the ``accept`` driver exits 1 when a
 criterion fails (that is a finding, not an error).
-
-``SOBOLEV_GLUE_THREADS`` caps BLAS/OpenMP parallelism; it must be applied
-before the numeric stack loads, which is why all numeric imports in this
-module live inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -31,6 +27,14 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
+from . import __version__
+from .acceptance import format_line, run_primary_suite
+from .cone import SampledSet, find_cone
+from .covering import build_covering, glue
+from .domain import collar_over, depth_node_count
+from .energy import dirichlet_p_energy, distance_penalty, gagliardo_energy, penalized_energy
 from .errors import (
     FormatError,
     GlueError,
@@ -39,13 +43,18 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
-
-_THREAD_ENV_TARGETS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
+from .fileio import (
+    manifest_path,
+    read_grid_map,
+    read_sampled_set,
+    read_trace_map,
+    sha256_of,
+    write_cone_certificate,
+    write_grid_map,
 )
+from .folding import fold, verify_fold_traces
+from .minimize import MinimizeConfig, minimize_extension_detailed, minimize_penalized_detailed
+from .target import circle as circle_target, sphere
 
 #: exit code of each error family; the first family that matches wins, so
 #: the bare GlueError row takes the family members no earlier row names
@@ -59,26 +68,6 @@ _EXIT_CODES = (
 )
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("SOBOLEV_GLUE_THREADS")
-    if raw is None:
-        return
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ParameterError(
-            f"SOBOLEV_GLUE_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    if threads < 0:
-        raise ParameterError(
-            f"SOBOLEV_GLUE_THREADS must be >= 0 (0 = auto), got {threads}"
-        )
-    if threads == 0:
-        return
-    for name in _THREAD_ENV_TARGETS:
-        os.environ[name] = str(threads)
-
-
 def _kv_line(key: str, value) -> str:
     """``key=value``; floats print with 17 significant digits (round-trip)."""
     if isinstance(value, float):
@@ -89,26 +78,19 @@ def _kv_line(key: str, value) -> str:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_energy(args: argparse.Namespace) -> tuple[int, list[str]]:
-    from .energy import (
-        dirichlet_p_energy,
-        distance_penalty,
-        gagliardo_energy,
-        penalized_energy,
-    )
-    from .fileio import read_grid_map, read_trace_map
-    from .target import circle as circle_target, sphere
-
+    # each optional parameter is read by exactly one kind
+    for name, kind in (("s", "gagliardo"), ("eps", "penalized")):
+        if args.kind == kind and getattr(args, name) is None:
+            raise ParameterError(f"{kind} energy needs --{name}")
+        if args.kind != kind and getattr(args, name) is not None:
+            raise ParameterError(f"{args.kind} energy takes no --{name}")
     if args.kind == "gagliardo":
-        if args.s is None:
-            raise ParameterError("gagliardo energy needs --s")
         u = read_trace_map(args.infile)
         report = gagliardo_energy(u, args.s, args.p)
     elif args.kind == "dirichlet":
         m = read_grid_map(args.infile)
         report = dirichlet_p_energy(m, args.p)
     else:
-        if args.eps is None:
-            raise ParameterError("penalized energy needs --eps")
         m = read_grid_map(args.infile)
         reference = circle_target() if m.nu == 2 else sphere(m.nu)
         report = penalized_energy(m, args.p, distance_penalty(args.eps, args.p, reference))
@@ -116,9 +98,6 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_fold(args: argparse.Namespace) -> tuple[int, list[str]]:
-    from .fileio import read_grid_map, write_grid_map
-    from .folding import fold, verify_fold_traces
-
     u0 = read_grid_map(args.u0)
     u1 = read_grid_map(args.u1)
     folded = fold(u0, u1, trace_tol=args.trace_tol)
@@ -128,11 +107,6 @@ def _cmd_fold(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
-    import numpy as np
-
-    from .cone import SampledSet, find_cone
-    from .fileio import read_sampled_set, write_cone_certificate
-
     f, g = (SampledSet(*read_sampled_set(path)) for path in (args.f, args.g))
     cert = find_cone(f, g)
     write_cone_certificate(args.out, cert.radius, cert.directions)
@@ -145,9 +119,6 @@ def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_glue(args: argparse.Namespace) -> tuple[int, list[str]]:
-    from .covering import build_covering, glue
-    from .fileio import read_grid_map, read_trace_map, write_grid_map
-
     trace = read_trace_map(args.trace)
     if trace.base.kind != args.base:
         raise ParameterError(
@@ -184,6 +155,7 @@ def _cmd_glue(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 def _parse_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -198,23 +170,24 @@ def _parse_config(path: str) -> dict[str, str]:
                 f"{path}:{lineno}: expected 'key = value', got {line!r}"
             )
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ParameterError(
+                f"{path}:{lineno}: config key {key!r} is already set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        entries[key] = value.strip()
     return entries
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
-    from .domain import collar_over, depth_node_count
-    from .energy import distance_penalty
-    from .fileio import read_trace_map, write_grid_map
-    from .minimize import (
-        MinimizeConfig,
-        minimize_extension_detailed,
-        minimize_penalized_detailed,
-    )
-
+    if args.penalized and args.eps is None:
+        raise ParameterError("--penalized needs --eps")
+    if args.eps is not None and not args.penalized:
+        raise ParameterError("--eps needs --penalized")
     trace = read_trace_map(args.trace)
 
-    known = {"max_iterations": int, "step": float, "tol": float}
+    known = {"max_iterations": int, "tol": float}
     overrides = {}
     for key, value in _parse_config(args.cfg).items():
         if key not in known:
@@ -230,8 +203,6 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
     domain = collar_over(trace.base, depth_node_count(trace.base, args.depth), args.depth)
 
     if args.penalized:
-        if args.eps is None:
-            raise ParameterError("--penalized needs --eps")
         penalty = distance_penalty(args.eps, args.p, trace.target)
         result = minimize_penalized_detailed(trace, penalty, domain, cfg)
     else:
@@ -247,8 +218,6 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_accept(args: argparse.Namespace) -> tuple[int, list[str]]:
-    from .acceptance import format_line, run_primary_suite
-
     results = run_primary_suite()
     passed = sum(1 for result in results if result.passed)
     lines = [format_line(result) for result in results]
@@ -325,8 +294,6 @@ def _digests(args: argparse.Namespace, kind: str, names: tuple[str, ...]) -> dic
     ``--patch`` holds a list.  A file's ``<path>.manifest`` sidecar gets
     its own entry wherever it exists, since it changes what is read.
     """
-    from .fileio import manifest_path, sha256_of
-
     entries = {}
     for name in names:
         value = getattr(args, name)
@@ -341,10 +308,7 @@ def _digests(args: argparse.Namespace, kind: str, names: tuple[str, ...]) -> dic
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_thread_cap()
         args = _build_parser().parse_args(argv)
-        from . import __version__
-
         inputs = _digests(args, "input", args.inputs)
         start = time.monotonic()
         code, lines = args.handler(args)

@@ -26,7 +26,9 @@ bit-identical throughout.  Every trial point is projected onto the
 descent's target: the circle or sphere of a projected descent, a
 Euclidean space (no change) otherwise.  ``MinimizeResult.backtracks``
 counts the rejected trial steps, those whose projection hit the origin
-included.
+included.  The first trial step is 1; a rejected step is halved, and
+after an acceptance the next trial is twice the accepted step, at most
+1024.
 
 Each point is evaluated once.  A trial point's objective computes the
 undivided forward differences along every axis and the cell |DU|^2
@@ -76,15 +78,12 @@ _MAX_HALVINGS = 30
 class MinimizeConfig:
     """Optimizer knobs.
 
-    ``step`` is the initial trial step; it is halved until sufficient
-    decrease holds and regrows after acceptances.
     ``tol`` stops the loop once the relative energy decrease of an
     accepted step falls below it.
     """
 
     p: float = 2.0
     max_iterations: int = 500
-    step: float = 1.0
     tol: float = 1e-8
     projection: str = "auto"
 
@@ -92,8 +91,6 @@ class MinimizeConfig:
         _check_p(self.p)
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be positive")
-        if not (self.step > 0.0 and np.isfinite(self.step)):
-            raise ParameterError(f"step must be positive, got {self.step}")
         if not (self.tol > 0.0 and np.isfinite(self.tol)):
             raise ParameterError(f"tolerance must be positive and finite, got {self.tol}")
         if self.projection not in ("auto", "none"):
@@ -182,7 +179,7 @@ def _descend(
     energy, diffs, s = evaluate(values)
     if not np.isfinite(energy):
         raise OptimizationError("initial energy is not finite")
-    trial = cfg.step
+    trial = 1.0
     converged = False
     grad_sup = float("inf")
     iterations = 0
@@ -236,7 +233,7 @@ def _descend(
             step = values  # the old iterate becomes the next buffer
         values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
         iterations = it + 1
-        trial = min(t * 2.0, cfg.step * 1024.0)
+        trial = min(t * 2.0, 1024.0)
         if drop <= cfg.tol * max(1.0, abs(energy)):
             converged = True
             break

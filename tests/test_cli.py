@@ -4,8 +4,6 @@ and byte-for-byte determinism of repeated runs.
 
 import dataclasses
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -564,7 +562,7 @@ def test_glue_with_a_failed_cone_certificate_exits_four(tmp_path, capsys, monkey
 
 def _write_cfg(tmp_path, **overrides):
     path = str(tmp_path / "opt.cfg")
-    entries = {"max_iterations": 200, "step": 1.0, "tol": 1e-8}
+    entries = {"max_iterations": 200, "tol": 1e-8}
     entries.update(overrides)
     with open(path, "w") as fh:
         fh.write("# optimizer configuration\n")
@@ -817,7 +815,9 @@ def test_collar_depth_must_be_finite_and_positive(tmp_path, capsys, depth):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("entry", [{"momentum": 0.9}, {"seed": 0}], ids=["momentum", "seed"])
+@pytest.mark.parametrize(
+    "entry", [{"momentum": 0.9}, {"seed": 0}, {"step": 1.0}], ids=["momentum", "seed", "step"]
+)
 def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys, entry):
     trace_path = str(tmp_path / "t.sgf")
     _write_degree_one_trace(trace_path, 32)
@@ -829,6 +829,44 @@ def test_estimate_rejects_unknown_cfg_keys(tmp_path, capsys, entry):
     )
     assert code == 2
     assert "unknown config key" in err
+
+
+def test_estimate_rejects_a_repeated_cfg_key(tmp_path, capsys):
+    trace_path, cfg, out = (str(tmp_path / name) for name in ("t.sgf", "twice.cfg", "e.sgf"))
+    _write_degree_one_trace(trace_path, 16)
+    with open(cfg, "w") as fh:
+        fh.write("tol = 1e-3\n# the last value must not silently win\ntol = 1e-12\n")
+    code, stdout, err = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2.0", "--cfg", cfg, "--out", out], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert f"{cfg}:3:" in err and "'tol'" in err and "line 1" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "--p", "2", "--eps", "0.5"], "--eps"),
+        (["energy", "--kind", "dirichlet", "--p", "2", "--s", "0.5"], "--s"),
+        (["energy", "--kind", "penalized", "--p", "2", "--eps", "0.5", "--s", "0.5"], "--s"),
+        (["energy", "--kind", "dirichlet", "--p", "2", "--eps", "0.5"], "--eps"),
+        (["energy", "--kind", "gagliardo", "--p", "2", "--s", "0.5", "--eps", "0.5"], "--eps"),
+    ],
+    ids=["estimate_eps_unpenalized", "dirichlet_s", "penalized_s", "dirichlet_eps",
+         "gagliardo_eps"],
+)
+def test_an_option_the_run_would_ignore_is_a_usage_error(tmp_path, capsys, argv, flag):
+    trace_path, out = str(tmp_path / "t.sgf"), str(tmp_path / "e.sgf")
+    _write_degree_one_trace(trace_path, 16)
+    if argv[0] == "estimate":
+        argv = argv + ["--trace", trace_path, "--cfg", _write_cfg(tmp_path), "--out", out]
+    else:
+        argv = argv + ["--in", trace_path]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert flag in err
+    assert not os.path.exists(out)
 
 
 def test_estimate_with_a_non_utf8_cfg_is_a_usage_error(tmp_path, capsys):
@@ -885,36 +923,3 @@ def test_accept_rejects_unknown_suite(tmp_path, capsys):
         ["accept", "--suite", "secondary", "--out", str(tmp_path / "r.txt")], capsys
     )
     assert code == 2
-
-
-def test_thread_cap_environment_variable():
-    env = dict(os.environ, SOBOLEV_GLUE_THREADS="notanumber")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sobolev_glue.cli", "accept", "--suite", "secondary",
-         "--out", "/dev/null"],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert b"SOBOLEV_GLUE_THREADS" in proc.stderr
-
-    env["SOBOLEV_GLUE_THREADS"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-m", "sobolev_glue.cli", "accept", "--suite", "secondary",
-         "--out", "/dev/null"],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 2  # suite still unknown, but the cap parsed
-    assert b"SOBOLEV_GLUE_THREADS" not in proc.stderr
-
-
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # the thread cap must be set before the numeric stack loads
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sobolev_glue.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == b"False"

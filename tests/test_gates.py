@@ -6,10 +6,11 @@ A criterion that still passes with the defect in place checks nothing
 about the code it names.
 """
 
+import numpy as np
 import pytest
 
 from sobolev_glue import acceptance as acc
-from sobolev_glue import cone, energy, folding, minimize
+from sobolev_glue import cone, covering, energy, folding, minimize
 
 
 def _swapped_fold_sources(original):
@@ -33,6 +34,29 @@ def _zeroed(original):
         return 0.0 * original(*args, **kwargs)
 
     return zeroed
+
+
+def _ten_percent_more(original):
+    def more(*args, **kwargs):
+        return 1.1 * original(*args, **kwargs)
+
+    return more
+
+
+def _oracle_energy_raised(original):
+    # the lifting oracle returns its map and an energy 2% too high
+    def raised(*args, **kwargs):
+        lifted, value = original(*args, **kwargs)
+        return lifted, 1.02 * value
+
+    return raised
+
+
+def _captures_nothing(original):
+    def nothing(chart, pts, cert):
+        return np.zeros(len(pts), dtype=bool)
+
+    return nothing
 
 
 def _always_true(original):
@@ -65,9 +89,17 @@ def _short_ladder(original):
          (acc.criterion_01_pair_sum_exactness,)),
         (cone, "verify_cone", _always_true,
          (acc.criterion_04_cone_capture,)),
+        # criterion 06 calls the oracle through the name bound in acceptance
+        (acc, "circle_lifting_oracle", _oracle_energy_raised,
+         (acc.criterion_06_extension_closed_form,)),
+        (minimize, "_dirichlet_sum", _ten_percent_more,
+         (acc.criterion_06_extension_closed_form,)),
+        (covering, "_captured", _captures_nothing,
+         (acc.criterion_05_circle_covering_glue, acc.criterion_07_penalized_glue_constant)),
     ],
     ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two",
-         "pair_sum_halved", "diagonal_completion_zeroed", "verify_cone_always_true"],
+         "pair_sum_halved", "diagonal_completion_zeroed", "verify_cone_always_true",
+         "oracle_energy_raised", "dirichlet_sum_enlarged", "captured_nothing"],
 )
 def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))

@@ -267,8 +267,6 @@ def test_config_validation():
         mi.MinimizeConfig(p=1.0)
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(max_iterations=0)
-    with pytest.raises(ParameterError):
-        mi.MinimizeConfig(step=0.0)
     for tol in (0.0, float("nan"), float("inf")):
         # an infinite tol would stop every descent after one step as converged
         with pytest.raises(ParameterError, match="tolerance"):
@@ -618,7 +616,7 @@ def _reference_descent(u, domain, cfg, penalty, project):
     values = np.repeat(bottom[..., None, :], domain.shape[-1], axis=-2)
     vols = en.node_volumes(domain)
     energy = _reference_objective(values, domain, p, vols, penalty)
-    trial, converged, grad_sup, iterations = cfg.step, False, np.inf, 0
+    trial, converged, grad_sup, iterations = 1.0, False, np.inf, 0
     for it in range(cfg.max_iterations):
         grad = _reference_dirichlet_gradient(values, domain, p)
         grad = grad + _reference_penalty_gradient(values, vols, penalty)
@@ -645,7 +643,7 @@ def _reference_descent(u, domain, cfg, penalty, project):
         assert drop >= 0.0  # accepted steps never increase the energy
         values, energy = candidate, cand_energy
         iterations = it + 1
-        trial = min(t * 2.0, cfg.step * 1024.0)
+        trial = min(t * 2.0, 1024.0)
         if drop <= cfg.tol * max(1.0, abs(energy)):
             converged = True
             break
@@ -666,7 +664,6 @@ def _torus_sphere_trace(n, constant_block=False):
     "case",
     [
         "circle_p1.5",
-        "circle_big_step",
         "torus_s2",
         "torus_s2_p1.5",
         "box_p3",
@@ -679,28 +676,25 @@ def test_descent_keeps_every_iterate_of_the_reference_descent(case):
     penalty = None
     if case == "torus_s2":
         u = _torus_sphere_trace(6)
-        domain, p, step = dom.torus_collar(6, 6, 5), 2.0, 1.0
+        domain, p = dom.torus_collar(6, 6, 5), 2.0
     elif case == "torus_s2_p1.5":
         # a constant block of the trace starts with cells of zero gradient,
         # where the p < 2 descent takes the zero subgradient
         u = _torus_sphere_trace(6, constant_block=True)
-        domain, p, step = dom.torus_collar(6, 6, 5), 1.5, 1.0
+        domain, p = dom.torus_collar(6, 6, 5), 1.5
         start = np.repeat(u.values[..., None, :], 5, axis=-2)
         assert np.any(en._grad_sq(list(en._forward_differences(start, domain)), domain) == 0.0)
     elif case == "box_p3":
         u = gm.TraceMap(base=dom.square(6, 5), target=tg.euclidean(3),
                         values=rng.normal(size=(6, 5, 3)))
-        domain, p, step = dom.box(6, 5, 4), 3.0, 1.0
+        domain, p = dom.box(6, 5, 4), 3.0
     else:
         u = _wobbled_trace(20)
-        domain, step = dom.cylinder(20, 6), 1.0
-        p = 2.0 if case == "circle_big_step" else 1.5
-        if case == "circle_big_step":
-            step = 1e4
+        domain, p = dom.cylinder(20, 6), 1.5
         if case.startswith("penalized"):
             p = float(case[-1])
             penalty = en.distance_penalty(0.3, p, tg.circle())
-    cfg = mi.MinimizeConfig(p=p, step=step, max_iterations=40)
+    cfg = mi.MinimizeConfig(p=p, max_iterations=40)
     if penalty is None:
         res = mi.minimize_extension_detailed(u, domain, u.target, cfg)
     else:
@@ -738,11 +732,9 @@ def test_backtracks_count_the_rejected_trial_steps(monkeypatch):
     monkeypatch.setattr(mi, "project_to_target", counting)
     u = _wobbled_trace(24)
     collar = dom.cylinder(24, 8)
-    huge = mi.minimize_extension_detailed(
-        u, collar, tg.circle(), mi.MinimizeConfig(step=1e6, max_iterations=20)
-    )
-    assert huge.backtracks > 0
-    assert huge.backtracks == len(calls) - huge.iterations
+    res = mi.minimize_extension_detailed(u, collar, tg.circle(), mi.MinimizeConfig())
+    assert res.backtracks > 0
+    assert res.backtracks == len(calls) - res.iterations
 
     constant = gm.TraceMap(
         base=u.base, target=tg.circle(), values=np.tile([0.6, 0.8], (24, 1)),
