@@ -119,6 +119,9 @@ def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_glue(args: argparse.Namespace) -> tuple[int, list[str]]:
+    # before the covering is built: building a large one takes long
+    if len(args.patch) != args.k:
+        raise ParameterError(f"--k {args.k} needs {args.k} --patch files, got {len(args.patch)}")
     trace = read_trace_map(args.trace)
     if trace.base.kind != args.base:
         raise ParameterError(

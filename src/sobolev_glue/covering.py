@@ -1,11 +1,13 @@
 """Chart coverings of the circle and the flat torus, and the glue induction.
 
 A covering carries K >= 2 overlapping chart cores G_i, each with a map
-to the unit ball of chart coordinates: arcs mapped affinely onto [-1,1]
-for the circle, squares mapped affinely onto [-1,1]^2 and then through
-a fixed square-to-disk homeomorphism for the torus, smooth but with a
-singular Jacobian at the four corners.  Both kinds lay their cores out
-by one rule: k_a cores per axis, each 1.5 / k_a of the axis long.
+to the unit ball of chart coordinates: the core box is mapped affinely
+onto [-1,1]^m and then through one radial square-to-ball map,
+x -> x |x|_inf / |x|_2, for the circle (m = 1, where it is the
+identity) and the torus (m = 2) alike.  The radial map is bi-Lipschitz,
+so composing with it keeps W^{1,p} energies comparable.  Both kinds lay
+their cores out by one rule: k_a cores per axis, each 1.5 / k_a of the
+axis long.
 
 Patches live on ``domain.collar_over`` of a chart's core box, whose
 axes are intervals; ``_check_patch`` accepts any such grid within length
@@ -82,46 +84,47 @@ _CONE_RESOLUTION = {1: 513, 2: 257}
 _CHECK_RESOLUTION = {1: 2048, 2: 384}
 
 
-# ---------------------------------------------------- square <-> disk maps
+# ---------------------------------------------------- square <-> ball maps
 
-def square_to_disk(xy: np.ndarray) -> np.ndarray:
-    """Homeomorphism [-1,1]^2 -> closed unit disk (elliptical map).
+def _norm_ratio(x: np.ndarray) -> np.ndarray:
+    """|x|_2 / |x|_inf of each row, 1 at the origin.
 
-    Smooth, but its Jacobian is singular at the four corners of the
-    square; at (1, 1) it is [[1, -1], [-1, 1]] / sqrt(2).
+    Rows are divided by their max norm first, so nothing squared can
+    underflow or overflow.
     """
-    xy = np.asarray(xy, dtype=np.float64)
-    x, y = xy[..., 0], xy[..., 1]
-    u = x * np.sqrt(np.maximum(1.0 - 0.5 * y * y, 0.0))
-    v = y * np.sqrt(np.maximum(1.0 - 0.5 * x * x, 0.0))
-    return np.stack([u, v], axis=-1)
+    peak = np.max(np.abs(x), axis=-1, keepdims=True)
+    nonzero = peak > 0.0
+    unit = x / np.where(nonzero, peak, 1.0)
+    return np.where(nonzero, np.linalg.norm(unit, axis=-1, keepdims=True), 1.0)
 
 
-def disk_to_square(uv: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`square_to_disk` on the closed unit disk."""
-    uv = np.asarray(uv, dtype=np.float64)
-    u, v = uv[..., 0], uv[..., 1]
-    uu, vv = u * u, v * v
-    root8 = 2.0 * math.sqrt(2.0)
-    tx = 2.0 + uu - vv
-    ty = 2.0 - uu + vv
-    # clamped square roots: radicands only dip below zero by rounding
-    x = 0.5 * (
-        np.sqrt(np.maximum(tx + root8 * u, 0.0))
-        - np.sqrt(np.maximum(tx - root8 * u, 0.0))
-    )
-    y = 0.5 * (
-        np.sqrt(np.maximum(ty + root8 * v, 0.0))
-        - np.sqrt(np.maximum(ty - root8 * v, 0.0))
-    )
-    return np.stack([x, y], axis=-1)
+def square_to_disk(x: np.ndarray) -> np.ndarray:
+    """Radial bi-Lipschitz map [-1,1]^m -> closed unit ball, x -> x |x|_inf / |x|_2.
+
+    Rows are (N, m) points, m = 1 or 2.  Every ray through the origin is
+    kept, the square's boundary lands on the unit sphere, and on m = 1
+    the map is the identity.  For m = 2 it stretches distances by at
+    most 2/sqrt(3) and its inverse by at most sqrt(2)(1 + sqrt(5))/2.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return x / _norm_ratio(x)
+
+
+def disk_to_square(z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`square_to_disk`, z -> z |z|_2 / |z|_inf."""
+    z = np.asarray(z, dtype=np.float64)
+    return z * _norm_ratio(z)
 
 
 # ------------------------------------------------------------------ charts
 
 @dataclass(frozen=True)
 class Chart:
-    """One chart: the core box G centered at ``center``."""
+    """One chart: the core box G centered at ``center``.
+
+    Its chart map is ``affine`` onto [-1,1]^m followed by the radial
+    ``square_to_disk``, on either base.
+    """
 
     index: int
     base_lengths: tuple[float, ...]
@@ -175,20 +178,16 @@ class Chart:
         return open_core, closed_core
 
     def to_disk(self, pts: np.ndarray) -> np.ndarray:
-        """Chart-ball coordinates of base points (points of the closed core)."""
-        a = self.affine(pts)
-        if self.dimension == 1:
-            return a
-        return square_to_disk(a)
+        """Chart-ball coordinates of base points (points of the closed core): the chart map."""
+        return square_to_disk(self.affine(pts))
 
     def from_disk(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Base points and patch offsets of chart-ball coordinates |z| <= 1.
+        """Base points and patch offsets of chart-ball coordinates |z| <= 1: the inverse chart map.
 
         Returns ``(points, offsets)`` where offsets live in the patch box
         [0, core_extent] per axis (the parametrization patch maps use).
         """
-        z = np.asarray(z, dtype=np.float64)
-        a = z if self.dimension == 1 else disk_to_square(z)
+        a = disk_to_square(z)
         offsets = np.clip((a + 1.0) / 2.0, 0.0, 1.0) * np.array(self.core_extent)
         return self.base_points(offsets), offsets
 
@@ -276,9 +275,6 @@ def _validate_covering(covering: Covering) -> None:
     # the boundary nodes of a 33-node probe grid over [-1, 1]^m
     probe = cone_mod._grid_points(m, 33)
     edges = probe[np.max(np.abs(probe), axis=-1) == 1.0]
-    # square_to_disk's Jacobian is singular at the square's corners, so the
-    # round trip there only holds to O(sqrt(eps)) of the half extent
-    corner = np.count_nonzero(np.abs(edges) == 1.0, axis=-1)[:, None] == 2
     for chart in covering.charts:
         # core boundary must land on the unit sphere of chart coordinates
         base_pts = chart.base_points((edges + 1.0) / 2.0 * np.array(chart.core_extent))
@@ -287,8 +283,7 @@ def _validate_covering(covering: Covering) -> None:
             raise GlueError("internal: chart core boundary misses the unit sphere")
         pts_back, _ = chart.from_disk(z)
         gap = np.abs(chart._wrapped_offsets(pts_back) - chart._wrapped_offsets(base_pts))
-        half = np.array(chart.core_extent) / 2.0
-        if np.any(gap > np.where(corner, 4.0 * math.sqrt(np.finfo(float).eps) * half, 1e-12)):
+        if np.any(gap > 1e-12):
             raise GlueError("internal: chart map does not invert on the core boundary")
 
 

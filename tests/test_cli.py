@@ -4,6 +4,8 @@ and byte-for-byte determinism of repeated runs.
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +519,29 @@ def test_glue_patch_count_mismatch_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_glue_refuses_a_patch_count_before_building_the_covering(tmp_path, capsys, monkeypatch):
+    # building a 200,000-chart covering took 24 s and ~1 GB before the count
+    # was checked
+    trace_path, patch_paths = _write_glue_inputs(tmp_path, n=48, n_depth=8)
+
+    def build_covering(*args):
+        raise AssertionError("the covering was built before the patch count was checked")
+
+    monkeypatch.setattr(cli, "build_covering", build_covering)
+    code, stdout, err = run_cli(
+        [
+            "glue", "--base", "circle", "--k", "200000",
+            "--trace", trace_path,
+            "--patch", patch_paths[0], "--patch", patch_paths[1],
+            "--out", str(tmp_path / "g.sgf"), "--report", str(tmp_path / "g.rep"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "--k 200000" in err and "got 2" in err
+
+
 def test_glue_with_one_chart_exits_two(tmp_path, capsys):
     n, n_depth = 48, 8
     trace_path = str(tmp_path / "trace.sgf")
@@ -923,3 +948,17 @@ def test_accept_rejects_unknown_suite(tmp_path, capsys):
         ["accept", "--suite", "secondary", "--out", str(tmp_path / "r.txt")], capsys
     )
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli_without_a_warning(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sobolev_glue", "accept", "--suite", "nope",
+         "--out", str(tmp_path / "accept.txt")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == 2
+    assert "invalid choice: 'nope'" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
