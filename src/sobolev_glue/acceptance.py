@@ -8,7 +8,9 @@ gives ``05_<topic>``).  These are the checks that the command-line
 ``accept`` subcommand and the acceptance test module drive.  Expected
 values are closed forms computed independently inside each criterion
 (eigenvalue oracles, winding bounds, exact integrands), never copied
-from the code under test.
+from the code under test.  Criterion 06 also compares its descent with
+``minimize.circle_lifting_oracle``, which is library code; its
+independent values are the closed forms 2 pi and 8 pi.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -128,16 +130,25 @@ def _matched_pair(rng: np.random.Generator, n: int) -> tuple[GridMap, GridMap]:
     return u0, u1
 
 
+#: nodes per side of the square maps that criteria 02 and 03 fold
+_FOLD_NODES = 129
+
+
+def _folded_pairs() -> Iterator[tuple[GridMap, GridMap, GridMap]]:
+    """The fifty pinned matched pairs ``(u0, u1)`` with their fold, one at a time."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        u0, u1 = _matched_pair(rng, _FOLD_NODES)
+        yield u0, u1, fold(u0, u1)
+
+
 @_criterion
 def criterion_02_fold_trace_contract() -> tuple[bool, str]:
     """Fifty random matched pairs fold with all trace errors below 10 h."""
-    rng = np.random.default_rng(0)
-    n = 129
-    h = 1.0 / (n - 1)
+    h = 1.0 / (_FOLD_NODES - 1)
     worst = 0.0
-    for _ in range(50):
-        u0, u1 = _matched_pair(rng, n)
-        worst = max(worst, *fold_trace_errors(fold(u0, u1), u0, u1))
+    for u0, u1, folded in _folded_pairs():
+        worst = max(worst, *fold_trace_errors(folded, u0, u1))
     return worst <= 10.0 * h, f"worst_trace_error={worst:.3g} tol={10.0 * h:.3g}"
 
 
@@ -153,15 +164,11 @@ def criterion_03_fold_energy_constant() -> tuple[bool, str]:
         return False, "eigenvalue oracle disagrees with the first wedge constant"
     if abs(ss_sq - (6.0 + math.sqrt(20.0)) / 2.0) > 1e-12:
         return False, "eigenvalue oracle disagrees with the reflected wedge constant"
-    n = 129
     exponents = (1.5, 2.0, 3.0)
     # the folded map does not depend on p: fold each pair once, one
     # pair in memory at a time
-    rng = np.random.default_rng(0)
     worst = dict.fromkeys(exponents, 0.0)
-    for _ in range(50):
-        u0, u1 = _matched_pair(rng, n)
-        folded = fold(u0, u1)
+    for u0, u1, folded in _folded_pairs():
         for p in exponents:
             e_out = dirichlet_p_energy(folded, p).value
             e_in = (
@@ -259,10 +266,11 @@ def criterion_04_cone_capture() -> tuple[bool, str]:
 
 # ----------------------------------------------------------- criterion 05
 
-def _degree_one_trace(n: int, target: TargetSpec) -> TraceMap:
+def _winding_trace(n: int, degree: int, target: TargetSpec) -> TraceMap:
+    """theta -> (cos(degree theta), sin(degree theta)) on the n-node circle."""
     base = circle(n)
     theta = base.axes[0].coordinates()
-    values = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    values = np.stack([np.cos(degree * theta), np.sin(degree * theta)], axis=-1)
     return TraceMap(base=base, target=target, values=values)
 
 
@@ -277,7 +285,7 @@ def _replicated_glue_ratios(
     """
     ratios = []
     for n in (128, 256):
-        u = _degree_one_trace(n, target)
+        u = _winding_trace(n, 1, target)
         cov = build_covering(u.base, k)
         patches = [replicate_trace_patch(u, c, max(16, n // 8), depth=1.0) for c in cov.charts]
         glued, report = glue(cov, patches, u, p=2.0, penalty=penalty)
@@ -312,8 +320,7 @@ def criterion_05_circle_covering_glue() -> tuple[bool, str]:
 def criterion_06_extension_closed_form() -> tuple[bool, str]:
     """Identity and degree-2 circle traces: 2 pi and 8 pi within 5%."""
     n, n_depth = 128, 64
-    ident = _degree_one_trace(n, circle_target())
-    theta = ident.base.axes[0].coordinates()
+    ident = _winding_trace(n, 1, circle_target())
     dom = cylinder(n, n_depth, 1.0)
     cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-10)
 
@@ -328,11 +335,7 @@ def criterion_06_extension_closed_form() -> tuple[bool, str]:
             f"{oracle_ident:.6g} beyond 1%"
         )
 
-    deg2 = TraceMap(
-        base=ident.base,
-        target=circle_target(),
-        values=np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1),
-    )
+    deg2 = _winding_trace(n, 2, circle_target())
     e_deg2 = minimize_extension_detailed(deg2, dom, circle_target(), cfg).energy
     eight_pi = 8.0 * math.pi
     if abs(e_deg2 - eight_pi) > 0.05 * eight_pi:
@@ -363,7 +366,7 @@ def criterion_07_penalized_glue_constant() -> tuple[bool, str]:
 @_criterion
 def criterion_08_isobe_boundedness() -> tuple[bool, str]:
     """Identity-trace sweep stays below 1.1 x 2 pi for all eps."""
-    u = _degree_one_trace(64, circle_target())
+    u = _winding_trace(64, 1, circle_target())
     cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
     sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
     bound = 1.1 * 2.0 * math.pi

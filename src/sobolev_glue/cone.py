@@ -20,8 +20,10 @@ Containments are certified at grid scale only:
 
 ``_brackets`` is the one rule for which directions bracket a point.
 ``verify_cone`` re-checks both inclusions by brute force over grid nodes.
-It shares no capture logic with the search, only the per-grid node
-tables below; the tests check those against independent formulas.
+Its capture half is ``_covered``'s predicate again, on the same node and
+bracket tables, so it is not independent of the search; its ambient half
+reads G's node values, which the search reads only through cell tests.
+The tests check the tables against independent formulas.
 Node meshes, cell tests and neighbourhoods (``_grid_points``,
 ``_cells_all_true``, ``_interior_nodes``) are written once for any
 dimension; ``covering`` reuses the cell test on its periodic base grid.
@@ -154,8 +156,6 @@ def _extended_indicator(s: SampledSet) -> np.ndarray:
     pull-back just inside the rim.  Only used by conservative cell tests.
     """
     _, dst, src = _node_tables(s.dimension, s.resolution)
-    if dst.size == 0:
-        return s.indicator
     flat = s.indicator.reshape(-1).copy()
     flat[dst] = flat[src]
     return flat.reshape(s.indicator.shape)
@@ -190,10 +190,7 @@ def check_boundary_containment(f: SampledSet, g: SampledSet) -> bool:
     radii, _, _ = _node_tables(f.dimension, f.resolution)
     delta = f.spacing * math.sqrt(f.dimension)
     near_rim = np.abs(radii - 1.0) <= delta
-    f_flat = f.indicator.reshape(-1)
-    candidates = f_flat & near_rim
-    if not np.any(candidates):
-        return True
+    candidates = f.indicator.reshape(-1) & near_rim
     interior = _interior_nodes(g.indicator, _extended_indicator(g)).reshape(-1)
     return bool(np.all(interior[candidates]))
 
@@ -276,9 +273,9 @@ def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
     accepted = certificate.directions
     brackets = _node_brackets(f.dimension, f.resolution, accepted.size)
     in_cone = _in_cone(accepted, brackets, radii > 0.0)
-    # one cell of slack: F nodes may poke past the sphere by grid fuzz
-    in_unit = radii <= 1.0 + f.spacing
-    mask = (radii < certificate.radius) | (in_unit & in_cone)
+    # F nodes up to one cell past the sphere (grid fuzz) are judged by the
+    # cone alone; find_cone refuses any farther out before it gets here
+    mask = (radii < certificate.radius) | in_cone
     return np.where(f.indicator.reshape(-1), mask, True)
 
 

@@ -29,7 +29,8 @@ does three things:
   that state.  The fold is ``folding.fold_sources``, the square fold's
   rule, applied in (radial parameter, depth / collar depth) coordinates
   with the previous state as the first map and the patch as the second;
-  moved samples return to the ball through ``radial_fold_map``.
+  a moved sample at radial parameter s returns to the ball at radius
+  1 - s (1 - r_i) along its node's direction.
 
 Bookkeeping tracks the sampled trusted region H_i and checks the
 covering invariant H_i union G_{i+1} ... G_K = base after every step.
@@ -58,7 +59,6 @@ from . import cone as cone_mod
 from .domain import KIND_TABLE, Axis, DomainSpec, collar_over, from_kind
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
-    DomainError,
     GlueError,
     ParameterError,
     PreconditionError,
@@ -206,12 +206,11 @@ class Chart:
 @dataclass(frozen=True)
 class Covering:
     base_kind: str  # "circle" | "torus"
-    base_lengths: tuple[float, ...]
     charts: tuple[Chart, ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.base_lengths)
+        return self.charts[0].dimension
 
 
 def _torus_factors(count: int) -> tuple[int, int]:
@@ -254,7 +253,7 @@ def build_covering(base: DomainSpec, count: int) -> Covering:
         Chart(index=i, base_lengths=lengths, center=center, core_extent=extent)
         for i, center in enumerate(centers)
     )
-    covering = Covering(base_kind=base.kind, base_lengths=base.lengths, charts=charts)
+    covering = Covering(base_kind=base.kind, charts=charts)
     _validate_covering(covering)
     return covering
 
@@ -285,22 +284,6 @@ def _validate_covering(covering: Covering) -> None:
         gap = np.abs(chart._wrapped_offsets(pts_back) - chart._wrapped_offsets(base_pts))
         if np.any(gap > 1e-12):
             raise GlueError("internal: chart map does not invert on the core boundary")
-
-
-# -------------------------------------------------------- radial fold map
-
-def radial_fold_map(z_prime: np.ndarray, z_m, r: float) -> np.ndarray:
-    """(z', z_m) -> (1 - z_m * r) z' for (N, m) rows of unit directions z'.
-
-    Sweeps the radius interval (1-r, 1) as z_m runs over (0, 1); the end
-    values are accepted so sampled grids can touch both rims.
-    """
-    dirs = np.asarray(z_prime, dtype=np.float64)
-    norms = np.linalg.norm(dirs, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise DomainError("radial fold directions must be unit vectors")
-    z_m = np.asarray(z_m, dtype=np.float64)
-    return (1.0 - z_m * float(r)).reshape(-1, 1) * dirs
 
 
 # ------------------------------------------------------------ glue reports
@@ -618,9 +601,10 @@ def _fold_step(
     ball = radii < radius
     values[rows[ball]] = _patch_columns(chart, patch, pts[ball], depth_coords)
 
-    # the captured rows off the ball are the accepted cone annulus
+    # the captured rows off the ball are the accepted cone annulus, at
+    # radii no smaller than radius > 0
     z_ann, r_ann = z[~ball], radii[~ball]
-    omega = z_ann / np.maximum(r_ann, 1e-300)[:, None]
+    omega = z_ann / r_ann[:, None]
     # radial fold parameter: 0 at the outer rim |z|=1, 1 at the inner rim
     x = np.clip((1.0 - r_ann) / (1.0 - radius), 0.0, 1.0)
     n_ann = z_ann.shape[0]
@@ -632,7 +616,8 @@ def _fold_step(
     node = np.repeat(np.arange(n_ann), n_depth)
     moved = region != 2
     target_z = z_ann[node]
-    target_z[moved] = radial_fold_map(omega[node[moved]], s1[moved], 1.0 - radius)
+    # a moved sample returns along its node's direction to radius 1 - s1 (1 - radius)
+    target_z[moved] = (1.0 - s1[moved] * (1.0 - radius))[:, None] * omega[node[moved]]
     pts_back, offs = chart.from_disk(target_z)
     t_val = (s2 * depth)[:, None]
     reads_prev = region == 0

@@ -21,8 +21,9 @@ class TargetSpec:
             raise ParameterError(f"ambient dimension must be positive, got {self.nu}")
         if self.kind == "circle" and self.nu != 2:
             raise ParameterError("circle target requires ambient dimension 2")
-        if self.kind == "sphere" and self.nu < 2:
-            raise ParameterError("sphere target requires ambient dimension >= 2")
+        # S^1 has one name, so that equal targets compare equal
+        if self.kind == "sphere" and self.nu < 3:
+            raise ParameterError("sphere target requires ambient dimension >= 3; S^1 is circle()")
 
     @property
     def constrained(self) -> bool:

@@ -142,6 +142,21 @@ def test_flag_and_stray_validation():
         cone.find_cone(f_good, g_small)  # resolution mismatch
 
 
+def test_f_may_poke_one_cell_past_the_unit_sphere_and_no_farther():
+    # 33^2 grid, h = 1/16: the node (1, 1/4) at radius 1.031 lies within
+    # one cell of the sphere and is judged by the cone; the node (1, 1/2)
+    # at radius 1.118 does not, and find_cone's stray check refuses it
+    g = _sample(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=False)
+    near = np.zeros((33, 33), dtype=bool)
+    near[32, 20] = True
+    cert = cone.find_cone(cone.SampledSet(2, 33, True, near), g)
+    assert cert.verified and cert.radius == TOP
+    far = near.copy()
+    far[32, 24] = True
+    with pytest.raises(ParameterError, match="outside the closed unit ball"):
+        cone.find_cone(cone.SampledSet(2, 33, True, far), g)
+
+
 def test_direction_sets_grow_with_the_radius():
     _, g = _segment_sets()
     clearance = cone.ray_clearance(g)

@@ -17,7 +17,7 @@ from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
 from sobolev_glue import gridmap as gm
 from sobolev_glue import target as tg
-from sobolev_glue.errors import DomainError, GlueError, ParameterError, PreconditionError
+from sobolev_glue.errors import GlueError, ParameterError, PreconditionError
 
 
 #: ``sobolev-glue glue`` stdout, line by line, for replicated patches of
@@ -167,19 +167,6 @@ def test_square_to_disk_is_one_radial_bi_lipschitz_map(m):
     images_apart = np.linalg.norm(cov.square_to_disk(a) - cov.square_to_disk(b), axis=-1)
     assert np.max(images_apart / apart) <= 1.16
     assert np.max(apart / images_apart) <= 2.29
-
-
-def test_radial_fold_map_pinned_values():
-    e1 = np.array([[1.0, 0.0]])
-    np.testing.assert_allclose(cov.radial_fold_map(e1, 0.0, 0.5), e1, atol=1e-15)
-    np.testing.assert_allclose(cov.radial_fold_map(e1, 1.0, 0.5), 0.5 * e1, atol=1e-15)
-    np.testing.assert_allclose(
-        cov.radial_fold_map(np.array([[-1.0, 0.0]]), 0.5, 0.5),
-        np.array([[-0.75, 0.0]]),
-        atol=1e-15,
-    )
-    with pytest.raises(DomainError):
-        cov.radial_fold_map(np.array([[0.5, 0.0]]), 0.5, 0.5)  # not a unit direction
 
 
 def test_covering_construction_validates_inputs():

@@ -107,6 +107,7 @@ _CIRCLE_BODY = "1 0\n0 1\n-1 0\n0 -1\n"
         ("SGF1 square 2 4 4 banana\n0 0\n", None, FormatError),
         ("SGF1 circle 3 4 circle\n" + "1 0 0\n" * 4, None, FormatError),
         ("SGF1 circle 2 2 circle\n1 0\n0 1\n", None, FormatError),
+        ("SGF1 circle 2 4 sphere\n" + _CIRCLE_BODY, None, FormatError),
         ("SGF1 circle 2 4 4 circle\n" + _CIRCLE_BODY, None, FormatError),
         ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "axis_lengths: 1,2\n", FormatError),
         ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "axis_lengths: 0\n", FormatError),
@@ -118,9 +119,9 @@ _CIRCLE_BODY = "1 0\n0 1\n-1 0\n0 -1\n"
     ],
     ids=[
         "bad-magic", "unknown-kind", "missing-resolution", "non-integer-nu", "unknown-target",
-        "circle-target-nu-3", "two-node-circle", "extra-resolution", "two-axis-lengths",
-        "zero-axis-length", "nan-constraint-tol", "transposed-body", "non-finite-value",
-        "off-target-node",
+        "circle-target-nu-3", "two-node-circle", "sphere-target-nu-2", "extra-resolution",
+        "two-axis-lengths", "zero-axis-length", "nan-constraint-tol", "transposed-body",
+        "non-finite-value", "off-target-node",
     ],
 )
 def test_sgf_rejections_keep_their_exception_type(tmp_path, text, sidecar, error):

@@ -66,6 +66,27 @@ def _always_true(original):
     return always_true
 
 
+def _second_map(original):
+    def second(u0, u1):
+        return u1
+
+    return second
+
+
+def _identity_projection(original):
+    def identity(target, values):
+        return values
+
+    return identity
+
+
+def _every_ray_clear(original):
+    def clear(g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
+        return np.full(original(g, ladder_steps).shape, -np.inf)
+
+    return clear
+
+
 def _short_ladder(original):
     # K = 2 checks only the radius r = 1/2
     def short(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
@@ -96,10 +117,19 @@ def _short_ladder(original):
          (acc.criterion_06_extension_closed_form,)),
         (covering, "_captured", _captures_nothing,
          (acc.criterion_05_circle_covering_glue, acc.criterion_07_penalized_glue_constant)),
+        # criteria 02 and 03 fold through the name bound in acceptance; a
+        # copy of u1 keeps 03's energy ratio under its bound
+        (acc, "fold", _second_map,
+         (acc.criterion_02_fold_trace_contract,)),
+        (minimize, "project_to_target", _identity_projection,
+         (acc.criterion_06_extension_closed_form,)),
+        (cone, "ray_clearance", _every_ray_clear,
+         (acc.criterion_04_cone_capture,)),
     ],
     ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two",
          "pair_sum_halved", "diagonal_completion_zeroed", "verify_cone_always_true",
-         "oracle_energy_raised", "dirichlet_sum_enlarged", "captured_nothing"],
+         "oracle_energy_raised", "dirichlet_sum_enlarged", "captured_nothing",
+         "fold_returns_second_map", "projection_is_identity", "every_ray_clear"],
 )
 def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))

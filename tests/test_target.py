@@ -14,11 +14,14 @@ def test_constructors_fix_kind_and_dimension():
     assert tg.sphere(4).constrained
 
 
-def test_sphere_needs_at_least_two_components():
+def test_sphere_needs_at_least_three_components():
     with pytest.raises(ParameterError):
         tg.sphere(1)
     with pytest.raises(ParameterError):
         tg.TargetSpec(kind="sphere", nu=1)
+    # S^1 is only ever the circle target, which compares unequal to any sphere
+    with pytest.raises(ParameterError, match=r"circle\(\)"):
+        tg.sphere(2)
     with pytest.raises(ParameterError):
         tg.TargetSpec(kind="torus", nu=2)
 
