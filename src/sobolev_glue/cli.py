@@ -15,8 +15,9 @@ are thus diff-checkable.
 
 Exit codes, from one ordered table of error families: 0 success, 2
 parameter error, 3 precondition error, 4 resolution or optimization
-error, 5 I/O or format error; the ``accept`` driver exits 1 when a
-criterion fails (that is a finding, not an error).
+error or a failed allocation (``MemoryError``), 5 I/O or format error;
+the ``accept`` driver exits 1 when a criterion fails (that is a
+finding, not an error).
 """
 
 from __future__ import annotations
@@ -58,13 +59,15 @@ from .target import circle as circle_target, sphere
 
 #: exit code of each error family; the first family that matches wins, so
 #: the bare GlueError row takes the family members no earlier row names
-#: (internal invariant breaks: the computation could not certify its result)
+#: (internal invariant breaks: the computation could not certify its result);
+#: a MemoryError is a resolution this machine cannot hold
 _EXIT_CODES = (
     (ParameterError, 2),
     (PreconditionError, 3),
     ((ResolutionError, OptimizationError), 4),
     ((FormatError, OSError), 5),
     (GlueError, 4),
+    (MemoryError, 4),
 )
 
 
@@ -330,8 +333,9 @@ def main(argv: list[str] | None = None) -> int:
             with open(getattr(args, args.outputs[0]) + ".run", "w", encoding="utf-8") as fh:
                 fh.writelines(f"{key}: {value}\n" for key, value in record.items())
         return code
-    except (GlueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GlueError, OSError, MemoryError) as exc:
+        # a bare MemoryError() has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for family, code in _EXIT_CODES if isinstance(exc, family))
 
 

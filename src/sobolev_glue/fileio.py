@@ -1,12 +1,16 @@
-"""Plain-text file formats.
+"""File formats: binary grid maps, text sampled sets and certificates.
 
 Grid maps (SGF)::
 
-    SGF1 <kind> <nu> <res_1> ... <res_k> <target-kind>
-    <v_1> ... <v_nu>          one line per node, C order over the axes
+    SGF2 <kind> <nu> <res_1> ... <res_k> <target-kind>
+    <prod(res) * nu little-endian float64 values, C order over the axes>
 
-Values are written with 17 significant digits, which round-trips IEEE
-doubles bit-exactly.  Every written map gets a sidecar manifest at
+The header is one ASCII line; the body is the value array's own bytes,
+so a write/read cycle is bit-exact.  A body of any other length than
+prod(res) * nu * 8 bytes is a ``FormatError``, checked before anything
+is allocated.  ``SGF1`` files, identical but for the magic and a text
+body of one line of ``nu`` values per node, are still read; nothing
+writes them.  Every written map gets a sidecar manifest at
 ``<path>.manifest`` holding ``key: value`` lines (constraint tolerance,
 provenance, and axis lengths whenever they differ from the canonical
 lengths of the kind).
@@ -22,7 +26,9 @@ Cone certificates (CONE)::
     0/1 characters for the direction indicator, one line
 
 CONE1 is written only: ``cone`` writes its certificate for the record,
-and nothing in the package reads one back.
+and nothing in the package reads one back.  Reals in manifests and
+CONE1 headers print with 17 significant digits, which round-trips IEEE
+doubles.
 
 The SGF reader only parses: ``DomainSpec``, ``TargetSpec`` and
 ``GridMap`` validate what it hands them, and any ``ParameterError`` they
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TypeVar
+from typing import BinaryIO, TypeVar
 
 import numpy as np
 
@@ -43,8 +49,8 @@ from .gridmap import GridMap, TraceMap
 from .target import TargetSpec
 
 _FMT = "%.17g"
-#: rows of an SGF body formatted per write
-_WRITE_ROWS = 4096
+#: byte order and width of an SGF2 body value
+_BODY_DTYPE = "<f8"
 _Map = TypeVar("_Map", bound=GridMap)
 
 
@@ -86,16 +92,12 @@ def read_manifest(path: str) -> dict[str, str]:
 def write_grid_map(path: str, m: GridMap) -> None:
     d = m.domain
     header = " ".join(
-        ["SGF1", d.kind, str(m.nu)] + [str(n) for n in d.shape] + [m.target.kind]
+        ["SGF2", d.kind, str(m.nu)] + [str(n) for n in d.shape] + [m.target.kind]
     )
-    flat = m.values.reshape(-1, m.nu)
-    row_fmt = " ".join([_FMT] * m.nu) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        # one % per block of rows; blocks keep the float tuple small
-        for start in range(0, flat.shape[0], _WRITE_ROWS):
-            block = flat[start : start + _WRITE_ROWS]
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        # the array's own buffer: no bytes copy of the body
+        fh.write(np.ascontiguousarray(m.values, dtype=_BODY_DTYPE).data)
     entries = {
         "constraint_tol": format_real(m.constraint_tol),
         "created_by": "sobolev-glue",
@@ -103,6 +105,28 @@ def write_grid_map(path: str, m: GridMap) -> None:
     if not d.is_canonical():
         entries["axis_lengths"] = ",".join(format_real(L) for L in d.lengths)
     write_manifest(path, entries)
+
+
+def _read_body(fh: BinaryIO, path: str, magic: str, nodes: int, nu: int) -> np.ndarray:
+    """The ``nodes * nu`` values after the header: text rows (SGF1) or raw doubles (SGF2)."""
+    if magic == "SGF1":
+        # a reshape alone would take a 2 x 4 body for 4 x 2
+        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        if data.shape != (nodes, nu):
+            raise FormatError(
+                f"{path}: the header asks for {nodes} lines of nu={nu} values; "
+                f"the body holds an array of shape {data.shape}"
+            )
+        return data
+    # sized before it is read: fromfile allocates the count it is given
+    expected = nodes * nu * np.dtype(_BODY_DTYPE).itemsize
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != expected:
+        raise FormatError(
+            f"{path}: the header asks for {nodes} nodes of nu={nu}, {expected} body bytes; "
+            f"the body holds {size}"
+        )
+    return np.fromfile(fh, dtype=_BODY_DTYPE, count=nodes * nu)
 
 
 def _read_sgf(path: str, cls: type[_Map]) -> _Map:
@@ -113,10 +137,10 @@ def _read_sgf(path: str, cls: type[_Map]) -> _Map:
     naming the file.  Values off the target stay a ``PreconditionError``.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if len(header) < 5 or header[0] != "SGF1":
-                raise FormatError(f"not an SGF1 header in {path}: {' '.join(header)!r}")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii", "replace").split()
+            if len(header) < 5 or header[0] not in ("SGF1", "SGF2"):
+                raise FormatError(f"not an SGF header in {path}: {' '.join(header)!r}")
             manifest = read_manifest(path)
             raw_lengths = manifest.get("axis_lengths")
             counts = tuple(int(p) for p in header[3:-1])
@@ -129,12 +153,7 @@ def _read_sgf(path: str, cls: type[_Map]) -> _Map:
             tol = None if raw_tol is None else float(raw_tol)
             if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
                 raise FormatError(f"constraint_tol in {path} must be finite and >= 0, got {raw_tol!r}")
-            # a reshape alone would take a 2 x 4 body for 4 x 2
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-            if data.shape != (int(np.prod(counts)), target.nu):
-                raise FormatError(
-                    f"expected {int(np.prod(counts))} lines of {target.nu} values, got array {data.shape}"
-                )
+            data = _read_body(fh, path, header[0], math.prod(counts), target.nu)
             return cls(domain, target, data.reshape(counts + (target.nu,)), tol)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -140,6 +140,7 @@ def test_unknown_subcommand_exits_two(capsys):
         (errors.GlueError, 4),
         (errors.FormatError, 5),
         (OSError, 5),
+        (MemoryError, 4),
     ],
 )
 def test_each_error_family_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, family, code):
@@ -152,6 +153,17 @@ def test_each_error_family_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, 
     assert (got, stdout) == (code, "")
     assert err == "error: planted failure\n"
     assert not os.path.exists(str(out) + ".run")
+
+
+def test_an_allocation_failure_without_a_message_exits_four(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_accept", failing)
+    got, stdout, err = run_cli(
+        ["accept", "--suite", "primary", "--out", str(tmp_path / "r.txt")], capsys
+    )
+    assert (got, stdout, err) == (4, "", "error: MemoryError\n")
 
 
 def test_missing_input_file_exits_five(tmp_path, capsys):
@@ -173,16 +185,38 @@ def test_malformed_input_exits_five(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_values_exit_five(tmp_path, capsys, bad):
-    path = str(tmp_path / "m.sgf")
-    _write_identity_square(path, n=5)
-    with open(path) as fh:
-        lines = fh.readlines()
-    lines[7] = f"{bad} 0.5\n"
-    with open(path, "w") as fh:
-        fh.writelines(lines)
-    code, _, err = run_cli(["energy", "--kind", "dirichlet", "--p", "2.0", "--in", path], capsys)
-    assert code == 5
-    assert "non-finite" in err
+    # node 6 of a 5 x 5 identity map, in a hand-written SGF1 text file and
+    # patched into the raw body of a written SGF2 file
+    binary = tmp_path / "m.sgf"
+    rows = _write_identity_square(str(binary), n=5).values.reshape(-1, 2).tolist()
+    rows[6] = [float(bad), 0.5]
+    text = tmp_path / "text.sgf"
+    text.write_text(
+        "SGF1 square 2 5 5 euclidean\n" + "".join(f"{a!r} {b!r}\n" for a, b in rows)
+    )
+    content = bytearray(binary.read_bytes())
+    at = content.index(b"\n") + 1 + 6 * 2 * 8
+    content[at : at + 8] = np.array([float(bad)], dtype="<f8").tobytes()
+    binary.write_bytes(bytes(content))
+    for path in (text, binary):
+        code, _, err = run_cli(
+            ["energy", "--kind", "dirichlet", "--p", "2.0", "--in", str(path)], capsys
+        )
+        assert code == 5
+        assert "non-finite" in err
+
+
+@pytest.mark.parametrize("magic, body", [("SGF1", b"0 0 0 0\n"), ("SGF2", bytes(8))])
+def test_an_oversized_header_over_a_small_body_exits_five(tmp_path, capsys, magic, body):
+    # 10^15 nodes: the body is measured before anything of that size is allocated,
+    # so this is a format error (5), not a failed allocation (4)
+    path = tmp_path / "huge.sgf"
+    path.write_bytes(f"{magic} box 1 100000 100000 100000 euclidean\n".encode("ascii") + body)
+    code, stdout, err = run_cli(
+        ["energy", "--kind", "dirichlet", "--p", "2.0", "--in", str(path)], capsys
+    )
+    assert (code, stdout) == (5, "")
+    assert "huge.sgf" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-3", "tight"])
@@ -622,21 +656,14 @@ def test_estimate_prints_energy_and_writes_manifest(tmp_path, capsys):
 
 
 def test_estimate_output_is_pinned_on_a_degree_zero_trace(tmp_path, capsys):
-    # an empty config keeps every optimizer default
-    trace_path, cfg, out = (str(tmp_path / name) for name in ("t.sgf", "d.cfg", "ext.sgf"))
-    _write_rational_trace(trace_path, 64)
-    with open(cfg, "w") as fh:
-        fh.write("# defaults\n")
-    code, stdout, _ = run_cli(
-        ["estimate", "--trace", trace_path, "--p", "2", "--cfg", cfg, "--out", out], capsys
-    )
+    code, stdout, _ = run_cli(_pinned_run_argv(tmp_path, "estimate"), capsys)
     assert code == 0
     assert stdout == (
         "energy=0.082845734791933467\niterations=407\nconverged=true\n"
         "gradient_sup=0.00302661162453068\nbacktracks=408\n"
     )
-    assert fileio.sha256_of(out) == (
-        "55e6a53efa8c728f855cd77612c118291c356778a88f1c6d5d555e368cb83c3a"
+    assert fileio.sha256_of(str(tmp_path / "out.sgf")) == (
+        "5016bdb46fd856aa5c74745a71a045b40382534159807a5578653b07126c46fc"
     )
 
 
@@ -646,6 +673,14 @@ def _pinned_run_argv(tmp_path, name):
     Every input is built from dyadic grid coordinates or rational points
     of the circle, so it has the same bits on every platform.
     """
+    if name == "estimate":
+        # an empty config keeps every optimizer default
+        trace_path, cfg = str(tmp_path / "t.sgf"), str(tmp_path / "d.cfg")
+        _write_rational_trace(trace_path, 64)
+        with open(cfg, "w") as fh:
+            fh.write("# defaults\n")
+        return ["estimate", "--trace", trace_path, "--p", "2", "--cfg", cfg,
+                "--out", str(tmp_path / "out.sgf")]
     if name == "energy_dirichlet":
         path = str(tmp_path / "m.sgf")
         d = dom.square(9, 9)
@@ -697,7 +732,7 @@ PINNED_RUNS = {
         "trace_bottom_error=0\ntrace_left_error=0\ntrace_right_error=0\n"
         "energy_in_0=1.9375\nenergy_in_1=1.57330322265625\nenergy_out=3.1863083839416504\n"
         "ratio=0.90757247896420434\np=2\n",
-        "89bdeb291ab29cded71913406ac7882251ff3d54d45d2b0f2741a43746c498c2",
+        "533de24089a578a32050533565ef3fdd66d95f7fb11e01ce49e7deb26dbe0033",
     ),
     "glue": (
         "base=circle\nk=2\np=2\n"
@@ -705,7 +740,7 @@ PINNED_RUNS = {
         "r_2=0.984375\naccepted_fraction_2=1\ntrace_sup_error_2=2.3263411494723067e-16\n"
         "trace_sup_error=2.6184557666721351e-16\npatch_energy_total=0.18657980474049712\n"
         "glued_energy=0.13333237883992949\nratio=0.71461313310609176\ndegenerate=false\n",
-        "da865bf0c48dc07643e00489b4334b619c20f2b03e98e87b8959315d2b680cf5",
+        "2baff211d3dda2c514653d0307f804d3b53b4cab6510502e218de19f0978abf2",
     ),
 }
 
@@ -720,6 +755,33 @@ def test_stdout_and_output_bytes_are_pinned(tmp_path, capsys, name):
     assert out.exists() == (out_pin is not None)
     if out_pin is not None:
         assert fileio.sha256_of(str(out)) == out_pin
+
+
+#: sha256 of each pinned ``--out`` file as the SGF1 text writer wrote it:
+#: header, then one line of ``%.17g`` values per node
+SGF1_OUTPUT_PINS = {
+    "estimate": "55e6a53efa8c728f855cd77612c118291c356778a88f1c6d5d555e368cb83c3a",
+    "fold": "89bdeb291ab29cded71913406ac7882251ff3d54d45d2b0f2741a43746c498c2",
+    "glue": "da865bf0c48dc07643e00489b4334b619c20f2b03e98e87b8959315d2b680cf5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SGF1_OUTPUT_PINS))
+def test_each_pinned_output_holds_the_doubles_of_its_sgf1_pin(tmp_path, capsys, name):
+    code, _, _ = run_cli(_pinned_run_argv(tmp_path, name), capsys)
+    assert code == 0
+    binary = tmp_path / "out.sgf"
+    written = fileio.read_grid_map(str(binary))
+    d = written.domain
+    header = " ".join(["SGF1", d.kind, str(written.nu)] + [str(n) for n in d.shape]
+                      + [written.target.kind])
+    text = tmp_path / "out_text.sgf"
+    text.write_text(header + "\n" + "".join(
+        " ".join("%.17g" % v for v in row) + "\n" for row in written.values.reshape(-1, written.nu)
+    ))
+    assert fileio.sha256_of(str(text)) == SGF1_OUTPUT_PINS[name]
+    (tmp_path / "out_text.sgf.manifest").write_bytes((tmp_path / "out.sgf.manifest").read_bytes())
+    assert fileio.read_grid_map(str(text)).values.tobytes() == written.values.tobytes()
 
 
 def test_estimate_reports_convergence_and_the_gradient_sup(tmp_path, capsys):

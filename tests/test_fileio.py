@@ -22,36 +22,38 @@ def test_grid_map_round_trip_is_bit_exact(tmp_path):
         back = fileio.read_grid_map(path)
         assert back.domain == m.domain
         assert back.target == m.target
-        # 17 significant digits round-trip IEEE doubles exactly
         assert np.array_equal(back.values, m.values)
         assert back.constraint_tol == m.constraint_tol
 
 
 def _per_value_body(values, nu):
-    """SGF body as the original writer formatted it, one value at a time."""
+    """SGF1 text body as its writer formatted it, one value at a time."""
     return "".join(
         " ".join("%.17g" % v for v in row) + "\n" for row in values.reshape(-1, nu)
     )
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
-def test_block_writer_matches_the_per_value_formatter(tmp_path, nu):
-    # 70 x 70 = 4900 rows cross a 4096-row block boundary
+def test_sgf2_writer_pins_the_header_and_the_raw_body(tmp_path, nu):
     rng = np.random.default_rng(nu)
     vals = rng.normal(size=(70, 70, nu)) * 10.0 ** rng.integers(-300, 300, size=(70, 70, nu))
     special = np.array(
-        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308, 1.7976931348623157e308]
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308, 1.7976931348623157e308,
+         -1.7976931348623157e308]
     )
     vals.reshape(-1)[: special.size] = special
     vals.reshape(-1)[-special.size :] = special[::-1]
     m = gm.GridMap(domain=dom.square(70, 70), target=tg.euclidean(nu), values=vals)
     path = tmp_path / "m.sgf"
     fileio.write_grid_map(str(path), m)
-    header, body = path.read_text(encoding="ascii").split("\n", 1)
-    assert header == f"SGF1 square {nu} 70 70 euclidean"
-    assert body == _per_value_body(m.values, nu)
-    assert "-0 " in body or "-0\n" in body
-    assert np.array_equal(fileio.read_grid_map(str(path)).values, m.values)
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header == f"SGF2 square {nu} 70 70 euclidean".encode("ascii")
+    assert body == m.values.astype("<f8").tobytes()
+    # bit for bit, -0.0 keeps its sign; an SGF1 text file of the same values reads the same
+    text = tmp_path / "text.sgf"
+    text.write_text(f"SGF1 square {nu} 70 70 euclidean\n" + _per_value_body(m.values, nu))
+    for read in (path, text):
+        assert fileio.read_grid_map(str(read)).values.tobytes() == m.values.tobytes()
 
 
 def test_trace_map_round_trip(tmp_path):
@@ -144,6 +146,34 @@ def test_wrong_node_count_is_a_format_error(tmp_path):
         fh.write("0\n0\n0\n")  # one line short of 4 nodes
     with pytest.raises(FormatError):
         fileio.read_grid_map(path)
+
+
+_SGF2_HEADER = b"SGF2 interval 1 4 euclidean\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _SGF2_HEADER + np.zeros(3).tobytes(),
+        _SGF2_HEADER + np.zeros(4).tobytes() + b"\n",
+        _SGF2_HEADER,
+        b"SGF2 square 2 3 6 euclidean\n" + np.zeros(3 * 5 * 2).tobytes(),
+        # the SGF1 transposed-body case under the SGF2 magic: a binary body
+        # has no rows, so a transposed header shows only through the length
+        b"SGF2 interval 4 2 euclidean\n" + b"0 0\n" * 4,
+        _SGF2_HEADER + np.array([0.0, np.nan, 0.0, 0.0]).tobytes(),
+        _SGF2_HEADER + np.array([0.0, 0.0, 0.0, np.inf]).tobytes(),
+        _SGF2_HEADER + np.array([-np.inf, 0.0, 0.0, 0.0]).tobytes(),
+    ],
+    ids=["one-value-short", "one-trailing-byte", "empty-body", "wrong-node-count",
+         "transposed-header", "nan-value", "inf-value", "minus-inf-value"],
+)
+def test_sgf2_body_of_the_wrong_length_or_not_finite_is_a_format_error(tmp_path, content):
+    path = tmp_path / "bad.sgf"
+    path.write_bytes(content)
+    with pytest.raises(FormatError) as info:
+        fileio.read_grid_map(str(path))
+    assert type(info.value) is FormatError
 
 
 def test_missing_file_is_a_format_error(tmp_path):
