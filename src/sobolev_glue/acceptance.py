@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cone as cone_mod
 from .covering import build_covering, glue, replicate_trace_patch, verify_glue
-from .domain import circle, cylinder, interval, square
+from .domain import circle, cylinder, interval, square, wrap
 from .energy import PenaltySpec, dirichlet_p_energy, distance_penalty, gagliardo_energy
 from .folding import FIRST_WEDGE_MATRIX, REFLECTED_WEDGE_MATRIX, fold, fold_trace_errors
 from .gridmap import GridMap, TraceMap
@@ -211,7 +211,7 @@ def _random_cone_instance(
     in_wedge = np.zeros_like(radii, dtype=bool)
     in_fat = np.zeros_like(radii, dtype=bool)
     for c, w in zip(centers, widths):
-        d = np.abs(np.mod(angles - float(c) + math.pi, 2.0 * math.pi) - math.pi)
+        d = np.abs(wrap(angles - float(c) + math.pi, 2.0 * math.pi) - math.pi)
         in_wedge |= d <= w
         in_fat |= d <= w + delta
     f_ind = (radii <= rho) | ((radii <= 1.0) & in_wedge)

@@ -5,9 +5,10 @@ Subcommands: ``energy``, ``fold``, ``cone``, ``glue``, ``estimate`` and
 returns its exit code with the lines to print; :func:`main` does the
 rest for all of them.  Each subparser names its input and output file
 arguments once (``inputs``/``outputs`` in ``set_defaults``), and
-``main`` digests those files, times the handler, prints its lines and,
-when there is an output file, writes ``<out>.run`` beside the first one:
-the subcommand, the argument list, the tool version, the handler's
+``main`` times the handler, prints its lines and, when there is an
+output file, writes ``<out>.run`` beside the first one.  Only such a
+subcommand digests its inputs, before the handler runs.  The record
+holds the subcommand, the argument list, the tool version, the handler's
 wall-clock duration, and one ``input_<path>``/``output_<path>`` sha256
 line per file, keyed by the path as given on the command line, plus a
 ``<path>.manifest`` line wherever that sidecar exists.  Identical runs
@@ -315,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        inputs = _digests(args, "input", args.inputs)
+        # only a run record reads the input digests
+        inputs = _digests(args, "input", args.inputs) if args.outputs else {}
         start = time.monotonic()
         code, lines = args.handler(args)
         duration = time.monotonic() - start

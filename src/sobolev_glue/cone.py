@@ -58,6 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .domain import wrap
 from .errors import DomainError, ParameterError, PreconditionError, ResolutionError
 
 #: K: ``find_cone`` checks the radius 1 - 1/K and scans rays from 1/K
@@ -247,7 +248,7 @@ def _brackets(pts: np.ndarray, nd: int) -> tuple[np.ndarray, np.ndarray]:
     if pts.shape[1] == 1:
         side = (pts[:, 0] > 0.0).astype(np.int64)
         return side, side
-    angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+    angles = wrap(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
     j0 = np.floor(angles / (2.0 * np.pi / nd)).astype(np.int64) % nd
     return j0, (j0 + 1) % nd
 

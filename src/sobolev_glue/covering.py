@@ -34,15 +34,30 @@ does three things:
 
 Bookkeeping tracks the sampled trusted region H_i and checks the
 covering invariant H_i union G_{i+1} ... G_K = base after every step.
-A chart core is a box: ``Chart.core_masks`` ANDs one interval test per
-axis over a product grid, ``glue`` builds these masks once per grid
-(collar base and check grid), and ``Chart.in_core`` tests only
-scattered pull-back points.  A pull-back point belongs to E when every
-corner of its check-grid cell is trusted: ``cone``'s cell test over the
-wrap-padded mask, read at the point's cell.  ``Chart.base_points`` is
-the one map from patch-box offsets to base points.  ``verify_glue``
-audits what the steps do not: the glued map's bottom face against the
-trace at every base node.
+
+A chart core is a box, so every core test ANDs one interval test per
+axis (``_interval_tests``, on the column of ``affine`` for that axis):
+``Chart.core_masks`` over a product grid, ``Chart.in_core`` on
+scattered points.  ``glue`` builds the masks once per grid (collar base
+and check grid), and ``Chart.core_disk`` maps a closed core's nodes to
+the chart ball from its axis coordinates alone.  ``Chart.base_points``
+is the one map from patch-box offsets to base points, one axis at a
+time.
+
+Each step pays only for what depends on it.  ``_BallTables`` is built
+once per ``glue`` call from the in-ball cone-grid nodes and their
+patch-box offsets over a unit core, which are the same for every chart.
+Along axis a, a pulled-back node's base coordinate and its check-grid
+cell depend only on the step chart's core interval on a, and its
+open-core test against a later chart only on both charts' intervals on
+a; each such column is made once per call (on the 3 x 3 torus: 3 cell
+columns and 9 tests per axis for the whole glue).  F is then an OR over
+later charts of ANDs over axes, and E one gather: a node belongs to E
+when every corner of its check-grid cell is trusted, ``cone``'s cell
+test over the wrap-padded mask.  No table outlives the call.
+
+``verify_glue`` audits what the steps do not: the glued map's bottom
+face against the trace at every base node.
 """
 
 from __future__ import annotations
@@ -56,7 +71,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cone as cone_mod
-from .domain import KIND_TABLE, Axis, DomainSpec, collar_over, from_kind
+from .domain import KIND_TABLE, Axis, DomainSpec, collar_over, from_kind, wrap
 from .energy import PenaltySpec, penalized_energy
 from .errors import (
     GlueError,
@@ -86,16 +101,27 @@ _CHECK_RESOLUTION = {1: 2048, 2: 384}
 
 # ---------------------------------------------------- square <-> ball maps
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` of (N, m) rows, bit for bit.
+
+    The squared columns are added in the order the norm's reduction adds them.
+    """
+    total = x[:, 0] * x[:, 0]
+    for a in range(1, x.shape[1]):
+        total += x[:, a] * x[:, a]
+    return np.sqrt(total)
+
+
 def _norm_ratio(x: np.ndarray) -> np.ndarray:
-    """|x|_2 / |x|_inf of each row, 1 at the origin.
+    """|x|_2 / |x|_inf of each (N, m) row as an (N, 1) column, 1 at the origin.
 
     Rows are divided by their max norm first, so nothing squared can
     underflow or overflow.
     """
-    peak = np.max(np.abs(x), axis=-1, keepdims=True)
+    peak = functools.reduce(np.maximum, (np.abs(x[:, a]) for a in range(x.shape[1])))
     nonzero = peak > 0.0
-    unit = x / np.where(nonzero, peak, 1.0)
-    return np.where(nonzero, np.linalg.norm(unit, axis=-1, keepdims=True), 1.0)
+    unit = x / np.where(nonzero, peak, 1.0)[:, None]
+    return np.where(nonzero, _row_norm(unit), 1.0)[:, None]
 
 
 def square_to_disk(x: np.ndarray) -> np.ndarray:
@@ -138,8 +164,9 @@ class Chart:
     def _wrapped_offset(self, axis: int, x: np.ndarray) -> np.ndarray:
         """Signed offsets from the center along one axis, the shorter way round."""
         length = self.base_lengths[axis]
-        delta = np.mod(x - self.center[axis], length)
-        return np.where(delta > length / 2.0, delta - length, delta)
+        delta = wrap(x - self.center[axis], length)
+        delta -= length * (delta > length / 2.0)
+        return delta
 
     def _wrapped_offsets(self, pts: np.ndarray) -> np.ndarray:
         """Signed offsets from the center, wrapped to the shorter way round."""
@@ -149,15 +176,24 @@ class Chart:
             out[..., a] = self._wrapped_offset(a, pts[..., a])
         return out
 
+    def _axis_affine(self, axis: int, x: np.ndarray) -> np.ndarray:
+        """Column ``axis`` of ``affine``, from the base coordinates along that axis alone."""
+        return self._wrapped_offset(axis, x) / (self.core_extent[axis] / 2.0)
+
     def affine(self, pts: np.ndarray) -> np.ndarray:
         """Normalized chart coordinates; the closed core maps onto [-1,1]^m."""
-        off = self._wrapped_offsets(pts)
-        scale = np.array(self.core_extent) / 2.0
-        return off / scale
+        pts = np.asarray(pts, dtype=np.float64)
+        return np.stack(
+            [self._axis_affine(a, pts[..., a]) for a in range(self.dimension)], axis=-1
+        )
 
     def in_core(self, pts: np.ndarray) -> np.ndarray:
         """Open-core membership of scattered base points."""
-        return np.all(np.abs(self.affine(pts)) < 1.0, axis=-1)
+        pts = np.asarray(pts, dtype=np.float64)
+        return functools.reduce(
+            np.logical_and,
+            (_interval_tests(self._axis_affine(a, pts[..., a]))[0] for a in range(self.dimension)),
+        )
 
     def core_masks(self, grid: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
         """Open and closed core masks over the nodes of ``grid``, flat in C order.
@@ -165,12 +201,10 @@ class Chart:
         A core is a box, so each mask is the outer AND of one interval
         test per axis, on the axis coordinates ``affine`` would read.
         """
-        opens, closeds = [], []
-        for a, axis in enumerate(grid.axes):
-            half = self.core_extent[a] / 2.0
-            coord = np.abs(self._wrapped_offset(a, axis.coordinates()) / half)
-            opens.append(coord < 1.0)
-            closeds.append(coord <= 1.0 + 1e-12)
+        opens, closeds = zip(*(
+            _interval_tests(self._axis_affine(a, axis.coordinates()))
+            for a, axis in enumerate(grid.axes)
+        ))
         open_core, closed_core = (
             functools.reduce(np.logical_and.outer, masks).reshape(-1)
             for masks in (opens, closeds)
@@ -180,6 +214,19 @@ class Chart:
     def to_disk(self, pts: np.ndarray) -> np.ndarray:
         """Chart-ball coordinates of base points (points of the closed core): the chart map."""
         return square_to_disk(self.affine(pts))
+
+    def core_disk(self, grid: DomainSpec) -> np.ndarray:
+        """``to_disk`` of the closed-core nodes of ``grid``, in C order.
+
+        The closed core's nodes are the product of each axis' closed-core
+        coordinates, so ``affine`` runs on those axis coordinates alone.
+        """
+        columns = []
+        for a, axis in enumerate(grid.axes):
+            coord = self._axis_affine(a, axis.coordinates())
+            columns.append(coord[_interval_tests(coord)[1]])
+        mesh = np.meshgrid(*columns, indexing="ij")
+        return square_to_disk(np.stack([g.reshape(-1) for g in mesh], axis=-1))
 
     def from_disk(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Base points and patch offsets of chart-ball coordinates |z| <= 1: the inverse chart map.
@@ -199,8 +246,21 @@ class Chart:
 
     def base_points(self, offsets: np.ndarray) -> np.ndarray:
         """Base points of patch-box offsets; the inverse of ``patch_offsets``."""
-        low = np.array(self.center) - np.array(self.core_extent) / 2.0
-        return np.mod(low + offsets, np.array(self.base_lengths))
+        offsets = np.asarray(offsets, dtype=np.float64)
+        return np.stack(
+            [self._base_coordinate(a, offsets[..., a]) for a in range(self.dimension)], axis=-1
+        )
+
+    def _base_coordinate(self, axis: int, offset: np.ndarray) -> np.ndarray:
+        """Column ``axis`` of ``base_points``, from the offsets along that axis alone."""
+        low = self.center[axis] - self.core_extent[axis] / 2.0
+        return wrap(low + offset, self.base_lengths[axis])
+
+
+def _interval_tests(coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Open and closed core tests of normalized chart coordinates along one axis."""
+    size = np.abs(coord)
+    return size < 1.0, size <= 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -363,22 +423,78 @@ def _check_patch(
         )
 
 
-def _conservative_membership(
-    indicator: np.ndarray, axes: Sequence[Axis], pts: np.ndarray
-) -> np.ndarray:
-    """All containing-cell corners of each point are inside the set.
+def _conservative_membership(indicator: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Whether every corner of each point's cell is in the set.
 
-    Axes are periodic here (the base is a circle or torus): one wrapped
-    node padded onto each axis closes the cells across the seam.
+    ``cells`` holds one array of cell indices per axis, ``_locate``'s
+    first output.  Axes are periodic here (the base is a circle or
+    torus): one wrapped node padded onto each axis closes the cells
+    across the seam.
     """
     padded = np.pad(indicator, [(0, 1)] * indicator.ndim, mode="wrap")
-    cells = cone_mod._cells_all_true(padded)
-    return cells[tuple(_locate(axis, pts[:, a])[0] for a, axis in enumerate(axes))]
+    return cone_mod._cells_all_true(padded)[cells]
+
+
+class _BallTables:
+    """The chart-ball side of every step of one ``glue`` call.
+
+    The in-ball cone-grid nodes and their patch-box offsets over a unit
+    core are the same for every chart.  Along axis a, a node's base
+    coordinate and its check-grid cell depend only on the step chart's
+    core interval on a, and its open-core test against a later chart
+    only on both charts' intervals on a.  The tables keep one cell column
+    per (axis, step interval) and one test per (axis, step interval,
+    later interval), built before the first step and dropped with the
+    call.
+    """
+
+    def __init__(self, covering: Covering, check_grid: DomainSpec) -> None:
+        m = check_grid.ndim
+        self.resolution = _CONE_RESOLUTION[m]
+        self.in_ball = cone_mod._node_tables(m, self.resolution)[0] <= 1.0
+        z = cone_mod._grid_points(m, self.resolution)[self.in_ball]
+        # ``Chart.from_disk``'s offsets, before they are scaled to a core
+        unit = np.clip((disk_to_square(z) + 1.0) / 2.0, 0.0, 1.0)
+        self._cells: dict[tuple, np.ndarray] = {}
+        self._opens: dict[tuple, np.ndarray] = {}
+        for step, chart in enumerate(covering.charts[1:], start=1):
+            for a, axis in enumerate(check_grid.axes):
+                key = _interval_key(chart, a)
+                if key in self._cells:
+                    # the first step with this interval saw every later chart
+                    continue
+                coord = chart._base_coordinate(a, unit[:, a] * chart.core_extent[a])
+                self._cells[key] = _locate(axis, coord)[0]
+                for other in covering.charts[step + 1 :]:
+                    test = key + _interval_key(other, a)
+                    if test not in self._opens:
+                        self._opens[test] = _interval_tests(other._axis_affine(a, coord))[0]
+
+    def cells(self, chart: Chart) -> tuple[np.ndarray, ...]:
+        """Check-grid cell indices of the ball nodes ``chart`` pulls back, one array per axis."""
+        return tuple(self._cells[_interval_key(chart, a)] for a in range(chart.dimension))
+
+    def in_later_cores(self, covering: Covering, step: int) -> np.ndarray:
+        """Which ball nodes chart ``step`` pulls back lie in the open core of a later chart."""
+        chart = covering.charts[step]
+        found = np.zeros(np.count_nonzero(self.in_ball), dtype=bool)
+        for other in covering.charts[step + 1 :]:
+            found |= functools.reduce(np.logical_and, (
+                self._opens[_interval_key(chart, a) + _interval_key(other, a)]
+                for a in range(chart.dimension)
+            ))
+        return found
+
+
+def _interval_key(chart: Chart, a: int) -> tuple:
+    """What fixes a chart's core interval on axis ``a``."""
+    return (a, chart.center[a], chart.core_extent[a])
 
 
 def _certificate(
     step: int,
     covering: Covering,
+    ball: _BallTables,
     trusted: np.ndarray,
     check_grid: DomainSpec,
 ) -> cone_mod.ConeCertificate:
@@ -389,19 +505,11 @@ def _certificate(
     """
     chart = covering.charts[step]
     m = chart.dimension
-    res = _CONE_RESOLUTION[m]
-    in_ball = cone_mod._node_tables(m, res)[0] <= 1.0
-    pts_back, _ = chart.from_disk(cone_mod._grid_points(m, res)[in_ball])
-    # membership is pointwise: each later core tests only the points no
-    # earlier one has claimed
-    in_later = np.zeros(pts_back.shape[0], dtype=bool)
-    for other in covering.charts[step + 1 :]:
-        rest = np.flatnonzero(~in_later)
-        in_later[rest] = other.in_core(pts_back[rest])
-    f_ind, e_ind = np.zeros((2, in_ball.size), dtype=bool)
-    f_ind[in_ball] = ~in_later
-    e_ind[in_ball] = _conservative_membership(
-        trusted.reshape(check_grid.shape), check_grid.axes, pts_back
+    res = ball.resolution
+    f_ind, e_ind = np.zeros((2, ball.in_ball.size), dtype=bool)
+    f_ind[ball.in_ball] = ~ball.in_later_cores(covering, step)
+    e_ind[ball.in_ball] = _conservative_membership(
+        trusted.reshape(check_grid.shape), ball.cells(chart)
     )
     shape = (res,) * m
     try:
@@ -423,10 +531,9 @@ def _certificate(
     return cert
 
 
-def _captured(chart: Chart, pts: np.ndarray, cert: cone_mod.ConeCertificate) -> np.ndarray:
-    """Which base points of the closed core a step trusts: its certified ball or cone annulus."""
-    z = chart.to_disk(pts)
-    return (np.linalg.norm(z, axis=-1) < cert.radius) | cone_mod.accepts(cert, z)
+def _captured(z: np.ndarray, cert: cone_mod.ConeCertificate) -> np.ndarray:
+    """Which chart-ball points ``z`` of the closed core a step trusts: its ball or cone annulus."""
+    return (_row_norm(z) < cert.radius) | cone_mod.accepts(cert, z)
 
 
 def _trusted_after(trusted: np.ndarray, inside: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -492,11 +599,12 @@ def glue(
 
     collar = collar_over(trace.base, n_depth, depth)
     base_pts = node_mesh(trace.base)
-    check_pts = node_mesh(check_grid)
     trace_flat = trace.values.reshape(base_pts.shape[0], trace.nu)
     # cores_to_come[i]: union of the cores of the charts after chart i
-    later_cores = np.concatenate([check_cores[1:], np.zeros_like(check_cores[:1])])
-    cores_to_come = np.logical_or.accumulate(later_cores[::-1], axis=0)[::-1]
+    cores_to_come = np.zeros_like(check_cores)
+    for i in range(len(covering.charts) - 2, -1, -1):
+        cores_to_come[i] = cores_to_come[i + 1]
+        cores_to_come[i] |= check_cores[i + 1]
     # step 1 adopts the first patch on its closed core over the replicated
     # trace, a placeholder no step trusts; its open core is trusted
     values = np.repeat(trace_flat[:, None, :], n_depth, axis=1)
@@ -520,23 +628,26 @@ def glue(
 
     h_collar, h_check = base_cores[0], check_cores[0]
     close_step(1.0, 0.0, h_collar, h_check)
+    ball = _BallTables(covering, check_grid)
     for i in range(1, len(covering.charts)):
         chart = covering.charts[i]
-        cert = _certificate(i, covering, h_check, check_grid)
-        core = np.flatnonzero(base_closed[i])
-        kept = _captured(chart, base_pts[core], cert)
+        cert = _certificate(i, covering, ball, h_check, check_grid)
+        z = chart.core_disk(trace.base)
+        kept = _captured(z, cert)
+        rows = np.flatnonzero(base_closed[i])[kept]
         _fold_step(
             values,
             _collar_state(collar, trace, values),
             chart,
             patches[i],
-            core[kept],
-            base_pts[core[kept]],
+            rows,
+            base_pts[rows],
+            z[kept],
             cert.radius,
         )
         h_collar = _trusted_after(h_collar, base_closed[i], kept)
         h_check = _trusted_after(
-            h_check, check_closed[i], _captured(chart, check_pts[check_closed[i]], cert)
+            h_check, check_closed[i], _captured(chart.core_disk(check_grid), cert)
         )
         close_step(cert.radius, float(np.mean(cert.directions)), h_collar, h_check)
 
@@ -586,18 +697,19 @@ def _fold_step(
     patch: GridMap,
     rows: np.ndarray,
     pts: np.ndarray,
+    z: np.ndarray,
     radius: float,
 ) -> None:
     """One induction step, in place: the patch on the ball, the fold across the cone annulus.
 
-    ``rows`` are the base nodes the step captures and ``pts`` their base
-    points; ``prev`` is the state before the step.
+    ``rows`` are the base nodes the step captures, ``pts`` their base
+    points and ``z`` their chart-ball coordinates; ``prev`` is the state
+    before the step.
     """
     depth_axis = prev.domain.axes[-1]
     depth_coords, depth = depth_axis.coordinates(), depth_axis.length
     n_depth = depth_coords.shape[0]
-    z = chart.to_disk(pts)
-    radii = np.linalg.norm(z, axis=-1)
+    radii = _row_norm(z)
     ball = radii < radius
     values[rows[ball]] = _patch_columns(chart, patch, pts[ball], depth_coords)
 

@@ -154,6 +154,8 @@ def _read_sgf(path: str, cls: type[_Map]) -> _Map:
             if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
                 raise FormatError(f"constraint_tol in {path} must be finite and >= 0, got {raw_tol!r}")
             data = _read_body(fh, path, header[0], math.prod(counts), target.nu)
+            # frozen, the map adopts the array rather than copying it
+            data.flags.writeable = False
             return cls(domain, target, data.reshape(counts + (target.nu,)), tol)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from exc

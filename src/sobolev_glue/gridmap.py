@@ -3,6 +3,9 @@
 A :class:`GridMap` stores one nu-vector per grid node, C-ordered over the
 axes of its domain.  Values are 64-bit floats and the array is frozen on
 construction, after the shape, finiteness, tolerance and target checks.
+A read-only C-contiguous float64 array, such as the one an SGF reader
+hands over, is adopted as it is; any other array is copied, so the
+caller's stays writable and later changes to it never reach the map.
 A :class:`TraceMap` is a ``GridMap`` over a boundary face or over the base
 manifold of a collar; it differs only in naming its domain ``base``.
 
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import Axis, DomainSpec, face_axis_side, face_domain
+from .domain import Axis, DomainSpec, face_axis_side, face_domain, wrap
 from .errors import DomainError, ParameterError, PreconditionError
 from .target import TargetSpec, distance_to_target
 
@@ -52,7 +55,14 @@ class GridMap:
             tol = default_constraint_tol(self.domain)
         elif not (math.isfinite(tol) and tol >= 0.0):
             raise ParameterError(f"constraint tolerance must be finite and >= 0, got {tol}")
-        values = np.array(self.values, dtype=np.float64)
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and not values.flags.writeable
+            and values.flags.c_contiguous
+        ):
+            values = np.array(values, dtype=np.float64)
         expected = self.domain.shape + (self.target.nu,)
         if values.shape != expected:
             raise ParameterError(f"value array has shape {values.shape}, expected {expected}")
@@ -92,7 +102,7 @@ def _locate(axis: Axis, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = axis.spacing
     x = np.asarray(coords, dtype=np.float64)
     if axis.periodic:
-        x = np.mod(x, axis.length)
+        x = wrap(x, axis.length)
     else:
         slack = _EDGE_TOL * max(1.0, axis.length)
         if np.any(x < -slack) or np.any(x > axis.length + slack):
@@ -116,30 +126,32 @@ def evaluate_batch(m: GridMap, points: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"points have dimension {points.shape[-1]}, domain has {dom.ndim}"
         )
-    n = points.shape[0]
-    idx = []
-    frac = []
+    # per axis, the flat-index offsets and the weights of each cell's low
+    # and high corner, once
+    corners = []
     for a, axis in enumerate(dom.axes):
         i, f = _locate(axis, points[:, a])
-        idx.append(i)
-        frac.append(f)
-    out = np.zeros((n, m.nu))
-    # accumulate the 2^ndim corner contributions of each containing cell
+        j = i + 1
+        if axis.periodic:
+            j %= axis.count
+        stride = math.prod(dom.shape[a + 1 :])
+        corners.append(((i * stride, 1.0 - f), (j * stride, f)))
+    values = m.values.reshape(-1, m.nu)
+    out = np.zeros((points.shape[0], m.nu))
+    # accumulate the 2^ndim corner contributions of each containing cell;
+    # bit a of ``corner`` picks axis a's side, and the weights multiply in
+    # axis order
     for corner in range(1 << dom.ndim):
-        weight = np.ones(n)
-        index = []
-        for a, axis in enumerate(dom.axes):
-            bit = (corner >> a) & 1
-            if bit:
-                j = idx[a] + 1
-                if axis.periodic:
-                    j = np.mod(j, axis.count)
-                weight = weight * frac[a]
-            else:
-                j = idx[a]
-                weight = weight * (1.0 - frac[a])
-            index.append(j)
-        out += weight[:, None] * m.values[tuple(index)]
+        flat, weight = corners[0][corner & 1]
+        for a in range(1, dom.ndim):
+            offset, w = corners[a][(corner >> a) & 1]
+            flat = flat + offset
+            weight = weight * w
+        corner_values = np.take(values, flat, axis=0)
+        # one component at a time: a broadcast over nu-long rows would run
+        # an inner loop per point
+        for c in range(m.nu):
+            out[:, c] += weight * corner_values[:, c]
     return out
 
 

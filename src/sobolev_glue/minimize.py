@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import DomainSpec, collar_over, depth_node_count
+from .domain import DomainSpec, collar_over, depth_node_count, wrap
 from .energy import (
     PenaltySpec,
     _check_p,
@@ -348,7 +348,7 @@ def circle_lifting_oracle(
     if np.any(norms == 0.0):
         raise LiftingError("boundary data vanishes at a node; no angle exists")
     raw = np.arctan2(vals[:, 1], vals[:, 0])
-    jumps = np.mod(np.diff(raw, append=raw[0]) + math.pi, 2.0 * math.pi) - math.pi
+    jumps = wrap(np.diff(raw, append=raw[0]) + math.pi, 2.0 * math.pi) - math.pi
     if np.any(np.abs(jumps) >= math.pi - 1e-9):
         raise LiftingError("adjacent boundary angles jump by pi or more")
     winding = float(np.sum(jumps)) / (2.0 * math.pi)

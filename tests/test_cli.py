@@ -1024,3 +1024,27 @@ def test_python_dash_m_runs_the_cli_without_a_warning(tmp_path):
     assert run.returncode == 2
     assert "invalid choice: 'nope'" in run.stderr
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_only_a_run_record_digests_the_inputs(tmp_path, capsys, monkeypatch):
+    # energy writes no record, so it hashes nothing; fold still digests
+    # both inputs, their sidecars and its outputs
+    hashed = []
+
+    def counting(path):
+        hashed.append(path)
+        return fileio.sha256_of(path)
+
+    monkeypatch.setattr(cli, "sha256_of", counting)
+    p0, p1 = _matched_fold_pair(tmp_path)
+    assert run_cli(["energy", "--kind", "dirichlet", "--p", "2", "--in", p0], capsys)[0] == 0
+    assert hashed == []
+    out = str(tmp_path / "folded.sgf")
+    assert run_cli(["fold", "--u0", p0, "--u1", p1, "--out", out], capsys)[0] == 0
+    record = _read_run_record(out + ".run")
+    files = [p0, p1]
+    expected = {f"input_{path}" for path in files}
+    expected |= {f"input_{fileio.manifest_path(path)}" for path in files}
+    expected |= {f"output_{out}", f"output_{fileio.manifest_path(out)}"}
+    assert {key for key in record if key.startswith(("input_", "output_"))} == expected
+    assert sorted(hashed) == sorted(key.partition("_")[2] for key in expected)

@@ -6,6 +6,7 @@ factor) while the patch total is K times the arc energy, so the ratio
 must land on 2 pi / (K * arc length) for any chart count.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -123,6 +124,7 @@ def test_core_masks_match_the_pointwise_core_tests():
         (dom.torus(16, 16), 10, None),
         (dom.torus(48, 48), 6, None),
         (dom.torus(48, 48), 36, None),
+        # the glue's check grid under the 3 x 3 torus covering
         (dom.torus(384, 384), 9, 768),
     ]
     for base, k, boundary_nodes in cases:
@@ -257,9 +259,10 @@ def test_conservative_membership_matches_the_corner_loop(grid):
             np.stack(np.meshgrid(*[seam] * grid.ndim, indexing="ij"), -1).reshape(-1, grid.ndim),
         ]
     )
+    cells = tuple(gm._locate(axis, pts[:, a])[0] for a, axis in enumerate(grid.axes))
     for density in (0.5, 0.9, 1.0):
         mask = rng.uniform(size=grid.shape) < density
-        got = cov._conservative_membership(mask, grid.axes, pts)
+        got = cov._conservative_membership(mask, cells)
         assert got.tobytes() == _corner_loop_membership(mask, grid.axes, pts).tobytes()
 
 
@@ -552,3 +555,109 @@ def test_glue_cli_runs_a_ten_chart_torus(tmp_path, capsys):
     assert [line.partition("=")[0] for line in lines if line.startswith("r_")] == [
         f"r_{i}" for i in range(1, 11)
     ]
+
+
+#: sha256 of the glued values' bytes followed by ``repr`` of the report,
+#: per glue case of ``_glue_case``; the glue's tables and kernels must
+#: keep every bit of both
+GLUE_BIT_PINS = {
+    "circle_deg1_k2": "64f7d03c7d1da1360f95a1eab3f5507768366c9cd3272a1d1e4bfcc8097c4ebd",
+    "circle_deg0_k2": "7a67de8b7db8779a5b90e3fb9be4d28099b11072e11c0c8380f8239daf2fcce0",
+    "circle_deg1_k3": "da92b3e77a2aae9a46aa14ab1ebf7f25d62c3f7efff8eb547a310b38c02bd77d",
+    "circle_deg0_k3": "c0f7e351ceb39d0a0dfb83bcdcfdf84ad105050f04ec169cda98133e94205c73",
+    "circle_deg1_k5": "3e0591899ef991d4f99de8c521646c0c301ee783002d9d0f0d565a92a5397ce0",
+    "circle_deg0_k5": "e763e24a810d260b9286587e546df19fe3fb6fb51b26e1b1594c98bc96b4d6e0",
+    "circle_penalized_k3": "16a04dc886161592859e2113fc01bc446d4388467b9ced491f10975784fb99bb",
+    "torus48_k4": "af8c20a60b8fb99b8ddd281a14acba1bcb3b32b461144196f905e214ecbf4129",
+    "torus48_k6": "3d2a91f9dd583f46d061b936cc15df44c1b73325ed21ab90861d5ab939ee248b",
+    "torus48_k9": "0eaf36e80f9cc526cd92940ae370efbce26b5a49b3f04938b8532d45f3a1245a",
+    "twisted_circle": "12bdc963243c2b6841cd157145e2a9fdded33328d910f2816243d497838f7548",
+    "twisted_torus": "471936334924ba450bb6b77fe1c5d1b918f425c3cf4dd2a5df5176ec1d24eca9",
+    "twisted_torus49": "5eaa3b2df0e059959ec31e10604820b05473e4b4c0067d1575d8496eac1d820a",
+    "twisted_sphere": "d6da10f11cb9c7616e0dbb99bda722644077c53309f7c65cd3748e05c1bb7e35",
+}
+
+
+def _degree_zero_trace(n):
+    base = dom.circle(n)
+    t = base.axes[0].coordinates()
+    psi = 0.7 * np.sin(t) + 0.3 * np.cos(2.0 * t)
+    vals = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    return gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=1e-12)
+
+
+def _glue_case(case):
+    """Covering, patches, trace and penalty of one pinned glue."""
+    penalty, twist = None, case.startswith("twisted_")
+    if case.startswith("circle_deg"):
+        make = _degree_one_trace if case.startswith("circle_deg1") else _degree_zero_trace
+        trace, k, n_depth = make(128), int(case.rpartition("_k")[2]), 16
+    elif case == "circle_penalized_k3":
+        d1 = _degree_one_trace(128)
+        trace = gm.TraceMap(base=d1.base, target=tg.euclidean(2), values=d1.values)
+        k, n_depth, penalty = 3, 16, en.distance_penalty(0.5, 2.0, tg.circle())
+    elif case.startswith("torus48_k"):
+        trace, k, n_depth = _sphere_trace(48), int(case.rpartition("_k")[2]), 10
+    else:
+        trace, k, n_depth = {
+            "twisted_circle": (_degree_one_trace(128), 3, 16),
+            "twisted_torus": (_torus_x_trace(48), 4, 10),
+            "twisted_torus49": (_torus_x_trace(49), 4, 10),
+            "twisted_sphere": (_sphere_trace(64), 9, 10),
+        }[case]
+    covering = cov.build_covering(trace.base, k)
+    patches = [cov.replicate_trace_patch(trace, chart, n_depth) for chart in covering.charts]
+    return covering, _depth_twisted(patches) if twist else patches, trace, penalty
+
+
+@pytest.mark.parametrize("case", sorted(GLUE_BIT_PINS))
+def test_glue_keeps_every_bit(case):
+    covering, patches, trace, penalty = _glue_case(case)
+    glued, report = cov.glue(covering, patches, trace, penalty=penalty)
+    digest = hashlib.sha256(glued.values.tobytes() + repr(report).encode()).hexdigest()
+    assert digest == GLUE_BIT_PINS[case]
+
+
+@pytest.mark.parametrize(
+    "base, k", [(dom.circle(2048), 3), (dom.torus(64, 64), 9), (dom.torus(384, 384), 9)]
+)
+def test_core_disk_is_to_disk_of_the_closed_core(base, k):
+    pts = gm.node_mesh(base)
+    for chart in cov.build_covering(base, k).charts:
+        _, closed_core = chart.core_masks(base)
+        assert chart.core_disk(base).tobytes() == chart.to_disk(pts[closed_core]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "base, k", [(dom.circle(128), 5), (dom.torus(48, 48), 9), (dom.torus(48, 48), 6)]
+)
+def test_ball_tables_match_the_pointwise_pull_back(base, k):
+    # the per-glue columns give every step the bits that pulling the
+    # chart ball back through from_disk and testing each point gives
+    covering = cov.build_covering(base, k)
+    m = covering.dimension
+    check_grid = dom.from_kind(base.kind, (cov._CHECK_RESOLUTION[m],) * m)
+    ball = cov._BallTables(covering, check_grid)
+    z = cone._grid_points(m, ball.resolution)[ball.in_ball]
+    for step, chart in enumerate(covering.charts[1:], start=1):
+        pts, _ = chart.from_disk(z)
+        later = np.zeros(pts.shape[0], dtype=bool)
+        for other in covering.charts[step + 1 :]:
+            later |= other.in_core(pts)
+        assert np.array_equal(ball.in_later_cores(covering, step), later)
+        for got, axis, a in zip(ball.cells(chart), check_grid.axes, range(m)):
+            assert np.array_equal(got, gm._locate(axis, pts[:, a])[0])
+
+
+def test_row_norm_and_norm_ratio_keep_the_reduction_bits():
+    rng = np.random.default_rng(9)
+    for m in (1, 2):
+        x = np.concatenate([
+            rng.normal(size=(5000, m)) * 10.0 ** rng.integers(-150, 150, (5000, 1)),
+            np.zeros((1, m)),
+        ])
+        assert cov._row_norm(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        peak = np.max(np.abs(x), axis=-1, keepdims=True)
+        unit = x / np.where(peak > 0.0, peak, 1.0)
+        want = np.where(peak > 0.0, np.linalg.norm(unit, axis=-1, keepdims=True), 1.0)
+        assert cov._norm_ratio(x).tobytes() == want.tobytes()

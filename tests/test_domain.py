@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,37 @@ def test_depth_node_count_needs_a_finite_positive_depth(depth):
 
 def test_depth_node_count_caps_a_huge_finite_depth():
     assert dom.depth_node_count(dom.circle(16), 1e308) == 128
+
+
+@pytest.mark.parametrize("length", [1.0, 2.0 * np.pi, 0.75, 1.0 / 3.0, 1e-3])
+def test_wrap_equals_np_mod_byte_for_byte(length):
+    rng = np.random.default_rng(7)
+    tiny = np.nextafter(0.0, 1.0)
+    below = np.nextafter(length, 0.0)
+    edges = np.array([
+        0.0, -0.0, length, -length, 2.0 * length, -2.0 * length, below, -below,
+        tiny, -tiny, 1e-310, -1e-310, -1e-17 * length, -1e-300,
+        1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan,
+    ])
+    draws = rng.uniform(-50.0 * length, 50.0 * length, 100_000)
+    x = np.concatenate([edges, draws, np.rint(draws / length) * length])
+    # the infinities give nan and an invalid-value warning in both
+    with np.errstate(invalid="ignore"):
+        want = np.mod(x, length)
+        got = dom.wrap(x, length)
+    assert got.tobytes() == want.tobytes()
+    # wrapping rounds -1e-17 * length up to length itself, as np.mod does
+    assert got[12] == length
+
+
+def test_no_float_modulo_outside_wrap():
+    # every float modulo goes through domain.wrap, whose np.fmod pass is
+    # the cheap one; integer remainders use the % operator
+    src = pathlib.Path(dom.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.mod(" in line or "np.remainder(" in line
+    ]
+    assert offenders == []

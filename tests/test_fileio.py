@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,22 @@ def test_format_real_round_trips_doubles():
     xs = [np.pi, 1.0 / 3.0, 6.02e23, 5e-324, -0.0]
     for x in xs:
         assert float(fileio.format_real(x)) == x
+
+
+def test_reading_a_map_holds_its_body_once(tmp_path):
+    # the reader hands its frozen array to the map, which adopts it; a
+    # copy would double the peak
+    domain = dom.torus_collar(64, 64, 16)
+    m = _random_map(np.random.default_rng(1), domain, nu=3)
+    path = str(tmp_path / "big.sgf")
+    fileio.write_grid_map(path, m)
+    body = m.values.nbytes
+    tracemalloc.start()
+    try:
+        back = fileio.read_grid_map(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * body
+    assert back.values.tobytes() == m.values.tobytes()
+    assert not back.values.flags.writeable

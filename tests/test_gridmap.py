@@ -105,3 +105,63 @@ def test_trace_map_domain_alias():
     tr = gm.TraceMap(base=dom.circle(6), target=tg.euclidean(1), values=np.zeros((6, 1)))
     assert tr.domain is tr.base
     assert tr.nu == 1
+
+
+def test_a_callers_array_is_copied_and_stays_writable():
+    d = dom.square(4, 5)
+    mine = np.random.default_rng(2).normal(size=(4, 5, 2))
+    m = gm.GridMap(domain=d, target=tg.euclidean(2), values=mine)
+    kept = m.values.copy()
+    assert mine.flags.writeable
+    mine[...] = 0.0
+    assert m.values.tobytes() == kept.tobytes()
+    # a frozen float64 array, such as the SGF reader's, is adopted as it is
+    frozen = kept.copy()
+    frozen.flags.writeable = False
+    assert gm.GridMap(domain=d, target=tg.euclidean(2), values=frozen).values is frozen
+    # anything else is copied: another dtype, a strided view
+    single = frozen.astype(np.float32)
+    single.flags.writeable = False
+    assert gm.GridMap(domain=d, target=tg.euclidean(2), values=single).values.dtype == np.float64
+    strided = np.random.default_rng(3).normal(size=(4, 5, 4))[..., ::2]
+    strided.flags.writeable = False
+    assert gm.GridMap(domain=d, target=tg.euclidean(2), values=strided).values.flags.c_contiguous
+
+
+def _corner_loop_evaluate(m, points):
+    """The multilinear interpolation one corner at a time, with per-axis index tuples."""
+    idx, frac = zip(*(gm._locate(axis, points[:, a]) for a, axis in enumerate(m.domain.axes)))
+    out = np.zeros((points.shape[0], m.nu))
+    for corner in range(1 << m.domain.ndim):
+        weight = np.ones(points.shape[0])
+        index = []
+        for a, axis in enumerate(m.domain.axes):
+            if (corner >> a) & 1:
+                j = idx[a] + 1
+                index.append(j % axis.count if axis.periodic else j)
+                weight = weight * frac[a]
+            else:
+                index.append(idx[a])
+                weight = weight * (1.0 - frac[a])
+        out += weight[:, None] * m.values[tuple(index)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [dom.circle(17), dom.interval(9), dom.torus(13, 7), dom.cylinder(11, 5, 2.0),
+     dom.torus_collar(8, 9, 5, 0.5), dom.box(3, 4, 5)],
+)
+def test_evaluate_batch_matches_the_corner_loop_bit_for_bit(domain):
+    rng = np.random.default_rng(domain.ndim)
+    lengths = np.array(domain.lengths)
+    periodic = np.array([axis.periodic for axis in domain.axes])
+    for nu in (1, 3):
+        values = rng.normal(size=domain.shape + (nu,))
+        m = gm.GridMap(domain=domain, target=tg.euclidean(nu), values=values)
+        # inside, past the seam of periodic axes, and on every node and far corner
+        wide = rng.uniform(0.0, 1.0, (2000, domain.ndim)) * lengths
+        wide[:, periodic] = rng.uniform(-3.0, 3.0, (2000, int(periodic.sum()))) * lengths[periodic]
+        points = np.concatenate([wide, gm.node_mesh(domain), lengths[None, :]])
+        got = gm.evaluate_batch(m, points)
+        assert got.tobytes() == _corner_loop_evaluate(m, points).tobytes()
