@@ -1,18 +1,19 @@
 """Sampled star-shaped capture of a closed set by a cone over directions.
 
 Everything here lives on a regular node grid over [-1,1]^m, m in {1,2}.
-``find_cone`` checks the single radius r = 1 - 1/K (K = ``ladder_steps``):
-a closed sampled set F must be contained in the open ball of radius r
+``find_cone`` checks the one radius r = ``CERTIFIED_RADIUS`` = 63/64: a
+closed sampled set F must be contained in the open ball of radius r
 united with a cone of directions whose rays stay inside an open sampled
-set G across the annulus between radius r and the unit sphere.  No other
-radius k/K needs a check, because the test only gets easier as r grows.
-Containments are certified at grid scale only:
+set G across the annulus between radius r and the unit sphere.  No
+smaller radius needs a check, because the test only gets easier as r
+grows.  Containments are certified at grid scale only:
 
 * rays run along 2 directions on a 1-D grid and along 4 x resolution
   equally spaced directions on a 2-D grid, so their angular spacing at
   the rim stays below one grid cell;
-* a ray direction is accepted if every sample point along it between r
-  and 1 lies in a grid cell all of whose corners are in G;
+* a ray direction is accepted if every sample point along it in [r, 1]
+  lies in a grid cell all of whose corners are in G; the samples are
+  those of a lattice from 1 - r to 1 in steps of about half a cell;
 * the accepted direction set is eroded by one direction cell, so every
   certified direction has accepted neighbours;
 * an F node is covered if it lies strictly inside the ball or both
@@ -32,9 +33,8 @@ Geometry that depends on the grid alone, not on the sets, is tabulated
 once per key in bounded LRU tables of at most 4 entries each, and every
 set on that grid only gathers from them:
 
-* per (dimension, resolution, ladder_steps): the ray sample parameters
-  and the flat index of the grid cell holding each ray sample (about
-  1 MB at resolution 256);
+* per (dimension, resolution, radius): the flat index of the grid cell
+  holding each ray sample in [r, 1] (about 20 KB at resolution 256);
 * per (dimension, resolution): the node radii and the rim pull-back of
   the radial extension below;
 * per (dimension, resolution, direction count): the bracket pair
@@ -61,8 +61,8 @@ import numpy as np
 from .domain import wrap
 from .errors import DomainError, ParameterError, PreconditionError, ResolutionError
 
-#: K: ``find_cone`` checks the radius 1 - 1/K and scans rays from 1/K
-DEFAULT_LADDER_STEPS = 64
+#: r: ``find_cone`` certifies the open ball of this radius plus a cone
+CERTIFIED_RADIUS = 63.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -204,38 +204,36 @@ def _directions(dimension: int, count: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _ray_cells(
-    dimension: int, resolution: int, ladder_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ray sample parameters ``ts`` and the cell holding every ray sample.
+def _ray_cells(dimension: int, resolution: int, radius: float) -> np.ndarray:
+    """The cell holding every ray sample in [radius, 1].
 
-    Entry (j, k) of the second array is the flat index, on the
-    (res - 1)^m cell grid, of the cell that contains ts[k] * direction j.
+    The samples are those at t >= radius of a lattice running from
+    1 - radius to 1 in steps of about h/2.  Entry (j, k) is the flat
+    index, on the (res - 1)^m cell grid, of the cell that contains the
+    k-th such sample along direction j.
     """
     # 2-D sets: 4 x resolution directions keep the rim's angular spacing below one cell
     dirs = _directions(dimension, 4 * resolution)
     h = 2.0 / (resolution - 1)
-    t_lo = 1.0 / ladder_steps
-    count = int(math.ceil((1.0 - t_lo) / (h / 2.0))) + 1
-    ts = np.linspace(t_lo, 1.0, count)
-    cells = np.zeros((len(dirs), count), dtype=np.int64)
+    t_lo = 1.0 - radius
+    ts = np.linspace(t_lo, 1.0, int(math.ceil((1.0 - t_lo) / (h / 2.0))) + 1)
+    ts = ts[ts >= radius]
+    cells = np.zeros((len(dirs), ts.size), dtype=np.int64)
     for a in range(dimension):
         i = np.floor((ts[None, :] * dirs[:, a, None] + 1.0) / h).astype(np.int64)
         cells = cells * (resolution - 1) + np.clip(i, 0, resolution - 2)
-    return _read_only(ts), _read_only(cells.astype(np.int32))
+    return _read_only(cells.astype(np.int32))
 
 
-def ray_clearance(g: SampledSet, ladder_steps: int = DEFAULT_LADDER_STEPS) -> np.ndarray:
-    """Largest blocked parameter per direction.
+def ray_clearance(g: SampledSet) -> np.ndarray:
+    """Per direction: every ray sample in [r, 1] passes the cell test.
 
-    Entry j is the largest sample t in [1/K, 1] whose cell test fails
-    along direction j (or -inf when the whole ray is clear).  Direction j
-    belongs to the radius-r cone exactly when the entry is < r.
+    r is ``CERTIFIED_RADIUS``; direction j belongs to the radius-r cone
+    before erosion exactly when entry j is True.
     """
-    ts, cells = _ray_cells(g.dimension, g.resolution, ladder_steps)
+    cells = _ray_cells(g.dimension, g.resolution, CERTIFIED_RADIUS)
     ok = _cells_all_true(_extended_indicator(g)).reshape(-1)[cells]
-    blocked = np.where(ok, -np.inf, ts)
-    return np.max(blocked, axis=1)
+    return np.all(ok, axis=1)
 
 
 def _brackets(pts: np.ndarray, nd: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,17 +278,12 @@ def _covered(f: SampledSet, certificate: ConeCertificate) -> np.ndarray:
     return np.where(f.indicator.reshape(-1), mask, True)
 
 
-def find_cone(
-    f: SampledSet,
-    g: SampledSet,
-    ladder_steps: int = DEFAULT_LADDER_STEPS,
-) -> ConeCertificate:
-    """Certify a cone capture at the single radius r = 1 - 1/K.
+def find_cone(f: SampledSet, g: SampledSet) -> ConeCertificate:
+    """Certify a cone capture at the one radius r = ``CERTIFIED_RADIUS``.
 
-    K is ``ladder_steps``; rays are scanned from 1/K outward.  Every
-    ingredient of the capture test (accepted directions, their one-cell
-    erosion, the open ball, cone membership) only grows with r, so no
-    smaller radius of the form k/K can succeed where r fails.  Raises
+    Every ingredient of the capture test (accepted directions, their
+    one-cell erosion, the open ball, cone membership) only grows with r,
+    so no smaller radius can succeed where r fails.  Raises
     PreconditionError when F touches the rim outside G's interior and
     ResolutionError when r does not certify containment at this grid
     resolution.
@@ -300,8 +293,6 @@ def find_cone(
         raise ParameterError("the captured set F must be sampled closed")
     if g.closed:
         raise ParameterError("the ambient set G must be sampled open")
-    if ladder_steps < 2:
-        raise ParameterError(f"ladder needs at least 2 steps, got {ladder_steps}")
     radii, _, _ = _node_tables(f.dimension, f.resolution)
     stray = f.indicator.reshape(-1) & (radii > 1.0 + f.spacing)
     if np.any(stray):
@@ -310,8 +301,8 @@ def find_cone(
         raise PreconditionError(
             "F meets the unit sphere outside the sampled interior of G"
         )
-    radius = (ladder_steps - 1) / ladder_steps
-    pre = ray_clearance(g, ladder_steps) < radius
+    radius = CERTIFIED_RADIUS
+    pre = ray_clearance(g)
     if f.dimension == 1:
         accepted = pre
     else:
@@ -319,7 +310,7 @@ def find_cone(
     certificate = ConeCertificate(directions=accepted, radius=radius, verified=False)
     if not np.all(_covered(f, certificate)):
         raise ResolutionError(
-            "no ladder radius certifies F inside ball-plus-cone at this resolution"
+            f"radius {radius} does not certify F inside ball-plus-cone at this resolution"
         )
     return replace(certificate, verified=verify_cone(f, g, certificate))
 

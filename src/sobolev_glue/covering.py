@@ -90,7 +90,7 @@ from .gridmap import (
     extract_trace,
     node_mesh,
 )
-from .target import project_to_target
+from .target import project_to_target, sum_of_squares
 
 #: chart-coordinate sampling for cone capture, by base dimension
 _CONE_RESOLUTION = {1: 513, 2: 257}
@@ -101,17 +101,6 @@ _CHECK_RESOLUTION = {1: 2048, 2: 384}
 
 # ---------------------------------------------------- square <-> ball maps
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=-1)`` of (N, m) rows, bit for bit.
-
-    The squared columns are added in the order the norm's reduction adds them.
-    """
-    total = x[:, 0] * x[:, 0]
-    for a in range(1, x.shape[1]):
-        total += x[:, a] * x[:, a]
-    return np.sqrt(total)
-
-
 def _norm_ratio(x: np.ndarray) -> np.ndarray:
     """|x|_2 / |x|_inf of each (N, m) row as an (N, 1) column, 1 at the origin.
 
@@ -121,7 +110,7 @@ def _norm_ratio(x: np.ndarray) -> np.ndarray:
     peak = functools.reduce(np.maximum, (np.abs(x[:, a]) for a in range(x.shape[1])))
     nonzero = peak > 0.0
     unit = x / np.where(nonzero, peak, 1.0)[:, None]
-    return np.where(nonzero, _row_norm(unit), 1.0)[:, None]
+    return np.where(nonzero, np.sqrt(sum_of_squares(unit)), 1.0)[:, None]
 
 
 def square_to_disk(x: np.ndarray) -> np.ndarray:
@@ -533,7 +522,7 @@ def _certificate(
 
 def _captured(z: np.ndarray, cert: cone_mod.ConeCertificate) -> np.ndarray:
     """Which chart-ball points ``z`` of the closed core a step trusts: its ball or cone annulus."""
-    return (_row_norm(z) < cert.radius) | cone_mod.accepts(cert, z)
+    return (np.sqrt(sum_of_squares(z)) < cert.radius) | cone_mod.accepts(cert, z)
 
 
 def _trusted_after(trusted: np.ndarray, inside: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -709,7 +698,7 @@ def _fold_step(
     depth_axis = prev.domain.axes[-1]
     depth_coords, depth = depth_axis.coordinates(), depth_axis.length
     n_depth = depth_coords.shape[0]
-    radii = _row_norm(z)
+    radii = np.sqrt(sum_of_squares(z))
     ball = radii < radius
     values[rows[ball]] = _patch_columns(chart, patch, pts[ball], depth_coords)
 

@@ -709,6 +709,11 @@ def _pinned_run_argv(tmp_path, name):
                 path, gm.GridMap(domain=d, target=tg.euclidean(2), values=np.stack(values, -1))
             )
         return ["fold", "--u0", paths[0], "--u1", paths[1], "--out", str(tmp_path / "out.sgf")]
+    if name == "cone":
+        # the segment instance on a 129² grid; the CONE1 certificate goes
+        # to the same --out path as every other pinned output
+        fp, gp = _write_cone_instance(tmp_path)
+        return ["cone", "--f", fp, "--g", gp, "--out", str(tmp_path / "out.sgf")]
     if name == "glue":
         trace_path = str(tmp_path / "t.sgf")
         tr = _write_rational_trace(trace_path, 48)
@@ -725,6 +730,11 @@ def _pinned_run_argv(tmp_path, name):
 #: each pinned run, captured before the handlers left their bookkeeping
 #: to ``cli.main``
 PINNED_RUNS = {
+    # pinned before the cone search dropped its radius ladder
+    "cone": (
+        "radius=0.984375\naccepted_directions=47\ndirection_count=516\nverified=true\n",
+        "0067273a698089d83ba854add1edd18339ffae7a30b79033b7ff60a88b39c9cb",
+    ),
     "energy_dirichlet": ("value=5.3391176276428052\n", None),
     "energy_gagliardo": ("value=0.48680703886341897\n", None),
     "energy_penalized": ("value=15.184019362067524\n", None),

@@ -6,6 +6,9 @@ ball) and captures that must fail loudly (rim outside the ambient set,
 a notch blocking every useful ray).
 """
 
+import collections
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,18 +111,18 @@ def test_rim_outside_ambient_interior_is_a_precondition_error():
 
 
 def test_blocked_ray_to_an_outer_node_is_a_resolution_error():
-    # One F node at exactly the top ladder radius 63/64 (outside the open
-    # ball of every rung, too far from the rim for the boundary rule to
-    # apply at this resolution) whose ray never meets G: no rung covers
-    # it, so the search must report a resolution failure.
-    res = 257  # grid cell 1/128, rim band ~0.011, ladder gap 1/64
+    # One F node at exactly the certified radius 63/64 (outside the open
+    # ball, too far from the rim for the boundary rule to apply at this
+    # resolution) whose ray never meets G: nothing covers it, so the
+    # search must report a resolution failure that names the radius.
+    res = 257  # grid cell 1/128, rim band ~0.011, 1 - r = 1/64
     f = _sample(
         2, res, lambda p: np.linalg.norm(p - np.array([63.0 / 64.0, 0.0]), axis=-1) <= 0.004,
         closed=True,
     )
     g = _sample(2, res, lambda p: p[:, 1] > 0.2, closed=False)
     assert np.count_nonzero(f.indicator) == 1
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match="radius 0.984375 does not certify"):
         cone.find_cone(f, g)
 
 
@@ -135,8 +138,6 @@ def test_flag_and_stray_validation():
     f_stray = _sample(2, 33, lambda p: np.ones(len(p), dtype=bool), closed=True)
     with pytest.raises(ParameterError):
         cone.find_cone(f_stray, g_open)  # corners stick out of the unit ball
-    with pytest.raises(ParameterError):
-        cone.find_cone(f_good, g_open, ladder_steps=1)
     g_small = _sample(2, 65, lambda p: np.ones(len(p), dtype=bool), closed=False)
     with pytest.raises(ParameterError):
         cone.find_cone(f_good, g_small)  # resolution mismatch
@@ -159,7 +160,7 @@ def test_f_may_poke_one_cell_past_the_unit_sphere_and_no_farther():
 
 def test_direction_sets_grow_with_the_radius():
     _, g = _segment_sets()
-    clearance = cone.ray_clearance(g)
+    clearance = _reference_ray_clearance(g)
     for r_small, r_big in ((0.3, 0.6), (0.6, TOP)):
         small = clearance < r_small
         big = clearance < r_big
@@ -169,7 +170,7 @@ def test_direction_sets_grow_with_the_radius():
 def test_accepted_directions_keep_a_margin():
     f, g = _segment_sets()
     cert = cone.find_cone(f, g)
-    pre_margin = cone.ray_clearance(g) < cert.radius  # the un-eroded set
+    pre_margin = cone.ray_clearance(g)  # the un-eroded set
     idx = np.flatnonzero(cert.directions)
     n = cert.directions.size
     for j in idx:
@@ -276,18 +277,58 @@ def _node_points(s):
     return np.stack([g.reshape(-1) for g in mesh], axis=-1)
 
 
-def _ladder_oracle(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
+def _reference_ray_clearance(g, radius=TOP):
+    """Point-by-point clearance scan of the full ray lattice from 1 - radius.
+
+    Entry j is the largest sample t whose cell test fails along direction
+    j, or -inf when the whole ray is clear: every ray sample locates its
+    cell and reads that cell's corners from the radially extended
+    indicator.  Direction j belongs to the cone of any radius s >= 1 - radius
+    exactly when the entry is < s.
+    """
+    h = g.spacing
+    res = g.resolution
+    ext = g.indicator
+    if g.dimension == 2:
+        pts = _node_points(g)
+        radii = np.linalg.norm(pts, axis=-1)
+        outside = radii > 1.0
+        pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]
+        idx = np.clip(np.rint((pulled + 1.0) / h).astype(np.int64), 0, res - 1)
+        flat = np.array(g.indicator).reshape(-1)
+        flat[np.flatnonzero(outside)] = flat[idx[:, 0] * res + idx[:, 1]]
+        ext = flat.reshape(res, res)
+        angles = 2.0 * np.pi * np.arange(4 * res) / (4 * res)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    else:
+        dirs = np.array([[-1.0], [1.0]])
+    t_lo = 1.0 - radius
+    count = int(np.ceil((1.0 - t_lo) / (h / 2.0))) + 1
+    ts = np.linspace(t_lo, 1.0, count)
+    pts = (ts[None, :, None] * dirs[:, None, :]).reshape(-1, g.dimension)
+    cell = np.clip(np.floor((pts + 1.0) / h).astype(np.int64), 0, res - 2)
+    if g.dimension == 1:
+        ok = ext[cell[:, 0]] & ext[cell[:, 0] + 1]
+    else:
+        i, j = cell[:, 0], cell[:, 1]
+        ok = ext[i, j] & ext[i + 1, j] & ext[i, j + 1] & ext[i + 1, j + 1]
+    blocked = np.where(ok.reshape(len(dirs), count), -np.inf, ts[None, :])
+    return np.max(blocked, axis=1)
+
+
+def _ladder_oracle(f, g, steps):
     """Top-down scan of every radius k/K, first success wins; None if none does.
 
-    Reference for the single check in ``find_cone``: membership tests are
-    written out here rather than taken from the cone module.
+    Reference for the single check in ``find_cone`` at r = (K - 1)/K:
+    clearance and membership tests are written out here rather than taken
+    from the cone module.
     """
-    clearance = cone.ray_clearance(g, ladder_steps)
+    clearance = _reference_ray_clearance(g, (steps - 1) / steps)
     pts = _node_points(f)
     radii = np.linalg.norm(pts, axis=-1)
     f_flat = f.indicator.reshape(-1)
-    for k in range(1, ladder_steps):
-        radius = (ladder_steps - k) / ladder_steps
+    for k in range(1, steps):
+        radius = (steps - k) / steps
         pre = clearance < radius
         if f.dimension == 1:
             accepted = pre
@@ -311,7 +352,7 @@ def _failing_instances():
         closed=True,
     )
     g = _sample(2, res, lambda p: p[:, 1] > 0.2, closed=False)
-    yield f, g, cone.DEFAULT_LADDER_STEPS
+    yield f, g, 64
     yield f, g, 8
     # a ring of F outside radius 3/4 that no ray reaches through G
     ring = _sample(
@@ -323,27 +364,30 @@ def _failing_instances():
     yield ring, g_disk, 4
 
 
-def test_single_radius_check_matches_the_ladder_scan():
+def test_single_radius_check_matches_the_ladder_scan(monkeypatch):
+    # K = 64 is the library's radius; the other K patch CERTIFIED_RADIUS
+    # to (K - 1)/K, which also moves the ray lattice to start near 1/K
     rng = np.random.default_rng(11)
     cases = []
     for k in range(12):
         f, g = acceptance._random_cone_instance(rng, *acceptance._polar_grid(96 + 32 * (k % 2)))
-        cases.extend((f, g, steps) for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5))
+        cases.extend((f, g, steps) for steps in (64, 16, 5))
     cases.extend(_failing_instances())
     f1, g1 = (
         _sample(1, 129, lambda p: p[:, 0] >= 0.5, closed=True),
         _sample(1, 129, lambda p: p[:, 0] > 0.25, closed=False),
     )
-    cases.append((f1, g1, cone.DEFAULT_LADDER_STEPS))
+    cases.append((f1, g1, 64))
     failures = 0
     for f, g, steps in cases:
+        monkeypatch.setattr(cone, "CERTIFIED_RADIUS", (steps - 1) / steps)
         expected = _ladder_oracle(f, g, steps)
         if expected is None:
             failures += 1
             with pytest.raises(ResolutionError):
-                cone.find_cone(f, g, ladder_steps=steps)
+                cone.find_cone(f, g)
             continue
-        cert = cone.find_cone(f, g, ladder_steps=steps)
+        cert = cone.find_cone(f, g)
         radius, accepted = expected
         assert cert.radius == radius
         assert np.array_equal(cert.directions, accepted)
@@ -355,84 +399,53 @@ def test_single_radius_check_matches_the_ladder_scan():
 _TABLES = (cone._ray_cells, cone._node_tables, cone._node_brackets)
 
 
-def _reference_ray_clearance(g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
-    """Point-by-point clearance scan: every ray sample locates its cell and
-    reads that cell's corners from the radially extended indicator."""
-    h = g.spacing
-    res = g.resolution
-    ext = g.indicator
-    if g.dimension == 2:
-        pts = _node_points(g)
-        radii = np.linalg.norm(pts, axis=-1)
-        outside = radii > 1.0
-        pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]
-        idx = np.clip(np.rint((pulled + 1.0) / h).astype(np.int64), 0, res - 1)
-        flat = np.array(g.indicator).reshape(-1)
-        flat[np.flatnonzero(outside)] = flat[idx[:, 0] * res + idx[:, 1]]
-        ext = flat.reshape(res, res)
-        angles = 2.0 * np.pi * np.arange(4 * res) / (4 * res)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    else:
-        dirs = np.array([[-1.0], [1.0]])
-    t_lo = 1.0 / ladder_steps
-    count = int(np.ceil((1.0 - t_lo) / (h / 2.0))) + 1
-    ts = np.linspace(t_lo, 1.0, count)
-    pts = (ts[None, :, None] * dirs[:, None, :]).reshape(-1, g.dimension)
-    cell = np.clip(np.floor((pts + 1.0) / h).astype(np.int64), 0, res - 2)
-    if g.dimension == 1:
-        ok = ext[cell[:, 0]] & ext[cell[:, 0] + 1]
-    else:
-        i, j = cell[:, 0], cell[:, 1]
-        ok = ext[i, j] & ext[i + 1, j] & ext[i, j + 1] & ext[i + 1, j + 1]
-    blocked = np.where(ok.reshape(len(dirs), count), -np.inf, ts[None, :])
-    return np.max(blocked, axis=1)
-
-
 def _table_cases():
     rng = np.random.default_rng(3)
     for res in (256, 257, 33, 34, 9, 8):
         grid = acceptance._polar_grid(res)
         for _ in range(2):
-            f, g = acceptance._random_cone_instance(rng, *grid)
-            for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5):
-                yield f, g, steps
-    f1 = _sample(1, 65, lambda p: p[:, 0] >= 0.5, closed=True)
-    g1 = _sample(1, 65, lambda p: p[:, 0] > 0.25, closed=False)
-    for steps in (cone.DEFAULT_LADDER_STEPS, 16, 5):
-        yield f1, g1, steps
+            yield acceptance._random_cone_instance(rng, *grid)
+    yield (
+        _sample(1, 65, lambda p: p[:, 0] >= 0.5, closed=True),
+        _sample(1, 65, lambda p: p[:, 0] > 0.25, closed=False),
+    )
 
 
-def _certificate_or_error(f, g, steps):
+def _certificate_or_error(f, g):
     try:
-        cert = cone.find_cone(f, g, ladder_steps=steps)
+        cert = cone.find_cone(f, g)
     except (PreconditionError, ResolutionError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return cert.directions.tobytes(), cert.radius, cert.verified
 
 
-def test_tabulated_ray_clearance_matches_the_point_by_point_scan():
-    for _, g, steps in _table_cases():
-        got = cone.ray_clearance(g, steps)
-        assert got.tobytes() == _reference_ray_clearance(g, steps).tobytes()
+def test_tabulated_ray_clearance_matches_the_point_by_point_scan(monkeypatch):
+    for radius in (TOP, 0.8, 0.5):
+        monkeypatch.setattr(cone, "CERTIFIED_RADIUS", radius)
+        for _, g in _table_cases():
+            expected = _reference_ray_clearance(g, radius) < radius
+            assert cone.ray_clearance(g).tobytes() == expected.tobytes()
 
 
 def test_certificates_do_not_depend_on_table_warmth():
     cases = list(_table_cases())
     for table in _TABLES:
         table.cache_clear()
-    cold = [_certificate_or_error(f, g, steps) for f, g, steps in cases]
+    cold = [_certificate_or_error(f, g) for f, g in cases]
     assert any(isinstance(c, tuple) and c[2] for c in cold)
     # warm, in reverse order: entries get evicted and rebuilt along the way
-    warm = [_certificate_or_error(f, g, steps) for f, g, steps in reversed(cases)]
+    warm = [_certificate_or_error(f, g) for f, g in reversed(cases)]
     assert warm[::-1] == cold
     for table in _TABLES:
         assert table.cache_info().maxsize <= 4
 
 
 def test_cached_tables_are_read_only_int32():
+    # only the samples in [r, 1] are tabulated: 5 of a ray's 253 at 257²
+    assert cone._ray_cells(2, 257, TOP).shape == (4 * 257, 5)
     arrays = [
-        *cone._ray_cells(2, 33, 16),
-        *cone._ray_cells(1, 33, 16),
+        cone._ray_cells(2, 33, TOP),
+        cone._ray_cells(1, 33, TOP),
         *cone._node_tables(2, 33),
         *cone._node_brackets(2, 33, 132),
         *cone._node_brackets(1, 33, 2),
@@ -470,3 +483,97 @@ def test_bracket_table_matches_a_cross_product_oracle():
         j0, j1 = cone._node_brackets(1, res, 2)
         side = (np.linspace(-1.0, 1.0, res) > 0.0).astype(np.int32)
         assert np.array_equal(j0, side) and np.array_equal(j1, side)
+
+
+# ------------------------------------------------------ certificate bits
+
+
+def _criterion_04_instances():
+    """Criterion 04's 100 random instances and its segment instance."""
+    rng = np.random.default_rng(0)
+    grid_radii, grid_angles = acceptance._polar_grid(256)
+    for _ in range(100):
+        yield acceptance._random_cone_instance(rng, grid_radii, grid_angles)
+    axis = np.linspace(-1.0, 1.0, 256)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    seg = (np.abs(ys) <= 1.0 / 255.0 + 1e-9) & (xs >= 0.0) & (grid_radii <= 1.0)
+    yield cone.SampledSet(2, 256, True, seg), cone.SampledSet(2, 256, False, xs > 0.5)
+
+
+def _one_dimensional_instances():
+    cases = (
+        (lambda x: x >= 0.5, lambda x: x > 0.25),
+        (lambda x: x <= -0.5, lambda x: x < -0.25),
+        (lambda x: np.abs(x) >= 0.3, lambda x: np.abs(x) > 0.1),
+        # one node between the radius and the rim band whose ray leaves G
+        (lambda x: np.abs(x - 0.986) <= 0.002, lambda x: x < 0.5),
+        (lambda x: np.abs(x) <= 1.0, lambda x: x > -2.0),
+    )
+    for res in (2, 3, 64, 129, 200, 513):
+        x = np.linspace(-1.0, 1.0, res)
+        for f_of, g_of in cases:
+            yield cone.SampledSet(1, res, True, f_of(x)), cone.SampledSet(1, res, False, g_of(x))
+
+
+def _two_dimensional_refusals():
+    # one F node at the radius whose ray never meets G, then a rim outside G
+    for res in (257, 513):
+        yield (
+            _sample(2, res, lambda p: np.linalg.norm(p - np.array([TOP, 0.0]), axis=-1) <= 0.002,
+                    closed=True),
+            _sample(2, res, lambda p: p[:, 1] > 0.2, closed=False),
+        )
+    yield _disk(1.0, closed=True, res=65), _sample(2, 65, lambda p: p[:, 0] > 0.0, closed=False)
+
+
+#: sha256 over every pinned instance's certificate (direction count and
+#: bytes, radius bytes, verified flag) or refusal type, and the outcome
+#: tally, both taken before the search dropped its radius ladder
+CERTIFICATE_PINS = {
+    "criterion_04": (
+        "ec9dbe2492b6c626b6596a04f551a3346597dbc5da19a9006c6471fdb56a5f2b",
+        {"verified=True": 101},
+    ),
+    "one_dimensional": (
+        "50d7dd4bb4ec9561e35e94ce721c255e0cf20b9eaf26cb542961d1cff89b360d",
+        {"PreconditionError": 6, "verified=True": 23, "ResolutionError": 1},
+    ),
+    "table_cases": (
+        "4c889dedd0a516261a25c77b4321af6b363a5933688228dea5b6ff776af23544",
+        {"verified=True": 5, "PreconditionError": 8},
+    ),
+    "two_dimensional_refusals": (
+        "c1c4562513093ebb046f5ac26510a49ec4d4267b71cd1c2ff313250b67e8c1fb",
+        {"ResolutionError": 2, "PreconditionError": 1},
+    ),
+}
+
+
+def _pinned_instances(name):
+    if name == "criterion_04":
+        return _criterion_04_instances()
+    if name == "table_cases":
+        return _table_cases()
+    if name == "two_dimensional_refusals":
+        return _two_dimensional_refusals()
+    return _one_dimensional_instances()
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_PINS))
+def test_certificates_keep_their_bits(name):
+    digest = hashlib.sha256()
+    tally = collections.Counter()
+    for f, g in _pinned_instances(name):
+        try:
+            cert = cone.find_cone(f, g)
+        except (PreconditionError, ResolutionError) as exc:
+            outcome = type(exc).__name__
+            digest.update(outcome.encode())
+        else:
+            outcome = f"verified={cert.verified}"
+            digest.update(f"{cert.directions.size}:".encode())
+            digest.update(cert.directions.tobytes())
+            digest.update(np.float64(cert.radius).tobytes())
+            digest.update(bytes([cert.verified]))
+        tally[outcome] += 1
+    assert (digest.hexdigest(), dict(tally)) == CERTIFICATE_PINS[name]

@@ -649,14 +649,15 @@ def test_ball_tables_match_the_pointwise_pull_back(base, k):
             assert np.array_equal(got, gm._locate(axis, pts[:, a])[0])
 
 
-def test_row_norm_and_norm_ratio_keep_the_reduction_bits():
+def test_sum_of_squares_and_norm_ratio_keep_the_reduction_bits():
     rng = np.random.default_rng(9)
     for m in (1, 2):
         x = np.concatenate([
             rng.normal(size=(5000, m)) * 10.0 ** rng.integers(-150, 150, (5000, 1)),
             np.zeros((1, m)),
         ])
-        assert cov._row_norm(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        # the root of the row sum of squares is the covering's row norm
+        assert np.sqrt(tg.sum_of_squares(x)).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
         peak = np.max(np.abs(x), axis=-1, keepdims=True)
         unit = x / np.where(peak > 0.0, peak, 1.0)
         want = np.where(peak > 0.0, np.linalg.norm(unit, axis=-1, keepdims=True), 1.0)

@@ -53,8 +53,8 @@ def _oracle_energy_raised(original):
 
 
 def _captures_nothing(original):
-    def nothing(chart, pts, cert):
-        return np.zeros(len(pts), dtype=bool)
+    def nothing(z, cert):
+        return np.zeros(len(z), dtype=bool)
 
     return nothing
 
@@ -81,18 +81,15 @@ def _identity_projection(original):
 
 
 def _every_ray_clear(original):
-    def clear(g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
-        return np.full(original(g, ladder_steps).shape, -np.inf)
+    def clear(g):
+        return np.ones(original(g).shape, dtype=bool)
 
     return clear
 
 
-def _short_ladder(original):
-    # K = 2 checks only the radius r = 1/2
-    def short(f, g, ladder_steps=cone.DEFAULT_LADDER_STEPS):
-        return original(f, g, ladder_steps=2)
-
-    return short
+def _half_radius(original):
+    # the search of a two-step ladder: r = 1/2, rays scanned from 1/2
+    return 0.5
 
 
 @pytest.mark.parametrize(
@@ -102,7 +99,7 @@ def _short_ladder(original):
          (acc.criterion_02_fold_trace_contract, acc.criterion_03_fold_energy_constant)),
         (minimize, "_dirichlet_gradient", _halved,
          (acc.criterion_10_gradient_check,)),
-        (cone, "find_cone", _short_ladder,
+        (cone, "CERTIFIED_RADIUS", _half_radius,
          (acc.criterion_04_cone_capture, acc.criterion_05_circle_covering_glue)),
         (energy, "_offset_pair_sum", _halved,
          (acc.criterion_01_pair_sum_exactness,)),
@@ -137,3 +134,5 @@ def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
         result = criterion()
         print(acc.format_line(result))
         assert not result.passed, f"{result.name} passed with {name} broken"
+        # a mutant whose signature drifted fails by a TypeError, not the gate
+        assert not result.details.startswith("TypeError:"), result.details
