@@ -13,7 +13,8 @@ body of one line of ``nu`` values per node, are still read; nothing
 writes them.  Every written map gets a sidecar manifest at
 ``<path>.manifest`` holding ``key: value`` lines (constraint tolerance,
 provenance, and axis lengths whenever they differ from the canonical
-lengths of the kind).
+lengths of the kind); a sidecar that is not ASCII or repeats a key is a
+``FormatError``.
 
 Sampled subsets of [-1,1]^m (SET)::
 
@@ -74,16 +75,24 @@ def read_manifest(path: str) -> dict[str, str]:
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         return {}
+    try:
+        with open(mpath, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{mpath}: a manifest is ASCII text: {exc}") from exc
     entries: dict[str, str] = {}
-    with open(mpath, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise FormatError(f"manifest line without a colon: {line!r}")
-            key, value = line.split(":", 1)
-            entries[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise FormatError(f"{mpath}: manifest line without a colon: {line!r}")
+        key, value = line.split(":", 1)
+        key = key.strip()
+        if key in entries:
+            # a second value would silently replace the first
+            raise FormatError(f"{mpath}: manifest key {key!r} appears twice")
+        entries[key] = value.strip()
     return entries
 
 

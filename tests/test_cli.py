@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import sobolev_glue
 from sobolev_glue import cli, cone, fileio
 from sobolev_glue import covering as cov
 from sobolev_glue import domain as dom
@@ -755,16 +756,28 @@ PINNED_RUNS = {
 }
 
 
+#: the options of the pinned runs that name an input file
+_INPUT_FLAGS = ("--u0", "--u1", "--f", "--g", "--trace", "--patch", "--cfg")
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_stdout_and_output_bytes_are_pinned(tmp_path, capsys, name):
     stdout_pin, out_pin = PINNED_RUNS[name]
-    code, stdout, err = run_cli(_pinned_run_argv(tmp_path, name), capsys)
+    argv = _pinned_run_argv(tmp_path, name)
+    code, stdout, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert stdout == stdout_pin
     out = tmp_path / "out.sgf"
     assert out.exists() == (out_pin is not None)
     if out_pin is not None:
         assert fileio.sha256_of(str(out)) == out_pin
+        # the run record digests the pinned output and names each input once
+        record = _read_run_record(str(out) + ".run")
+        assert record[f"output_{out}"] == out_pin
+        inputs = [value for flag, value in zip(argv, argv[1:]) if flag in _INPUT_FLAGS]
+        assert sorted(
+            key for key in record if key.startswith("input_") and not key.endswith(".manifest")
+        ) == sorted(f"input_{path}" for path in inputs)
 
 
 #: sha256 of each pinned ``--out`` file as the SGF1 text writer wrote it:
@@ -1022,18 +1035,39 @@ def test_accept_rejects_unknown_suite(tmp_path, capsys):
     assert code == 2
 
 
-def test_python_dash_m_runs_the_cli_without_a_warning(tmp_path):
+def _run_python(*args):
+    """A fresh interpreter that imports this checkout's package, as ``PYTHONPATH=src`` does."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "sobolev_glue", "accept", "--suite", "nope",
-         "--out", str(tmp_path / "accept.txt")],
-        capture_output=True, text=True, env=env, check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+    )
+
+
+def test_python_dash_m_runs_the_cli_without_a_warning(tmp_path):
+    run = _run_python(
+        "-m", "sobolev_glue", "accept", "--suite", "nope", "--out", str(tmp_path / "accept.txt")
     )
     assert run.returncode == 2
     assert "invalid choice: 'nope'" in run.stderr
     assert "RuntimeWarning" not in run.stderr
+
+
+def test_the_runtime_package_imports_no_scipy():
+    # in a fresh interpreter: other tests load scipy into this one
+    run = _run_python("-c", (
+        "import sys, importlib\n"
+        "import sobolev_glue\n"
+        "for name in sobolev_glue._SUBMODULES:\n"
+        "    importlib.import_module('sobolev_glue.' + name)\n"
+        "print(len(sobolev_glue._SUBMODULES))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    ))
+    assert run.returncode == 0, run.stderr
+    count, loaded = run.stdout.splitlines()
+    assert int(count) == len(sobolev_glue._SUBMODULES)
+    assert loaded == "[]"
 
 
 def test_only_a_run_record_digests_the_inputs(tmp_path, capsys, monkeypatch):

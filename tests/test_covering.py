@@ -22,9 +22,10 @@ from sobolev_glue.errors import GlueError, ParameterError, PreconditionError
 
 
 #: ``sobolev-glue glue`` stdout, line by line, for replicated patches of
-#: ``_torus_x_trace(48)`` (K=4, 10 depth nodes) and ``_degree_one_trace(128)``
-#: (K=3, 16 depth nodes).  A change that moves a glue number has to change
-#: this pin.
+#: ``_torus_x_trace(48)`` (K=4, 10 depth nodes), ``_degree_one_trace(128)``
+#: (K=3, 16 depth nodes) and ``_sphere_trace(48)`` (K=9, 10 depth nodes,
+#: the benchmark's glue shape).  A change that moves a glue number has to
+#: change this pin.
 GLUE_CLI_LINES = {
     "torus": [
         "base=torus",
@@ -66,6 +67,43 @@ GLUE_CLI_LINES = {
         "patch_energy_total=9.4228856398225496",
         "glued_energy=6.2823794321910063",
         "ratio=0.66671502470970401",
+        "degenerate=false",
+    ],
+    "torus_k9": [
+        "base=torus",
+        "k=9",
+        "p=2",
+        "r_1=1",
+        "accepted_fraction_1=0",
+        "trace_sup_error_1=6.2372898663299401e-16",
+        "r_2=0.984375",
+        "accepted_fraction_2=0.31809338521400776",
+        "trace_sup_error_2=7.4763160587938327e-16",
+        "r_3=0.984375",
+        "accepted_fraction_3=0.55933852140077822",
+        "trace_sup_error_3=9.3982957005224942e-16",
+        "r_4=0.984375",
+        "accepted_fraction_4=0.38813229571984437",
+        "trace_sup_error_4=9.3982957005224942e-16",
+        "r_5=0.984375",
+        "accepted_fraction_5=0.56517509727626458",
+        "trace_sup_error_5=9.0960403699013819e-16",
+        "r_6=0.984375",
+        "accepted_fraction_6=0.74221789883268485",
+        "trace_sup_error_6=8.4873196443249142e-16",
+        "r_7=0.984375",
+        "accepted_fraction_7=0.77626459143968873",
+        "trace_sup_error_7=8.9127846215183253e-16",
+        "r_8=0.984375",
+        "accepted_fraction_8=0.88813229571984431",
+        "trace_sup_error_8=7.7925972016093287e-16",
+        "r_9=0.984375",
+        "accepted_fraction_9=1",
+        "trace_sup_error_9=1.2034730850450337e-15",
+        "trace_sup_error=1.2034730850450337e-15",
+        "patch_energy_total=31.403791723336987",
+        "glued_energy=13.949279415796148",
+        "ratio=0.44419092887532019",
         "degenerate=false",
     ],
 }
@@ -198,6 +236,34 @@ def test_circle_chart_cores_cover_the_base():
         for chart in covering.charts:
             hit |= chart.in_core(thetas)
         assert np.all(hit)
+
+
+@pytest.mark.parametrize(
+    "kind, k",
+    [("circle", k) for k in (2, 3, 5, 64, 1000)]
+    + [("torus", k) for k in (4, 6, 9, 10, 36, 400, 1000)],
+)
+def test_chart_cores_cover_the_base_and_map_onto_the_unit_ball(kind, k):
+    # build_covering samples nothing, so its construction is checked here:
+    # the open cores cover a 1024-node circle or a 128 x 128 torus, and on
+    # the boundary nodes of a 33-node probe of [-1, 1]^m every chart map
+    # lands on the unit sphere and inverts
+    m = 1 if kind == "circle" else 2
+    grid = dom.from_kind(kind, (1024,) if m == 1 else (128, 128))
+    covering = cov.build_covering(grid, k)
+    assert len(covering.charts) == k
+    covered = np.zeros(np.prod(grid.shape), dtype=bool)
+    probe = cone._grid_points(m, 33)
+    edges = probe[np.max(np.abs(probe), axis=-1) == 1.0]
+    for chart in covering.charts:
+        covered |= chart.core_masks(grid)[0]
+        base_pts = chart.base_points((edges + 1.0) / 2.0 * np.array(chart.core_extent))
+        z = chart.to_disk(base_pts)
+        assert np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0)) <= 1e-9
+        back, _ = chart.from_disk(z)
+        gap = chart._wrapped_offsets(back) - chart._wrapped_offsets(base_pts)
+        assert np.max(np.abs(gap)) <= 1e-12
+    assert np.all(covered)
 
 
 def test_chart_disk_coordinates_invert():
@@ -517,15 +583,17 @@ def test_replicate_trace_patch_layout():
     )
 
 
-@pytest.mark.parametrize("case", ["torus", "circle"])
+@pytest.mark.parametrize("case", ["torus", "circle", "torus_k9"])
 def test_glue_cli_prints_the_pinned_report(case, tmp_path, capsys):
-    if case == "torus":
-        trace, k, n_depth = _torus_x_trace(48), 4, 10
-    else:
-        trace, k, n_depth = _degree_one_trace(128), 3, 16
+    make, n, k, n_depth = {
+        "torus": (_torus_x_trace, 48, 4, 10),
+        "circle": (_degree_one_trace, 128, 3, 16),
+        "torus_k9": (_sphere_trace, 48, 9, 10),
+    }[case]
+    trace = make(n)
     trace_path = str(tmp_path / "trace.sgf")
     fileio.write_grid_map(trace_path, trace)
-    args = ["glue", "--base", case, "--k", str(k), "--trace", trace_path]
+    args = ["glue", "--base", trace.base.kind, "--k", str(k), "--trace", trace_path]
     for i, chart in enumerate(cov.build_covering(trace.base, k).charts):
         path = str(tmp_path / f"patch{i}.sgf")
         fileio.write_grid_map(path, cov.replicate_trace_patch(trace, chart, n_depth))
@@ -538,8 +606,8 @@ def test_glue_cli_prints_the_pinned_report(case, tmp_path, capsys):
 
 
 def test_glue_cli_runs_a_ten_chart_torus(tmp_path, capsys):
-    # a 2 x 5 chart grid: its core-corner round trips hold to 1e-12, as
-    # every other boundary round trip does
+    # a 2 x 5 chart grid, whose core-boundary round trips
+    # test_chart_cores_cover_the_base_and_map_onto_the_unit_ball checks
     trace = _sphere_trace(16)
     trace_path = str(tmp_path / "trace.sgf")
     fileio.write_grid_map(trace_path, trace)

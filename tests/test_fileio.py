@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,9 @@ _CIRCLE_BODY = "1 0\n0 1\n-1 0\n0 -1\n"
         ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "axis_lengths: 1,2\n", FormatError),
         ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "axis_lengths: 0\n", FormatError),
         ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "constraint_tol: nan\n", FormatError),
+        ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY,
+         "axis_lengths: 3\naxis_lengths: 6.283185307179586\n", FormatError),
+        ("SGF1 circle 2 4 circle\n" + _CIRCLE_BODY, "created_by: sobolev-gl\u00fce\n", FormatError),
         ("SGF1 interval 4 2 euclidean\n" + "0 0\n" * 4, None, FormatError),
         ("SGF1 interval 1 2 euclidean\n0\nnan\n", None, FormatError),
         ("SGF1 circle 2 4 circle\n1 0\n5 5\n-1 0\n0 -1\n", "constraint_tol: 0.1\n",
@@ -124,7 +128,8 @@ _CIRCLE_BODY = "1 0\n0 1\n-1 0\n0 -1\n"
     ids=[
         "bad-magic", "unknown-kind", "missing-resolution", "non-integer-nu", "unknown-target",
         "circle-target-nu-3", "two-node-circle", "sphere-target-nu-2", "extra-resolution",
-        "two-axis-lengths", "zero-axis-length", "nan-constraint-tol", "transposed-body",
+        "two-axis-lengths", "zero-axis-length", "nan-constraint-tol", "repeated-manifest-key",
+        "non-ascii-manifest", "transposed-body",
         "non-finite-value", "off-target-node",
     ],
 )
@@ -134,7 +139,7 @@ def test_sgf_rejections_keep_their_exception_type(tmp_path, text, sidecar, error
     with open(path, "w") as fh:
         fh.write(text)
     if sidecar is not None:
-        with open(fileio.manifest_path(path), "w") as fh:
+        with open(fileio.manifest_path(path), "w", encoding="utf-8") as fh:
             fh.write(sidecar)
     with pytest.raises(error) as info:
         fileio.read_grid_map(path)
@@ -263,6 +268,22 @@ def test_manifest_round_trip_and_digest(tmp_path):
         fh.write(b"payload")
     fileio.write_manifest(path, {"a": "1", "b": "two words"})
     assert fileio.read_manifest(path) == {"a": "1", "b": "two words"}
+    # a repeated key is refused, not read as its last value, and so are a
+    # byte that is not ASCII and a line without a colon; each message
+    # names the sidecar
+    sidecar = fileio.manifest_path(path)
+    with open(sidecar, "a") as fh:
+        fh.write("a: 2\n")
+    with pytest.raises(FormatError, match=re.escape(f"{sidecar}: manifest key 'a' appears twice")):
+        fileio.read_manifest(path)
+    with open(sidecar, "wb") as fh:
+        fh.write(b"a: 1\nb: caf\xc3\xa9\n")
+    with pytest.raises(FormatError, match=re.escape(f"{sidecar}: a manifest is ASCII text")):
+        fileio.read_manifest(path)
+    with open(sidecar, "w") as fh:
+        fh.write("a: 1\nno colon\n")
+    with pytest.raises(FormatError, match=re.escape(f"{sidecar}: manifest line without a colon")):
+        fileio.read_manifest(path)
     # sha256 of b"payload"
     assert fileio.sha256_of(path) == (
         "239f59ed55e737c77147cf55ad0c1b030b6d7ee748a7426952f9b852d5a935e5"

@@ -6,6 +6,8 @@ A criterion that still passes with the defect in place checks nothing
 about the code it names.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,20 @@ def _every_ray_clear(original):
     return clear
 
 
+def _cores_with_a_gap(original):
+    # each core shrinks to 0.99 of the chart spacing, so a 1% sliver
+    # between neighbouring cores is left uncovered
+    def gapped(base, count):
+        covering = original(base, count)
+        charts = tuple(
+            dataclasses.replace(chart, core_extent=tuple(0.66 * e for e in chart.core_extent))
+            for chart in covering.charts
+        )
+        return dataclasses.replace(covering, charts=charts)
+
+    return gapped
+
+
 def _half_radius(original):
     # the search of a two-step ladder: r = 1/2, rays scanned from 1/2
     return 0.5
@@ -122,11 +138,16 @@ def _half_radius(original):
          (acc.criterion_06_extension_closed_form,)),
         (cone, "ray_clearance", _every_ray_clear,
          (acc.criterion_04_cone_capture,)),
+        # criteria 05 and 07 build their coverings through the name bound in
+        # acceptance; glue's step-1 invariant is the one coverage check
+        (acc, "build_covering", _cores_with_a_gap,
+         (acc.criterion_05_circle_covering_glue, acc.criterion_07_penalized_glue_constant)),
     ],
     ids=["fold_sources_swapped", "gradient_halved", "cone_ladder_two",
          "pair_sum_halved", "diagonal_completion_zeroed", "verify_cone_always_true",
          "oracle_energy_raised", "dirichlet_sum_enlarged", "captured_nothing",
-         "fold_returns_second_map", "projection_is_identity", "every_ray_clear"],
+         "fold_returns_second_map", "projection_is_identity", "every_ray_clear",
+         "cores_leave_a_gap"],
 )
 def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))
