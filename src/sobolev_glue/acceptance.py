@@ -187,11 +187,11 @@ def criterion_03_fold_energy_constant() -> tuple[bool, str]:
 
 # ----------------------------------------------------------- criterion 04
 
-def _polar_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node radii and angles of the resolution² grid over [-1,1]², ij order."""
+def _polar_grid(resolution: int) -> tuple[np.ndarray, ...]:
+    """Node x, y, radii and angles of the resolution² grid over [-1,1]², ij order."""
     axis = np.linspace(-1.0, 1.0, resolution)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    return np.hypot(xs, ys), np.arctan2(ys, xs)
+    return xs, ys, np.hypot(xs, ys), np.arctan2(ys, xs)
 
 
 def _random_cone_instance(
@@ -231,7 +231,7 @@ def criterion_04_cone_capture() -> tuple[bool, str]:
     """
     rng = np.random.default_rng(0)
     resolution = 256
-    grid_radii, grid_angles = _polar_grid(resolution)
+    xs, ys, grid_radii, grid_angles = _polar_grid(resolution)
     radii = []
     for k in range(100):
         f, g = _random_cone_instance(rng, grid_radii, grid_angles)
@@ -240,8 +240,6 @@ def criterion_04_cone_capture() -> tuple[bool, str]:
             return False, f"instance {k}: certificate failed verification"
         radii.append(cert.radius)
     # segment toward e1 inside the open half-space x > 1/2
-    axis = np.linspace(-1.0, 1.0, resolution)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
     h = 2.0 / (resolution - 1)
     # rounding slack: the grid has no y = 0 row at even resolution
     seg = (np.abs(ys) <= h / 2.0 + 1e-9) & (xs >= 0.0) & (grid_radii <= 1.0)

@@ -96,6 +96,8 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[int, list[str]]:
         report = dirichlet_p_energy(m, args.p)
     else:
         m = read_grid_map(args.infile)
+        if m.nu < 2:
+            raise ParameterError(f"a penalized energy needs nu >= 2, got nu={m.nu}")
         reference = circle_target() if m.nu == 2 else sphere(m.nu)
         report = penalized_energy(m, args.p, distance_penalty(args.eps, args.p, reference))
     return 0, [_kv_line("value", report.value)]

@@ -60,6 +60,7 @@ import numpy as np
 
 from .domain import wrap
 from .errors import DomainError, ParameterError, PreconditionError, ResolutionError
+from .target import sum_of_squares
 
 #: r: ``find_cone`` certifies the open ball of this radius plus a cone
 CERTIFIED_RADIUS = 63.0 / 64.0
@@ -127,7 +128,7 @@ def _node_tables(dimension: int, resolution: int) -> tuple[np.ndarray, np.ndarra
     the closed ball.
     """
     pts = _grid_points(dimension, resolution)
-    radii = np.linalg.norm(pts, axis=-1)
+    radii = np.sqrt(sum_of_squares(pts))
     outside = radii > 1.0
     h = 2.0 / (resolution - 1)
     pulled = pts[outside] * ((1.0 - h) / radii[outside])[:, None]

@@ -263,16 +263,14 @@ class Covering:
 
 
 def _torus_factors(count: int) -> tuple[int, int]:
-    best: Optional[tuple[int, int]] = None
-    for k1 in range(2, int(math.isqrt(count)) + 1):
-        if count % k1 == 0 and count // k1 >= 2:
-            best = (k1, count // k1)
-    if best is None:
+    """The chart grid k1 x k2 = count with the largest k1 <= k2, k1 >= 2."""
+    k1 = next((k for k in range(math.isqrt(count), 1, -1) if count % k == 0), None)
+    if k1 is None:
         raise ParameterError(
             f"torus coverings arrange charts on a grid; {count} does not factor "
             "into two counts >= 2"
         )
-    return best
+    return k1, count // k1
 
 
 def build_covering(base: DomainSpec, count: int) -> Covering:

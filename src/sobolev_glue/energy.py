@@ -302,18 +302,17 @@ def _offset_kernel(base: DomainSpec, exponent: float) -> np.ndarray:
     """Pair kernel d^-exponent on the offset grid, zero where no pair exists.
 
     A periodic axis of n nodes has the n circular offsets; an interval
-    axis has 2n slots, slot j < n holding offset j and slot j > n offset
-    j - 2n.  On both, slot j lies h min(j, m - j) from the origin (m the
-    axis' slot count) and slot (-j) mod m holds the opposite offset.  The
-    origin and the unused interval slot n are put at infinite distance.
+    axis has 2n - 1 slots for the offsets -(n - 1) .. n - 1, slot j < n
+    holding offset j and slot j >= n offset j - (2n - 1).  On both, slot
+    j lies h min(j, m - j) from the origin (m the axis' slot count) and
+    slot (-j) mod m holds the opposite offset.  Only the origin is put at
+    infinite distance.
     """
     sq = np.zeros(())
     for axis in base.axes:
-        m = axis.count if axis.periodic else 2 * axis.count
+        m = axis.count if axis.periodic else 2 * axis.count - 1
         j = np.arange(m)
         length = axis.spacing * np.minimum(j, m - j)
-        if not axis.periodic:
-            length[axis.count] = np.inf  # no two nodes are n apart
         sq = np.add.outer(sq, length**2)
     sq[(0,) * base.ndim] = np.inf  # same-node pairs: ``_diagonal_completion``
     return sq ** (-0.5 * exponent)
@@ -349,7 +348,7 @@ def _offset_pair_sum(
             if axis.periodic:
                 lo, hi = slice(0, n), slice(j, j + n)
             else:
-                o = j if j < n else j - 2 * n
+                o = j if j < n else j - (2 * n - 1)
                 lo, hi = slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o))
             here.append(lo)
             there.append(hi)

@@ -191,9 +191,9 @@ def _bit_lines(rows: np.ndarray) -> str:
     return codes.tobytes().decode("ascii")
 
 
-def _parse_bits(rows: list[str]) -> np.ndarray | None:
-    """Concatenated 0/1 rows as a flat boolean array; None if any other character."""
-    codes = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+def _parse_bits(rows: list[bytes]) -> np.ndarray | None:
+    """Concatenated 0/1 rows as a flat boolean array; None if any other byte."""
+    codes = np.frombuffer(b"".join(rows), dtype=np.uint8)
     # characters below "0" wrap around to large uint8 values
     if np.any(codes - np.uint8(ord("0")) > 1):
         return None
@@ -210,8 +210,9 @@ def write_sampled_set(path: str, dimension: int, resolution: int, closed: bool, 
 
 def read_sampled_set(path: str) -> tuple[int, int, bool, np.ndarray]:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
+        # only the header is text; the rows stay bytes for ``_parse_bits``
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii").split()
             if len(header) != 4 or header[0] != "SET1":
                 raise FormatError(f"not a SET1 header in {path}")
             dimension = int(header[1])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .domain import Axis, DomainSpec, face_axis_side, face_domain, wrap
 from .errors import DomainError, ParameterError, PreconditionError
-from .target import TargetSpec, distance_to_target
+from .target import TargetSpec, distance_to_target, sum_of_squares
 
 #: Relative slack used when clamping nearly-in-range coordinates.
 _EDGE_TOL = 1e-9
@@ -38,7 +38,7 @@ def default_constraint_tol(domain: DomainSpec) -> float:
 
 def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Largest Euclidean distance between matching value vectors; 0.0 when there are none."""
-    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
+    return float(np.max(np.sqrt(sum_of_squares(a - b)), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ from .errors import (
     SingularityError,
 )
 from .gridmap import GridMap, TraceMap, default_constraint_tol
-from .target import TargetSpec, euclidean, project_to_target
+from .target import TargetSpec, euclidean, project_to_target, sum_of_squares
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -79,7 +79,9 @@ class MinimizeConfig:
     """Optimizer knobs.
 
     ``tol`` stops the loop once the relative energy decrease of an
-    accepted step falls below it.
+    accepted step falls below it.  ``projection`` has one value,
+    ``"auto"``: a descent projects onto the target it is given.  The
+    field is kept only because the benchmark reads it.
     """
 
     p: float = 2.0
@@ -93,10 +95,8 @@ class MinimizeConfig:
             raise ParameterError("max_iterations must be positive")
         if not (self.tol > 0.0 and np.isfinite(self.tol)):
             raise ParameterError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.projection not in ("auto", "none"):
-            raise ParameterError(
-                f"projection mode must be auto|none, got {self.projection!r}"
-            )
+        if self.projection != "auto":
+            raise ParameterError(f"projection mode must be auto, got {self.projection!r}")
 
 
 @dataclass(frozen=True)
@@ -264,8 +264,6 @@ def minimize_extension_detailed(
     """
     if u.target != target:
         raise ParameterError("trace target does not match the requested target")
-    if cfg.projection == "none":
-        target = euclidean(u.nu)
     return _descend(u, domain, target, cfg, None)
 
 
@@ -344,8 +342,7 @@ def circle_lifting_oracle(
     h_t = domain.axes[1].spacing
 
     vals = np.asarray(u.values)
-    norms = np.linalg.norm(vals, axis=-1)
-    if np.any(norms == 0.0):
+    if np.any(sum_of_squares(vals) == 0.0):
         raise LiftingError("boundary data vanishes at a node; no angle exists")
     raw = np.arctan2(vals[:, 1], vals[:, 0])
     jumps = wrap(np.diff(raw, append=raw[0]) + math.pi, 2.0 * math.pi) - math.pi

@@ -47,8 +47,10 @@ def sum_of_squares(values: np.ndarray) -> np.ndarray:
 
     Adds ``x[..., c] * x[..., c]`` for c = 0, 1, ... in that order, which
     is the order in which ``np.add.reduce`` sums fewer than eight
-    elements: the result equals ``np.sum(values**2, axis=-1)`` bit for
-    bit, and its square root equals ``np.linalg.norm(values, axis=-1)``.
+    elements: for fewer than eight components the result equals
+    ``np.sum(values**2, axis=-1)`` bit for bit.  Its square root is the
+    package's one component norm, with the bits that ``np.linalg.norm``
+    gives along the last axis for those component counts.
     A loop over the 2 or 3 components is several times faster than
     numpy's reduction over such a short axis.
     """

@@ -123,6 +123,19 @@ def test_energy_penalized_needs_eps(tmp_path, capsys):
     assert float(_value_of(out, "value")) > 0.0
 
 
+def test_energy_penalized_on_one_component_is_a_usage_error(tmp_path, capsys):
+    # the penalty's reference is the circle or a sphere, which need nu >= 2
+    path = str(tmp_path / "m.sgf")
+    d = dom.cylinder(16, 5)
+    m = gm.GridMap(domain=d, target=tg.euclidean(1), values=np.ones(d.shape + (1,)))
+    fileio.write_grid_map(path, m)
+    code, out, err = run_cli(
+        ["energy", "--kind", "penalized", "--p", "2.0", "--eps", "0.5", "--in", path], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "a penalized energy needs nu >= 2, got nu=1" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, _, _ = run_cli(["transmogrify"], capsys)
     assert code == 2

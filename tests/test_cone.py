@@ -370,7 +370,8 @@ def test_single_radius_check_matches_the_ladder_scan(monkeypatch):
     rng = np.random.default_rng(11)
     cases = []
     for k in range(12):
-        f, g = acceptance._random_cone_instance(rng, *acceptance._polar_grid(96 + 32 * (k % 2)))
+        grid = acceptance._polar_grid(96 + 32 * (k % 2))[2:]
+        f, g = acceptance._random_cone_instance(rng, *grid)
         cases.extend((f, g, steps) for steps in (64, 16, 5))
     cases.extend(_failing_instances())
     f1, g1 = (
@@ -402,7 +403,7 @@ _TABLES = (cone._ray_cells, cone._node_tables, cone._node_brackets)
 def _table_cases():
     rng = np.random.default_rng(3)
     for res in (256, 257, 33, 34, 9, 8):
-        grid = acceptance._polar_grid(res)
+        grid = acceptance._polar_grid(res)[2:]
         for _ in range(2):
             yield acceptance._random_cone_instance(rng, *grid)
     yield (
@@ -491,11 +492,9 @@ def test_bracket_table_matches_a_cross_product_oracle():
 def _criterion_04_instances():
     """Criterion 04's 100 random instances and its segment instance."""
     rng = np.random.default_rng(0)
-    grid_radii, grid_angles = acceptance._polar_grid(256)
+    xs, ys, grid_radii, grid_angles = acceptance._polar_grid(256)
     for _ in range(100):
         yield acceptance._random_cone_instance(rng, grid_radii, grid_angles)
-    axis = np.linspace(-1.0, 1.0, 256)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
     seg = (np.abs(ys) <= 1.0 / 255.0 + 1e-9) & (xs >= 0.0) & (grid_radii <= 1.0)
     yield cone.SampledSet(2, 256, True, seg), cone.SampledSet(2, 256, False, xs > 0.5)
 

@@ -8,6 +8,7 @@ map on the interval, where kernel and weights collapse to the square of
 the total node weight).
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -350,3 +351,29 @@ def test_penalized_energy_requires_unconstrained_values():
     rep = en.penalized_energy(free, 2.0, pen)
     assert rep.value == pytest.approx(en.dirichlet_p_energy(free, 2.0).value, rel=1e-12)
 
+
+#: sha256 of the ``float.hex`` pair sums, one per line, of the cases in
+#: ``_pinned_pair_sums``: the offset form and its kernel must keep every bit
+PAIR_SUM_BITS = "b1ffd5838141b600b9b0a1a34f052a93256a97576f26e973ae48b3c8323c3374"
+
+
+def _pinned_pair_sums():
+    """64 pair sums over every base kind, then criterion 01's u(x) = x."""
+    bases = (
+        dom.interval(13), dom.interval(14), dom.circle(11), dom.circle(12),
+        dom.square(8, 6), dom.torus(7, 9), dom.torus(8, 6), dom.cylinder(8, 5),
+    )
+    for base in bases:
+        rng = np.random.default_rng(sum(base.shape))
+        for nu, p in ((1, 2.0), (2, 1.5), (2, 3.0), (3, 2.0)):
+            u = gm.TraceMap(
+                base=base, target=tg.euclidean(nu), values=rng.normal(size=base.shape + (nu,))
+            )
+            for s in (0.3, 0.8):
+                yield en.gagliardo_energy(u, s, p).value
+    yield en.gagliardo_energy(_interval_trace(512, lambda x: x), 0.5, 2.0).value
+
+
+def test_pair_sum_keeps_its_bits():
+    text = "\n".join(value.hex() for value in _pinned_pair_sums())
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIR_SUM_BITS

@@ -250,14 +250,16 @@ def test_sampled_set_reader_skips_blank_lines_and_strips_rows(tmp_path):
         ("SET1 3 3 open\n000\n", "sampled sets support dimension 1 or 2"),
         ("SET1 2 3 open\n000\n020\n000\n", "indicator rows must be 0/1 characters"),
         ("SET1 1 3 open\n0/1\n", "indicator rows must be 0/1 characters"),
+        (b"SET1 2 3 closed\n010\n1\xc30\n000\n", "indicator rows must be 0/1 characters"),
+        (b"SET1 2 3 cl\xc3sed\n010\n101\n000\n", "malformed SET1 header"),
         ("SET1 1 1 closed\n1\n", "resolution must be at least 2, got 1"),
         ("SET1 2 0 open\n", "resolution must be at least 2, got 0"),
     ],
 )
 def test_sampled_set_error_paths(tmp_path, text, message):
     path = str(tmp_path / "bad.set")
-    with open(path, "w") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode("ascii"))
     with pytest.raises(FormatError, match=message):
         fileio.read_sampled_set(path)
 

@@ -273,6 +273,8 @@ def test_config_validation():
             mi.MinimizeConfig(tol=tol)
     with pytest.raises(ParameterError):
         mi.MinimizeConfig(projection="always")
+    with pytest.raises(ParameterError, match="projection mode must be auto"):
+        mi.MinimizeConfig(projection="none")
 
 
 def test_trace_and_target_must_agree():

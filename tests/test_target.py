@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,16 @@ def test_projection_is_stable_near_the_sphere():
     noisy = base + 1e-6 * rng.normal(size=base.shape)
     moved = tg.project_to_target(tg.sphere(3), noisy)
     assert np.max(np.linalg.norm(moved - base, axis=-1)) < 1e-5
+
+
+def test_no_component_norm_outside_sum_of_squares():
+    # the square root of sum_of_squares is the package's one component
+    # norm; np.linalg.norm has the same bits and is not spelled twice
+    src = pathlib.Path(tg.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.linalg.norm(" in line
+    ]
+    assert offenders == []
