@@ -29,17 +29,23 @@ every p: O(N^2) time, with every temporary at O(N) entries times the
 number of components.  The result is deterministic: the same input gives
 the same bits on every run.
 
-The Dirichlet sum is built in two steps that the descent shares:
-``_forward_differences`` takes the undivided differences
-roll(U, -1, a) - U along every axis, and ``_grad_sq`` sums their
-squares over the 2 or 3 components; the gradient reuses both.  They
-write through slices instead of calling ``np.roll``: every difference,
-the gradient's roll(t, 1, a) - t included, is two slice subtractions
-(``_roll_difference``), and the scaled differences are squared in
-place.  The components are added one at a time in the order
-``np.add.reduce`` uses for short axes (``target.sum_of_squares``), so
-every result has the bits of the roll-and-reduce formulas at a fraction
-of their cost.
+The energy entry points stream the Dirichlet sum: ``_streamed_grad_sq``
+builds the cell |DU|^2 one (axis, component) difference at a time, so
+``dirichlet_p_energy`` and ``penalized_energy`` hold the map plus three
+cell-shaped arrays, plus three node arrays for a penalty, whose terms
+are computed in place.  The descent builds the same sum in two steps,
+because its gradient reuses the differences: ``_forward_differences``
+takes the full-size undivided differences roll(U, -1, a) - U along every
+axis and ``_grad_sq`` sums their squares over the 2 or 3 components.
+Both write through slices instead of calling ``np.roll``: every
+difference, the gradient's roll(t, 1, a) - t included, is a slice
+subtraction plus the wrapped layer (``_wrap_difference``), and the
+scaled differences are squared in place.  The components are added one
+at a time in the order ``np.add.reduce`` uses for short axes
+(``target.sum_of_squares``), so every result has the bits of the
+roll-and-reduce formulas at a fraction of their cost.  A streamed
+descent keeps the bits too, but it is slower: its gradient would take
+every difference a second time.
 
 Node quadrature weights are trapezoidal along interval axes (half weight
 at the two ends) and uniform along periodic axes, so constants integrate
@@ -90,7 +96,9 @@ class PenaltySpec:
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         dist = distance_to_target(self.reference, values)
-        return dist**self.power / self.eps**self.power
+        dist **= self.power
+        dist /= self.eps**self.power
+        return dist
 
     def gradient(self, values: np.ndarray, vols: np.ndarray) -> np.ndarray:
         """Exact gradient of the node-quadrature sum ``_penalty_sum``.
@@ -155,8 +163,18 @@ _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 
 def _layer(axis: int, layer: slice) -> tuple[slice, ...]:
-    """Index of the ``_FIRST`` or ``_LAST`` layer along ``axis``, kept as an axis."""
+    """Index of the layers ``layer`` along ``axis`` (``_FIRST``, ``_LAST`` or a range)."""
     return (slice(None),) * axis + (layer,)
+
+
+def _wrap_difference(v: np.ndarray, a: int, shift: int, out: np.ndarray) -> None:
+    """Write ``roll(v, shift, a) - v`` on the layer along ``a`` that wraps.
+
+    That is the last layer for shift -1 and the first for shift 1; its
+    partner is the layer at the other end.
+    """
+    wrap, partner = (_LAST, _FIRST) if shift == -1 else (_FIRST, _LAST)
+    np.subtract(v[_layer(a, partner)], v[_layer(a, wrap)], out=out[_layer(a, wrap)])
 
 
 def _roll_difference(v: np.ndarray, a: int, shift: int, out: np.ndarray) -> np.ndarray:
@@ -165,28 +183,27 @@ def _roll_difference(v: np.ndarray, a: int, shift: int, out: np.ndarray) -> np.n
     Two slice subtractions instead of ``np.roll``.  One step along axis a
     is k entries apart in C order, so v[i - shift k] - v[i] over the
     flattened array is the difference at every node off the layer that
-    wraps (the last along a for shift -1, the first for shift 1); the
-    second subtraction then writes that layer's wrapped difference over
-    the pairs that ran into the next row.  Every entry subtracts the
-    operands ``np.roll`` would pair, so the bits are the same.
+    wraps; ``_wrap_difference`` then writes that layer's wrapped
+    difference over the pairs that ran into the next row.  Every entry
+    subtracts the operands ``np.roll`` would pair, so the bits are the
+    same.
     """
     k = math.prod(v.shape[a + 1 :])
     ahead, behind = slice(k, None), slice(None, -k)
     src, dst = (ahead, behind) if shift == -1 else (behind, ahead)
-    wrap, partner = (_LAST, _FIRST) if shift == -1 else (_FIRST, _LAST)
     flat = v.reshape(-1)
     np.subtract(flat[src], flat[dst], out=out.reshape(-1)[dst])
-    np.subtract(v[_layer(a, partner)], v[_layer(a, wrap)], out=out[_layer(a, wrap)])
+    _wrap_difference(v, a, shift, out)
     return out
 
 
 def _forward_differences(values: np.ndarray, domain: DomainSpec) -> Iterator[np.ndarray]:
     """Undivided forward differences ``roll(v, -1, a) - v``, one per axis.
 
-    Made on demand, so an energy that consumes them holds one at a time;
-    the descent keeps them in a list for its gradient.  Full-size
-    C-ordered arrays: on interval axes the last layer wraps around and is
-    never read, because no cell is anchored there.
+    Made on demand, so ``_diagonal_completion`` holds one at a time; the
+    descent keeps them in a list for its gradient.  Full-size C-ordered
+    arrays: on interval axes the last layer wraps around and is never
+    read, because no cell is anchored there.
     """
     for a in range(domain.ndim):
         yield _roll_difference(values, a, -1, np.empty_like(values, order="C"))
@@ -209,10 +226,10 @@ def _squares_summed(q: np.ndarray) -> np.ndarray:
 def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
     """|DU|^2 per cell from the forward differences of its low corner.
 
-    Sums ``_squares_summed(diff[cells] / h)`` over the axes in order.  The
-    scaled copy of one axis' differences is freed before the next
-    difference is made, so with ``_forward_differences`` as its input the
-    energy's peak is one difference, its scaled copy and the cell sums.
+    Sums ``_squares_summed(diff[cells] / h)`` over the axes in order, for
+    the callers that keep the differences: the descent, its gradient and
+    the lifting oracle.  ``_streamed_grad_sq`` gives the same bits without
+    them.
     """
     cells = _cells(domain)
     total = None
@@ -225,9 +242,45 @@ def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
     return total
 
 
+def _streamed_grad_sq(values: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """|DU|^2 per cell, one (axis, component) pair at a time.
+
+    Holds three cell-shaped arrays: the total, one axis' contribution and
+    one component's difference roll(v, -1, a) - v over the cells, which
+    is one slice subtraction, plus ``_wrap_difference`` on a periodic
+    axis.  Each difference is divided by h and squared in place, the
+    components are added into the contribution in order and the
+    contributions into the total in axis order: the operands and the
+    order of ``_grad_sq``, so the same bits.
+    """
+    cells = _cells(domain)
+    total = np.empty(tuple(ax.cell_count for ax in domain.axes))
+    contrib = np.empty_like(total)
+    diff = np.empty_like(total)
+    for a, axis in enumerate(domain.axes):
+        # every node along a, the cells along every other axis
+        across = cells[:a] + (slice(None),) + cells[a + 1 :]
+        ahead, body = _layer(a, slice(1, None)), _layer(a, slice(None, axis.count - 1))
+        acc = total if a == 0 else contrib
+        for c in range(values.shape[-1]):
+            v = values[..., c][across]
+            out = acc if c == 0 else diff
+            np.subtract(v[ahead], v[body], out=out[body])
+            if axis.periodic:
+                _wrap_difference(v, a, -1, out)
+            out /= axis.spacing
+            np.multiply(out, out, out=out)
+            if c > 0:
+                acc += diff
+        if a > 0:
+            total += contrib
+    return total
+
+
 def _dirichlet_sum(s: np.ndarray, domain: DomainSpec, p: float) -> float:
-    """Cell sum of |DU|^p from ``s`` = ``_grad_sq``."""
-    return float(np.sum(s ** (p / 2.0)) * _cell_volume(domain))
+    """Cell sum of |DU|^p from ``s`` = |DU|^2 per cell; p = 2 sums ``s`` itself."""
+    total = np.sum(s) if p == 2.0 else np.sum(s ** (p / 2.0))
+    return float(total * _cell_volume(domain))
 
 
 def _dirichlet_gradient(
@@ -266,16 +319,14 @@ def _penalty_sum(
     """Node-quadrature sum of the penalty; ``vols`` is ``node_volumes``."""
     if penalty is None:
         return 0.0
-    return float(np.sum(penalty.evaluate(values) * vols))
+    terms = penalty.evaluate(values)
+    terms *= vols
+    return float(np.sum(terms))
 
 
 def dirichlet_p_energy(m: GridMap, p: float) -> EnergyReport:
     p = _check_p(p)
-    return EnergyReport(
-        value=_dirichlet_sum(
-            _grad_sq(_forward_differences(m.values, m.domain), m.domain), m.domain, p
-        )
-    )
+    return EnergyReport(value=_dirichlet_sum(_streamed_grad_sq(m.values, m.domain), m.domain, p))
 
 
 def _diagonal_completion(u: TraceMap, s: float, p: float) -> np.ndarray:

@@ -97,4 +97,8 @@ def distance_to_target(target: TargetSpec, values: np.ndarray) -> np.ndarray:
         )
     if not target.constrained:
         return np.zeros(values.shape[:-1])
-    return np.abs(np.sqrt(sum_of_squares(values)) - 1.0)
+    # in place: the bits of abs(sqrt(.) - 1) in one node array (0-d for one point)
+    dist = np.asarray(sum_of_squares(values))
+    np.sqrt(dist, out=dist)
+    dist -= 1.0
+    return np.abs(dist, out=dist)

@@ -197,6 +197,32 @@ def test_pair_sum_memory_stays_linear_in_the_node_count(n, p, limit_mb):
     assert peak < limit_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize(
+    "energy",
+    [
+        lambda m: en.dirichlet_p_energy(m, 1.5),
+        lambda m: en.dirichlet_p_energy(m, 2.0),
+        lambda m: en.dirichlet_p_energy(m, 3.0),
+        lambda m: en.penalized_energy(m, 2.0, en.distance_penalty(0.25, 2.0, tg.sphere(3))),
+    ],
+    ids=["dirichlet-p1.5", "dirichlet-p2", "dirichlet-p3", "penalized-p2"],
+)
+def test_dirichlet_and_penalty_hold_three_cell_arrays(energy):
+    # three cell-shaped arrays are about the size of the nu = 3 values;
+    # full-size forward differences and their scaled copies peak near 2.9x
+    domain = dom.torus_collar(64, 64, 16)
+    vals = np.random.default_rng(11).normal(size=domain.shape + (3,))
+    m = gm.GridMap(domain=domain, target=tg.euclidean(3), values=vals)
+    tracemalloc.start()
+    try:
+        value = energy(m).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak < 1.5 * vals.nbytes, f"traced peak {peak / vals.nbytes:.2f}x the values"
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5])
 def test_dirichlet_energy_holds_one_difference_at_a_time(p):
     # a 48^2 x 12 collar with three components: one forward difference is

@@ -113,14 +113,16 @@ def test_affine_pair_frozen_values():
     assert report.energy_in_1 == pytest.approx(1.0, rel=1e-12)
 
 
-def _smooth_pair(rng, n):
-    # Random low-frequency fields with equal bottom rows.
-    d = dom.square(n, n)
-    mesh = gm.node_mesh(d).reshape(n, n, 2)
+def _smooth_pair(rng, n, n2=None):
+    # Random low-frequency fields with equal bottom rows, on an n x n2
+    # square (n x n by default).
+    n2 = n if n2 is None else n2
+    d = dom.square(n, n2)
+    mesh = gm.node_mesh(d).reshape(n, n2, 2)
     x1, x2 = mesh[..., 0], mesh[..., 1]
 
     def field():
-        out = np.zeros((n, n, 2))
+        out = np.zeros((n, n2, 2))
         for k1 in range(3):
             for k2 in range(3):
                 amp = rng.normal(size=2) / (1.0 + k1 * k1 + k2 * k2)
@@ -132,6 +134,47 @@ def _smooth_pair(rng, n):
     u0 = gm.GridMap(domain=d, target=tg.euclidean(2), values=v0)
     u1 = gm.GridMap(domain=d, target=tg.euclidean(2), values=v1)
     return u0, u1
+
+
+def _sphere_pair(rng, n1, n2):
+    # S^2-valued matched pair: smooth planar fields through
+    # x -> (1.5 x, 1) / |(1.5 x, 1)|, so the bottom traces stay equal
+    u0, u1 = _smooth_pair(rng, n1, n2)
+
+    def lift(u):
+        y = np.concatenate([1.5 * u.values, np.ones(u.values.shape[:-1] + (1,))], axis=-1)
+        values = y / np.linalg.norm(y, axis=-1, keepdims=True)
+        return gm.GridMap(domain=u.domain, target=tg.sphere(3), values=values)
+
+    return lift(u0), lift(u1)
+
+
+def test_fold_projects_interpolated_values_back_onto_the_sphere():
+    # On a 129 x 97 square about a third of the fold's sources fall
+    # between grid nodes, so the fold interpolates, and its multilinear
+    # values sit inside the sphere until the fold projects them back.
+    u0, u1 = _sphere_pair(np.random.default_rng(9), 129, 97)
+    d = u0.domain
+    mesh = gm.node_mesh(d)
+    region, s1, s2 = fo.fold_sources(mesh[:, 0], mesh[:, 1])
+    resampled = region < 2
+    sources = np.stack([s1, s2], axis=-1)
+    steps = sources / [axis.spacing for axis in d.axes]
+    between = np.any(np.abs(steps - np.round(steps)) > 1e-9, axis=-1)
+    assert 0.30 < between.mean() < 0.36
+    raw = np.where(
+        (region == 0)[:, None],
+        gm.evaluate_batch(u0, sources),
+        gm.evaluate_batch(u1, sources),
+    )
+    assert np.max(np.abs(np.linalg.norm(raw[resampled], axis=-1) - 1.0)) > 1e-4
+
+    folded = fo.fold(u0, u1)
+    out = folded.values.reshape(-1, 3)
+    assert np.max(np.abs(np.linalg.norm(out, axis=-1) - 1.0)) <= 4.0 * np.finfo(float).eps
+    copied = ~resampled
+    assert out[copied].tobytes() == u1.values.reshape(-1, 3)[copied].tobytes()
+    assert max(fo.fold_trace_errors(folded, u0, u1)) < 10.0 * d.max_spacing
 
 
 def test_bottom_trace_is_copied_bit_exactly():

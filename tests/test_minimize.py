@@ -13,6 +13,7 @@ from sobolev_glue import target as tg
 from sobolev_glue.errors import (
     LiftingError,
     ParameterError,
+    SingularityError,
 )
 
 
@@ -576,6 +577,7 @@ def test_objective_and_gradient_match_the_roll_and_reduce_reference(kind, nu, p,
     s = en._grad_sq(diffs, domain)
     assert p >= 2.0 or np.any(s == 0.0)
     assert _same_bits(s, _reference_grad_sq(vals, domain))
+    assert _same_bits(en._streamed_grad_sq(vals, domain), _reference_grad_sq(vals, domain))
     objective = en._dirichlet_sum(s, domain, p) + en._penalty_sum(vals, vols, penalty)
     assert _same_bits(objective, _reference_objective(vals, domain, p, vols, penalty))
     gradient = mi._dirichlet_gradient(diffs, s, domain, p)
@@ -744,3 +746,31 @@ def test_backtracks_count_the_rejected_trial_steps(monkeypatch):
     )
     flat = mi.minimize_extension_detailed(constant, collar, tg.circle(), mi.MinimizeConfig())
     assert (flat.backtracks, flat.iterations, flat.converged) == (0, 0, True)
+
+
+def test_a_trial_whose_projection_is_singular_is_halved_and_counted(monkeypatch):
+    # the first trial's projection raises as if a value sat at the origin:
+    # the descent halves t to 1/2 and counts the failed trial as rejected
+    u = _wobbled_trace(24)
+    collar = dom.cylinder(24, 8)
+    start = np.repeat(u.values[:, None, :], 8, axis=1)
+    grad = mi.dirichlet_gradient(gm.GridMap(domain=collar, target=tg.circle(), values=start), 2.0)
+    grad[:, 0, :] = 0.0
+    trials = []
+
+    def singular_once(target, values):
+        trials.append(np.array(values))
+        if len(trials) == 1:
+            raise SingularityError("cannot project the zero vector onto the unit sphere")
+        return tg.project_to_target(target, values)
+
+    monkeypatch.setattr(mi, "project_to_target", singular_once)
+    cfg = mi.MinimizeConfig(max_iterations=1)
+    res = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg)
+    assert _same_bits(trials[0], start - grad * 1.0)
+    assert _same_bits(trials[1], start - grad * 0.5)
+    # one iteration: every trial but the accepted last one is a backtrack
+    assert res.iterations == 1
+    assert res.backtracks == len(trials) - 1
+    assert np.isfinite(res.energy)
+    assert _same_bits(res.map.values[:, 0, :], u.values)
