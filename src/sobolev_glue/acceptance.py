@@ -363,17 +363,23 @@ def criterion_07_penalized_glue_constant() -> tuple[bool, str]:
 
 @_criterion
 def criterion_08_isobe_boundedness() -> tuple[bool, str]:
-    """Identity-trace sweep stays below 1.1 x 2 pi for all eps."""
+    """Identity-trace sweep converges and stays below 1.1 x 2 pi for all eps."""
     u = _winding_trace(64, 1, circle_target())
     cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
     sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
+    # an energy that stopped at the iteration cap is not a minimum
+    done, total = sum(sweep.converged), len(sweep.converged)
+    if done < total:
+        return False, f"only {done} of {total} sweep descents converged"
     bound = 1.1 * 2.0 * math.pi
     worst = max(energy for _, _, energy in sweep.triples)
     if worst > bound:
         return False, f"energy {worst:.6g} exceeds the competitor bound {bound:.6g}"
     if not sweep.bounded_in_eps:
         return False, "bounded-in-eps flag is false"
-    return True, f"max_energy={worst:.6g}<= {bound:.6g} bounded_in_eps=true"
+    return True, (
+        f"max_energy={worst:.6g}<= {bound:.6g} bounded_in_eps=true converged={done}/{total}"
+    )
 
 
 # ----------------------------------------------------------- criterion 09

@@ -11,24 +11,39 @@ the map, its energy, the iteration count, the convergence flag, the
 final gradient sup and the backtracks.  ``isobe_sweep`` tabulates
 penalized minima over penalty widths and collar depths, each collar with
 ``domain.depth_node_count`` depth nodes, and ``circle_lifting_oracle``
-solves the lifted scalar problem exactly for p = 2 circle-valued data:
-an FFT along the periodic angle and one tridiagonal solve in depth per
-Fourier mode, in O(N log N) time and O(N) memory for N grid nodes; its
-energy is the Dirichlet cell sum of ``energy`` applied to the lifting.
+solves the lifted scalar problem exactly for p = 2 circle-valued data
+with ``_collar_stiffness_solve``, the collar's p = 2 stiffness solve
+that preconditioned descents share: an FFT along the periodic base axes
+and one tridiagonal solve in depth per Fourier mode, in O(N log N) time
+and O(N) memory for N grid nodes.  The oracle's energy is the Dirichlet
+cell sum of ``energy`` applied to the lifting.
 
 A descent runs only on ``domain.collar_over(u.base, ...)``, the trace
 base's own axes then depth; any other domain is a ``ParameterError``.
 
-The descent direction is the exact analytic gradient of the discrete
+The descent starts from the exact analytic gradient g of the discrete
 objective; the bottom row's gradient is zeroed and every trial point
 gets the boundary data copied into its bottom row, so it stays
 bit-identical throughout.  Every trial point is projected onto the
 descent's target: the circle or sphere of a projected descent, a
 Euclidean space (no change) otherwise.  ``MinimizeResult.backtracks``
 counts the rejected trial steps, those whose projection hit the origin
-included.  The first trial step is 1; a rejected step is halved, and
-after an acceptance the next trial is twice the accepted step, at most
-1024.
+included.
+
+A penalized p = 2 descent over a periodic base (a circle or a torus)
+steps along the Sobolev gradient d = (K + sigma V)^-1 g (Neuberger,
+*Sobolev Gradients and Differential Equations*, LNM 1670):
+``_collar_stiffness_solve`` with sigma = 2 / eps^2, the penalty's
+normal curvature at its target.  It tries t = 1 at every iteration,
+halves a rejected step and accepts v - t d when the objective falls by
+at least 1e-4 t <g, d>.  Every other descent steps along g itself: its
+first trial step is 1, a rejected step is halved, an accepted v - t g
+must lower the objective by 1e-4 |move|^2 / t, and the next trial is
+twice the accepted step, at most 1024.  Those descents keep the plain
+gradient for now: a projected descent needs the tangential gradient
+before and after the solve, p != 2 has no constant-coefficient
+Hessian, and an interval base needs a cosine transform instead of the
+FFT.
 
 Each point is evaluated once.  A trial point's objective computes the
 undivided forward differences along every axis and the cell |DU|^2
@@ -52,6 +67,7 @@ import numpy as np
 from .domain import DomainSpec, collar_over, depth_node_count, wrap
 from .energy import (
     PenaltySpec,
+    _cell_volume,
     _check_p,
     _dirichlet_gradient,
     _dirichlet_sum,
@@ -72,6 +88,14 @@ from .target import TargetSpec, euclidean, project_to_target, sum_of_squares
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
+# sigma eps^2 of a preconditioned descent: 2, the penalty's normal
+# curvature at its target, rather than 1.  With 2 an S^2-valued
+# 24^2 x 25 torus collar at eps 0.25 took 9 iterations instead of 31,
+# and each of criterion 08's six descents 2 instead of up to 74.  Only a
+# 128 x 32 cylinder at eps 0.25 took more, 44 instead of 27: its
+# minimizer moves mostly along the circle, where the penalty has no
+# curvature.
+_SHIFT = 2.0
 
 
 @dataclass(frozen=True)
@@ -116,11 +140,13 @@ class SweepResult:
     ``bounded_in_eps``: at every depth the smallest-eps energy stays
     within a factor 2 of the largest-eps energy (plus an absolute floor),
     the sampled form of boundedness along eps -> 0.  The statement is
-    about the computed resolutions only.
+    about the computed resolutions only.  ``converged`` holds each
+    triple's ``MinimizeResult.converged``, in the order of ``triples``.
     """
 
     triples: tuple[tuple[float, float, float], ...]
     bounded_in_eps: bool
+    converged: tuple[bool, ...]
 
 
 # -------------------------------------------------------------- gradient
@@ -134,6 +160,63 @@ def dirichlet_gradient(m: GridMap, p: float) -> np.ndarray:
     p = _check_p(p)
     diffs = list(_forward_differences(np.asarray(m.values), m.domain))
     return _dirichlet_gradient(diffs, _grad_sq(diffs, m.domain), m.domain, p)
+
+
+# --------------------------------------------------------- stiffness solve
+
+def _collar_stiffness_solve(domain: DomainSpec, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (K + shift V) x = rhs on the free rows of a collar over a periodic base.
+
+    K is the Hessian of the p = 2 Dirichlet cell sum, V the node volumes
+    (``node_volumes``); the bottom row is pinned, so ``rhs``'s row 0 is
+    not read and ``x``'s row 0 is zero.  ``rhs`` has the collar's shape
+    plus a component axis, and every component is solved at once.
+
+    K is 2 |cell| times the sum of two parts: the base's periodic second
+    differences / h_a^2 on every row below the top (cells anchor at their
+    low corner, so the top row has no base edges), and the depth second
+    difference / h_t^2 with the pinned bottom and a free top.  V is |cell|
+    on the rows below the top and |cell| / 2 on it.  Every coefficient is
+    constant along the base axes, so ``rfftn`` over them diagonalises the
+    operator: mode k with base eigenvalue lam_k = sum_a (2 - 2 cos(2 pi
+    k_a / n_a)) / h_a^2 leaves one tridiagonal system in depth, which
+    divided by 2 |cell| / h_t^2 has off-diagonal -1, diagonal
+    2 + h_t^2 lam_k + shift h_t^2 / 2 below the top and
+    1 + shift h_t^2 / 4 on it.  One Thomas sweep over the rows, vectorised
+    over the modes and components, and the inverse FFT give x (Hockney,
+    J. ACM 12 (1965)): O(N log N) time for N nodes.
+    """
+    base, depth = domain.axes[:-1], domain.axes[-1]
+    h_t = depth.spacing
+    lam = np.zeros(())
+    for a, axis in enumerate(base):
+        # rfftn keeps the non-negative half of the last axis' modes
+        k = np.arange(axis.count // 2 + 1 if a == len(base) - 1 else axis.count)
+        second_difference = 2.0 - 2.0 * np.cos(2.0 * math.pi * k / axis.count)
+        lam = np.add.outer(lam, second_difference / axis.spacing**2)
+    interior = 2.0 + h_t**2 * lam + 0.5 * shift * h_t**2
+    top = 1.0 + 0.25 * shift * h_t**2
+
+    axes = tuple(range(len(base)))
+    swept = np.fft.rfftn(rhs[..., 1:, :], axes=axes)
+    swept *= h_t**2 / (2.0 * _cell_volume(domain))
+    # forward sweep, in place: inv[r] is 1 / (pivot of free row r), which
+    # holds depth r + 1
+    n_free = depth.count - 1
+    inv = np.empty((n_free,) + lam.shape)
+    above = 0.0
+    for r in range(n_free):
+        inv[r] = above = 1.0 / ((top if r == n_free - 1 else interior) - above)
+        if r > 0:
+            swept[..., r, :] += swept[..., r - 1, :]
+        swept[..., r, :] *= inv[r][..., None]
+    # back substitution, in place: the swept loads become x's modes
+    for r in range(n_free - 2, -1, -1):
+        swept[..., r, :] += inv[r][..., None] * swept[..., r + 1, :]
+    free = np.fft.irfftn(swept, s=[axis.count for axis in base], axes=axes)
+    x = np.zeros_like(rhs)
+    x[..., 1:, :] = free
+    return x
 
 
 # ---------------------------------------------------------------- descent
@@ -153,7 +236,14 @@ def _descend(
     """Descent from the depth-replicated trace; ``penalty=None`` adds no penalty.
 
     Every trial point is projected onto ``target``, which leaves it as it
-    is on a Euclidean target.
+    is on a Euclidean target.  A penalized p = 2 descent over a periodic
+    base is preconditioned by ``_collar_stiffness_solve``: its objective
+    is the quadratic cell sum plus a penalty whose curvature the shift
+    stands in for, and its target projection is the identity.  A
+    projected descent would move along the normal part of the solved
+    gradient, p != 2 changes the Hessian with the iterate, and an
+    interval base is not diagonalised by the FFT, so those keep the
+    plain gradient and every bit of their iterates.
     """
     _check_collar(u, domain)
     p = cfg.p
@@ -176,6 +266,11 @@ def _descend(
         g[..., 0, :] = 0.0  # bottom row pinned
         return g
 
+    preconditioned = (
+        penalty is not None and p == 2.0 and all(axis.periodic for axis in domain.axes[:-1])
+    )
+    shift = _SHIFT / penalty.eps**2 if preconditioned else 0.0
+
     energy, diffs, s = evaluate(values)
     if not np.isfinite(energy):
         raise OptimizationError("initial energy is not finite")
@@ -185,7 +280,7 @@ def _descend(
     iterations = 0
     backtracks = 0
 
-    # reused buffers: ``step`` holds values - t * grad (the candidate
+    # reused buffers: ``step`` holds values - t * direction (the candidate
     # itself on a Euclidean target), ``moved`` the squared move
     step = np.empty_like(values)
     moved = np.empty_like(values)
@@ -200,10 +295,15 @@ def _descend(
             converged = True
             break
 
+        direction = grad
+        if preconditioned:
+            direction = _collar_stiffness_solve(domain, shift, grad)
+            slope = float(np.vdot(grad, direction))  # <g, d>
+
         accepted = False
         t = trial
         for _ in range(_MAX_HALVINGS):
-            np.multiply(grad, t, out=step)
+            np.multiply(direction, t, out=step)
             try:
                 candidate = project_to_target(target, np.subtract(values, step, out=step))
             except SingularityError:
@@ -212,11 +312,12 @@ def _descend(
                 continue
             candidate[..., 0, :] = bottom
             cand_energy, cand_diffs, cand_s = evaluate(candidate)
-            np.subtract(candidate, values, out=moved)
-            moved_sq = float(np.sum(np.multiply(moved, moved, out=moved)))
-            if math.isfinite(cand_energy) and (
-                cand_energy <= energy - _ARMIJO * moved_sq / t
-            ):
+            if preconditioned:
+                sufficient = _ARMIJO * t * slope
+            else:
+                np.subtract(candidate, values, out=moved)
+                sufficient = _ARMIJO * float(np.sum(np.multiply(moved, moved, out=moved))) / t
+            if math.isfinite(cand_energy) and cand_energy <= energy - sufficient:
                 accepted = True
                 break
             t *= 0.5
@@ -233,7 +334,7 @@ def _descend(
             step = values  # the old iterate becomes the next buffer
         values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
         iterations = it + 1
-        trial = min(t * 2.0, 1024.0)
+        trial = 1.0 if preconditioned else min(t * 2.0, 1024.0)
         if drop <= cfg.tol * max(1.0, abs(energy)):
             converged = True
             break
@@ -296,22 +397,26 @@ def isobe_sweep(
     collars = [(float(d), collar_over(u.base, depth_node_count(u.base, d), d)) for d in depth_list]
     penalties = [(float(e), distance_penalty(float(e), cfg.p, u.target)) for e in eps_list]
     triples: list[tuple[float, float, float]] = []
+    converged: list[bool] = []
     for depth, domain in collars:
         for eps, penalty in penalties:
             try:
-                energy = minimize_penalized_detailed(u, penalty, domain, cfg).energy
+                result = minimize_penalized_detailed(u, penalty, domain, cfg)
             except OptimizationError as exc:
                 raise OptimizationError(
                     f"sweep point eps={eps} depth={depth}: {exc}"
                 ) from exc
-            triples.append((eps, depth, energy))
+            triples.append((eps, depth, result.energy))
+            converged.append(result.converged)
 
     by_depth: dict[float, dict[float, float]] = {}
     for eps, depth, energy in triples:
         by_depth.setdefault(depth, {})[eps] = energy
     # smallest-eps energy against the largest-eps one, above an absolute floor
     bounded = all(row[min(row)] <= max(2.0 * row[max(row)], 1e-9) for row in by_depth.values())
-    return SweepResult(triples=tuple(triples), bounded_in_eps=bounded)
+    return SweepResult(
+        triples=tuple(triples), bounded_in_eps=bounded, converged=tuple(converged)
+    )
 
 
 # ---------------------------------------------------------- lifting oracle
@@ -323,9 +428,8 @@ def circle_lifting_oracle(
 
     Unwraps the boundary angles (adjacent jumps must stay below pi),
     splits off the winding part, solves the scalar harmonic problem with
-    pinned bottom and free top exactly (a real FFT along theta, one
-    tridiagonal solve in depth per Fourier mode, the inverse FFT; Hockney,
-    J. ACM 12 (1965)), and returns the wrapped harmonic map with the exact
+    pinned bottom and free top exactly (``_collar_stiffness_solve``
+    without a shift), and returns the wrapped harmonic map with the exact
     discrete energy of its lifting.
     """
     if u.base.kind != "circle":
@@ -357,36 +461,15 @@ def circle_lifting_oracle(
     theta = u.base.axes[0].coordinates()
     psi_bottom = phi - degree * theta
 
-    # scalar harmonic extension of psi: quadratic form over grid edges,
-    # theta edges only below the top row (cells anchor at their low corner).
-    # Its normal equations are periodic in theta with constant
-    # coefficients, so Fourier mode k of the free rows j = 1..n_t-1 solves
-    # one tridiagonal system: off-diagonal -w_t, diagonal
-    # 2 w_t + w_theta (2 - 2 cos(2 pi k / n)) below the top row and w_t
-    # on the top row, which has no theta edges.  Only row 1 sees the data,
-    # through its depth edge w_t to the pinned bottom, so mode k is
-    # psi_hat_k(0) times the real response g_k to that unit load.
-    # g_k comes from a Thomas sweep over the rows, vectorised over the
-    # modes, on the system divided by w_t; array row r is depth j = r + 1.
-    ratio = (h_t / h_theta) ** 2  # w_theta / w_t
-    n_free = n_t - 1
-    k = np.arange(n // 2 + 1)
-    diagonal = 2.0 + ratio * (2.0 - 2.0 * np.cos(2.0 * math.pi * k / n))
-    # forward sweep: inv[r] is 1 / (pivot of row r), load[r] the swept load
-    inv = np.empty((n_free, k.size))
-    load = np.empty((n_free, k.size))
-    inv_above, load_above = 0.0, 1.0
-    for r in range(n_free):
-        pivot = (1.0 if r == n_free - 1 else diagonal) - inv_above
-        inv[r] = inv_above = 1.0 / pivot
-        load[r] = load_above = inv_above * load_above
-    # back substitution, in place: load becomes g
-    for r in range(n_free - 2, -1, -1):
-        load[r] += inv[r] * load[r + 1]
-    modes = np.fft.rfft(psi_bottom)
-    psi = np.empty((n, n_t))
+    # scalar harmonic extension of psi: the cell sum of the lifting is
+    # minimal over the free rows where K psi = 0, K the p = 2 Hessian of
+    # ``_collar_stiffness_solve``.  Only row 1 couples to the pinned
+    # bottom, through its depth edge, so the free rows solve K x = r with
+    # r = 2 |cell| / h_t^2 psi_bottom on row 1 and zero elsewhere.
+    load = np.zeros((n, n_t, 1))
+    load[:, 1, 0] = 2.0 * _cell_volume(domain) / h_t**2 * psi_bottom
+    psi = _collar_stiffness_solve(domain, 0.0, load)[..., 0]
     psi[:, 0] = psi_bottom
-    psi[:, 1:] = np.fft.irfft(modes * load, n=n, axis=-1).T
 
     # exact discrete energy of the lifting deg*theta + psi: every theta
     # difference carries the winding increment deg * h_theta

@@ -29,7 +29,7 @@ PRIMARY_VERDICTS = [
     "PASS 05_circle_covering_glue: K=2:ratio=0.6667->0.6669 K=3:ratio=0.6667->0.667",
     "PASS 06_extension_closed_form: identity=6.28192~2pi oracle=6.28319 degree2=25.1126~8pi",
     "PASS 07_penalized_glue_constant: measured_C=0.6667->0.6669 drift=0.000376",
-    "PASS 08_isobe_boundedness: max_energy=6.20235<= 6.9115 bounded_in_eps=true",
+    "PASS 08_isobe_boundedness: max_energy=6.20235<= 6.9115 bounded_in_eps=true converged=6/6",
     "PASS 09_trace_inequality_echo: measured_C=5.739->5.34 drift=0.0695",
     "PASS 10_gradient_check: worst_rel_err=8.33e-08<=1e-5 over p in {1.5,2,3}",
 ]

@@ -880,6 +880,29 @@ def test_estimate_penalized_needs_eps_and_constrained_trace(tmp_path, capsys):
     assert code == 2  # no constrained reference to penalize against
 
 
+def test_estimate_penalized_runs_on_a_sphere_valued_torus_trace(tmp_path, capsys):
+    # a penalized p = 2 descent over a torus takes the collar stiffness
+    # solve; within the 200-iteration cap it stops converged, and the
+    # bottom face of the written map is the trace, bit for bit
+    base = dom.torus(12, 12)
+    x, y = np.meshgrid(*(2.0 * np.pi * ax.coordinates() for ax in base.axes), indexing="ij")
+    field = np.stack([np.cos(x) + 0.3 * np.sin(y), np.sin(x) * np.cos(y), 0.5 + np.sin(y)], -1)
+    field /= np.sqrt(np.sum(field**2, axis=-1))[..., None]
+    trace_path, out = str(tmp_path / "t.sgf"), str(tmp_path / "ext.sgf")
+    trace = gm.TraceMap(base=base, target=tg.sphere(3), values=field, constraint_tol=1e-9)
+    fileio.write_grid_map(trace_path, trace)
+    code, stdout, _ = run_cli(
+        ["estimate", "--trace", trace_path, "--p", "2", "--cfg", _write_cfg(tmp_path),
+         "--out", out, "--penalized", "--eps", "0.25"],
+        capsys,
+    )
+    assert code == 0
+    assert _value_of(stdout, "converged") == "true"
+    ext = fileio.read_grid_map(out)
+    assert ext.domain == dom.torus_collar(12, 12, 13)
+    assert ext.values[..., 0, :].tobytes() == fileio.read_trace_map(trace_path).values.tobytes()
+
+
 def test_estimate_on_an_interval_trace_is_a_usage_error(tmp_path, capsys):
     # an interval trace extends over its square collar; a box base has no
     # collar kind, so its trace is still a usage error

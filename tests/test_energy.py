@@ -17,6 +17,7 @@ import pytest
 from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
 from sobolev_glue import gridmap as gm
+from sobolev_glue import minimize as mi
 from sobolev_glue import target as tg
 from sobolev_glue.errors import ParameterError
 
@@ -197,20 +198,26 @@ def test_pair_sum_memory_stays_linear_in_the_node_count(n, p, limit_mb):
     assert peak < limit_mb * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+_PENALIZED_P2 = en.distance_penalty(0.25, 2.0, tg.sphere(3))
+
+
 @pytest.mark.parametrize(
-    "energy",
+    "counts, energy",
     [
-        lambda m: en.dirichlet_p_energy(m, 1.5),
-        lambda m: en.dirichlet_p_energy(m, 2.0),
-        lambda m: en.dirichlet_p_energy(m, 3.0),
-        lambda m: en.penalized_energy(m, 2.0, en.distance_penalty(0.25, 2.0, tg.sphere(3))),
+        ((64, 64, 16), lambda m: en.dirichlet_p_energy(m, 1.5)),
+        ((64, 64, 16), lambda m: en.dirichlet_p_energy(m, 2.0)),
+        ((64, 64, 16), lambda m: en.dirichlet_p_energy(m, 3.0)),
+        ((64, 64, 16), lambda m: en.penalized_energy(m, 2.0, _PENALIZED_P2)),
+        ((48, 48, 12), lambda m: en.dirichlet_p_energy(m, 2.0)),
+        ((48, 48, 12), lambda m: en.dirichlet_p_energy(m, 1.5)),
     ],
-    ids=["dirichlet-p1.5", "dirichlet-p2", "dirichlet-p3", "penalized-p2"],
+    ids=["dirichlet-p1.5", "dirichlet-p2", "dirichlet-p3", "penalized-p2",
+         "dirichlet-p2-48x48x12", "dirichlet-p1.5-48x48x12"],
 )
-def test_dirichlet_and_penalty_hold_three_cell_arrays(energy):
+def test_dirichlet_and_penalty_hold_three_cell_arrays(counts, energy):
     # three cell-shaped arrays are about the size of the nu = 3 values;
     # full-size forward differences and their scaled copies peak near 2.9x
-    domain = dom.torus_collar(64, 64, 16)
+    domain = dom.torus_collar(*counts)
     vals = np.random.default_rng(11).normal(size=domain.shape + (3,))
     m = gm.GridMap(domain=domain, target=tg.euclidean(3), values=vals)
     tracemalloc.start()
@@ -223,21 +230,20 @@ def test_dirichlet_and_penalty_hold_three_cell_arrays(energy):
     assert peak < 1.5 * vals.nbytes, f"traced peak {peak / vals.nbytes:.2f}x the values"
 
 
-@pytest.mark.parametrize("p", [2.0, 1.5])
-def test_dirichlet_energy_holds_one_difference_at_a_time(p):
-    # a 48^2 x 12 collar with three components: one forward difference is
-    # as large as the values; holding all three at once peaks near 4.8x
-    domain = dom.torus_collar(48, 48, 12)
-    vals = np.random.default_rng(3).normal(size=domain.shape + (3,))
-    m = gm.GridMap(domain=domain, target=tg.euclidean(3), values=vals)
+def test_collar_stiffness_solve_holds_about_three_copies_of_its_load():
+    # the forward and inverse FFTs each hold their input and output, and
+    # the solution is written into a fresh array: a traced peak of 3.18x
+    # the load on a 64^2 x 16 torus collar with three components
+    domain = dom.torus_collar(64, 64, 16)
+    rhs = np.random.default_rng(5).normal(size=domain.shape + (3,))
     tracemalloc.start()
     try:
-        value = en.dirichlet_p_energy(m, p).value
+        x = mi._collar_stiffness_solve(domain, 1.5, rhs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(value) and value > 0.0
-    assert peak < 3.25 * vals.nbytes, f"traced peak {peak / vals.nbytes:.2f}x the values"
+    assert np.all(np.isfinite(x))
+    assert peak < 3.5 * rhs.nbytes, f"traced peak {peak / rhs.nbytes:.2f}x the load"
 
 
 def test_affine_interval_map_is_exact():

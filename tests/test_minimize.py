@@ -361,6 +361,7 @@ def test_sweep_flags_on_winding_data():
         assert np.isfinite(energy)
         assert energy <= 1.1 * 2.0 * np.pi
     assert sweep.bounded_in_eps
+    assert sweep.converged == (True,) * 4
 
 
 def _no_descent(*args):
@@ -654,6 +655,82 @@ def _reference_descent(u, domain, cfg, penalty, project):
     return values, energy, iterations, converged, grad_sup
 
 
+def _dense_stiffness(domain, shift):
+    """K + shift V on the free rows, dense, with the flat indices of those rows.
+
+    K is assembled column by column: the p = 2 Dirichlet gradient of a
+    unit vector is one column of the Hessian.
+    """
+    free = np.flatnonzero(np.indices(domain.shape)[-1].reshape(-1) >= 1)
+    stiffness = np.empty((free.size, free.size))
+    for col, node in enumerate(free):
+        unit = np.zeros(domain.shape + (1,))
+        unit.reshape(-1)[node] = 1.0
+        diffs = list(en._forward_differences(unit, domain))
+        grad = en._dirichlet_gradient(diffs, en._grad_sq(diffs, domain), domain, 2.0)
+        stiffness[:, col] = grad.reshape(-1)[free]
+    return free, stiffness + np.diag(shift * en.node_volumes(domain).reshape(-1)[free])
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        dom.cylinder(12, 7),
+        dom.collar_over(dom.from_kind("circle", (10,), (3.0,)), 6, 0.7),
+        dom.torus_collar(6, 5, 4),
+    ],
+    ids=["cylinder", "circumference_3", "torus_collar"],
+)
+@pytest.mark.parametrize("shift", [0.0, 1.5])
+def test_stiffness_solve_matches_the_dense_assembled_operator(domain, shift):
+    rhs = np.random.default_rng(domain.ndim).normal(size=domain.shape + (3,))
+    x = mi._collar_stiffness_solve(domain, shift, rhs)
+    free, operator = _dense_stiffness(domain, shift)
+    want = np.zeros((x[..., 0].size, 3))
+    want[free] = np.linalg.solve(operator, rhs.reshape(-1, 3)[free])
+    assert np.all(x[..., 0, :] == 0.0)  # the pinned row
+    assert np.max(np.abs(x.reshape(-1, 3) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _reference_h1_descent(u, domain, cfg, penalty):
+    # the preconditioned penalized p = 2 descent on a dense solve: every
+    # direction solves (K + 2/eps^2 V) d = g on the free rows with
+    # numpy.linalg.solve
+    free, operator = _dense_stiffness(domain, 2.0 / penalty.eps**2)
+    vols = en.node_volumes(domain)
+    bottom = np.array(u.values)
+    values = np.repeat(bottom[..., None, :], domain.shape[-1], axis=-2)
+    energy = _reference_objective(values, domain, 2.0, vols, penalty)
+    converged, grad_sup, iterations = False, np.inf, 0
+    for it in range(cfg.max_iterations):
+        grad = _reference_dirichlet_gradient(values, domain, 2.0)
+        grad = grad + _reference_penalty_gradient(values, vols, penalty)
+        grad[..., 0, :] = 0.0
+        grad_sup = float(np.max(np.abs(grad)))
+        flat = grad.reshape(-1, grad.shape[-1])
+        direction = np.zeros_like(flat)
+        direction[free] = np.linalg.solve(operator, flat[free])
+        direction = direction.reshape(grad.shape)
+        slope = float(np.sum(grad * direction))
+        t = 1.0
+        for _ in range(mi._MAX_HALVINGS):
+            candidate = values - t * direction
+            cand_energy = _reference_objective(candidate, domain, 2.0, vols, penalty)
+            if cand_energy <= energy - mi._ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            converged = True
+            break
+        drop = energy - cand_energy
+        values, energy = candidate, cand_energy
+        iterations = it + 1
+        if drop <= cfg.tol * max(1.0, abs(energy)):
+            converged = True
+            break
+    return values, energy, iterations, converged, grad_sup
+
+
 def _torus_sphere_trace(n, constant_block=False):
     base = dom.torus(n, n)
     x, y = np.meshgrid(*(ax.coordinates() for ax in base.axes), indexing="ij")
@@ -673,6 +750,7 @@ def _torus_sphere_trace(n, constant_block=False):
         "box_p3",
         "penalized_p2",
         "penalized_p3",
+        "penalized_p2_square",
     ],
 )
 def test_descent_keeps_every_iterate_of_the_reference_descent(case):
@@ -692,6 +770,13 @@ def test_descent_keeps_every_iterate_of_the_reference_descent(case):
         u = gm.TraceMap(base=dom.square(6, 5), target=tg.euclidean(3),
                         values=rng.normal(size=(6, 5, 3)))
         domain, p = dom.box(6, 5, 4), 3.0
+    elif case == "penalized_p2_square":
+        # an interval base keeps the plain penalized descent
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=(6, 5))
+        u = gm.TraceMap(base=dom.square(6, 5), target=tg.circle(),
+                        values=np.stack([np.cos(angle), np.sin(angle)], axis=-1))
+        domain, p = dom.box(6, 5, 4), 2.0
+        penalty = en.distance_penalty(0.3, p, tg.circle())
     else:
         u = _wobbled_trace(20)
         domain, p = dom.cylinder(20, 6), 1.5
@@ -703,15 +788,25 @@ def test_descent_keeps_every_iterate_of_the_reference_descent(case):
         res = mi.minimize_extension_detailed(u, domain, u.target, cfg)
     else:
         res = mi.minimize_penalized_detailed(u, penalty, domain, cfg)
-    project = penalty is None and u.target.constrained
-    values, energy, iterations, converged, grad_sup = _reference_descent(
-        u, domain, cfg, penalty, project
-    )
     assert res.iterations >= 10
-    assert _same_bits(res.map.values, values)
-    assert _same_bits(res.energy, energy)
+    if case == "penalized_p2":
+        # the FFT solve and the dense solve round differently, so the
+        # preconditioned descent matches its reference to rounding only
+        values, energy, iterations, converged, grad_sup = _reference_h1_descent(
+            u, domain, cfg, penalty
+        )
+        np.testing.assert_allclose(res.map.values, values, rtol=0.0, atol=1e-13)
+        assert res.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
+        assert res.gradient_sup == pytest.approx(grad_sup, rel=1e-9, abs=0.0)
+    else:
+        project = penalty is None and u.target.constrained
+        values, energy, iterations, converged, grad_sup = _reference_descent(
+            u, domain, cfg, penalty, project
+        )
+        assert _same_bits(res.map.values, values)
+        assert _same_bits(res.energy, energy)
+        assert _same_bits(res.gradient_sup, grad_sup)
     assert (res.iterations, res.converged) == (iterations, converged)
-    assert _same_bits(res.gradient_sup, grad_sup)
 
 
 # --------------------------------------------------------------- backtracks
