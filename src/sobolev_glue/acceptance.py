@@ -9,8 +9,10 @@ gives ``05_<topic>``).  These are the checks that the command-line
 values are closed forms computed independently inside each criterion
 (eigenvalue oracles, winding bounds, exact integrands), never copied
 from the code under test.  Criterion 06 also compares its descent with
-``minimize.circle_lifting_oracle``, which is library code; its
-independent values are the closed forms 2 pi and 8 pi.
+``minimize.circle_lifting_oracle``, which is library code: its number is
+``dirichlet_p_energy`` of the map it returns, which for the winding
+trace is the descent's own depth-replicated start.  Its independent
+values are the closed forms 2 pi and 8 pi.
 """
 
 from __future__ import annotations
@@ -365,7 +367,7 @@ def criterion_07_penalized_glue_constant() -> tuple[bool, str]:
 def criterion_08_isobe_boundedness() -> tuple[bool, str]:
     """Identity-trace sweep converges and stays below 1.1 x 2 pi for all eps."""
     u = _winding_trace(64, 1, circle_target())
-    cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-9)
+    cfg = MinimizeConfig(p=2.0, tol=1e-9)
     sweep = isobe_sweep(u, [0.5, 0.25, 0.125], [1.0, 0.5], cfg)
     # an energy that stopped at the iteration cap is not a minimum
     done, total = sum(sweep.converged), len(sweep.converged)

@@ -227,9 +227,8 @@ def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
     """|DU|^2 per cell from the forward differences of its low corner.
 
     Sums ``_squares_summed(diff[cells] / h)`` over the axes in order, for
-    the callers that keep the differences: the descent, its gradient and
-    the lifting oracle.  ``_streamed_grad_sq`` gives the same bits without
-    them.
+    the callers that keep the differences: the descent and its gradient.
+    ``_streamed_grad_sq`` gives the same bits without them.
     """
     cells = _cells(domain)
     total = None

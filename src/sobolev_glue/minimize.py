@@ -15,8 +15,9 @@ solves the lifted scalar problem exactly for p = 2 circle-valued data
 with ``_collar_stiffness_solve``, the collar's p = 2 stiffness solve
 that preconditioned descents share: an FFT along the periodic base axes
 and one tridiagonal solve in depth per Fourier mode, in O(N log N) time
-and O(N) memory for N grid nodes.  The oracle's energy is the Dirichlet
-cell sum of ``energy`` applied to the lifting.
+and O(N) memory for N grid nodes.  The oracle's energy is
+``energy.dirichlet_p_energy`` of the circle-valued map it returns, so it
+bounds the discrete constrained minimum from above.
 
 A descent runs only on ``domain.collar_over(u.base, ...)``, the trace
 base's own axes then depth; any other domain is a ``ParameterError``.
@@ -74,6 +75,7 @@ from .energy import (
     _forward_differences,
     _grad_sq,
     _penalty_sum,
+    dirichlet_p_energy,
     distance_penalty,
     node_volumes,
 )
@@ -103,15 +105,12 @@ class MinimizeConfig:
     """Optimizer knobs.
 
     ``tol`` stops the loop once the relative energy decrease of an
-    accepted step falls below it.  ``projection`` has one value,
-    ``"auto"``: a descent projects onto the target it is given.  The
-    field is kept only because the benchmark reads it.
+    accepted step falls below it.
     """
 
     p: float = 2.0
     max_iterations: int = 500
     tol: float = 1e-8
-    projection: str = "auto"
 
     def __post_init__(self) -> None:
         _check_p(self.p)
@@ -119,8 +118,14 @@ class MinimizeConfig:
             raise ParameterError("max_iterations must be positive")
         if not (self.tol > 0.0 and np.isfinite(self.tol)):
             raise ParameterError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.projection != "auto":
-            raise ParameterError(f"projection mode must be auto, got {self.projection!r}")
+
+    @property
+    def projection(self) -> str:
+        """Always ``"auto"``: a descent projects onto the target it is given.
+
+        Not a setting; kept read-only because the benchmark reads it.
+        """
+        return "auto"
 
 
 @dataclass(frozen=True)
@@ -424,13 +429,17 @@ def isobe_sweep(
 def circle_lifting_oracle(
     u: TraceMap, domain: DomainSpec
 ) -> tuple[GridMap, float]:
-    """Exact p = 2 extension energy of circle-valued data via its lifting.
+    """Reference p = 2 extension of circle-valued data via its lifting.
 
     Unwraps the boundary angles (adjacent jumps must stay below pi),
     splits off the winding part, solves the scalar harmonic problem with
     pinned bottom and free top exactly (``_collar_stiffness_solve``
-    without a shift), and returns the wrapped harmonic map with the exact
-    discrete energy of its lifting.
+    without a shift), and returns the wrapped harmonic map with its own
+    Dirichlet cell sum, ``dirichlet_p_energy(lifted, 2.0).value``.  That
+    map satisfies the constraint, so its energy bounds the discrete
+    constrained minimum from above; it lies O(h^4) from it, while the
+    lifting's own cell sum lies O(h^2) above (every chord is shorter than
+    its arc).
     """
     if u.base.kind != "circle":
         raise ParameterError(f"the lifting oracle needs a circle base, got {u.base.kind!r}")
@@ -442,7 +451,6 @@ def circle_lifting_oracle(
 
     n = u.base.shape[0]
     n_t = domain.shape[-1]
-    h_theta = domain.axes[0].spacing
     h_t = domain.axes[1].spacing
 
     vals = np.asarray(u.values)
@@ -471,13 +479,7 @@ def circle_lifting_oracle(
     psi = _collar_stiffness_solve(domain, 0.0, load)[..., 0]
     psi[:, 0] = psi_bottom
 
-    # exact discrete energy of the lifting deg*theta + psi: every theta
-    # difference carries the winding increment deg * h_theta
-    d_theta, d_t = _forward_differences(psi[..., None], domain)
-    d_theta += degree * h_theta
-    energy = _dirichlet_sum(_grad_sq((d_theta, d_t), domain), domain, 2.0)
-
     full_phi = degree * theta[:, None] + psi
     wrapped = np.stack([np.cos(full_phi), np.sin(full_phi)], axis=-1)
     lifted = GridMap(domain=domain, target=u.target, values=wrapped)
-    return lifted, energy
+    return lifted, dirichlet_p_energy(lifted, 2.0).value

@@ -27,7 +27,7 @@ PRIMARY_VERDICTS = [
     "PASS 03_fold_energy_constant: p=1.5:0.978<=3.5 p=2.0:1.26<=5.27 p=3.0:2.31<=13.5",
     "PASS 04_cone_capture: 100 instances certified, min_r=0.9844, segment r=0.9844>=0.6",
     "PASS 05_circle_covering_glue: K=2:ratio=0.6667->0.6669 K=3:ratio=0.6667->0.667",
-    "PASS 06_extension_closed_form: identity=6.28192~2pi oracle=6.28319 degree2=25.1126~8pi",
+    "PASS 06_extension_closed_form: identity=6.28192~2pi oracle=6.28192 degree2=25.1126~8pi",
     "PASS 07_penalized_glue_constant: measured_C=0.6667->0.6669 drift=0.000376",
     "PASS 08_isobe_boundedness: max_energy=6.20235<= 6.9115 bounded_in_eps=true converged=6/6",
     "PASS 09_trace_inequality_echo: measured_C=5.739->5.34 drift=0.0695",

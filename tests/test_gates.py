@@ -113,6 +113,29 @@ def _one_iteration(original):
     return capped
 
 
+def _one_entry_changed(original):
+    # the matrix with its top-left entry raised by 1/2
+    changed = np.array(original)
+    changed[0, 0] += 0.5
+    return changed
+
+
+def _zero_energy(original):
+    # the descent returns its map with energy 0
+    def zero(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), energy=0.0)
+
+    return zero
+
+
+def _nan_value(original):
+    # the energy report carries a NaN value
+    def nan(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), value=float("nan"))
+
+    return nan
+
+
 def _half_radius(original):
     # the search of a two-step ladder: r = 1/2, rays scanned from 1/2
     return 0.5
@@ -156,6 +179,17 @@ PANEL = [
     # max_energy and the bounded-in-eps flag passing
     (minimize, "minimize_penalized_detailed", _one_iteration,
      (acc.criterion_08_isobe_boundedness,)),
+    # criterion 03's eigenvalue oracle reads the matrices bound in acceptance
+    (acc, "FIRST_WEDGE_MATRIX", _one_entry_changed,
+     (acc.criterion_03_fold_energy_constant,)),
+    (acc, "REFLECTED_WEDGE_MATRIX", _one_entry_changed,
+     (acc.criterion_03_fold_energy_constant,)),
+    # criterion 09 descends and sums pairs through the names bound in
+    # acceptance
+    (acc, "minimize_extension_detailed", _zero_energy,
+     (acc.criterion_09_trace_inequality_echo,)),
+    (acc, "gagliardo_energy", _nan_value,
+     (acc.criterion_09_trace_inequality_echo,)),
 ]
 PANEL_IDS = [
     "fold_sources_swapped", "gradient_halved", "cone_ladder_two",
@@ -163,6 +197,8 @@ PANEL_IDS = [
     "oracle_energy_raised", "dirichlet_sum_enlarged", "captured_nothing",
     "fold_returns_second_map", "projection_is_identity", "every_ray_clear",
     "cores_leave_a_gap", "penalized_descent_one_iteration",
+    "first_wedge_matrix_changed", "reflected_wedge_matrix_changed",
+    "extension_energy_zero", "pair_sum_nan",
 ]
 
 
@@ -189,8 +225,6 @@ def test_gate_fails_on_its_defect(monkeypatch, module, name, defect, criteria):
 #: the message's source.  The list may only shrink: a row that reaches
 #: one of these must delete it here.
 UNREACHED = {
-    ("03", "'eigenvalue oracle disagrees with the first wedge constant'"),
-    ("03", "'eigenvalue oracle disagrees with the reflected wedge constant'"),
     ("04", "f'segment example: r={cert.radius} verified={cert.verified}'"),
     # 05's and 07's rows fail by a GlueError that ``_criterion`` catches
     ("05", "f'K={k}: ratio drift {drift:.3g} exceeds 20%'"),
@@ -201,8 +235,6 @@ UNREACHED = {
     ("08", "'bounded-in-eps flag is false'"),
     ("08", "f'energy {worst:.6g} exceeds the competitor bound {bound:.6g}'"),
     ("09", "f'measured constant drift {drift:.3g} exceeds 30%'"),
-    ("09", "f'n={n} trace {k}: energy ratio {ratio!r} is not finite and positive'"),
-    ("09", "f'n={n}: degenerate extension energy'"),
 }
 
 

@@ -5,6 +5,7 @@ lifting oracle on the circle and against finite differences.
 import numpy as np
 import pytest
 
+from sobolev_glue import acceptance as acc
 from sobolev_glue import domain as dom
 from sobolev_glue import energy as en
 from sobolev_glue import gridmap as gm
@@ -24,23 +25,40 @@ def _degree_trace(n, degree, tol=1e-12):
     return gm.TraceMap(base=base, target=tg.circle(), values=vals, constraint_tol=tol)
 
 
+def _winding_chord_energy(degree, collar):
+    # a pure winding map is constant in depth, and each theta edge is a
+    # chord of angle degree * h: 2 pi L (2 sin(degree h / 2) / h)^2
+    h, depth = collar.axes[0].spacing, collar.axes[1].length
+    return 2.0 * np.pi * depth * (2.0 * np.sin(degree * h / 2.0) / h) ** 2
+
+
 def test_lifting_oracle_degree_one_is_two_pi():
     u = _degree_trace(64, 1)
     collar = dom.cylinder(64, 24)
     lifted, energy = mi.circle_lifting_oracle(u, collar)
-    assert energy == pytest.approx(2.0 * np.pi, rel=1e-12)
+    _check_oracle_energy(lifted, energy, 1)
+    assert energy == pytest.approx(_winding_chord_energy(1, collar), rel=1e-12)
+    # 2 pi is the lifting's energy, an arc above every chord
+    h_theta, h_t = collar.axes[0].spacing, collar.axes[1].spacing
+    lifting = _lifting_energy(_harmonic_part(lifted, 1), 1, h_theta, h_t)
+    assert lifting == pytest.approx(2.0 * np.pi, rel=1e-12)
     # the oracle re-wraps its unwrapped angles, exact only to rounding
     np.testing.assert_allclose(lifted.values[:, 0, :], u.values, atol=1e-12)
 
 
 def test_lifting_oracle_degree_two_is_exactly_eight_pi():
     # the angle defect of pure winding data is constant, so the harmonic
-    # part is constant and the energy collapses to the winding term,
-    # which the edge quadrature reproduces without discretization error
+    # part is constant and the lifting's energy collapses to the winding
+    # term, which the edge quadrature reproduces without discretization
+    # error; the map's own energy is the chord closed form below it
     u = _degree_trace(48, 2)
     collar = dom.cylinder(48, 16)
-    _, energy = mi.circle_lifting_oracle(u, collar)
-    assert energy == pytest.approx(8.0 * np.pi, rel=1e-14)
+    lifted, energy = mi.circle_lifting_oracle(u, collar)
+    _check_oracle_energy(lifted, energy, 2)
+    assert energy == pytest.approx(_winding_chord_energy(2, collar), rel=1e-14)
+    h_theta, h_t = collar.axes[0].spacing, collar.axes[1].spacing
+    lifting = _lifting_energy(_harmonic_part(lifted, 2), 2, h_theta, h_t)
+    assert lifting == pytest.approx(8.0 * np.pi, rel=1e-14)
 
 
 def test_lifting_oracle_constant_data_has_zero_energy():
@@ -85,12 +103,37 @@ def _harmonic_part(lifted, degree):
     return np.angle(z)
 
 
-def _lifting_energy(psi, degree, h_theta, h_t):
-    # edge sum of the lifting degree * theta + psi: theta edges below the
-    # top row, depth edges between adjacent rows
-    d_theta = np.roll(psi, -1, axis=0)[:, :-1] - psi[:, :-1] + degree * h_theta
-    d_t = np.diff(psi, axis=1)
+def _edge_sum(v, h_theta, h_t, winding=0.0):
+    # p = 2 edge sum on a cylinder: theta edges below the top row, each
+    # plus ``winding``, and depth edges between adjacent rows
+    d_theta = np.roll(v, -1, axis=0)[:, :-1] - v[:, :-1] + winding
+    d_t = np.diff(v, axis=1)
     return float((np.sum(d_theta**2) / h_theta**2 + np.sum(d_t**2) / h_t**2) * h_theta * h_t)
+
+
+def _lifting_energy(psi, degree, h_theta, h_t):
+    # edge sum of the lifting degree * theta + psi
+    return _edge_sum(psi, h_theta, h_t, degree * h_theta)
+
+
+def _chord_energy(values, h_theta, h_t):
+    # edge sum of a circle-valued map: each edge a chord between two
+    # values on the circle
+    return _edge_sum(values, h_theta, h_t)
+
+
+def _check_oracle_energy(lifted, energy, degree):
+    """The oracle's number is the cell sum of the map it returns.
+
+    It matches the chord sum of that map and ``dirichlet_p_energy`` bit
+    for bit, and it lies at most at the lifting's energy, because no
+    chord is longer than its arc.
+    """
+    h_theta, h_t = lifted.domain.axes[0].spacing, lifted.domain.axes[1].spacing
+    assert energy == en.dirichlet_p_energy(lifted, 2.0).value
+    assert energy == pytest.approx(_chord_energy(lifted.values, h_theta, h_t), rel=1e-13)
+    lifting = _lifting_energy(_harmonic_part(lifted, degree), degree, h_theta, h_t)
+    assert energy <= lifting * (1.0 + 1e-13)
 
 
 def _sparse_reference_psi(psi_bottom, n, n_t, h_theta, h_t):
@@ -144,8 +187,7 @@ def test_lifting_oracle_matches_a_sparse_direct_solve(n, n_t, degree):
     lifted, energy = mi.circle_lifting_oracle(_lifted_trace(n, degree, psi_bottom), collar)
     h_theta, h_t = collar.axes[0].spacing, collar.axes[1].spacing
     psi = _sparse_reference_psi(psi_bottom, n, n_t, h_theta, h_t)
-    want = _lifting_energy(psi, degree, h_theta, h_t)
-    assert abs(energy - want) <= 1e-13 * want
+    _check_oracle_energy(lifted, energy, degree)
     full = degree * theta[:, None] + psi
     np.testing.assert_allclose(
         lifted.values, np.stack([np.cos(full), np.sin(full)], axis=-1), rtol=0.0, atol=1e-11
@@ -177,7 +219,7 @@ def test_lifting_oracle_single_mode_separates_in_theta_and_depth():
 
     lifted, energy = mi.circle_lifting_oracle(_lifted_trace(n, degree, psi[:, 0]), collar)
     np.testing.assert_allclose(_harmonic_part(lifted, degree), psi, rtol=0.0, atol=1e-13)
-    assert energy == pytest.approx(_lifting_energy(psi, degree, h_theta, h_t), rel=1e-13)
+    _check_oracle_energy(lifted, energy, degree)
     # a nonzero mode decays into the depth, down to the free top row
     assert np.all(np.diff(profile[:-1]) < 0.0)
 
@@ -199,7 +241,7 @@ def test_lifting_oracle_solves_a_large_cylinder_exactly():
     ) + w_t * (2.0 * inner - psi[:, :-2] - psi[:, 2:])
     assert np.max(np.abs(residual)) <= 1e-9
     assert np.max(np.abs(w_t * (psi[:, -1] - psi[:, -2]))) <= 1e-9
-    assert energy == pytest.approx(_lifting_energy(psi, degree, h_theta, h_t), rel=1e-12)
+    _check_oracle_energy(lifted, energy, degree)
 
 
 def test_descent_brackets_the_oracle_on_degree_one_data():
@@ -209,11 +251,27 @@ def test_descent_brackets_the_oracle_on_degree_one_data():
     _, oracle = mi.circle_lifting_oracle(u, collar)
     cfg = mi.MinimizeConfig(max_iterations=600)
     res = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg)
-    # the chord energy of wrapped values sits just below the lift energy
+    # the oracle's map is the depth-replicated trace, where the descent
+    # starts and stops: both report the chord energy of that map
     assert res.energy >= 0.99 * oracle
     assert res.energy <= 1.05 * oracle
     assert np.array_equal(res.map.values[:, 0, :], u.values)
     assert res.gradient_sup >= 0.0
+
+
+def test_a_converged_descent_sits_just_below_the_oracle():
+    # the oracle's map satisfies the constraint, so its energy bounds the
+    # discrete constrained minimum from above and lies O(h^4) from it; a
+    # converged descent lands on or just below it
+    rng = np.random.default_rng(0)
+    collar = dom.cylinder(32, 8)
+    cfg = mi.MinimizeConfig(max_iterations=20000, tol=1e-15)
+    for _ in range(3):
+        u = acc._degree_zero_trace(rng, 32)
+        _, reference = mi.circle_lifting_oracle(u, collar)
+        res = mi.minimize_extension_detailed(u, collar, tg.circle(), cfg)
+        assert res.converged
+        assert -1e-4 <= (res.energy - reference) / reference <= 0.0
 
 
 def test_constant_trace_converges_immediately_to_zero():
@@ -272,9 +330,11 @@ def test_config_validation():
         # an infinite tol would stop every descent after one step as converged
         with pytest.raises(ParameterError, match="tolerance"):
             mi.MinimizeConfig(tol=tol)
-    with pytest.raises(ParameterError):
+    # projection is a read-only "auto", not a setting
+    assert mi.MinimizeConfig().projection == "auto"
+    with pytest.raises(TypeError):
         mi.MinimizeConfig(projection="always")
-    with pytest.raises(ParameterError, match="projection mode must be auto"):
+    with pytest.raises(TypeError, match="projection"):
         mi.MinimizeConfig(projection="none")
 
 
