@@ -12,7 +12,9 @@ from the code under test.  Criterion 06 also compares its descent with
 ``minimize.circle_lifting_oracle``, which is library code: its number is
 ``dirichlet_p_energy`` of the map it returns, which for the winding
 trace is the descent's own depth-replicated start.  Its independent
-values are the closed forms 2 pi and 8 pi.
+values are the closed forms 2 pi and 8 pi.  Criterion 09 requires each
+of its descents to converge and to end at most 1e-6 relative above that
+oracle's energy, an upper bound on the discrete constrained minimum.
 """
 
 from __future__ import annotations
@@ -322,7 +324,7 @@ def criterion_06_extension_closed_form() -> tuple[bool, str]:
     n, n_depth = 128, 64
     ident = _winding_trace(n, 1, circle_target())
     dom = cylinder(n, n_depth, 1.0)
-    cfg = MinimizeConfig(p=2.0, max_iterations=400, tol=1e-10)
+    cfg = MinimizeConfig(p=2.0, tol=1e-10)
 
     e_ident = minimize_extension_detailed(ident, dom, circle_target(), cfg).energy
     _, oracle_ident = circle_lifting_oracle(ident, dom)
@@ -400,8 +402,13 @@ def _degree_zero_trace(rng: np.random.Generator, n: int) -> TraceMap:
 
 @_criterion
 def criterion_09_trace_inequality_echo() -> tuple[bool, str]:
-    """Pair-sum energies bounded by a stable multiple of extension energies."""
-    cfg = MinimizeConfig(p=2.0, max_iterations=300, tol=1e-9)
+    """Pair-sum energies bounded by a stable multiple of converged extension energies.
+
+    Each descent must converge and end at most 1e-6 relative above the
+    lifting oracle's energy, which bounds the discrete constrained
+    minimum from above.
+    """
+    cfg = MinimizeConfig(p=2.0, tol=1e-9)
     constants = []
     for n in (64, 128):
         rng = np.random.default_rng(0)
@@ -410,9 +417,20 @@ def criterion_09_trace_inequality_echo() -> tuple[bool, str]:
             u = _degree_zero_trace(rng, n)
             gag = gagliardo_energy(u, 0.5, 2.0).value
             dom = cylinder(n, max(16, n // 4), 1.0)
-            ext = minimize_extension_detailed(u, dom, circle_target(), cfg).energy
+            result = minimize_extension_detailed(u, dom, circle_target(), cfg)
+            ext = result.energy
             if ext <= 0.0:
                 return False, f"n={n}: degenerate extension energy"
+            if not result.converged:
+                return False, (
+                    f"n={n} trace {k}: descent unconverged after {result.iterations} iterations"
+                )
+            _, reference = circle_lifting_oracle(u, dom)
+            if not ext <= reference * (1.0 + 1e-6):
+                return False, (
+                    f"n={n} trace {k}: extension energy {ext:.9g} above the oracle's "
+                    f"{reference:.9g}"
+                )
             ratio = gag / ext
             # max() would drop a NaN, and a zero constant would divide the drift
             if not 0.0 < ratio < math.inf:

@@ -3,58 +3,50 @@
 This module owns the descent, the sweep and the lifting oracle; each
 objective's value and exact gradient belong to ``energy``.
 
-``minimize_extension_detailed`` runs projected gradient descent on the
-discrete p-Dirichlet cell sum with the bottom row pinned to the boundary
-data, ``minimize_penalized_detailed`` drops the manifold projection and
-adds a pointwise distance penalty; both return a ``MinimizeResult`` with
-the map, its energy, the iteration count, the convergence flag, the
-final gradient sup and the backtracks.  ``isobe_sweep`` tabulates
-penalized minima over penalty widths and collar depths, each collar with
-``domain.depth_node_count`` depth nodes, and ``circle_lifting_oracle``
-solves the lifted scalar problem exactly for p = 2 circle-valued data
-with ``_collar_stiffness_solve``, the collar's p = 2 stiffness solve
-that preconditioned descents share: an FFT along the periodic base axes
-and one tridiagonal solve in depth per Fourier mode, in O(N log N) time
-and O(N) memory for N grid nodes.  The oracle's energy is
+``minimize_extension_detailed`` runs projected Sobolev-gradient descent
+on the discrete p-Dirichlet cell sum with the bottom row pinned to the
+boundary data, ``minimize_penalized_detailed`` drops the manifold
+projection and adds a pointwise distance penalty; both return a
+``MinimizeResult`` with the map, its energy, the iteration count, the
+convergence flag, the final gradient sup and the backtracks.
+``isobe_sweep`` tabulates penalized minima over penalty widths and
+collar depths, each collar with ``domain.depth_node_count`` depth nodes,
+and ``circle_lifting_oracle`` solves the lifted scalar problem exactly
+for p = 2 circle-valued data.  Descents and the oracle share
+``_collar_stiffness_solve``, the collar's p = 2 stiffness solve: an FFT
+along the base axes (an interval axis mirrored into a periodic one) and
+one tridiagonal solve in depth per Fourier mode, in O(N log N) time and
+O(N) memory for N grid nodes.  The oracle's energy is
 ``energy.dirichlet_p_energy`` of the circle-valued map it returns, so it
 bounds the discrete constrained minimum from above.
 
 A descent runs only on ``domain.collar_over(u.base, ...)``, the trace
 base's own axes then depth; any other domain is a ``ParameterError``.
 
-The descent starts from the exact analytic gradient g of the discrete
-objective; the bottom row's gradient is zeroed and every trial point
+Every descent has one step rule, whatever its target, p, penalty or
+base.  It starts from the exact analytic gradient g of the discrete
+objective, with the bottom row's gradient zeroed, and steps along the
+projected Sobolev gradient d = P_T (K + sigma V)^-1 P_T g (Neuberger,
+*Sobolev Gradients and Differential Equations*, LNM 1670; Alouges, SIAM
+J. Numer. Anal. 34 (1997)): P_T is the projection onto the tangent space
+of a circle or sphere target at the iterate and the identity on a
+Euclidean one, K the p = 2 Hessian, a fixed metric for every p, and
+sigma = 2 / eps^2, the penalty's normal curvature at its target, for a
+penalized descent and 0 otherwise.  It tries t = 1 at every iteration,
+halves a rejected step and accepts v - t d, projected onto the target,
+when the objective falls by at least 1e-4 t <g, d>.  Every trial point
 gets the boundary data copied into its bottom row, so it stays
-bit-identical throughout.  Every trial point is projected onto the
-descent's target: the circle or sphere of a projected descent, a
-Euclidean space (no change) otherwise.  ``MinimizeResult.backtracks``
-counts the rejected trial steps, those whose projection hit the origin
-included.
-
-A penalized p = 2 descent over a periodic base (a circle or a torus)
-steps along the Sobolev gradient d = (K + sigma V)^-1 g (Neuberger,
-*Sobolev Gradients and Differential Equations*, LNM 1670):
-``_collar_stiffness_solve`` with sigma = 2 / eps^2, the penalty's
-normal curvature at its target.  It tries t = 1 at every iteration,
-halves a rejected step and accepts v - t d when the objective falls by
-at least 1e-4 t <g, d>.  Every other descent steps along g itself: its
-first trial step is 1, a rejected step is halved, an accepted v - t g
-must lower the objective by 1e-4 |move|^2 / t, and the next trial is
-twice the accepted step, at most 1024.  Those descents keep the plain
-gradient for now: a projected descent needs the tangential gradient
-before and after the solve, p != 2 has no constant-coefficient
-Hessian, and an interval base needs a cosine transform instead of the
-FFT.
+bit-identical throughout.  ``MinimizeResult.backtracks`` counts the
+rejected trial steps, those whose projection hit the origin included.
 
 Each point is evaluated once.  A trial point's objective computes the
 undivided forward differences along every axis and the cell |DU|^2
 built from them; when the point is accepted, the next gradient reuses
 both instead of recomputing them, and ``MinimizeResult.energy`` is the
-last accepted objective.  The descent builds every trial point and its
-squared move in two buffers it allocates once.  The gradient, the
-energy and the iterates are the bits the two-pass roll-and-broadcast
-formulas gave, because every entry is computed from the same operands
-in the same order.
+last accepted objective.  The descent builds every trial point in one
+buffer it allocates once.  The gradient and the energy are the bits the
+two-pass roll-and-broadcast formulas gave, because every entry is
+computed from the same operands in the same order.
 """
 
 from __future__ import annotations
@@ -90,7 +82,7 @@ from .target import TargetSpec, euclidean, project_to_target, sum_of_squares
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
-# sigma eps^2 of a preconditioned descent: 2, the penalty's normal
+# sigma eps^2 of a penalized descent: 2, the penalty's normal
 # curvature at its target, rather than 1.  With 2 an S^2-valued
 # 24^2 x 25 torus collar at eps 0.25 took 9 iterations instead of 31,
 # and each of criterion 08's six descents 2 instead of up to 74.  Only a
@@ -170,40 +162,56 @@ def dirichlet_gradient(m: GridMap, p: float) -> np.ndarray:
 # --------------------------------------------------------- stiffness solve
 
 def _collar_stiffness_solve(domain: DomainSpec, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (K + shift V) x = rhs on the free rows of a collar over a periodic base.
+    """Solve (K + shift V) x = rhs on the free rows of a collar.
 
     K is the Hessian of the p = 2 Dirichlet cell sum, V the node volumes
     (``node_volumes``); the bottom row is pinned, so ``rhs``'s row 0 is
     not read and ``x``'s row 0 is zero.  ``rhs`` has the collar's shape
     plus a component axis, and every component is solved at once.
 
-    K is 2 |cell| times the sum of two parts: the base's periodic second
-    differences / h_a^2 on every row below the top (cells anchor at their
-    low corner, so the top row has no base edges), and the depth second
-    difference / h_t^2 with the pinned bottom and a free top.  V is |cell|
-    on the rows below the top and |cell| / 2 on it.  Every coefficient is
-    constant along the base axes, so ``rfftn`` over them diagonalises the
-    operator: mode k with base eigenvalue lam_k = sum_a (2 - 2 cos(2 pi
-    k_a / n_a)) / h_a^2 leaves one tridiagonal system in depth, which
-    divided by 2 |cell| / h_t^2 has off-diagonal -1, diagonal
-    2 + h_t^2 lam_k + shift h_t^2 / 2 below the top and
-    1 + shift h_t^2 / 4 on it.  One Thomas sweep over the rows, vectorised
-    over the modes and components, and the inverse FFT give x (Hockney,
-    J. ACM 12 (1965)): O(N log N) time for N nodes.
+    Over a periodic base, K is 2 |cell| times the sum of two parts: the
+    base's periodic second differences / h_a^2 on every row below the top
+    (cells anchor at their low corner, so the top row has no base edges),
+    and the depth second difference / h_t^2 with the pinned bottom and a
+    free top.  V is |cell| on the rows below the top and |cell| / 2 on
+    it.  Every coefficient is constant along the base axes, so ``rfftn``
+    over them diagonalises the operator: mode k with base eigenvalue
+    lam_k = sum_a (2 - 2 cos(2 pi k_a / n_a)) / h_a^2 leaves one
+    tridiagonal system in depth, which divided by 2 |cell| / h_t^2 has
+    off-diagonal -1, diagonal 2 + h_t^2 lam_k + shift h_t^2 / 2 below the
+    top and 1 + shift h_t^2 / 4 on it.  One Thomas sweep over the rows,
+    vectorised over the modes and components, and the inverse FFT give x
+    (Hockney, J. ACM 12 (1965)): O(N log N) time for N nodes.
+
+    An interval base axis of n nodes is mirrored into a periodic axis of
+    2n nodes, solved and cropped.  On even vectors the periodic second
+    difference is the path Laplacian, so this is the cosine transform
+    of the separable operator with that axis' path Laplacian and the
+    constant mass above.  There it is a preconditioner, not an exact
+    solve: the cell sum's edges along one axis skip the last layer of
+    each interval axis, and V halves there.  A node on the last layer of
+    two interval axes, the depth axis' top row counted as one, is read
+    by no cell: the top-row nodes on an interval axis' last layer, and a
+    square base's corner column.  A step moves them while no Dirichlet
+    energy changes.
     """
     base, depth = domain.axes[:-1], domain.axes[-1]
     h_t = depth.spacing
+    load = rhs[..., 1:, :]
+    counts = [axis.count if axis.periodic else 2 * axis.count for axis in base]
     lam = np.zeros(())
-    for a, axis in enumerate(base):
+    for a, (axis, n) in enumerate(zip(base, counts)):
+        if not axis.periodic:
+            load = np.concatenate([load, np.flip(load, axis=a)], axis=a)
         # rfftn keeps the non-negative half of the last axis' modes
-        k = np.arange(axis.count // 2 + 1 if a == len(base) - 1 else axis.count)
-        second_difference = 2.0 - 2.0 * np.cos(2.0 * math.pi * k / axis.count)
+        k = np.arange(n // 2 + 1 if a == len(base) - 1 else n)
+        second_difference = 2.0 - 2.0 * np.cos(2.0 * math.pi * k / n)
         lam = np.add.outer(lam, second_difference / axis.spacing**2)
     interior = 2.0 + h_t**2 * lam + 0.5 * shift * h_t**2
     top = 1.0 + 0.25 * shift * h_t**2
 
     axes = tuple(range(len(base)))
-    swept = np.fft.rfftn(rhs[..., 1:, :], axes=axes)
+    swept = np.fft.rfftn(load, axes=axes)
     swept *= h_t**2 / (2.0 * _cell_volume(domain))
     # forward sweep, in place: inv[r] is 1 / (pivot of free row r), which
     # holds depth r + 1
@@ -218,9 +226,9 @@ def _collar_stiffness_solve(domain: DomainSpec, shift: float, rhs: np.ndarray) -
     # back substitution, in place: the swept loads become x's modes
     for r in range(n_free - 2, -1, -1):
         swept[..., r, :] += inv[r][..., None] * swept[..., r + 1, :]
-    free = np.fft.irfftn(swept, s=[axis.count for axis in base], axes=axes)
+    free = np.fft.irfftn(swept, s=counts, axes=axes)
     x = np.zeros_like(rhs)
-    x[..., 1:, :] = free
+    x[..., 1:, :] = free[tuple(slice(axis.count) for axis in base)]
     return x
 
 
@@ -240,15 +248,14 @@ def _descend(
 ) -> MinimizeResult:
     """Descent from the depth-replicated trace; ``penalty=None`` adds no penalty.
 
-    Every trial point is projected onto ``target``, which leaves it as it
-    is on a Euclidean target.  A penalized p = 2 descent over a periodic
-    base is preconditioned by ``_collar_stiffness_solve``: its objective
-    is the quadratic cell sum plus a penalty whose curvature the shift
-    stands in for, and its target projection is the identity.  A
-    projected descent would move along the normal part of the solved
-    gradient, p != 2 changes the Hessian with the iterate, and an
-    interval base is not diagonalised by the FFT, so those keep the
-    plain gradient and every bit of their iterates.
+    Every descent steps along d = P_T (K + sigma V)^-1 P_T g, the
+    projected Sobolev gradient of ``_collar_stiffness_solve``: P_T(x) =
+    x - (x . v) v at each node of the iterate v on a circle or sphere
+    target, the identity on a Euclidean one, and sigma = ``_SHIFT`` /
+    eps^2 for a penalized descent, 0 otherwise.  The solve is the p = 2
+    Hessian, a fixed metric for every p.  A trial point v - t d is
+    projected onto ``target``, which leaves it as it is on a Euclidean
+    target; t starts at 1 and halves on a rejected trial.
     """
     _check_collar(u, domain)
     p = cfg.p
@@ -256,6 +263,7 @@ def _descend(
     bottom = np.array(u.values)
     values = np.repeat(bottom[..., None, :], n_depth, axis=-2)
     vols = node_volumes(domain)
+    shift = 0.0 if penalty is None else _SHIFT / penalty.eps**2
 
     def evaluate(v: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
         # the objective, with the differences and cell |DU|^2 that the
@@ -271,42 +279,41 @@ def _descend(
         g[..., 0, :] = 0.0  # bottom row pinned
         return g
 
-    preconditioned = (
-        penalty is not None and p == 2.0 and all(axis.periodic for axis in domain.axes[:-1])
-    )
-    shift = _SHIFT / penalty.eps**2 if preconditioned else 0.0
+    def tangential(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # P_T x in place: the tangent part at v of a circle or sphere
+        if target.constrained:
+            x -= np.sum(x * v, axis=-1)[..., None] * v
+        return x
 
     energy, diffs, s = evaluate(values)
     if not np.isfinite(energy):
         raise OptimizationError("initial energy is not finite")
-    trial = 1.0
     converged = False
     grad_sup = float("inf")
     iterations = 0
     backtracks = 0
 
-    # reused buffers: ``step`` holds values - t * direction (the candidate
-    # itself on a Euclidean target), ``moved`` the squared move
+    # reused buffer: values - t * direction (the candidate itself on a
+    # Euclidean target)
     step = np.empty_like(values)
-    moved = np.empty_like(values)
 
     for it in range(cfg.max_iterations):
         grad = gradient(values, diffs, s)
         # the max of |grad| is NaN or infinite exactly when some entry is
-        grad_sup = float(np.max(np.abs(grad, out=moved)))
+        grad_sup = float(np.max(np.abs(grad)))
         if not math.isfinite(grad_sup):
             raise OptimizationError(f"gradient not finite at iteration {it}")
         if grad_sup == 0.0:
             converged = True
             break
-
-        direction = grad
-        if preconditioned:
-            direction = _collar_stiffness_solve(domain, shift, grad)
-            slope = float(np.vdot(grad, direction))  # <g, d>
+        direction = tangential(
+            _collar_stiffness_solve(domain, shift, tangential(grad, values)), values
+        )
+        # grad holds P_T g now, and <P_T g, d> = <g, d> for a tangent d
+        slope = float(np.vdot(grad, direction))
 
         accepted = False
-        t = trial
+        t = 1.0
         for _ in range(_MAX_HALVINGS):
             np.multiply(direction, t, out=step)
             try:
@@ -317,12 +324,7 @@ def _descend(
                 continue
             candidate[..., 0, :] = bottom
             cand_energy, cand_diffs, cand_s = evaluate(candidate)
-            if preconditioned:
-                sufficient = _ARMIJO * t * slope
-            else:
-                np.subtract(candidate, values, out=moved)
-                sufficient = _ARMIJO * float(np.sum(np.multiply(moved, moved, out=moved))) / t
-            if math.isfinite(cand_energy) and cand_energy <= energy - sufficient:
+            if math.isfinite(cand_energy) and cand_energy <= energy - _ARMIJO * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -330,7 +332,7 @@ def _descend(
 
         if not accepted:
             # backtracking shrank the step to rounding scale without any
-            # decrease along the negative gradient: stationary here
+            # decrease along -d: stationary here
             converged = True
             break
 
@@ -339,7 +341,6 @@ def _descend(
             step = values  # the old iterate becomes the next buffer
         values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
         iterations = it + 1
-        trial = 1.0 if preconditioned else min(t * 2.0, 1024.0)
         if drop <= cfg.tol * max(1.0, abs(energy)):
             converged = True
             break

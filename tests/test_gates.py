@@ -106,9 +106,9 @@ def _cores_with_a_gap(original):
 
 
 def _one_iteration(original):
-    # every penalized descent stops after its first step
-    def capped(u, penalty, domain, cfg):
-        return original(u, penalty, domain, dataclasses.replace(cfg, max_iterations=1))
+    # every descent stops after its first step; the config comes last
+    def capped(*args):
+        return original(*args[:-1], dataclasses.replace(args[-1], max_iterations=1))
 
     return capped
 
@@ -159,16 +159,18 @@ PANEL = [
     # criterion 06 calls the oracle through the name bound in acceptance
     (acc, "circle_lifting_oracle", _oracle_energy_raised,
      (acc.criterion_06_extension_closed_form,)),
+    # criterion 09's oracle sums through energy, its descent through minimize
     (minimize, "_dirichlet_sum", _ten_percent_more,
-     (acc.criterion_06_extension_closed_form,)),
+     (acc.criterion_06_extension_closed_form, acc.criterion_09_trace_inequality_echo)),
     (covering, "_captured", _captures_nothing,
      (acc.criterion_05_circle_covering_glue, acc.criterion_07_penalized_glue_constant)),
     # criteria 02 and 03 fold through the name bound in acceptance; a
     # copy of u1 keeps 03's energy ratio under its bound
     (acc, "fold", _second_map,
      (acc.criterion_02_fold_trace_contract,)),
+    # criterion 06's psi = 0 starts are its minimizers, so only 09 sees it
     (minimize, "project_to_target", _identity_projection,
-     (acc.criterion_06_extension_closed_form,)),
+     (acc.criterion_09_trace_inequality_echo,)),
     (cone, "ray_clearance", _every_ray_clear,
      (acc.criterion_04_cone_capture,)),
     # criteria 05 and 07 build their coverings through the name bound in
@@ -190,6 +192,8 @@ PANEL = [
      (acc.criterion_09_trace_inequality_echo,)),
     (acc, "gagliardo_energy", _nan_value,
      (acc.criterion_09_trace_inequality_echo,)),
+    (acc, "minimize_extension_detailed", _one_iteration,
+     (acc.criterion_09_trace_inequality_echo,)),
 ]
 PANEL_IDS = [
     "fold_sources_swapped", "gradient_halved", "cone_ladder_two",
@@ -198,7 +202,7 @@ PANEL_IDS = [
     "fold_returns_second_map", "projection_is_identity", "every_ray_clear",
     "cores_leave_a_gap", "penalized_descent_one_iteration",
     "first_wedge_matrix_changed", "reflected_wedge_matrix_changed",
-    "extension_energy_zero", "pair_sum_nan",
+    "extension_energy_zero", "pair_sum_nan", "extension_descent_one_iteration",
 ]
 
 
