@@ -29,23 +29,18 @@ every p: O(N^2) time, with every temporary at O(N) entries times the
 number of components.  The result is deterministic: the same input gives
 the same bits on every run.
 
-The energy entry points stream the Dirichlet sum: ``_streamed_grad_sq``
-builds the cell |DU|^2 one (axis, component) difference at a time, so
+The Dirichlet sum has one kernel, ``_streamed_grad_sq``, which builds
+the cell |DU|^2 one (axis, component) difference at a time, so
 ``dirichlet_p_energy`` and ``penalized_energy`` hold the map plus three
 cell-shaped arrays, plus three node arrays for a penalty, whose terms
-are computed in place.  The descent builds the same sum in two steps,
-because its gradient reuses the differences: ``_forward_differences``
-takes the full-size undivided differences roll(U, -1, a) - U along every
-axis and ``_grad_sq`` sums their squares over the 2 or 3 components.
-Both write through slices instead of calling ``np.roll``: every
-difference, the gradient's roll(t, 1, a) - t included, is a slice
-subtraction plus the wrapped layer (``_wrap_difference``), and the
-scaled differences are squared in place.  The components are added one
-at a time in the order ``np.add.reduce`` uses for short axes
-(``target.sum_of_squares``), so every result has the bits of the
-roll-and-reduce formulas at a fraction of their cost.  A streamed
-descent keeps the bits too, but it is slower: its gradient would take
-every difference a second time.
+are computed in place; the descent evaluates through it too, and its
+gradient reuses the cell |DU|^2.  Every difference, the gradient's
+roll(v, -1, a) - v and roll(t, 1, a) - t included, is a slice
+subtraction plus the wrapped layer (``_wrap_difference``) instead of an
+``np.roll``, and the scaled differences are squared in place.  The
+components are added one at a time in the order ``np.add.reduce`` uses
+for short axes (``target.sum_of_squares``), so every result has the bits
+of the roll-and-reduce formulas at a fraction of their cost.
 
 Node quadrature weights are trapezoidal along interval axes (half weight
 at the two ends) and uniform along periodic axes, so constants integrate
@@ -56,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -197,50 +192,6 @@ def _roll_difference(v: np.ndarray, a: int, shift: int, out: np.ndarray) -> np.n
     return out
 
 
-def _forward_differences(values: np.ndarray, domain: DomainSpec) -> Iterator[np.ndarray]:
-    """Undivided forward differences ``roll(v, -1, a) - v``, one per axis.
-
-    Made on demand, so ``_diagonal_completion`` holds one at a time; the
-    descent keeps them in a list for its gradient.  Full-size C-ordered
-    arrays: on interval axes the last layer wraps around and is never
-    read, because no cell is anchored there.
-    """
-    for a in range(domain.ndim):
-        yield _roll_difference(values, a, -1, np.empty_like(values, order="C"))
-
-
-def _squares_summed(q: np.ndarray) -> np.ndarray:
-    """Sum of squares over the last axis; squares ``q`` in place.
-
-    Adds the 2 or 3 components in ``target.sum_of_squares``' order, so
-    the result has the bits of ``np.sum(q**2, axis=-1)``.
-    """
-    np.multiply(q, q, out=q)
-    nu = q.shape[-1]
-    total = q[..., 0] + q[..., 1] if nu > 1 else q[..., 0]
-    for c in range(2, nu):
-        total += q[..., c]
-    return total
-
-
-def _grad_sq(diffs: Iterable[np.ndarray], domain: DomainSpec) -> np.ndarray:
-    """|DU|^2 per cell from the forward differences of its low corner.
-
-    Sums ``_squares_summed(diff[cells] / h)`` over the axes in order, for
-    the callers that keep the differences: the descent and its gradient.
-    ``_streamed_grad_sq`` gives the same bits without them.
-    """
-    cells = _cells(domain)
-    total = None
-    for diff, axis in zip(diffs, domain.axes):
-        contrib = _squares_summed(diff[cells] / axis.spacing)
-        if total is None:
-            total = contrib
-        else:
-            total += contrib
-    return total
-
-
 def _streamed_grad_sq(values: np.ndarray, domain: DomainSpec) -> np.ndarray:
     """|DU|^2 per cell, one (axis, component) pair at a time.
 
@@ -250,7 +201,8 @@ def _streamed_grad_sq(values: np.ndarray, domain: DomainSpec) -> np.ndarray:
     axis.  Each difference is divided by h and squared in place, the
     components are added into the contribution in order and the
     contributions into the total in axis order: the operands and the
-    order of ``_grad_sq``, so the same bits.
+    order of summing ``sum_of_squares((roll(v, -1, a) - v)[cells] / h)``
+    over the axes, so the same bits.
     """
     cells = _cells(domain)
     total = np.empty(tuple(ax.cell_count for ax in domain.axes))
@@ -283,12 +235,13 @@ def _dirichlet_sum(s: np.ndarray, domain: DomainSpec, p: float) -> float:
 
 
 def _dirichlet_gradient(
-    diffs: list[np.ndarray], s: np.ndarray, domain: DomainSpec, p: float
+    values: np.ndarray, s: np.ndarray, domain: DomainSpec, p: float
 ) -> np.ndarray:
-    """Exact gradient of ``_dirichlet_sum`` from the forward differences and ``s``.
+    """Exact gradient of ``_dirichlet_sum`` from the map ``values`` and its ``s``.
 
-    Each axis adds roll(t, 1, a) - t for t = w diff / h^2, the cell weight
-    w = |DU|^(p-2) multiplied into each component separately.
+    Each axis adds roll(t, 1, a) - t for t = w diff / h^2, where diff =
+    roll(v, -1, a) - v is taken afresh and the cell weight w =
+    |DU|^(p-2) is multiplied into each component separately.
     """
     exponent = (p - 2.0) / 2.0
     if exponent < 0.0:
@@ -300,10 +253,11 @@ def _dirichlet_gradient(
         w_cells = s**exponent
     w_full = np.zeros(domain.shape)
     w_full[_cells(domain)] = w_cells
-    grad = np.zeros_like(diffs[0])
-    t = np.empty_like(grad, order="C")
-    back = np.empty_like(grad, order="C")
-    for a, (diff, axis) in enumerate(zip(diffs, domain.axes)):
+    grad = np.zeros_like(values, order="C")
+    t = np.empty_like(grad)
+    back = np.empty_like(grad)
+    for a, axis in enumerate(domain.axes):
+        diff = _roll_difference(values, a, -1, back)
         for c in range(t.shape[-1]):
             np.multiply(w_full, diff[..., c], out=t[..., c])
         t /= axis.spacing**2
@@ -338,7 +292,8 @@ def _diagonal_completion(u: TraceMap, s: float, p: float) -> np.ndarray:
     base = u.base
     exponent = s * p + base.ndim
     per_axis = []
-    for a, (diff, axis) in enumerate(zip(_forward_differences(u.values, base), base.axes)):
+    for a, axis in enumerate(base.axes):
+        diff = _roll_difference(u.values, a, -1, np.empty_like(u.values, order="C"))
         if not axis.periodic:
             # last node has no forward neighbour; use the backward one,
             # the layer before's difference up to a sign

@@ -40,13 +40,17 @@ bit-identical throughout.  ``MinimizeResult.backtracks`` counts the
 rejected trial steps, those whose projection hit the origin included.
 
 Each point is evaluated once.  A trial point's objective computes the
-undivided forward differences along every axis and the cell |DU|^2
-built from them; when the point is accepted, the next gradient reuses
-both instead of recomputing them, and ``MinimizeResult.energy`` is the
-last accepted objective.  The descent builds every trial point in one
+cell |DU|^2 through ``energy._streamed_grad_sq``, the one Dirichlet cell
+kernel; when the point is accepted, the next gradient reuses that
+|DU|^2 and takes each axis' forward difference afresh, and
+``MinimizeResult.energy`` is the last accepted objective.  A descent
+holds no full-size differences: the gradient writes each axis' into one
+reused buffer.  The descent builds every trial point in one
 buffer it allocates once.  The gradient and the energy are the bits the
 two-pass roll-and-broadcast formulas gave, because every entry is
-computed from the same operands in the same order.
+computed from the same operands in the same order.  If 30 halvings
+accept no trial step, the descent stops with ``converged=False`` at the
+last accepted iterate.
 """
 
 from __future__ import annotations
@@ -64,9 +68,8 @@ from .energy import (
     _check_p,
     _dirichlet_gradient,
     _dirichlet_sum,
-    _forward_differences,
-    _grad_sq,
     _penalty_sum,
+    _streamed_grad_sq,
     dirichlet_p_energy,
     distance_penalty,
     node_volumes,
@@ -155,8 +158,8 @@ def dirichlet_gradient(m: GridMap, p: float) -> np.ndarray:
     here is the one this function and the descent both run.
     """
     p = _check_p(p)
-    diffs = list(_forward_differences(np.asarray(m.values), m.domain))
-    return _dirichlet_gradient(diffs, _grad_sq(diffs, m.domain), m.domain, p)
+    values = np.asarray(m.values)
+    return _dirichlet_gradient(values, _streamed_grad_sq(values, m.domain), m.domain, p)
 
 
 # --------------------------------------------------------- stiffness solve
@@ -265,15 +268,13 @@ def _descend(
     vols = node_volumes(domain)
     shift = 0.0 if penalty is None else _SHIFT / penalty.eps**2
 
-    def evaluate(v: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray]:
-        # the objective, with the differences and cell |DU|^2 that the
-        # gradient at v reuses
-        diffs = list(_forward_differences(v, domain))
-        s = _grad_sq(diffs, domain)
-        return _dirichlet_sum(s, domain, p) + _penalty_sum(v, vols, penalty), diffs, s
+    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray]:
+        # the objective, with the cell |DU|^2 that the gradient at v reuses
+        s = _streamed_grad_sq(v, domain)
+        return _dirichlet_sum(s, domain, p) + _penalty_sum(v, vols, penalty), s
 
-    def gradient(v: np.ndarray, diffs: list[np.ndarray], s: np.ndarray) -> np.ndarray:
-        g = _dirichlet_gradient(diffs, s, domain, p)
+    def gradient(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+        g = _dirichlet_gradient(v, s, domain, p)
         if penalty is not None:
             g += penalty.gradient(v, vols)
         g[..., 0, :] = 0.0  # bottom row pinned
@@ -285,7 +286,7 @@ def _descend(
             x -= np.sum(x * v, axis=-1)[..., None] * v
         return x
 
-    energy, diffs, s = evaluate(values)
+    energy, s = evaluate(values)
     if not np.isfinite(energy):
         raise OptimizationError("initial energy is not finite")
     converged = False
@@ -298,7 +299,7 @@ def _descend(
     step = np.empty_like(values)
 
     for it in range(cfg.max_iterations):
-        grad = gradient(values, diffs, s)
+        grad = gradient(values, s)
         # the max of |grad| is NaN or infinite exactly when some entry is
         grad_sup = float(np.max(np.abs(grad)))
         if not math.isfinite(grad_sup):
@@ -323,7 +324,7 @@ def _descend(
                 backtracks += 1
                 continue
             candidate[..., 0, :] = bottom
-            cand_energy, cand_diffs, cand_s = evaluate(candidate)
+            cand_energy, cand_s = evaluate(candidate)
             if math.isfinite(cand_energy) and cand_energy <= energy - _ARMIJO * t * slope:
                 accepted = True
                 break
@@ -331,15 +332,14 @@ def _descend(
             backtracks += 1
 
         if not accepted:
-            # backtracking shrank the step to rounding scale without any
-            # decrease along -d: stationary here
-            converged = True
+            # 30 halvings found no acceptable step: a stall, not a
+            # stationary point
             break
 
         drop = energy - cand_energy
         if candidate is step:
             step = values  # the old iterate becomes the next buffer
-        values, energy, diffs, s = candidate, cand_energy, cand_diffs, cand_s
+        values, energy, s = candidate, cand_energy, cand_s
         iterations = it + 1
         if drop <= cfg.tol * max(1.0, abs(energy)):
             converged = True

@@ -270,10 +270,14 @@ def test_manifest_round_trip_and_digest(tmp_path):
         fh.write(b"payload")
     fileio.write_manifest(path, {"a": "1", "b": "two words"})
     assert fileio.read_manifest(path) == {"a": "1", "b": "two words"}
+    # comment and blank lines are skipped
+    sidecar = fileio.manifest_path(path)
+    with open(sidecar, "w") as fh:
+        fh.write("# written by hand\na: 1\n\n  # indented\nb: two words\n")
+    assert fileio.read_manifest(path) == {"a": "1", "b": "two words"}
     # a repeated key is refused, not read as its last value, and so are a
     # byte that is not ASCII and a line without a colon; each message
     # names the sidecar
-    sidecar = fileio.manifest_path(path)
     with open(sidecar, "a") as fh:
         fh.write("a: 2\n")
     with pytest.raises(FormatError, match=re.escape(f"{sidecar}: manifest key 'a' appears twice")):

@@ -581,8 +581,8 @@ def test_extension_to_seminorm_ratio_is_stable_at_p_three_halves():
 
 # ----------------------------------------------- kernels against references
 #
-# The descent evaluates each point once and reuses its forward differences
-# for the gradient, and it sums over the 2-3 components with a loop.  The
+# The descent evaluates each point once and reuses its cell |DU|^2 for
+# the gradient, and it sums over the 2-3 components with a loop.  The
 # roll-and-reduce formulas below are the ones these replaced; the kernels
 # must reproduce them bit for bit, so a descent differs from its dense
 # reference only by the rounding of its solve.
@@ -674,14 +674,12 @@ def test_objective_and_gradient_match_the_roll_and_reduce_reference(kind, nu, p,
     reference = tg.circle() if nu == 2 else tg.sphere(nu)
     penalty = en.distance_penalty(0.3, p, reference) if penalized else None
 
-    diffs = list(en._forward_differences(vals, domain))
-    s = en._grad_sq(diffs, domain)
+    s = en._streamed_grad_sq(vals, domain)
     assert p >= 2.0 or np.any(s == 0.0)
     assert _same_bits(s, _reference_grad_sq(vals, domain))
-    assert _same_bits(en._streamed_grad_sq(vals, domain), _reference_grad_sq(vals, domain))
     objective = en._dirichlet_sum(s, domain, p) + en._penalty_sum(vals, vols, penalty)
     assert _same_bits(objective, _reference_objective(vals, domain, p, vols, penalty))
-    gradient = mi._dirichlet_gradient(diffs, s, domain, p)
+    gradient = mi._dirichlet_gradient(vals, s, domain, p)
     want = _reference_dirichlet_gradient(vals, domain, p)
     if penalized:
         gradient = gradient + penalty.gradient(vals, vols)
@@ -724,8 +722,7 @@ def _dense_stiffness(domain, shift):
     for col, node in enumerate(free):
         unit = np.zeros(domain.shape + (1,))
         unit.reshape(-1)[node] = 1.0
-        diffs = list(en._forward_differences(unit, domain))
-        grad = en._dirichlet_gradient(diffs, en._grad_sq(diffs, domain), domain, 2.0)
+        grad = en._dirichlet_gradient(unit, en._streamed_grad_sq(unit, domain), domain, 2.0)
         stiffness[:, col] = grad.reshape(-1)[free]
     return free, stiffness + np.diag(shift * en.node_volumes(domain).reshape(-1)[free])
 
@@ -888,7 +885,7 @@ def test_descent_keeps_every_iterate_of_the_reference_descent(case):
         u = _torus_sphere_trace(6, constant_block=True)
         domain, p = dom.torus_collar(6, 6, 5), 1.5
         start = np.repeat(u.values[..., None, :], 5, axis=-2)
-        assert np.any(en._grad_sq(list(en._forward_differences(start, domain)), domain) == 0.0)
+        assert np.any(en._streamed_grad_sq(start, domain) == 0.0)
         # the solves' rounding differences grow about 1.2x per iteration in
         # those nearly flat cells: 1.5e-14 after 25 iterations, 1.2e-13
         # after 40
@@ -994,3 +991,20 @@ def test_a_trial_whose_projection_is_singular_is_halved_and_counted(monkeypatch)
     assert res.backtracks == len(trials) - 1
     assert np.isfinite(res.energy)
     assert _same_bits(res.map.values[:, 0, :], u.values)
+
+
+def test_a_line_search_that_accepts_no_step_reports_no_convergence(monkeypatch):
+    # every trial's projection raises: 30 halvings accept nothing, and the
+    # descent stops at its start without calling that stationary
+    def always_singular(target, values):
+        raise SingularityError("cannot project the zero vector onto the unit sphere")
+
+    monkeypatch.setattr(mi, "project_to_target", always_singular)
+    u = _wobbled_trace(24)
+    collar = dom.cylinder(24, 8)
+    res = mi.minimize_extension_detailed(u, collar, tg.circle(), mi.MinimizeConfig())
+    start = np.repeat(u.values[:, None, :], 8, axis=1)
+    assert res.converged is False
+    assert (res.iterations, res.backtracks) == (0, 30)
+    assert _same_bits(res.map.values, start)
+    assert res.energy == en.dirichlet_p_energy(res.map, 2.0).value
