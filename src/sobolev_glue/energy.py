@@ -26,8 +26,14 @@ circularly on periodic axes and over (-n, n) on interval axes, so it is
 tabulated once on an offset grid (``_offset_kernel``) and the sum runs
 exactly, offset by offset, each unordered offset pair {o, -o} once, for
 every p: O(N^2) time, with every temporary at O(N) entries times the
-number of components.  The result is deterministic: the same input gives
-the same bits on every run.
+number of components.  At p = 2 that loop covers only the near field,
+the offsets within ``NEAR_FIELD_CELLS`` cells of the origin on every
+axis.  The far field, every other offset, is one FFT correlation of the
+node fields (``_far_field_pair_sum``) in O(N log N) time, on the offset
+grid itself, which is up to 2^d times the node count.  A base whose
+offsets all lie in the near field takes no FFT and keeps the bits of
+the offset form.  The result is deterministic: the same input gives the
+same bits on every run.
 
 The Dirichlet sum has one kernel, ``_streamed_grad_sq``, which builds
 the cell |DU|^2 one (axis, component) difference at a time, so
@@ -367,6 +373,43 @@ def _offset_pair_sum(
     return total
 
 
+#: Offsets within this many cells of the origin on every axis form the
+#: near field, which the p = 2 pair sum keeps in exact offset form.
+NEAR_FIELD_CELLS = 8
+
+
+def _near_field(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index of the offset-grid slots within ``NEAR_FIELD_CELLS`` of the origin on every axis."""
+    cells = [np.minimum(np.arange(m), m - np.arange(m)) for m in shape]
+    return np.ix_(*[c <= NEAR_FIELD_CELLS for c in cells])
+
+
+def _far_field_pair_sum(vals: np.ndarray, base: DomainSpec, far: np.ndarray) -> float:
+    """p = 2 pair sum over the kernel ``far`` by FFT correlation.
+
+    |u(x) - u(y)|^2 = |u(x)|^2 + |u(y)|^2 - 2 u(x).u(y), so with node
+    volumes w the sum S(o) of w(x) w(x+o) |u(x) - u(x+o)|^2 over x is
+    C(a, w) + C(w, a) - 2 sum_c C(w u_c, w u_c) for a = w |u|^2, where
+    C(f, g)(o) = sum_x f(x) g(x+o).  ``far`` lies on the offset grid,
+    whose slots are the circular order of a linear correlation zero-padded
+    to 2n - 1 on interval axes, so one rfftn of each field gives S at
+    every slot.  u is taken about its weighted mean first, which moves no
+    difference and keeps the correlations small.
+    """
+    w = node_volumes(base)
+    centred = vals - np.tensordot(w, vals, axes=w.ndim) / np.sum(w)
+    axes = tuple(range(base.ndim))
+
+    def spectrum(f: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(f, s=far.shape, axes=axes)
+
+    total = 2.0 * (spectrum(w * sum_of_squares(centred)).conj() * spectrum(w)).real
+    for c in range(vals.shape[-1]):
+        uc = spectrum(w * centred[..., c])
+        total -= 2.0 * (uc.real**2 + uc.imag**2)
+    return float(np.sum(far * np.fft.irfftn(total, s=far.shape, axes=axes)))
+
+
 def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
     p = float(p)
     if not (p >= 1.0 and np.isfinite(p)):
@@ -380,7 +423,16 @@ def gagliardo_energy(u: TraceMap, s: float, p: float) -> EnergyReport:
         raise ParameterError(f"pair-sum energy supports base dimension 1 or 2, got {d}")
     kernel = _offset_kernel(base, s * p + d)
     w = node_volumes(base)
-    total = _offset_pair_sum(u.values, base, kernel, p)
+    total = 0.0
+    if p == 2.0:
+        # the far field by FFT, if the base reaches it; the near field
+        # stays in offset form
+        far = kernel.copy()
+        far[_near_field(kernel.shape)] = 0.0
+        if np.any(far):
+            total = _far_field_pair_sum(u.values, base, far)
+            kernel -= far
+    total += _offset_pair_sum(u.values, base, kernel, p)
     total += float(np.sum(w.reshape(-1) ** 2 * _diagonal_completion(u, s, p)))
     return EnergyReport(value=total)
 

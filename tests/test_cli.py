@@ -750,7 +750,7 @@ PINNED_RUNS = {
         "0067273a698089d83ba854add1edd18339ffae7a30b79033b7ff60a88b39c9cb",
     ),
     "energy_dirichlet": ("value=5.3391176276428052\n", None),
-    "energy_gagliardo": ("value=0.48680703886341897\n", None),
+    "energy_gagliardo": ("value=0.48680703886341892\n", None),
     "energy_penalized": ("value=15.184019362067524\n", None),
     "fold": (
         "trace_bottom_error=0\ntrace_left_error=0\ntrace_right_error=0\n"

@@ -131,6 +131,19 @@ def _blocked_gagliardo(u, s, p, block=256):
     return total + float(np.sum(w**2 * en._diagonal_completion(u, s, p)))
 
 
+def _offset_form(u, s, p):
+    """The pair sum over the whole kernel in offset form, plus the diagonal.
+
+    This is ``gagliardo_energy`` for every p != 2, and at p = 2 on a base
+    whose offsets all lie in the near field.
+    """
+    kernel = en._offset_kernel(u.base, s * p + u.base.ndim)
+    total = en._offset_pair_sum(u.values, u.base, kernel, p)
+    w = en.node_volumes(u.base)
+    total += float(np.sum(w.reshape(-1) ** 2 * en._diagonal_completion(u, s, p)))
+    return total
+
+
 def _smooth_values(base, nu):
     pts = gm.node_mesh(base)
     freq = 2.0 * np.pi / np.asarray(base.lengths)
@@ -182,12 +195,63 @@ def test_offset_sum_matches_the_blocked_sum_on_large_grids():
             assert en.gagliardo_energy(u, s, p).value == got  # same bits on a rerun
 
 
-@pytest.mark.parametrize("n, p, limit_mb", [(128, 2.0, 16.0), (64, 1.5, 16.0)])
-def test_pair_sum_memory_stays_linear_in_the_node_count(n, p, limit_mb):
+_P2_BASES = (
+    dom.interval(13), dom.interval(40), dom.interval(512), dom.circle(17), dom.circle(64),
+    dom.square(30, 21), dom.torus(20, 33), dom.torus(64, 64), dom.cylinder(24, 12),
+)
+
+
+@pytest.mark.parametrize(
+    "base", _P2_BASES, ids=lambda b: f"{b.kind}-{'x'.join(map(str, b.shape))}"
+)
+def test_p2_pair_sum_matches_the_offset_form(base):
+    # every base but the 17-node circle reaches past the near field
+    rng = np.random.default_rng(sum(base.shape))
+    for nu in (1, 3):
+        u = gm.TraceMap(
+            base=base, target=tg.euclidean(nu), values=rng.normal(size=base.shape + (nu,))
+        )
+        for s in (0.3, 0.8):
+            got = en.gagliardo_energy(u, s, 2.0).value
+            assert got == pytest.approx(_offset_form(u, s, 2.0), rel=1e-13, abs=0.0), (nu, s)
+
+
+def test_p2_pair_sum_matches_the_offset_form_on_a_smooth_circle():
+    # smooth data: the far-field differences are large against the near
+    # ones, so round-off in the correlations shows most here
+    u = _circle_trace(8192, lambda t: np.stack([np.cos(t), np.sin(3.0 * t)], axis=-1), tol=0.0)
+    got = en.gagliardo_energy(u, 0.5, 2.0).value
+    assert got == pytest.approx(_offset_form(u, 0.5, 2.0), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("base", [dom.circle(12), dom.torus(8, 6)], ids=["circle-12", "torus-8x6"])
+def test_a_base_in_the_near_field_keeps_the_offset_bits(base, monkeypatch):
+    rng = np.random.default_rng(sum(base.shape))
+    u = gm.TraceMap(base=base, target=tg.euclidean(2), values=rng.normal(size=base.shape + (2,)))
+
+    def no_fft(*args):
+        raise AssertionError("every offset lies in the near field")
+
+    monkeypatch.setattr(en, "_far_field_pair_sum", no_fft)
+    for s in (0.3, 0.8):
+        assert en.gagliardo_energy(u, s, 2.0).value == _offset_form(u, s, 2.0)
+
+
+@pytest.mark.parametrize(
+    "n, p, limit_mb, kind",
+    [
+        pytest.param(128, 2.0, 16.0, "torus", id="128-2.0-16.0"),
+        pytest.param(64, 1.5, 16.0, "torus", id="64-1.5-16.0"),
+        # the p = 2 far field correlates on a (2n - 1)^2 padded grid
+        pytest.param(128, 2.0, 16.0, "square", id="square-128-2.0-16.0"),
+    ],
+)
+def test_pair_sum_memory_stays_linear_in_the_node_count(n, p, limit_mb, kind):
     # A 256-row block against a 128^2 torus with nu = 3 alone needs
     # 256 * 16384 * 3 doubles, about 100 MB; the offset form needs O(N).
     vals = np.random.default_rng(n).normal(size=(n, n, 3))
-    u = gm.TraceMap(base=dom.torus(n, n), target=tg.euclidean(3), values=vals)
+    base = dom.torus(n, n) if kind == "torus" else dom.square(n, n)
+    u = gm.TraceMap(base=base, target=tg.euclidean(3), values=vals)
     tracemalloc.start()
     try:
         value = en.gagliardo_energy(u, 0.5, p).value
@@ -410,9 +474,12 @@ def test_penalized_energy_requires_unconstrained_values():
 #: sha256 of the ``float.hex`` pair sums, one per line, of the cases in
 #: ``_pinned_pair_sums``: the offset form and its kernel must keep every bit
 PAIR_SUM_BITS = "b1ffd5838141b600b9b0a1a34f052a93256a97576f26e973ae48b3c8323c3374"
+#: the same cases through ``gagliardo_energy``, whose p = 2 sums on the
+#: interval bases reach the FFT far field
+PUBLIC_PAIR_SUM_BITS = "7e258d86fe339826136238b51f6145d91d90b07edc27b37e8ac57efd6a164f53"
 
 
-def _pinned_pair_sums():
+def _pinned_pair_sums(pair_sum):
     """64 pair sums over every base kind, then criterion 01's u(x) = x."""
     bases = (
         dom.interval(13), dom.interval(14), dom.circle(11), dom.circle(12),
@@ -425,10 +492,16 @@ def _pinned_pair_sums():
                 base=base, target=tg.euclidean(nu), values=rng.normal(size=base.shape + (nu,))
             )
             for s in (0.3, 0.8):
-                yield en.gagliardo_energy(u, s, p).value
-    yield en.gagliardo_energy(_interval_trace(512, lambda x: x), 0.5, 2.0).value
+                yield pair_sum(u, s, p)
+    yield pair_sum(_interval_trace(512, lambda x: x), 0.5, 2.0)
 
 
 def test_pair_sum_keeps_its_bits():
-    text = "\n".join(value.hex() for value in _pinned_pair_sums())
+    text = "\n".join(value.hex() for value in _pinned_pair_sums(_offset_form))
     assert hashlib.sha256(text.encode()).hexdigest() == PAIR_SUM_BITS
+
+
+def test_public_pair_sum_keeps_its_bits():
+    sums = _pinned_pair_sums(lambda u, s, p: en.gagliardo_energy(u, s, p).value)
+    text = "\n".join(value.hex() for value in sums)
+    assert hashlib.sha256(text.encode()).hexdigest() == PUBLIC_PAIR_SUM_BITS
