@@ -9,13 +9,14 @@ every verdict line.
 import dataclasses
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sobolev_glue import acceptance as acc
-from sobolev_glue import cli
+from sobolev_glue import cli, energy
 from sobolev_glue import gridmap as gm
 from sobolev_glue.errors import ResolutionError
 
@@ -55,6 +56,52 @@ def test_criterion_02_fold_trace_contract():
 
 def test_criterion_03_fold_energy_constant():
     _check(acc.criterion_03_fold_energy_constant, 60.0)
+
+
+def test_criteria_02_and_03_share_one_fold_study_per_suite_run(monkeypatch):
+    folds = []
+    fold = acc.fold
+
+    def counted(u0, u1):
+        folds.append(None)
+        return fold(u0, u1)
+
+    monkeypatch.setattr(acc, "fold", counted)
+    fold_criteria = (acc.criterion_02_fold_trace_contract, acc.criterion_03_fold_energy_constant)
+    monkeypatch.setattr(acc, "ALL_CRITERIA", fold_criteria)
+    in_suite = [result.details for result in acc.run_primary_suite()]
+    assert len(folds) == 50
+    # nothing is kept from one suite run to the next
+    assert [result.details for result in acc.run_primary_suite()] == in_suite
+    assert len(folds) == 100
+    assert acc._suite_run is None
+    for criterion, details in zip(fold_criteria, in_suite):
+        del folds[:]
+        result = criterion()
+        assert result.passed, result.details
+        assert result.details == details
+        assert len(folds) == 50
+
+
+def test_criterion_02_holds_one_folded_pair_at_a_time():
+    tracemalloc.start()
+    try:
+        result = acc.criterion_02_fold_trace_contract()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.details
+    # one 129 x 129 pair with its fold is about 1 MiB; all fifty, about 40
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_fold_study_energies_keep_the_bits_of_dirichlet_p_energy():
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        u0, u1 = acc._matched_pair(rng, acc._FOLD_NODES)
+        for m in (acc.fold(u0, u1), u0, u1):
+            want = tuple(energy.dirichlet_p_energy(m, p).value for p in (1.5, 2.0, 3.0))
+            assert acc._map_energies(m) == want
 
 
 def test_criterion_04_cone_capture():

@@ -31,7 +31,7 @@ def _interval_trace(n, fn, nu=1):
     return gm.TraceMap(base=base, target=tg.euclidean(nu), values=vals)
 
 
-def _circle_trace(n, fn, target=None, tol=-1.0):
+def _circle_trace(n, fn, target=None, *, tol):
     base = dom.circle(n)
     t = base.axes[0].coordinates()
     vals = np.asarray(fn(t))
@@ -347,7 +347,7 @@ def test_dense_loop_oracle_agrees_with_offset_sum():
     rng = np.random.default_rng(7)
     u1 = _interval_trace(13, lambda x: np.sin(2.0 * x) + 0.3 * x)
     u2 = _circle_trace(
-        12, lambda t: np.stack([np.cos(t), np.sin(t)], -1), tg.circle(), 1e-9
+        12, lambda t: np.stack([np.cos(t), np.sin(t)], -1), tg.circle(), tol=1e-9
     )
     vals = rng.normal(size=(9, 8, 2))
     u3 = gm.TraceMap(base=dom.torus(9, 8), target=tg.euclidean(2), values=vals)
@@ -385,7 +385,7 @@ def test_refinement_converges_on_smooth_circle_data():
         return np.stack([np.cos(t), np.sin(t)], -1)
 
     es = [
-        en.gagliardo_energy(_circle_trace(n, fn, tg.circle(), 1e-9), 0.5, 2.0).value
+        en.gagliardo_energy(_circle_trace(n, fn, tg.circle(), tol=1e-9), 0.5, 2.0).value
         for n in (32, 64, 128)
     ]
     d1 = abs(es[1] - es[0])
